@@ -37,23 +37,28 @@ Cli::parse(int argc, const char *const *argv)
         if (arg.rfind("--", 0) != 0)
             dee_fatal("expected a --flag, got '", arg, "'");
         arg = arg.substr(2);
-        std::string name;
-        std::string value;
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-            name = arg.substr(0, eq);
-            value = arg.substr(eq + 1);
-        } else {
-            name = arg;
-            if (i + 1 >= argc)
-                dee_fatal("flag --", name, " is missing a value");
-            value = argv[++i];
-        }
+        const auto eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
         auto it = flags_.find(name);
         if (it == flags_.end())
             dee_fatal("unknown flag --", name, "\n", usage());
-        it->second.value = value;
-        it->second.provided = true;
+        Flag &flag = it->second;
+        const bool boolean =
+            flag.defaultValue == "true" || flag.defaultValue == "false";
+        if (eq != std::string::npos) {
+            flag.value = arg.substr(eq + 1);
+        } else if (boolean && (i + 1 >= argc ||
+                               std::string(argv[i + 1]).rfind("--", 0) ==
+                                   0)) {
+            // A bare boolean ("--profile --json out.json") reads as
+            // true; it never swallows the next flag.
+            flag.value = "true";
+        } else {
+            if (i + 1 >= argc)
+                dee_fatal("flag --", name, " is missing a value");
+            flag.value = argv[++i];
+        }
+        flag.provided = true;
     }
 }
 

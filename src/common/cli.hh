@@ -2,9 +2,10 @@
  * @file
  * Minimal command-line flag parsing for benches and examples.
  *
- * Supports "--name value" and "--name=value" forms plus "--help". All
- * flags are declared with defaults before parse(); unknown flags are a
- * fatal user error.
+ * Supports "--name value" and "--name=value" forms plus "--help". A
+ * flag whose default is "true" or "false" may also be given bare
+ * ("--profile"), which reads as true. All flags are declared with
+ * defaults before parse(); unknown flags are a fatal user error.
  */
 
 #ifndef DEE_COMMON_CLI_HH

@@ -203,7 +203,7 @@ struct Report
     /** The manifest "hotspots" payload for this report. */
     Json toJson() const;
 
-    /** Aligned per-phase share table (stats dumps, dee_bench). */
+    /** Aligned per-phase share table (stats dumps, perf_microbench). */
     std::string renderTable() const;
 
     /** The topStacks as flamegraph folded-stack lines. */

@@ -48,8 +48,8 @@
  * dee_lint --xcheck; v7 adds "hotspots" — the host hot-path sampler's
  * per-phase CPU attribution and top folded host stacks
  * (obs/hotspot/hotspot.hh), {"enabled": false} when the sampler never
- * ran. Readers (obs/manifest_diff.hh) accept all seven versions — an
- * older document simply has fewer sections to diff.
+ * ran. The reader (obs/manifest_diff.hh) accepts v7 only: regenerate an
+ * older document by rerunning the tool that wrote it.
  */
 
 #ifndef DEE_OBS_MANIFEST_HH

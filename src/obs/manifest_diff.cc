@@ -1,15 +1,45 @@
 #include "obs/manifest_diff.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/logging.hh"
 #include "common/table.hh"
 
 namespace dee::obs
 {
+
+namespace
+{
+
+/**
+ * Calls @p visit(path, leaf) for every value under @p node that is not
+ * an object or array, in document order; array elements use their
+ * index as the path segment.
+ */
+template <typename Visit>
+void
+forEachLeaf(const Json &node, const std::string &prefix, Visit &visit)
+{
+    const auto child = [&prefix](const std::string &segment) {
+        return prefix.empty() ? segment : prefix + "." + segment;
+    };
+    if (node.isObject()) {
+        for (const auto &[key, value] : node.members())
+            forEachLeaf(value, child(key), visit);
+    } else if (node.isArray()) {
+        std::size_t i = 0;
+        for (const Json &item : node.items())
+            forEachLeaf(item, child(std::to_string(i++)), visit);
+    } else {
+        visit(prefix, node);
+    }
+}
+
+} // namespace
 
 bool
 LoadedManifest::metric(const std::string &key, double *value) const
@@ -29,31 +59,11 @@ flattenNumeric(const Json &node, const std::string &prefix,
                std::vector<std::pair<std::string, double>> *out)
 {
     dee_assert(out != nullptr, "flattenNumeric needs an output vector");
-    switch (node.kind()) {
-      case Json::Kind::Int:
-      case Json::Kind::Double:
-        out->emplace_back(prefix, node.asDouble());
-        break;
-      case Json::Kind::Object:
-        for (const auto &[key, value] : node.members()) {
-            flattenNumeric(value,
-                           prefix.empty() ? key : prefix + "." + key,
-                           out);
-        }
-        break;
-      case Json::Kind::Array: {
-        std::size_t i = 0;
-        for (const Json &item : node.items()) {
-            const std::string seg = std::to_string(i++);
-            flattenNumeric(item,
-                           prefix.empty() ? seg : prefix + "." + seg,
-                           out);
-        }
-        break;
-      }
-      default:
-        break; // bools, strings and nulls are not metrics
-    }
+    auto visit = [out](const std::string &path, const Json &leaf) {
+        if (leaf.isNumber())
+            out->emplace_back(path, leaf.asDouble());
+    };
+    forEachLeaf(node, prefix, visit);
 }
 
 bool
@@ -80,21 +90,15 @@ parseManifest(const std::string &text, const std::string &path,
             *err = path + ": missing \"schema\" string";
         return false;
     }
-    const std::string &s = schema->asString();
-    if (s != "dee.run.v1" && s != "dee.run.v2" && s != "dee.run.v3" &&
-        s != "dee.run.v4" && s != "dee.run.v5" && s != "dee.run.v6" &&
-        s != "dee.run.v7") {
+    if (schema->asString() != "dee.run.v7") {
         if (err)
-            *err = path + ": unsupported schema '" + s + "'";
+            *err = path + ": unsupported schema '" + schema->asString() +
+                   "' (expected dee.run.v7; rerun the tool to "
+                   "regenerate it)";
         return false;
     }
 
     out->path = path;
-    out->schema = s;
-    const Json *tool = doc.find("tool");
-    out->tool = tool != nullptr && tool->kind() == Json::Kind::String
-                    ? tool->asString()
-                    : "?";
     out->metrics.clear();
     // Flatten the sections that carry comparable numbers; "schema",
     // "tool" and "config" are identity, not metrics.
@@ -153,377 +157,161 @@ globMatch(const std::string &pattern, const std::string &text)
     return p == pattern.size();
 }
 
-WatchSpec
-WatchSpec::parse(const std::string &text)
+Json
+withoutHostMeasured(const Json &doc)
 {
-    WatchSpec spec;
-    spec.pattern = text;
-    if (text.size() >= 2) {
-        const std::string tail = text.substr(text.size() - 2);
-        if (tail == ":+" || tail == ":-") {
-            spec.pattern = text.substr(0, text.size() - 2);
-            spec.higherIsBetter = tail == ":+";
+    // Host timings, machine resources and sampler output: they differ
+    // from run to run by nature, and nothing simulated lives under them.
+    static const std::unordered_set<std::string> kHostMeasured = {
+        "run_ms",    "wall_clock_ms", "runner",    "jobs",     "perf",
+        "host_perf", "telemetry",     "heartbeat", "hotspots", "hot",
+    };
+    if (doc.isObject()) {
+        Json out = Json::object();
+        for (const auto &[key, value] : doc.members()) {
+            if (kHostMeasured.count(key) == 0)
+                out[key] = withoutHostMeasured(value);
         }
+        return out;
     }
-    if (spec.pattern.empty())
-        dee_fatal("empty watch pattern in '", text, "'");
-    return spec;
-}
-
-bool
-RegressionReport::anyRegressed() const
-{
-    for (const RegressionItem &item : items) {
-        if (item.regressed)
-            return true;
+    if (doc.isArray()) {
+        Json out = Json::array();
+        for (const Json &item : doc.items())
+            out.push(withoutHostMeasured(item));
+        return out;
     }
-    return false;
-}
-
-std::string
-RegressionReport::render(double threshold) const
-{
-    Table table({"metric", "baseline", "candidate", "delta", "status"});
-    for (const RegressionItem &item : items) {
-        std::string status = "ok";
-        if (item.missing)
-            status = "MISSING";
-        else if (item.regressed)
-            status = "REGRESSED";
-        table.addRow({item.metric, Table::fmt(item.baseline, 6),
-                      item.missing ? "-" : Table::fmt(item.candidate, 6),
-                      item.missing ? "-"
-                                   : Table::fmtPercent(item.relChange, 2),
-                      status});
-    }
-    std::ostringstream oss;
-    oss << table.render();
-    oss << "threshold: " << Table::fmtPercent(threshold, 2)
-        << " relative; " << items.size() << " watched metric(s)\n";
-    return oss.str();
+    return doc;
 }
 
 std::string
-RegressionReport::renderFailures(double threshold) const
+GateItem::line() const
 {
-    std::ostringstream oss;
-    for (const RegressionItem &item : items) {
-        if (item.missing) {
-            oss << "FAIL " << item.metric
-                << ": watched metric missing from candidate (baseline "
-                << Table::fmt(item.baseline, 6) << ")\n";
-        } else if (item.regressed) {
-            oss << "FAIL " << item.metric << ": baseline "
-                << Table::fmt(item.baseline, 6) << ", candidate "
-                << Table::fmt(item.candidate, 6) << " ("
-                << Table::fmtPercent(item.relChange, 2)
-                << ", threshold " << Table::fmtPercent(threshold, 2)
-                << ")\n";
-        }
-    }
-    return oss.str();
-}
-
-RegressionReport
-checkRegressions(const LoadedManifest &baseline,
-                 const LoadedManifest &candidate,
-                 const std::vector<WatchSpec> &watches, double threshold)
-{
-    dee_assert(threshold >= 0.0, "negative regression threshold");
-    RegressionReport report;
-    for (const auto &[path, base_value] : baseline.metrics) {
-        const WatchSpec *matched = nullptr;
-        for (const WatchSpec &w : watches) {
-            if (globMatch(w.pattern, path)) {
-                matched = &w;
-                break;
-            }
-        }
-        if (matched == nullptr)
-            continue;
-
-        RegressionItem item;
-        item.metric = path;
-        item.baseline = base_value;
-        double cand_value = 0.0;
-        if (!candidate.metric(path, &cand_value)) {
-            item.missing = true;
-            item.regressed = true;
-            report.items.push_back(std::move(item));
-            continue;
-        }
-        item.candidate = cand_value;
-        const double delta = cand_value - base_value;
-        // Relative change against the baseline magnitude; a zero
-        // baseline falls back to comparing the absolute move, so a
-        // metric appearing out of nowhere still trips the gate.
-        item.relChange = base_value != 0.0
-                             ? delta / std::fabs(base_value)
-                             : delta;
-        const double bad =
-            matched->higherIsBetter ? -item.relChange : item.relChange;
-        item.regressed = bad > threshold;
-        report.items.push_back(std::move(item));
-    }
-    return report;
+    return (fail ? "FAIL " : "WARN ") + metric + ": " + detail;
 }
 
 namespace
 {
 
-/**
- * True for "profile.<scope>.branches.<pc>.squashed_slots" paths — the
- * per-branch attribution metrics the profile gate compares. On match,
- * *branch receives the "<pc>" token.
- */
-bool
-isBranchSquashMetric(const std::string &path, std::string *branch)
+/** Relative growth of a host phase's self share that warns, before its
+ *  counting error is added. */
+constexpr double kHotspotThreshold = 0.25;
+
+/** Phases with fewer candidate self samples never warn: a share
+ *  counted from a handful of samples is noise. */
+constexpr double kHotspotMinSamples = 50.0;
+
+/** Every leaf of @p doc outside the host-measured keys as (dotted
+ *  path, JSON text), in document order. */
+std::vector<std::pair<std::string, std::string>>
+exactLeaves(const Json &doc)
 {
-    static const std::string kPrefix = "profile.";
-    static const std::string kMark = ".branches.";
-    static const std::string kSuffix = ".squashed_slots";
-    if (path.compare(0, kPrefix.size(), kPrefix) != 0)
-        return false;
-    if (path.size() < kSuffix.size() ||
-        path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                     kSuffix) != 0)
-        return false;
-    const std::size_t mark = path.find(kMark);
-    if (mark == std::string::npos)
-        return false;
-    const std::size_t pc_begin = mark + kMark.size();
-    const std::size_t pc_end = path.size() - kSuffix.size();
-    if (pc_end <= pc_begin)
-        return false;
-    // The pc must be the *last* segment before the suffix ("0x12", not
-    // "0x12.resolve_latency") — deeper branch fields have their own
-    // dots and are not squash totals.
-    const std::string pc = path.substr(pc_begin, pc_end - pc_begin);
-    if (pc.find('.') != std::string::npos)
-        return false;
-    if (branch)
-        *branch = pc;
-    return true;
+    std::vector<std::pair<std::string, std::string>> leaves;
+    auto visit = [&leaves](const std::string &path, const Json &leaf) {
+        leaves.emplace_back(path, leaf.dump());
+    };
+    forEachLeaf(withoutHostMeasured(doc), "", visit);
+    return leaves;
 }
 
-} // namespace
-
-ProfileRegressionReport
-checkProfileRegressions(const LoadedManifest &baseline,
-                        const LoadedManifest &candidate,
-                        double threshold, double minSlots)
-{
-    dee_assert(threshold >= 0.0, "negative profile-diff threshold");
-    dee_assert(minSlots >= 0.0, "negative profile-diff slot floor");
-    ProfileRegressionReport report;
-    for (const auto &[path, cand_value] : candidate.metrics) {
-        std::string branch;
-        if (!isBranchSquashMetric(path, &branch))
-            continue;
-
-        ProfileRegressionItem item;
-        item.metric = path;
-        item.branch = branch;
-        item.candidate = cand_value;
-        if (!baseline.metric(path, &item.baseline)) {
-            item.newSite = true;
-            if (cand_value > minSlots)
-                report.items.push_back(std::move(item));
-            continue;
-        }
-        const double growth = cand_value - item.baseline;
-        if (growth <= minSlots)
-            continue;
-        item.relChange = item.baseline > 0.0
-                             ? growth / item.baseline
-                             : growth;
-        if (item.baseline > 0.0 && item.relChange <= threshold)
-            continue;
-        report.items.push_back(std::move(item));
-    }
-    std::sort(report.items.begin(), report.items.end(),
-              [](const ProfileRegressionItem &a,
-                 const ProfileRegressionItem &b) {
-                  const double ga = a.candidate - a.baseline;
-                  const double gb = b.candidate - b.baseline;
-                  if (ga != gb)
-                      return ga > gb;
-                  return a.metric < b.metric;
-              });
-    return report;
-}
-
-std::string
-ProfileRegressionReport::render(double threshold, double minSlots) const
-{
-    std::ostringstream oss;
-    for (const ProfileRegressionItem &item : items) {
-        oss << "FAIL " << item.metric << ": branch " << item.branch;
-        if (item.newSite) {
-            oss << " is a new speculation hotspot ("
-                << Table::fmt(item.candidate, 0)
-                << " squashed slots, none in baseline)";
-        } else {
-            oss << " squashed slots grew "
-                << Table::fmt(item.baseline, 0) << " -> "
-                << Table::fmt(item.candidate, 0) << " ("
-                << Table::fmtPercent(item.relChange, 2) << ", threshold "
-                << Table::fmtPercent(threshold, 2) << ")";
-        }
-        oss << "\n";
-    }
-    if (!items.empty()) {
-        oss << items.size() << " profile regression(s); gate: relative > "
-            << Table::fmtPercent(threshold, 2) << " and absolute > "
-            << Table::fmt(minSlots, 0) << " slots\n";
-    }
-    return oss.str();
-}
-
-namespace
-{
-
-/** The "hotspots" phases object of @p manifest, or null with *err
- *  set when the section is absent, disabled or pre-v7. */
+/** The sampled phases of @p doc's "hotspots" section; null when the
+ *  run did not sample. */
 const Json *
-hotspotPhases(const LoadedManifest &manifest, std::string *err)
+hotspotPhases(const Json &doc)
 {
-    const Json *section = manifest.doc.find("hotspots");
-    if (section == nullptr || !section->isObject()) {
-        *err = manifest.path +
-               ": no \"hotspots\" section (schema " + manifest.schema +
-               "; --hotspot-diff needs runs made with --hotspots)";
-        return nullptr;
-    }
-    const Json *enabled = section->find("enabled");
-    if (enabled == nullptr || !enabled->asBool()) {
-        *err = manifest.path +
-               ": hotspot sampler was off (run with --hotspots)";
-        return nullptr;
-    }
-    const Json *phases = section->find("phases");
-    if (phases == nullptr || !phases->isObject()) {
-        *err = manifest.path + ": hotspots section has no phases";
-        return nullptr;
-    }
-    return phases;
+    const Json *section = doc.find("hotspots");
+    const Json *phases =
+        section != nullptr ? section->find("phases") : nullptr;
+    return phases != nullptr && phases->isObject() ? phases : nullptr;
 }
 
-/** Reads a numeric member of a phase entry (0 when absent). */
+/** A numeric member of a phase entry; 0 when either is absent. */
 double
-phaseNumber(const Json &entry, const char *key)
+phaseNumber(const Json *entry, const char *key)
 {
-    const Json *value = entry.find(key);
+    const Json *value = entry != nullptr ? entry->find(key) : nullptr;
     return value != nullptr && value->isNumber() ? value->asDouble()
                                                  : 0.0;
 }
 
-} // namespace
-
-HotspotRegressionReport
-checkHotspotRegressions(const LoadedManifest &baseline,
-                        const LoadedManifest &candidate,
-                        double threshold, double minSamples)
+/**
+ * Appends a WARN for every candidate host phase whose self share grew
+ * by more than kHotspotThreshold plus its 3-sigma counting error. Both
+ * shares are Poisson count estimates, so a 60-sample phase needs a far
+ * bigger jump than a 600-sample one; the threshold alone carries the
+ * run-to-run drift (scheduling, frequency) that counting error
+ * ignores. A phase new to the candidate counts its whole share as
+ * growth.
+ */
+void
+appendHotspotWarnings(const Json &baseline, const Json &candidate,
+                      std::vector<GateItem> *items)
 {
-    dee_assert(threshold >= 0.0, "negative hotspot-diff threshold");
-    dee_assert(minSamples >= 0.0, "negative hotspot-diff floor");
-    HotspotRegressionReport report;
-    const Json *base_phases = hotspotPhases(baseline, &report.error);
-    if (base_phases == nullptr)
-        return report;
-    const Json *cand_phases = hotspotPhases(candidate, &report.error);
-    if (cand_phases == nullptr)
-        return report;
-
+    const Json *base_phases = hotspotPhases(baseline);
+    const Json *cand_phases = hotspotPhases(candidate);
+    if (base_phases == nullptr || cand_phases == nullptr)
+        return;
     for (const auto &[phase, entry] : cand_phases->members()) {
-        if (!entry.isObject())
+        const double cand_self = phaseNumber(&entry, "self");
+        if (cand_self < kHotspotMinSamples)
             continue;
-        HotspotRegressionItem item;
-        item.phase = phase;
-        item.candidatePct = phaseNumber(entry, "self_pct");
-        item.candidateSamples = phaseNumber(entry, "self");
-        if (item.candidateSamples < minSamples)
-            continue; /* too few samples to call it a shift */
-
         const Json *base_entry = base_phases->find(phase);
-        if (base_entry == nullptr || !base_entry->isObject()) {
-            item.newPhase = true;
-            item.relChange = item.candidatePct / 100.0;
-            item.noiseFloor =
-                3.0 / std::sqrt(item.candidateSamples);
-            if (item.relChange > threshold + item.noiseFloor)
-                report.items.push_back(std::move(item));
+        const double base_self = phaseNumber(base_entry, "self");
+        const double base_pct = phaseNumber(base_entry, "self_pct");
+        const double cand_pct = phaseNumber(&entry, "self_pct");
+        const double growth =
+            (cand_pct - base_pct) / (base_pct > 0.0 ? base_pct : 100.0);
+        const double noise =
+            3.0 * std::sqrt((base_self > 0.0 ? 1.0 / base_self : 0.0) +
+                            1.0 / cand_self);
+        if (growth <= kHotspotThreshold + noise)
             continue;
-        }
-        item.baselinePct = phaseNumber(*base_entry, "self_pct");
-        const double growth = item.candidatePct - item.baselinePct;
-        if (growth <= 0.0)
-            continue; /* shrinking phases are improvements */
-        item.relChange = item.baselinePct > 0.0
-                             ? growth / item.baselinePct
-                             : growth / 100.0;
-        /* Both shares are Poisson count estimates; their combined
-         * 3-sigma relative error widens the gate, so a 60-sample
-         * phase needs a much bigger jump than a 600-sample one. The
-         * floor is added to the threshold, not max()ed with it: the
-         * threshold alone must carry systematic run-to-run drift
-         * (scheduling, frequency), which counting error ignores. */
-        const double base_self =
-            std::max(phaseNumber(*base_entry, "self"), 1.0);
-        item.noiseFloor =
-            3.0 * std::sqrt(1.0 / base_self +
-                            1.0 / item.candidateSamples);
-        if (item.relChange <= threshold + item.noiseFloor)
-            continue;
-        report.items.push_back(std::move(item));
+        items->push_back(
+            {false, "hotspots.phases." + phase + ".self_pct",
+             "host self share " + Table::fmt(base_pct, 2) + "% -> " +
+                 Table::fmt(cand_pct, 2) + "% (" +
+                 Table::fmtPercent(growth, 2) + ", tolerance " +
+                 Table::fmtPercent(kHotspotThreshold, 2) +
+                 " + 3-sigma " + Table::fmtPercent(noise, 2) + ")"});
     }
-    std::sort(report.items.begin(), report.items.end(),
-              [](const HotspotRegressionItem &a,
-                 const HotspotRegressionItem &b) {
-                  const double ga = a.candidatePct - a.baselinePct;
-                  const double gb = b.candidatePct - b.baselinePct;
-                  if (ga != gb)
-                      return ga > gb;
-                  return a.phase < b.phase;
-              });
-    return report;
 }
 
-std::string
-HotspotRegressionReport::render(double threshold,
-                                double minSamples) const
+} // namespace
+
+std::vector<GateItem>
+checkManifest(const LoadedManifest &baseline,
+              const LoadedManifest &candidate)
 {
-    std::ostringstream oss;
-    for (const HotspotRegressionItem &item : items) {
-        oss << "FAIL hotspots.phases." << item.phase << ": phase "
-            << item.phase;
-        if (item.newPhase) {
-            oss << " is a new host hotspot ("
-                << Table::fmt(item.candidatePct, 2)
-                << "% self share over "
-                << Table::fmt(item.candidateSamples, 0)
-                << " samples, none in baseline)";
-        } else {
-            oss << " host self share grew "
-                << Table::fmt(item.baselinePct, 2) << "% -> "
-                << Table::fmt(item.candidatePct, 2) << "% ("
-                << Table::fmtPercent(item.relChange, 2)
-                << ", tolerance "
-                << Table::fmtPercent(threshold + item.noiseFloor, 2)
-                << " = " << Table::fmtPercent(threshold, 2)
-                << " + 3-sigma "
-                << Table::fmtPercent(item.noiseFloor, 2) << ")";
+    const auto base = exactLeaves(baseline.doc);
+    const auto cand = exactLeaves(candidate.doc);
+    // Candidate leaves not yet matched to a baseline leaf.
+    std::unordered_map<std::string, const std::string *> unmatched;
+    unmatched.reserve(cand.size());
+    for (const auto &[path, text] : cand)
+        unmatched.emplace(path, &text);
+
+    std::vector<GateItem> items;
+    for (const auto &[path, text] : base) {
+        const auto it = unmatched.find(path);
+        if (it == unmatched.end()) {
+            items.push_back(
+                {true, path, "baseline " + text + ", candidate missing"});
+            continue;
         }
-        oss << "\n";
+        if (*it->second != text) {
+            items.push_back({true, path,
+                             "baseline " + text + ", candidate " +
+                                 *it->second});
+        }
+        unmatched.erase(it);
     }
-    if (!items.empty()) {
-        oss << items.size()
-            << " host hotspot regression(s); gate: relative > "
-            << Table::fmtPercent(threshold, 2)
-            << " + 3-sigma counting error, over phases with >= "
-            << Table::fmt(minSamples, 0) << " self samples\n";
+    for (const auto &[path, text] : cand) {
+        if (unmatched.count(path) != 0) {
+            items.push_back(
+                {true, path, "baseline missing, candidate " + text});
+        }
     }
-    return oss.str();
+    appendHotspotWarnings(baseline.doc, candidate.doc, &items);
+    return items;
 }
 
 namespace

@@ -1,20 +1,19 @@
 /**
  * @file
- * Manifest loading, flattening and cross-run diffing.
+ * Manifest loading, flattening, diffing and the regression gate.
  *
- * The testable core of tools/dee_report: load two or more
- * dee.run.v1..v7 manifests, flatten every numeric leaf to a dotted
- * metric path
- * ("results.DEE-CD-MF.speedup", "accounting.window.waste_fraction"),
- * render an aligned side-by-side diff, and check a watch-list of
- * metrics for regressions beyond a relative threshold.
+ * The testable core of tools/dee_report: load dee.run.v7 manifests,
+ * flatten every numeric leaf to a dotted metric path
+ * ("results.benchmarks.cc1.DEE.3", "accounting.window.waste_fraction"),
+ * render an aligned side-by-side diff, and gate a candidate manifest
+ * against a baseline.
  *
- * Watch specs are "pattern[:+|-]" strings:
- *   - pattern is a dotted path with '*' wildcards matching any run of
- *     characters ("accounting.*.waste_fraction");
- *   - ':+' (the default) means higher is better — a drop beyond the
- *     threshold regresses; ':-' means lower is better — a rise beyond
- *     the threshold regresses.
+ * The gate has one rule per kind of value. Everything the simulator
+ * computes is deterministic at any --jobs, so every leaf outside the
+ * host-measured keys (see withoutHostMeasured()) must equal the
+ * baseline exactly. Host-measured values are not compared, except the
+ * hotspot sampler's per-phase self shares, which get an advisory
+ * Poisson check (see checkManifest()).
  */
 
 #ifndef DEE_OBS_MANIFEST_DIFF_HH
@@ -32,10 +31,8 @@ namespace dee::obs
 /** One parsed manifest plus its flattened numeric metrics. */
 struct LoadedManifest
 {
-    std::string path;   ///< where it was read from (label in diffs)
-    std::string schema; ///< "dee.run.v1" through "dee.run.v7"
-    std::string tool;   ///< emitting binary
-    Json doc;           ///< the full document
+    std::string path; ///< where it was read from (label in diffs)
+    Json doc;         ///< the full document
 
     /** Every numeric leaf as (dotted path, value), document order. */
     std::vector<std::pair<std::string, double>> metrics;
@@ -45,8 +42,8 @@ struct LoadedManifest
 };
 
 /**
- * Parses @p text as a manifest document. Accepts schema dee.run.v1
- * through v7 (older versions simply lack the newer sections).
+ * Parses @p text as a dee.run.v7 manifest document; older schema
+ * versions are rejected (regenerate them with the current tools).
  * @return true on success; false with *err describing the failure.
  */
 bool parseManifest(const std::string &text, const std::string &path,
@@ -67,146 +64,39 @@ void flattenNumeric(const Json &node, const std::string &prefix,
 /** '*'-wildcard match over dotted metric paths (matches any chars). */
 bool globMatch(const std::string &pattern, const std::string &text);
 
-/** One watched metric pattern with its goodness direction. */
-struct WatchSpec
+/**
+ * @p doc without its host-measured values: every object member, at any
+ * depth, whose key is run_ms, wall_clock_ms, runner, jobs, perf,
+ * host_perf, telemetry, heartbeat, hotspots or hot. What remains is a
+ * pure function of the simulated inputs, byte-identical across --jobs
+ * values and engines.
+ */
+Json withoutHostMeasured(const Json &doc);
+
+/** One line of the regression gate's verdict. */
+struct GateItem
 {
-    std::string pattern;
-    bool higherIsBetter = true;
+    bool fail = true;   ///< false for an advisory WARN
+    std::string metric; ///< the dotted leaf path
+    std::string detail; ///< both values, and the tolerance of a WARN
 
-    /** Parses "pattern[:+|-]"; fatal on an empty pattern. */
-    static WatchSpec parse(const std::string &text);
-};
-
-/** Outcome of checking one watched metric across two manifests. */
-struct RegressionItem
-{
-    std::string metric;
-    double baseline = 0.0;
-    double candidate = 0.0;
-    /** Signed relative change, (candidate - baseline) / |baseline|. */
-    double relChange = 0.0;
-    bool regressed = false;
-    /** Metric matched a watch but is missing from the candidate. */
-    bool missing = false;
-};
-
-/** All watched-metric outcomes for a baseline/candidate pair. */
-struct RegressionReport
-{
-    std::vector<RegressionItem> items;
-
-    bool anyRegressed() const;
-    /** Aligned table, worst offenders flagged in the last column. */
-    std::string render(double threshold) const;
-    /**
-     * One "FAIL <metric>: ..." line per regressed or missing item, with
-     * both values and the relative change — the actionable part of a
-     * failed gate, kept separate from the full table so CI logs show
-     * exactly which metric tripped it. Empty when nothing regressed.
-     */
-    std::string renderFailures(double threshold) const;
+    /** "FAIL <metric>: <detail>" or "WARN <metric>: <detail>". */
+    std::string line() const;
 };
 
 /**
- * Evaluates @p watches over every baseline metric they match. A metric
- * regresses when it moves in the bad direction by more than
- * @p threshold relative to the baseline (a zero baseline compares the
- * absolute change against the threshold instead). A watched baseline
- * metric absent from the candidate is reported missing and counts as a
- * regression.
+ * Gates @p candidate against @p baseline. Every leaf (number, string,
+ * bool or null) of withoutHostMeasured() that changed, or exists on one
+ * side only, is a FAIL item carrying both values as JSON text. A
+ * hotspots.phases.<phase>.self_pct share that grew by more than 25%
+ * plus its 3-sigma Poisson counting error, 3 * sqrt(1/base_self +
+ * 1/cand_self), over a phase with at least 50 candidate self samples,
+ * is a WARN item: host shares move with the machine, so they advise
+ * and never fail. Items come in baseline document order, then added
+ * leaves, then warnings; an empty result means the runs agree.
  */
-RegressionReport checkRegressions(const LoadedManifest &baseline,
-                                  const LoadedManifest &candidate,
-                                  const std::vector<WatchSpec> &watches,
-                                  double threshold);
-
-/** One per-branch squashed-slot regression between two manifests. */
-struct ProfileRegressionItem
-{
-    std::string metric; ///< full flattened path that tripped the gate
-    std::string branch; ///< the branch PC token, e.g. "0x12"
-    double baseline = 0.0;  ///< baseline squashed slots (0 if new site)
-    double candidate = 0.0; ///< candidate squashed slots
-    /** (candidate - baseline) / baseline; meaningless for a new site. */
-    double relChange = 0.0;
-    bool newSite = false; ///< branch absent from the baseline profile
-};
-
-/** Outcome of a per-branch speculation-profile comparison. */
-struct ProfileRegressionReport
-{
-    std::vector<ProfileRegressionItem> items; ///< worst growth first
-
-    bool anyRegressed() const { return !items.empty(); }
-    /**
-     * One "FAIL ..." line per item, naming the branch PC and both
-     * slot counts — empty when the profile is clean.
-     */
-    std::string render(double threshold, double minSlots) const;
-};
-
-/**
- * Compares per-branch squashed-slot attribution between two manifests'
- * "profile" sections. A branch regresses when its squashed slots grow
- * by more than @p threshold relative to the baseline AND by more than
- * @p minSlots absolute (the absolute floor keeps tiny branches from
- * tripping the gate on noise). A branch present only in the candidate
- * regresses when it alone exceeds @p minSlots. Shrinking or vanishing
- * branches are improvements, never failures.
- */
-ProfileRegressionReport checkProfileRegressions(
-    const LoadedManifest &baseline, const LoadedManifest &candidate,
-    double threshold, double minSlots);
-
-/** One host-phase CPU-share regression between two manifests. */
-struct HotspotRegressionItem
-{
-    std::string phase;      ///< "scope.phase" key that tripped the gate
-    double baselinePct = 0.0;  ///< baseline self share (% of samples)
-    double candidatePct = 0.0; ///< candidate self share
-    /** (candidate - baseline) / baseline share; share fraction itself
-     *  for a new phase or a zero baseline. */
-    double relChange = 0.0;
-    double candidateSamples = 0.0; ///< candidate self samples
-    /** 3-sigma relative Poisson counting error of the comparison,
-     *  3 * sqrt(1/baseline_self + 1/candidate_self) — added to the
-     *  threshold, so shares estimated from few samples get a wider
-     *  gate automatically. */
-    double noiseFloor = 0.0;
-    bool newPhase = false; ///< phase absent from the baseline section
-};
-
-/** Outcome of a per-phase host-hotspot comparison. */
-struct HotspotRegressionReport
-{
-    std::vector<HotspotRegressionItem> items; ///< worst growth first
-    /** Non-empty when either manifest carries no usable "hotspots"
-     *  section (run without --hotspots, or pre-v7) — a usage error,
-     *  not a pass. */
-    std::string error;
-
-    bool anyRegressed() const { return !items.empty(); }
-    /** One "FAIL ..." line per item, naming the phase and both
-     *  shares — empty when the host profile is clean. */
-    std::string render(double threshold, double minSamples) const;
-};
-
-/**
- * Compares per-phase host-CPU self shares between two manifests'
- * "hotspots" sections (schema v7). A phase regresses when its self
- * share of the captured samples grows by more than @p threshold plus
- * its 3-sigma Poisson counting error (shares are sampling estimates:
- * a 60-sample phase carries ~40% relative 3-sigma wobble, and the
- * widened gate absorbs it instead of flaking — the --perf-diff MAD
- * noise floor, applied to counting statistics) AND its candidate
- * self-sample count is at least @p minSamples (the floor keeps
- * barely-sampled phases out entirely). A phase present only in the
- * candidate regresses when it alone clears every bar. Shrinking or
- * vanishing phases are improvements, never failures.
- */
-HotspotRegressionReport checkHotspotRegressions(
-    const LoadedManifest &baseline, const LoadedManifest &candidate,
-    double threshold, double minSamples);
+std::vector<GateItem> checkManifest(const LoadedManifest &baseline,
+                                    const LoadedManifest &candidate);
 
 /**
  * Side-by-side diff of every metric matching @p filter (empty matches

@@ -7,8 +7,6 @@
  *   timer.hh         ScopedTimer wall-clock profiling into the registry
  *   accounting.hh    closed per-slot cycle accounting (acct.*)
  *   perf/perf.hh     host throughput meter + hw counters (perf.*)
- *   perf/bench_stats.hh robust median/MAD repetition summaries
- *   perf/perf_diff.hh  BENCH_throughput.json gating (--perf-diff)
  *   profile/profile.hh per-branch speculation profiler (prof.*)
  *   profile/report.hh  self-contained HTML profile report (dee_prof)
  *   heartbeat.hh     rate/ETA progress lines for long bench runs
@@ -30,9 +28,7 @@
 #include "obs/json.hh"
 #include "obs/manifest.hh"
 #include "obs/manifest_diff.hh"
-#include "obs/perf/bench_stats.hh"
 #include "obs/perf/perf.hh"
-#include "obs/perf/perf_diff.hh"
 #include "obs/profile/profile.hh"
 #include "obs/profile/report.hh"
 #include "obs/registry.hh"

@@ -11,7 +11,7 @@
  * perf_event_open(2). It is the instrumentation that makes "provably
  * faster, bit-exact" hot-path rewrites checkable: the simulated
  * results are pinned by dee_report --check baselines while perf.*
- * trends are tracked by dee_bench / dee_report --perf-diff.
+ * says how fast each scope ran (perfbench/ times whole runs).
  *
  * Published registry paths, per scope:
  *

@@ -284,6 +284,32 @@ TEST(Cli, ParsesFlagsBothForms)
     EXPECT_TRUE(cli.boolean("delta"));
 }
 
+TEST(Cli, BareBooleanFlagsReadAsTrue)
+{
+    // Bare before another flag, and bare as the last argument: the
+    // boolean must not swallow "--out" as its value.
+    Cli cli("test");
+    cli.flag("hotspots", "false", "a bool");
+    cli.flag("out", "", "a path");
+    cli.flag("profile", "false", "a bool");
+    const char *bare[] = {"prog", "--hotspots", "--out", "f.folded",
+                          "--profile"};
+    cli.parse(5, bare);
+    EXPECT_TRUE(cli.boolean("hotspots"));
+    EXPECT_EQ(cli.str("out"), "f.folded");
+    EXPECT_TRUE(cli.boolean("profile"));
+
+    // The valued spellings still parse, an explicit false included.
+    Cli valued("test");
+    valued.flag("hotspots", "true", "a bool");
+    valued.flag("profile", "false", "a bool");
+    const char *spelled[] = {"prog", "--hotspots", "false",
+                             "--profile=true"};
+    valued.parse(4, spelled);
+    EXPECT_FALSE(valued.boolean("hotspots"));
+    EXPECT_TRUE(valued.boolean("profile"));
+}
+
 TEST(Cli, DefaultsSurviveParse)
 {
     Cli cli("test");

@@ -34,7 +34,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -150,34 +149,6 @@ snapshotRegistry(const obs::Registry &reg)
     return out;
 }
 
-/** Drops every object member in the CI normalizer's DROP set,
- *  recursively — the normalization dee_report --check applies before
- *  byte-comparing manifests. */
-obs::Json
-normalized(const obs::Json &doc)
-{
-    static const std::set<std::string> kDrop = {
-        "run_ms", "wall_clock_ms", "runner",    "jobs",      "perf",
-        "host_perf",  "telemetry", "heartbeat", "hotspots",  "hot",
-    };
-    if (doc.isObject()) {
-        obs::Json out = obs::Json::object();
-        for (const auto &[key, value] : doc.members()) {
-            if (kDrop.count(key) != 0)
-                continue;
-            out[key] = normalized(value);
-        }
-        return out;
-    }
-    if (doc.isArray()) {
-        obs::Json out = obs::Json::array();
-        for (const obs::Json &item : doc.items())
-            out.push(normalized(item));
-        return out;
-    }
-    return doc;
-}
-
 SimResult
 runCell(Engine engine, ModelKind kind, const BenchmarkInstance &inst,
         int e_t, bool profile = false)
@@ -257,8 +228,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EngineDifferential, HundredRandomCellsBitExact)
 {
     // The sweep tools' own per-cell seed derivation, so these cells
-    // are drawn from the exact population a dee_bench / figure sweep
-    // would simulate.
+    // are drawn from the exact population a figure sweep would
+    // simulate.
     const std::vector<WorkloadId> ids = allWorkloads();
     const std::vector<ModelKind> kinds = allModels();
     constexpr std::uint64_t kMaster = 0xD1FFE2E2u;
@@ -426,8 +397,8 @@ runManifestGrid(Engine engine, int jobs)
     });
     GridOutput out;
     out.manifest =
-        normalized(obs::Manifest("engine_differential")
-                       .toJson(obs::Registry::process()))
+        obs::withoutHostMeasured(obs::Manifest("engine_differential")
+                                     .toJson(obs::Registry::process()))
             .dump(2);
     out.registry = snapshotRegistry(obs::Registry::process());
     obs::Registry::process().clear();

@@ -32,7 +32,9 @@ TEST(Pipeline, CaptureFileReplayMatchesDirect)
     // Simulating a trace read back from disk must give bit-identical
     // results to simulating the in-memory trace.
     const std::string path =
-        ::testing::TempDir() + "dee_integration_trace.bin";
+        ::testing::TempDir() + "dee_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".bin";
     const BenchmarkInstance inst = makeInstance(WorkloadId::Eqntott, 1);
     writeTrace(inst.trace, path);
     const Trace loaded = readTrace(path);

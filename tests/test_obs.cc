@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the observability layer: stats registry naming rules,
  * tracer ring-buffer semantics, JSON emission round-tripped through the
- * built-in parser, scoped timers and run manifests.
+ * built-in parser, scoped timers, run manifests, and the manifest
+ * regression gate (against synthetic manifests and the committed
+ * Figure 5 baseline).
  */
 
 #include <gtest/gtest.h>
@@ -370,23 +372,24 @@ TEST(Manifest, AccountingSectionMirrorsRegistrySubtree)
     EXPECT_DOUBLE_EQ(window->find("waste_fraction")->asDouble(), 0.25);
 }
 
-// --- Manifest diffing (the dee_report core) -----------------------------
+// --- Manifest diffing and the regression gate (the dee_report core) ----
 
-using dee::obs::checkRegressions;
+using dee::obs::checkManifest;
 using dee::obs::flattenNumeric;
+using dee::obs::GateItem;
 using dee::obs::globMatch;
 using dee::obs::LoadedManifest;
+using dee::obs::loadManifestFile;
 using dee::obs::parseManifest;
-using dee::obs::RegressionReport;
 using dee::obs::renderManifestDiff;
-using dee::obs::WatchSpec;
+using dee::obs::withoutHostMeasured;
 
-/** A tiny v2 manifest with one tweakable result/accounting metric. */
+/** A tiny v7 manifest with one tweakable result/accounting metric. */
 std::string
 manifestText(double speedup, double waste, bool with_extra = true)
 {
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v2");
+    doc["schema"] = Json("dee.run.v7");
     doc["tool"] = Json("unit_test");
     doc["config"] = Json::object();
     doc["results"] = Json::object();
@@ -410,6 +413,18 @@ loaded(const std::string &text, const std::string &label)
     return m;
 }
 
+/** The rendered FAIL lines of @p items, one per line. */
+std::string
+failLines(const std::vector<GateItem> &items)
+{
+    std::string out;
+    for (const GateItem &item : items) {
+        if (item.fail)
+            out += item.line() + "\n";
+    }
+    return out;
+}
+
 TEST(ManifestDiff, GlobMatch)
 {
     EXPECT_TRUE(globMatch("a.b.c", "a.b.c"));
@@ -422,21 +437,6 @@ TEST(ManifestDiff, GlobMatch)
     EXPECT_TRUE(globMatch("*speedup*", "results.DEE-CD-MF.speedup"));
     EXPECT_FALSE(globMatch("", "x"));
     EXPECT_TRUE(globMatch("**", "x"));
-}
-
-TEST(ManifestDiff, WatchSpecParsing)
-{
-    const WatchSpec plain = WatchSpec::parse("results.*");
-    EXPECT_EQ(plain.pattern, "results.*");
-    EXPECT_TRUE(plain.higherIsBetter);
-
-    const WatchSpec up = WatchSpec::parse("results.speedup:+");
-    EXPECT_EQ(up.pattern, "results.speedup");
-    EXPECT_TRUE(up.higherIsBetter);
-
-    const WatchSpec down = WatchSpec::parse("accounting.*:-");
-    EXPECT_EQ(down.pattern, "accounting.*");
-    EXPECT_FALSE(down.higherIsBetter);
 }
 
 TEST(ManifestDiff, FlattenNumericWalksObjectsAndArrays)
@@ -461,154 +461,122 @@ TEST(ManifestDiff, FlattenNumericWalksObjectsAndArrays)
     EXPECT_EQ(out[3].first, "d.1");
 }
 
-TEST(ManifestDiff, ParseAcceptsV1AndV2RejectsOthers)
+TEST(ManifestDiff, ParseAcceptsV7RejectsOthers)
 {
-    const LoadedManifest v2 = loaded(manifestText(30.0, 0.2), "a.json");
-    EXPECT_EQ(v2.schema, "dee.run.v2");
-    EXPECT_EQ(v2.tool, "unit_test");
+    const LoadedManifest v7 = loaded(manifestText(30.0, 0.2), "a.json");
     double value = 0.0;
-    ASSERT_TRUE(v2.metric("results.speedup", &value));
+    ASSERT_TRUE(v7.metric("results.speedup", &value));
     EXPECT_DOUBLE_EQ(value, 30.0);
-    ASSERT_TRUE(v2.metric("accounting.window.waste_fraction", &value));
+    ASSERT_TRUE(v7.metric("accounting.window.waste_fraction", &value));
     EXPECT_DOUBLE_EQ(value, 0.2);
-    ASSERT_TRUE(v2.metric("wall_clock_ms", &value));
+    ASSERT_TRUE(v7.metric("wall_clock_ms", &value));
 
-    // v1: no accounting/trace sections, still loadable.
-    LoadedManifest v1;
+    // Every older schema is refused, naming the version it found.
+    LoadedManifest old;
     std::string err;
-    ASSERT_TRUE(parseManifest("{\"schema\":\"dee.run.v1\",\"tool\":"
-                              "\"t\",\"results\":{\"x\":1}}",
-                              "v1.json", &v1, &err))
-        << err;
-    ASSERT_TRUE(v1.metric("results.x", &value));
-
-    LoadedManifest bad;
+    for (int v = 1; v <= 6; ++v) {
+        const std::string schema = "dee.run.v" + std::to_string(v);
+        EXPECT_FALSE(parseManifest("{\"schema\":\"" + schema +
+                                       "\",\"results\":{\"x\":1}}",
+                                   "old.json", &old, &err))
+            << schema;
+        EXPECT_NE(err.find(schema), std::string::npos) << err;
+    }
     EXPECT_FALSE(parseManifest("{\"schema\":\"dee.run.v99\"}", "bad",
-                               &bad, &err));
-    EXPECT_NE(err.find("schema"), std::string::npos);
-    EXPECT_FALSE(parseManifest("not json", "bad", &bad, &err));
-    EXPECT_FALSE(parseManifest("[1,2]", "bad", &bad, &err));
+                               &old, &err));
+    EXPECT_FALSE(parseManifest("not json", "bad", &old, &err));
+    EXPECT_FALSE(parseManifest("[1,2]", "bad", &old, &err));
 }
 
-TEST(ManifestDiff, RegressionGateTripsInTheWatchedDirectionOnly)
+TEST(ManifestDiff, ExactGateTripsInEitherDirection)
 {
+    // Simulated results are deterministic, so a drop, a rise and a
+    // change in the fourth significant digit all fail alike.
     const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
-    const LoadedManifest slower = loaded(manifestText(27.0, 0.20), "c1");
-    const LoadedManifest faster = loaded(manifestText(33.0, 0.20), "c2");
-    const LoadedManifest wasteful =
-        loaded(manifestText(30.0, 0.30), "c3");
-
-    const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
-
-    // 10% drop in speedup > 5% threshold: regression.
+    const std::vector<std::pair<double, double>> moved{
+        {27.0, 0.20}, {33.0, 0.20}, {29.99, 0.20}, {30.0, 0.30}};
+    for (const auto &[speedup, waste] : moved) {
+        const std::vector<GateItem> items =
+            checkManifest(base, loaded(manifestText(speedup, waste), "c"));
+        ASSERT_EQ(items.size(), 1u) << speedup << " " << waste;
+        EXPECT_TRUE(items[0].fail);
+        EXPECT_EQ(items[0].metric, speedup != 30.0
+                                       ? "results.speedup"
+                                       : "accounting.window.waste_fraction");
+    }
     EXPECT_TRUE(
-        checkRegressions(base, slower, watches, 0.05).anyRegressed());
-    // Improvement in the good direction never trips.
-    EXPECT_FALSE(
-        checkRegressions(base, faster, watches, 0.05).anyRegressed());
-    // waste_fraction rose 50%: lower-is-better watch trips.
-    EXPECT_TRUE(
-        checkRegressions(base, wasteful, watches, 0.05).anyRegressed());
-    // Inside the threshold: no trip.
-    const LoadedManifest close = loaded(manifestText(29.5, 0.20), "c4");
-    EXPECT_FALSE(
-        checkRegressions(base, close, watches, 0.05).anyRegressed());
-
-    const RegressionReport report =
-        checkRegressions(base, slower, watches, 0.05);
-    ASSERT_EQ(report.items.size(), 2u);
-    EXPECT_EQ(report.items[0].metric, "results.speedup");
-    EXPECT_TRUE(report.items[0].regressed);
-    EXPECT_NEAR(report.items[0].relChange, -0.1, 1e-9);
-    EXPECT_FALSE(report.items[1].regressed);
-    EXPECT_NE(report.render(0.05).find("REGRESSED"),
-              std::string::npos);
+        checkManifest(base, loaded(manifestText(30.0, 0.20), "same"))
+            .empty());
 }
 
 TEST(ManifestDiff, MissingWatchedMetricCountsAsRegression)
 {
+    // Every leaf outside the host-measured keys is watched.
     const LoadedManifest base = loaded(manifestText(30.0, 0.2), "base");
     const LoadedManifest gone =
         loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
-    const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.*:+")};
-    const RegressionReport report =
-        checkRegressions(base, gone, watches, 0.05);
-    EXPECT_TRUE(report.anyRegressed());
-    bool saw_missing = false;
-    for (const auto &item : report.items)
-        saw_missing |= item.missing;
-    EXPECT_TRUE(saw_missing);
+    const std::vector<GateItem> items = checkManifest(base, gone);
+    ASSERT_EQ(items.size(), 1u);
+    EXPECT_TRUE(items[0].fail);
+    EXPECT_EQ(items[0].metric, "results.extra");
 }
 
 TEST(ManifestDiff, FailureLinesNameTheMetricAndBothValues)
 {
     const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
-    const LoadedManifest slower = loaded(manifestText(27.0, 0.20), "c1");
-    const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
-
-    const RegressionReport report =
-        checkRegressions(base, slower, watches, 0.05);
-    ASSERT_TRUE(report.anyRegressed());
-    const std::string failures = report.renderFailures(0.05);
-    // The offending metric path and both values, on one FAIL line.
-    EXPECT_NE(failures.find("FAIL results.speedup"), std::string::npos);
-    EXPECT_NE(failures.find("baseline 30"), std::string::npos);
-    EXPECT_NE(failures.find("candidate 27"), std::string::npos);
-    EXPECT_NE(failures.find("-10.00%"), std::string::npos);
-    // Non-regressed watches contribute no lines.
-    EXPECT_EQ(failures.find("waste_fraction"), std::string::npos);
-
-    // A clean gate renders nothing.
-    const LoadedManifest same = loaded(manifestText(30.0, 0.20), "c2");
-    EXPECT_TRUE(checkRegressions(base, same, watches, 0.05)
-                    .renderFailures(0.05)
-                    .empty());
+    const LoadedManifest slower = loaded(manifestText(27.5, 0.20), "c1");
+    // The offending leaf and both exact values, on one FAIL line;
+    // unchanged leaves contribute nothing.
+    EXPECT_EQ(failLines(checkManifest(base, slower)),
+              "FAIL results.speedup: baseline 30, candidate 27.5\n");
 }
 
 TEST(ManifestDiff, EveryRegressedMetricGetsItsOwnFailureLine)
 {
-    // Two watched metrics regress at once (speedup down, waste up):
-    // both FAIL lines must render — the gate never stops at the first
-    // failure, so a CI log shows the full damage in one run.
+    // Two leaves move at once (speedup down, waste up): both FAIL
+    // lines render — the gate never stops at the first failure, so a
+    // CI log shows the full damage in one run.
     const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
     const LoadedManifest worse = loaded(manifestText(20.0, 0.40), "c1");
-    const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.speedup:+"),
-        WatchSpec::parse("accounting.*.waste_fraction:-")};
-
-    const std::string failures =
-        checkRegressions(base, worse, watches, 0.05).renderFailures(0.05);
-    EXPECT_NE(failures.find("FAIL results.speedup"), std::string::npos)
-        << failures;
-    EXPECT_NE(failures.find("FAIL accounting.window.waste_fraction"),
-              std::string::npos)
-        << failures;
-    std::size_t fails = 0, pos = 0;
-    while ((pos = failures.find("FAIL ", pos)) != std::string::npos) {
-        ++fails;
-        pos += 5;
-    }
-    EXPECT_EQ(fails, 2u) << failures;
+    EXPECT_EQ(failLines(checkManifest(base, worse)),
+              "FAIL results.speedup: baseline 30, candidate 20\n"
+              "FAIL accounting.window.waste_fraction: baseline 0.2, "
+              "candidate 0.4\n");
 }
 
 TEST(ManifestDiff, FailureLinesReportMissingMetrics)
 {
-    const LoadedManifest base = loaded(manifestText(30.0, 0.2), "base");
-    const LoadedManifest gone =
+    const LoadedManifest with = loaded(manifestText(30.0, 0.2), "base");
+    const LoadedManifest without =
         loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
-    const std::vector<WatchSpec> watches{
-        WatchSpec::parse("results.*:+")};
-    const std::string failures =
-        checkRegressions(base, gone, watches, 0.05).renderFailures(0.05);
-    EXPECT_NE(failures.find("FAIL results.extra"), std::string::npos);
-    EXPECT_NE(failures.find("missing from candidate"),
-              std::string::npos);
-    EXPECT_NE(failures.find("baseline 7"), std::string::npos);
+    EXPECT_EQ(failLines(checkManifest(with, without)),
+              "FAIL results.extra: baseline 7, candidate missing\n");
+    EXPECT_EQ(failLines(checkManifest(without, with)),
+              "FAIL results.extra: baseline missing, candidate 7\n");
+}
+
+TEST(ManifestDiff, HostMeasuredKeysNeverGate)
+{
+    Json base_doc;
+    ASSERT_TRUE(Json::parse(manifestText(30.0, 0.2), &base_doc));
+    Json cand_doc = base_doc;
+    cand_doc["wall_clock_ms"] = Json(99.0);
+    cand_doc["config"]["jobs"] = Json("8");
+    cand_doc["stats"]["sim"] = Json::object();
+    cand_doc["stats"]["sim"]["run_ms"] = Json(3.0);
+    cand_doc["host_perf"] = Json::object();
+    cand_doc["host_perf"]["peak_rss_kb"] = Json(1234);
+    EXPECT_TRUE(checkManifest(loaded(base_doc.dump(), "base"),
+                              loaded(cand_doc.dump(), "cand"))
+                    .empty());
+
+    // The keys go at any depth; everything else stays.
+    const Json kept = withoutHostMeasured(cand_doc);
+    EXPECT_EQ(kept.find("wall_clock_ms"), nullptr);
+    EXPECT_EQ(kept.find("host_perf"), nullptr);
+    EXPECT_EQ(kept.find("config")->find("jobs"), nullptr);
+    EXPECT_EQ(kept.find("stats")->find("sim")->find("run_ms"), nullptr);
+    EXPECT_NE(kept.find("results")->find("speedup"), nullptr);
 }
 
 TEST(ManifestDiff, SideBySideRenderIncludesDeltaForPairs)
@@ -624,6 +592,129 @@ TEST(ManifestDiff, SideBySideRenderIncludesDeltaForPairs)
     EXPECT_NE(diff.find("10.00%"), std::string::npos);
     // Filter excludes accounting rows.
     EXPECT_EQ(diff.find("waste_fraction"), std::string::npos);
+}
+
+// --- The gate against the committed Figure 5 baseline -------------------
+
+/** tools/baselines/fig5_scale1.json, the manifest CI gates against. */
+const LoadedManifest &
+fig5Baseline()
+{
+    static const LoadedManifest baseline = [] {
+        LoadedManifest m;
+        std::string err;
+        EXPECT_TRUE(loadManifestFile(std::string(DEE_SOURCE_DIR) +
+                                         "/tools/baselines/fig5_scale1.json",
+                                     &m, &err))
+            << err;
+        return m;
+    }();
+    return baseline;
+}
+
+/** @p node with every number multiplied by @p factor. */
+Json
+scaled(const Json &node, double factor)
+{
+    if (node.isNumber())
+        return Json(node.asDouble() * factor);
+    if (node.isObject()) {
+        Json out = Json::object();
+        for (const auto &[key, value] : node.members())
+            out[key] = scaled(value, factor);
+        return out;
+    }
+    if (node.isArray()) {
+        Json out = Json::array();
+        for (const Json &item : node.items())
+            out.push(scaled(item, factor));
+        return out;
+    }
+    return node;
+}
+
+TEST(ManifestGate, BaselinePassesAgainstItself)
+{
+    const LoadedManifest &base = fig5Baseline();
+    ASSERT_NE(base.doc.find("results"), nullptr);
+    EXPECT_TRUE(checkManifest(base, base).empty());
+}
+
+TEST(ManifestGate, ScaledFigure5SpeedupsFailNamingEveryLeaf)
+{
+    // Every Figure 5 speedup cut by 30%. The old gate's default
+    // "results.*speedup*" watch matched none of these leaves.
+    const LoadedManifest &base = fig5Baseline();
+    Json doc = base.doc;
+    Json &benchmarks = doc["results"]["benchmarks"];
+    benchmarks = scaled(benchmarks, 0.7);
+    std::vector<std::pair<std::string, double>> leaves;
+    flattenNumeric(benchmarks, "results.benchmarks", &leaves);
+    ASSERT_EQ(leaves.size(), 240u); // 5 programs x 8 models x 6 E_T
+
+    const std::vector<GateItem> items =
+        checkManifest(base, loaded(doc.dump(2), "scaled.json"));
+    ASSERT_EQ(items.size(), leaves.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_TRUE(items[i].fail);
+        EXPECT_EQ(items[i].metric, leaves[i].first);
+    }
+}
+
+TEST(ManifestGate, OneSquashedSlotFailsNamingTheLeaf)
+{
+    // One more squashed slot on one branch: far under the old profile
+    // gate's 64-slot floor, and still a behaviour change.
+    const LoadedManifest &base = fig5Baseline();
+    const Json *profile = base.doc.find("profile");
+    ASSERT_NE(profile, nullptr);
+    ASSERT_FALSE(profile->members().empty());
+    const auto &[scope, scope_doc] = profile->members().front();
+    const Json *branches = scope_doc.find("branches");
+    ASSERT_NE(branches, nullptr);
+    ASSERT_FALSE(branches->members().empty());
+    const std::string &pc = branches->members().front().first;
+
+    Json doc = base.doc;
+    Json &slots = doc["profile"][scope]["branches"][pc]["squashed_slots"];
+    ASSERT_EQ(slots.kind(), Json::Kind::Int);
+    slots = Json(slots.asInt() + 1);
+
+    const std::vector<GateItem> items =
+        checkManifest(base, loaded(doc.dump(2), "slot.json"));
+    ASSERT_EQ(items.size(), 1u);
+    EXPECT_TRUE(items[0].fail);
+    EXPECT_EQ(items[0].metric,
+              "profile." + scope + ".branches." + pc + ".squashed_slots");
+}
+
+TEST(ManifestGate, DoubledHotspotShareWarnsButPasses)
+{
+    const LoadedManifest &base = fig5Baseline();
+    const Json *hotspots = base.doc.find("hotspots");
+    ASSERT_NE(hotspots, nullptr);
+    const Json *phases = hotspots->find("phases");
+    ASSERT_NE(phases, nullptr) << "baseline recorded without --hotspots";
+    // The most-sampled phase, its self share doubled.
+    std::string top;
+    double top_self = 0.0, top_pct = 0.0;
+    for (const auto &[phase, entry] : phases->members()) {
+        if (entry.find("self")->asDouble() > top_self) {
+            top = phase;
+            top_self = entry.find("self")->asDouble();
+            top_pct = entry.find("self_pct")->asDouble();
+        }
+    }
+    Json doc = base.doc;
+    doc["hotspots"]["phases"][top]["self"] = Json(2.0 * top_self);
+    doc["hotspots"]["phases"][top]["self_pct"] = Json(2.0 * top_pct);
+
+    const std::vector<GateItem> items =
+        checkManifest(base, loaded(doc.dump(2), "skew.json"));
+    ASSERT_EQ(items.size(), 1u);
+    EXPECT_FALSE(items[0].fail);
+    EXPECT_EQ(items[0].metric, "hotspots.phases." + top + ".self_pct");
+    EXPECT_EQ(items[0].line().rfind("WARN ", 0), 0u) << items[0].line();
 }
 
 TEST(Session, SurfacesTracerDropCountsInRegistry)

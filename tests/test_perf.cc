@@ -2,17 +2,14 @@
  * @file
  * Unit tests for the host-performance observability layer
  * (obs/perf/): ThroughputMeter arithmetic and scope isolation at any
- * --jobs value, the HwCounters env-forced fallback, dee_bench's
- * median/MAD repetition summaries, the --perf-diff gate (pass, fail,
- * noise floor, every-failure rendering), and the dee.run.v7 manifest's
- * host_perf section with its v3 compatibility path.
+ * --jobs value, the HwCounters env-forced fallback, and the dee.run.v7
+ * manifest's host_perf section.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "obs/obs.hh"
 #include "runner/sweep.hh"
@@ -30,31 +27,10 @@ using obs::LoadedManifest;
 using obs::Manifest;
 using obs::parseManifest;
 using obs::Registry;
-using obs::perf::BenchArtifact;
-using obs::perf::BenchTarget;
-using obs::perf::checkPerfRegressions;
 using obs::perf::HwCounters;
 using obs::perf::HwSample;
-using obs::perf::madAbout;
-using obs::perf::median;
-using obs::perf::parseBenchArtifact;
-using obs::perf::PerfRegressionReport;
 using obs::perf::refreshPerfScalars;
-using obs::perf::SampleSummary;
-using obs::perf::summarize;
 using obs::perf::ThroughputMeter;
-
-/** Counts occurrences of @p needle in @p haystack. */
-std::size_t
-countOf(const std::string &haystack, const std::string &needle)
-{
-    std::size_t count = 0, pos = 0;
-    while ((pos = haystack.find(needle, pos)) != std::string::npos) {
-        ++count;
-        pos += needle.size();
-    }
-    return count;
-}
 
 // ------------------------------------------------- ThroughputMeter
 
@@ -275,209 +251,6 @@ TEST(HwSample, DeltaFromPropagatesValidity)
     EXPECT_FALSE(invalid.deltaFrom(begin).valid);
 }
 
-// ------------------------------------------------------ bench stats
-
-TEST(BenchStats, MedianOddAndEven)
-{
-    EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-    EXPECT_DOUBLE_EQ(median({7.0}), 7.0);
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
-}
-
-TEST(BenchStats, MadIsMedianAbsoluteDeviation)
-{
-    // xs = {1,2,3,4,100}: median 3, |dev| = {2,1,0,1,97} -> MAD 1.
-    EXPECT_DOUBLE_EQ(madAbout({1.0, 2.0, 3.0, 4.0, 100.0}, 3.0), 1.0);
-    EXPECT_DOUBLE_EQ(madAbout({}, 0.0), 0.0);
-}
-
-TEST(BenchStats, SummarizeRejectsOutliersAndRecomputes)
-{
-    // One wild sample among stable ones: rejected, and the summary is
-    // recomputed over the survivors.
-    const SampleSummary s =
-        summarize({10.0, 10.5, 9.5, 10.2, 100.0}, 3.5);
-    EXPECT_EQ(s.kept, 4u);
-    EXPECT_EQ(s.dropped, 1u);
-    EXPECT_DOUBLE_EQ(s.median, 10.1);
-    EXPECT_LT(s.mad, 1.0);
-}
-
-TEST(BenchStats, ZeroMadKeepsEverySample)
-{
-    // All-identical samples give MAD 0; rejection must not divide by
-    // the zero scale and drop everything.
-    const SampleSummary s = summarize({5.0, 5.0, 5.0, 5.0}, 3.5);
-    EXPECT_EQ(s.kept, 4u);
-    EXPECT_EQ(s.dropped, 0u);
-    EXPECT_DOUBLE_EQ(s.median, 5.0);
-}
-
-TEST(BenchStats, NonPositiveKDisablesRejection)
-{
-    const SampleSummary s = summarize({1.0, 2.0, 1000.0}, 0.0);
-    EXPECT_EQ(s.kept, 3u);
-    EXPECT_EQ(s.dropped, 0u);
-}
-
-TEST(BenchStats, EmptyInputYieldsEmptySummary)
-{
-    const SampleSummary s = summarize({}, 3.5);
-    EXPECT_EQ(s.kept, 0u);
-    EXPECT_EQ(s.dropped, 0u);
-    EXPECT_DOUBLE_EQ(s.median, 0.0);
-}
-
-// -------------------------------------------------------- perf diff
-
-BenchTarget
-target(const std::string &name, double kips, double mad)
-{
-    BenchTarget t;
-    t.name = name;
-    t.kips = kips;
-    t.kipsMad = mad;
-    return t;
-}
-
-TEST(PerfDiff, SmallDropsAndImprovementsPass)
-{
-    BenchArtifact base, cand;
-    base.targets = {target("a", 100.0, 0.0), target("b", 100.0, 0.0)};
-    cand.targets = {target("a", 98.0, 0.0), target("b", 140.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 2u);
-    EXPECT_FALSE(report.anyRegressed());
-    EXPECT_DOUBLE_EQ(report.items[0].relChange, -0.02);
-    EXPECT_DOUBLE_EQ(report.items[1].relChange, 0.40);
-}
-
-TEST(PerfDiff, LargeDropFailsAndMissingTargetFails)
-{
-    BenchArtifact base, cand;
-    base.targets = {target("a", 100.0, 0.0), target("gone", 50.0, 0.0)};
-    cand.targets = {target("a", 80.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 2u);
-    EXPECT_TRUE(report.anyRegressed());
-    EXPECT_TRUE(report.items[0].regressed);
-    EXPECT_FALSE(report.items[0].missing);
-    EXPECT_TRUE(report.items[1].regressed);
-    EXPECT_TRUE(report.items[1].missing);
-}
-
-TEST(PerfDiff, NoiseFloorWidensTheGate)
-{
-    // An 8% drop fails at threshold 5% with quiet measurements, but
-    // noisy repetitions (MADs) widen the tolerance additively:
-    // floor = 4 * (0.5 + 0.5) / 100 = 4% -> tolerance 9%.
-    BenchArtifact base, cand;
-    base.targets = {target("t", 100.0, 0.5)};
-    cand.targets = {target("t", 92.0, 0.5)};
-    const PerfRegressionReport noisy =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    EXPECT_DOUBLE_EQ(noisy.items[0].noiseFloor, 0.04);
-    EXPECT_FALSE(noisy.anyRegressed());
-
-    base.targets = {target("t", 100.0, 0.0)};
-    cand.targets = {target("t", 92.0, 0.0)};
-    const PerfRegressionReport quiet =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    EXPECT_DOUBLE_EQ(quiet.items[0].noiseFloor, 0.0);
-    EXPECT_TRUE(quiet.anyRegressed());
-}
-
-TEST(PerfDiff, ZeroKipsBaselineTargetsAreSkipped)
-{
-    BenchArtifact base, cand;
-    base.targets = {target("dead", 0.0, 0.0), target("t", 10.0, 0.0)};
-    cand.targets = {target("t", 10.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].target, "t");
-}
-
-TEST(PerfDiff, RenderFailuresListsEveryFailureNotJustTheFirst)
-{
-    BenchArtifact base, cand;
-    base.targets = {target("a", 100.0, 0.0), target("b", 100.0, 0.0),
-                    target("gone", 100.0, 0.0),
-                    target("ok", 100.0, 0.0)};
-    cand.targets = {target("a", 50.0, 0.0), target("b", 60.0, 0.0),
-                    target("ok", 101.0, 0.0)};
-    const PerfRegressionReport report =
-        checkPerfRegressions(base, cand, 0.05, 4.0);
-    const std::string failures = report.renderFailures(0.05);
-    EXPECT_EQ(countOf(failures, "FAIL "), 3u) << failures;
-    EXPECT_NE(failures.find("FAIL a:"), std::string::npos);
-    EXPECT_NE(failures.find("FAIL b:"), std::string::npos);
-    EXPECT_NE(failures.find("FAIL gone:"), std::string::npos);
-    EXPECT_EQ(failures.find("ok"), std::string::npos);
-
-    const std::string warnings = report.renderFailures(0.05, true);
-    EXPECT_EQ(countOf(warnings, "WARN "), 3u) << warnings;
-    EXPECT_EQ(warnings.find("FAIL"), std::string::npos);
-
-    // The full table renders one row per compared target.
-    const std::string table = report.render(0.05);
-    EXPECT_NE(table.find("REGRESSED"), std::string::npos);
-    EXPECT_NE(table.find("MISSING"), std::string::npos);
-}
-
-TEST(PerfDiff, ArtifactJsonRoundTrips)
-{
-    BenchArtifact artifact;
-    artifact.cells = "quick";
-    artifact.scale = 2;
-    artifact.reps = 5;
-    artifact.warmup = 1;
-    artifact.hwCounters = true;
-    BenchTarget t = target("compress.SP", 1234.5, 6.7);
-    t.wallMs = 8.9;
-    t.wallMsMad = 0.12;
-    t.hostIpc = 1.8;
-    t.simInstructions = 100000;
-    t.repsKept = 4;
-    t.repsDropped = 1;
-    artifact.targets.push_back(t);
-
-    BenchArtifact back;
-    std::string err;
-    ASSERT_TRUE(parseBenchArtifact(
-        benchArtifactToJson(artifact).dump(2), "mem", &back, &err))
-        << err;
-    EXPECT_EQ(back.cells, "quick");
-    EXPECT_EQ(back.scale, 2);
-    EXPECT_EQ(back.reps, 5u);
-    EXPECT_EQ(back.warmup, 1u);
-    EXPECT_TRUE(back.hwCounters);
-    ASSERT_EQ(back.targets.size(), 1u);
-    const BenchTarget *rt = back.find("compress.SP");
-    ASSERT_NE(rt, nullptr);
-    EXPECT_DOUBLE_EQ(rt->kips, 1234.5);
-    EXPECT_DOUBLE_EQ(rt->kipsMad, 6.7);
-    EXPECT_DOUBLE_EQ(rt->wallMs, 8.9);
-    EXPECT_DOUBLE_EQ(rt->hostIpc, 1.8);
-    EXPECT_EQ(rt->simInstructions, 100000u);
-    EXPECT_EQ(rt->repsKept, 4u);
-    EXPECT_EQ(rt->repsDropped, 1u);
-    EXPECT_EQ(back.find("nope"), nullptr);
-}
-
-TEST(PerfDiff, RejectsNonArtifactDocuments)
-{
-    BenchArtifact out;
-    std::string err;
-    EXPECT_FALSE(parseBenchArtifact("{\"schema\":\"dee.run.v4\"}",
-                                    "x.json", &out, &err));
-    EXPECT_NE(err.find("dee.bench.v1"), std::string::npos);
-    EXPECT_FALSE(parseBenchArtifact("not json", "x.json", &out, &err));
-}
-
 // ------------------------------------------------- manifest schema
 
 TEST(ManifestPerf, V4CarriesHostPerfSection)
@@ -509,7 +282,6 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     std::string err;
     ASSERT_TRUE(parseManifest(doc.dump(2), "t.json", &back, &err))
         << err;
-    EXPECT_EQ(back.schema, "dee.run.v7");
     double value = 0.0;
     ASSERT_TRUE(back.metric(
         "host_perf.scopes.compress.SP.sim_instructions", &value));
@@ -517,27 +289,6 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     ASSERT_TRUE(
         back.metric("stats.perf.compress.SP.sim_instructions", &value));
     EXPECT_DOUBLE_EQ(value, 5000.0);
-}
-
-TEST(ManifestPerf, V3DocumentsStillParse)
-{
-    Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v3");
-    doc["tool"] = Json("old_tool");
-    Json results = Json::object();
-    results["speedup"] = Json(3.1);
-    doc["results"] = std::move(results);
-
-    LoadedManifest back;
-    std::string err;
-    ASSERT_TRUE(parseManifest(doc.dump(2), "old.json", &back, &err))
-        << err;
-    EXPECT_EQ(back.schema, "dee.run.v3");
-    double value = 0.0;
-    ASSERT_TRUE(back.metric("results.speedup", &value));
-    EXPECT_DOUBLE_EQ(value, 3.1);
-    // No host_perf section in a v3 doc: simply no such metrics.
-    EXPECT_FALSE(back.metric("host_perf.scopes.x", &value));
 }
 
 // -------------------------------------------------- heartbeat KIPS

@@ -3,8 +3,8 @@
  * Tests for the speculation profiler (src/obs/profile/): the per-branch
  * attribution identity on every ILP model and on Levo, loop roll-ups on
  * a handcrafted nested-loop program, folded-stack output, dee.run.v7
- * manifest round-trips (and v2-compat reads), the --profile-diff gate,
- * lint profile annotation, and the bench heartbeat.
+ * manifest round-trips, per-branch squashed slots under the regression
+ * gate, lint profile annotation, and the bench heartbeat.
  */
 
 #include <gtest/gtest.h>
@@ -32,12 +32,12 @@ namespace
 {
 
 using obs::BlockLoopNest;
-using obs::checkProfileRegressions;
+using obs::checkManifest;
+using obs::GateItem;
 using obs::Json;
 using obs::kNoSite;
 using obs::LoadedManifest;
 using obs::parseManifest;
-using obs::ProfileRegressionReport;
 using obs::ProfileStore;
 using obs::SlotClass;
 using obs::SpeculationProfile;
@@ -286,7 +286,7 @@ TEST(FoldedStacks, GoldenOutput)
     EXPECT_EQ(none, "");
 }
 
-// --- Manifest v3 round-trip and v2-compat -------------------------------
+// --- Manifest round-trip -----------------------------------------------
 
 TEST(ManifestV3, ProfileSectionRoundTrips)
 {
@@ -306,7 +306,6 @@ TEST(ManifestV3, ProfileSectionRoundTrips)
     std::string err;
     ASSERT_TRUE(parseManifest(doc.dump(2), "t.json", &back, &err))
         << err;
-    EXPECT_EQ(back.schema, "dee.run.v7");
     double value = 0.0;
     ASSERT_TRUE(back.metric(
         "profile.compress.DEE.branches.0x5.squashed_slots", &value));
@@ -322,24 +321,7 @@ TEST(ManifestV3, ProfileSectionRoundTrips)
     ProfileStore::global().clear();
 }
 
-TEST(ManifestV3, V2DocumentsStillLoadWithoutProfileMetrics)
-{
-    LoadedManifest v2;
-    std::string err;
-    ASSERT_TRUE(parseManifest(
-        "{\"schema\":\"dee.run.v2\",\"tool\":\"t\","
-        "\"results\":{\"speedup\":2.5}}",
-        "v2.json", &v2, &err))
-        << err;
-    double value = 0.0;
-    EXPECT_TRUE(v2.metric("results.speedup", &value));
-    for (const auto &[path, v] : v2.metrics) {
-        (void)v;
-        EXPECT_NE(path.rfind("profile.", 0), 0u) << path;
-    }
-}
-
-// --- The --profile-diff gate --------------------------------------------
+// --- Per-branch squashed slots under the regression gate ----------------
 
 std::string
 profileManifestText(std::uint64_t hot_slots, bool with_new_site)
@@ -361,7 +343,7 @@ profileManifestText(std::uint64_t hot_slots, bool with_new_site)
     Json prof = Json::object();
     prof["compress.DEE"] = std::move(scope);
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v3");
+    doc["schema"] = Json("dee.run.v7");
     doc["tool"] = Json("unit_test");
     doc["profile"] = std::move(prof);
     return doc.dump(2);
@@ -382,35 +364,28 @@ TEST(ProfileDiff, GrowthBeyondBothThresholdsFailsNamingThePc)
         loadText(profileManifestText(100, false), "base");
     const LoadedManifest grown =
         loadText(profileManifestText(300, false), "cand");
-
-    const ProfileRegressionReport report =
-        checkProfileRegressions(base, grown, 0.05, 64.0);
-    ASSERT_TRUE(report.anyRegressed());
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].branch, "0x7");
-    EXPECT_FALSE(report.items[0].newSite);
-    EXPECT_DOUBLE_EQ(report.items[0].relChange, 2.0);
-    const std::string rendered = report.render(0.05, 64.0);
-    EXPECT_NE(rendered.find("FAIL"), std::string::npos);
-    EXPECT_NE(rendered.find("0x7"), std::string::npos);
+    const std::vector<GateItem> items = checkManifest(base, grown);
+    ASSERT_EQ(items.size(), 1u);
+    EXPECT_TRUE(items[0].fail);
+    EXPECT_EQ(items[0].line(),
+              "FAIL profile.compress.DEE.branches.0x7.squashed_slots: "
+              "baseline 100, candidate 300");
 }
 
-TEST(ProfileDiff, SmallAbsoluteGrowthAndImprovementsPass)
+TEST(ProfileDiff, OneSlotGrowthAndImprovementsFail)
 {
+    // Squash attribution is deterministic, so there is no slot floor:
+    // one slot more, or fewer, is a behaviour change.
     const LoadedManifest base =
         loadText(profileManifestText(100, false), "base");
-    // +10 slots is a 10% relative rise but under the 64-slot floor.
-    const LoadedManifest wiggle =
-        loadText(profileManifestText(110, false), "c1");
-    EXPECT_FALSE(
-        checkProfileRegressions(base, wiggle, 0.05, 64.0)
-            .anyRegressed());
-    // Shrinking is an improvement, never a failure.
-    const LoadedManifest better =
-        loadText(profileManifestText(10, false), "c2");
-    EXPECT_FALSE(
-        checkProfileRegressions(base, better, 0.05, 64.0)
-            .anyRegressed());
+    for (const std::uint64_t slots :
+         {std::uint64_t{101}, std::uint64_t{10}}) {
+        const std::vector<GateItem> items = checkManifest(
+            base, loadText(profileManifestText(slots, false), "cand"));
+        ASSERT_EQ(items.size(), 1u) << slots;
+        EXPECT_EQ(items[0].metric,
+                  "profile.compress.DEE.branches.0x7.squashed_slots");
+    }
 }
 
 TEST(ProfileDiff, NewHotSiteFails)
@@ -419,14 +394,17 @@ TEST(ProfileDiff, NewHotSiteFails)
         loadText(profileManifestText(100, false), "base");
     const LoadedManifest with_new =
         loadText(profileManifestText(100, true), "cand");
-    const ProfileRegressionReport report =
-        checkProfileRegressions(base, with_new, 0.05, 64.0);
-    ASSERT_TRUE(report.anyRegressed());
-    ASSERT_EQ(report.items.size(), 1u);
-    EXPECT_EQ(report.items[0].branch, "0x9");
-    EXPECT_TRUE(report.items[0].newSite);
-    EXPECT_NE(report.render(0.05, 64.0).find("0x9"),
-              std::string::npos);
+    // Both leaves of the new branch (block, squashed_slots) fail.
+    const std::vector<GateItem> items = checkManifest(base, with_new);
+    ASSERT_EQ(items.size(), 2u);
+    for (const GateItem &item : items) {
+        EXPECT_TRUE(item.fail);
+        EXPECT_EQ(item.metric.rfind("profile.compress.DEE.branches.0x9.",
+                                    0),
+                  0u)
+            << item.metric;
+        EXPECT_NE(item.detail.find("baseline missing"), std::string::npos);
+    }
 }
 
 // --- HTML report --------------------------------------------------------

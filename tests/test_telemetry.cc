@@ -6,9 +6,7 @@
  * endpoint (direct handleRequest units plus a raw AF_UNIX client
  * polling a live parallel sweep), Heartbeat riding the sampler clock,
  * and the determinism gate: --jobs 1 and --jobs 8 manifests are
- * bit-identical once the nondeterministic key set (run_ms,
- * wall_clock_ms, runner, jobs, perf, host_perf, telemetry, heartbeat)
- * is dropped.
+ * bit-identical once their host-measured keys are dropped.
  *
  * Ordering note: Hub::process() is a process singleton and
  * summaryJson() reports enabled=true forever after the first start();
@@ -22,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +36,7 @@
 
 #include "obs/heartbeat.hh"
 #include "obs/manifest.hh"
+#include "obs/manifest_diff.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry/stats_server.hh"
 #include "obs/telemetry/telemetry.hh"
@@ -459,34 +457,6 @@ TEST(TelemetryServer, ServesSnapshotsWhileParallelSweepRuns)
 
 // --------------------------------------- determinism across --jobs
 
-/** Drops every object member named in the CI normalizer's DROP set,
- *  recursively — the same normalization .github/workflows/ci.yml
- *  applies before diffing manifests across --jobs values. */
-Json
-normalized(const Json &doc)
-{
-    static const std::set<std::string> kDrop = {
-        "run_ms", "wall_clock_ms", "runner",    "jobs",      "perf",
-        "host_perf",  "telemetry", "heartbeat", "hotspots",  "hot",
-    };
-    if (doc.isObject()) {
-        Json out = Json::object();
-        for (const auto &[key, value] : doc.members()) {
-            if (kDrop.count(key) != 0)
-                continue;
-            out[key] = normalized(value);
-        }
-        return out;
-    }
-    if (doc.isArray()) {
-        Json out = Json::array();
-        for (const Json &item : doc.items())
-            out.push(normalized(item));
-        return out;
-    }
-    return doc;
-}
-
 TEST(TelemetryDeterminism, ManifestsMatchAcrossJobsAfterNormalize)
 {
     const auto manifest_for = [](int jobs) {
@@ -523,11 +493,11 @@ TEST(TelemetryDeterminism, ManifestsMatchAcrossJobsAfterNormalize)
 
     // The raw documents differ (telemetry sample counts, worker
     // stats, wall clocks); the normalized ones must not.
-    EXPECT_EQ(normalized(serial).dump(2),
-              normalized(parallel).dump(2));
+    EXPECT_EQ(withoutHostMeasured(serial).dump(2),
+              withoutHostMeasured(parallel).dump(2));
 
     // Sanity: normalization did not empty the document.
-    const Json norm = normalized(serial);
+    const Json norm = withoutHostMeasured(serial);
     ASSERT_NE(norm.find("stats"), nullptr);
     ASSERT_NE(norm.find("stats")->find("sim"), nullptr);
     EXPECT_EQ(norm.find("stats")

@@ -135,7 +135,13 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "dee_trace_test.bin";
+        // One file per test: ctest -j runs each case as its own
+        // process, all at once.
+        path_ = ::testing::TempDir() + "dee_trace_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bin";
     }
 
     void

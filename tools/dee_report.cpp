@@ -1,110 +1,41 @@
 /**
  * @file
- * dee_report: diff dee.run manifests and gate on regressions.
+ * dee_report: diff dee.run.v7 manifests and gate on regressions.
  *
  * Usage:
  *   dee_report MANIFEST...                    side-by-side metric diff
  *   dee_report --filter 'results.*' A B      restrict rows by glob
- *   dee_report --check --baseline BASE CAND  exit 1 when a watched
- *                                            metric regresses
- *   dee_report --profile-diff --baseline BASE CAND
- *                                            exit 1 when any branch's
- *                                            squashed-slot attribution
- *                                            regresses
- *   dee_report --perf-diff --baseline BASE.json CAND.json
- *                                            exit 1 when any bench
- *                                            target's throughput drops
- *                                            beyond threshold + noise
- *   dee_report --hotspot-diff --baseline BASE CAND
- *                                            exit 1 when any host
- *                                            phase's CPU self share
- *                                            grows beyond threshold
- *                                            (runs made with
- *                                            --hotspots, schema v7)
+ *   dee_report --check --baseline BASE CAND  exit 1 unless every
+ *                                            simulated leaf of CAND
+ *                                            equals BASE's
  *
- * Gating modes compose: pass --check, --profile-diff and
- * --hotspot-diff together and every gate runs against the same
- * baseline/candidate pair, every failure line from every gate prints,
- * and the exit status is 1 when any gate failed. (--perf-diff reads
- * dee.bench.v1 artifacts from tools/dee_bench rather than run
- * manifests, so it is usually its own invocation.)
+ * --check prints one FAIL line per leaf outside the host-measured keys
+ * that changed, vanished or appeared, with both values, and one
+ * advisory WARN line per host hotspot phase whose CPU self share grew
+ * past its Poisson noise floor (obs/manifest_diff.hh has the rules).
  *
- * Flags:
- *   --filter GLOB     only show metrics matching GLOB in the diff
- *   --check           run regression gating (requires --baseline and
- *                     exactly one candidate manifest)
- *   --profile-diff    gate per-branch speculation profiles instead of
- *                     the watch list (requires --baseline and exactly
- *                     one candidate manifest; manifests need "profile"
- *                     sections, i.e. runs made with --profile)
- *   --perf-diff       gate per-target host throughput (KIPS) between
- *                     two BENCH_throughput.json artifacts
- *   --baseline PATH   baseline manifest/artifact for the gating modes
- *   --watch SPECS     comma-separated watch list, each "pattern[:+|-]"
- *                     (':+' higher is better — default; ':-' lower is
- *                     better); default watches the headline metrics:
- *                       results.*speedup*:+, results.*ipc*:+,
- *                       accounting.*.waste_fraction:-,
- *                       accounting.*.useful_fraction:+
- *   --threshold REL   relative regression tolerance (default 0.05;
- *                     --perf-diff defaults to 0.10 and --hotspot-diff
- *                     to 0.25 instead — host timing and sampled phase
- *                     shares carry run-to-run wobble that bit-exact
- *                     simulated metrics do not)
- *   --min-slots N     --profile-diff absolute growth floor: a branch
- *                     only fails when its squashed slots grow by more
- *                     than N on top of the relative threshold
- *                     (default 64)
- *   --min-samples N   --hotspot-diff sample floor: a phase only fails
- *                     when the candidate attributed at least N self
- *                     samples to it (default 50 — shares over fewer
- *                     samples are noise, not shifts)
- *   --noise-mult K    --perf-diff noise floor: per-target tolerance is
- *                     max(threshold, K * (baseline MAD + candidate
- *                     MAD) / baseline KIPS), so repetition jitter
- *                     measured by dee_bench widens the gate instead of
- *                     tripping it (default 4.0)
- *   --warn-only       --perf-diff / --hotspot-diff regressions print
- *                     WARN lines and do not affect the exit status
- *                     (CI smoke mode — host timing and host shares
- *                     both wobble across machines)
- *
- * Exit status: 0 clean, 1 regression (or missing watched metric) in
- * any gating mode, 2 usage / load errors.
+ * Exit status: 0 clean (warnings included), 1 when any leaf differs,
+ * 2 usage / load errors.
  *
  * Manifest paths are positional; the repo's Cli only does --flag pairs,
  * so parsing here is hand-rolled over argv.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "obs/manifest_diff.hh"
-#include "obs/perf/perf_diff.hh"
 
 namespace
 {
 
-using dee::obs::checkHotspotRegressions;
-using dee::obs::checkProfileRegressions;
-using dee::obs::checkRegressions;
-using dee::obs::HotspotRegressionReport;
+using dee::obs::checkManifest;
+using dee::obs::GateItem;
 using dee::obs::LoadedManifest;
 using dee::obs::loadManifestFile;
-using dee::obs::ProfileRegressionReport;
-using dee::obs::RegressionReport;
 using dee::obs::renderManifestDiff;
-using dee::obs::WatchSpec;
-using dee::obs::perf::BenchArtifact;
-using dee::obs::perf::checkPerfRegressions;
-using dee::obs::perf::loadBenchArtifact;
-using dee::obs::perf::PerfRegressionReport;
-
-constexpr const char *kDefaultWatches =
-    "results.*speedup*:+,results.*ipc*:+,"
-    "accounting.*.waste_fraction:-,accounting.*.useful_fraction:+";
 
 void
 usage(std::FILE *to)
@@ -112,60 +43,18 @@ usage(std::FILE *to)
     std::fputs(
         "usage: dee_report [options] MANIFEST.json [MANIFEST.json...]\n"
         "\n"
-        "Diffs dee.run.v1..v7 manifests metric by metric; with\n"
-        "--check, gates on watched-metric regressions against a\n"
-        "baseline; with --profile-diff, gates on per-branch\n"
-        "speculation-profile regressions; with --perf-diff, gates on\n"
-        "per-target throughput between dee_bench artifacts; with\n"
-        "--hotspot-diff, gates on per-phase host-CPU self shares.\n"
-        "Gating modes compose: every requested gate runs and every\n"
-        "failure prints before the (combined) exit status.\n"
+        "Diffs dee.run.v7 manifests metric by metric; with --check,\n"
+        "fails unless every simulated leaf of one candidate equals the\n"
+        "baseline exactly (host-measured timings are skipped; host\n"
+        "hotspot shares that grew print advisory WARN lines).\n"
         "\n"
         "options:\n"
         "  --filter GLOB     only diff metrics matching GLOB\n"
-        "  --check           regression-gate one candidate against\n"
-        "                    --baseline (exit 1 on regression)\n"
-        "  --profile-diff    gate per-branch squashed-slot attribution\n"
-        "                    against --baseline (exit 1 on regression)\n"
-        "  --perf-diff       gate per-target KIPS between two\n"
-        "                    BENCH_throughput.json artifacts\n"
-        "  --hotspot-diff    gate per-phase host-CPU self shares\n"
-        "                    against --baseline (exit 1 on regression;\n"
-        "                    needs runs made with --hotspots)\n"
-        "  --baseline PATH   baseline manifest for the gating modes\n"
-        "  --watch SPECS     comma-separated \"pattern[:+|-]\" watch\n"
-        "                    list (+ higher is better, the default;\n"
-        "                    - lower is better)\n"
-        "  --threshold REL   relative tolerance, default 0.05\n"
-        "                    (0.10 for --perf-diff, 0.25 for\n"
-        "                    --hotspot-diff)\n"
-        "  --min-slots N     --profile-diff absolute growth floor,\n"
-        "                    default 64 squashed slots\n"
-        "  --min-samples N   --hotspot-diff candidate self-sample\n"
-        "                    floor, default 50\n"
-        "  --noise-mult K    --perf-diff noise-floor multiplier over\n"
-        "                    the repetition MADs, default 4.0\n"
-        "  --warn-only       --perf-diff / --hotspot-diff regressions\n"
-        "                    warn instead of failing the exit status\n"
+        "  --check           gate one candidate against --baseline\n"
+        "                    (exit 1 when any leaf differs)\n"
+        "  --baseline PATH   baseline manifest for --check\n"
         "  --help            this text\n",
         to);
-}
-
-std::vector<WatchSpec>
-parseWatchList(const std::string &specs)
-{
-    std::vector<WatchSpec> watches;
-    std::size_t begin = 0;
-    while (begin <= specs.size()) {
-        std::size_t end = specs.find(',', begin);
-        if (end == std::string::npos)
-            end = specs.size();
-        if (end > begin)
-            watches.push_back(
-                WatchSpec::parse(specs.substr(begin, end - begin)));
-        begin = end + 1;
-    }
-    return watches;
 }
 
 } // namespace
@@ -175,81 +64,23 @@ main(int argc, char **argv)
 {
     std::string filter;
     std::string baseline_path;
-    std::string watch_specs = kDefaultWatches;
-    double threshold = 0.05;
-    bool threshold_set = false;
-    double min_slots = 64.0;
-    double min_samples = 50.0;
-    double noise_mult = 4.0;
     bool check = false;
-    bool profile_diff = false;
-    bool perf_diff = false;
-    bool hotspot_diff = false;
-    bool warn_only = false;
     std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "dee_report: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             return 0;
-        } else if (arg == "--filter") {
-            filter = value("--filter");
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--profile-diff") {
-            profile_diff = true;
-        } else if (arg == "--perf-diff") {
-            perf_diff = true;
-        } else if (arg == "--hotspot-diff") {
-            hotspot_diff = true;
-        } else if (arg == "--warn-only") {
-            warn_only = true;
-        } else if (arg == "--baseline") {
-            baseline_path = value("--baseline");
-        } else if (arg == "--watch") {
-            watch_specs = value("--watch");
-        } else if (arg == "--threshold") {
-            threshold = std::strtod(value("--threshold").c_str(),
-                                    nullptr);
-            threshold_set = true;
-            if (threshold < 0.0) {
-                std::fputs("dee_report: --threshold must be >= 0\n",
-                           stderr);
+        } else if (arg == "--filter" || arg == "--baseline") {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "dee_report: %s needs a value\n",
+                             arg.c_str());
                 return 2;
             }
-        } else if (arg == "--min-slots") {
-            min_slots = std::strtod(value("--min-slots").c_str(),
-                                    nullptr);
-            if (min_slots < 0.0) {
-                std::fputs("dee_report: --min-slots must be >= 0\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--min-samples") {
-            min_samples = std::strtod(value("--min-samples").c_str(),
-                                      nullptr);
-            if (min_samples < 0.0) {
-                std::fputs("dee_report: --min-samples must be >= 0\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--noise-mult") {
-            noise_mult = std::strtod(value("--noise-mult").c_str(),
-                                     nullptr);
-            if (noise_mult < 0.0) {
-                std::fputs("dee_report: --noise-mult must be >= 0\n",
-                           stderr);
-                return 2;
-            }
+            (arg == "--filter" ? filter : baseline_path) = argv[++i];
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "dee_report: unknown flag '%s'\n",
                          arg.c_str());
@@ -270,135 +101,31 @@ main(int argc, char **argv)
         return m;
     };
 
-    if (profile_diff || check || perf_diff || hotspot_diff) {
+    if (check) {
         if (baseline_path.empty() || paths.size() != 1) {
-            std::fputs("dee_report: gating modes need --baseline PATH "
-                       "and exactly one candidate file\n",
+            std::fputs("dee_report: --check needs --baseline PATH and "
+                       "exactly one candidate manifest\n",
                        stderr);
             return 2;
         }
-        // Every requested gate runs, every failure line prints; the
-        // exit status is combined at the end — a profile regression
-        // must not hide the watch-list FAIL lines (or vice versa).
-        bool failed = false;
-
-        if (profile_diff || check || hotspot_diff) {
-            const LoadedManifest baseline = load(baseline_path);
-            const LoadedManifest candidate = load(paths[0]);
-
-            if (profile_diff) {
-                const ProfileRegressionReport report =
-                    checkProfileRegressions(baseline, candidate,
-                                            threshold, min_slots);
-                if (report.anyRegressed()) {
-                    std::fputs(
-                        report.render(threshold, min_slots).c_str(),
-                        stdout);
-                    std::fprintf(
-                        stdout,
-                        "FAIL: %zu branch(es) regressed vs %s\n",
-                        report.items.size(), baseline_path.c_str());
-                    failed = true;
-                } else {
-                    std::fputs(
-                        "OK: no per-branch speculation regression\n",
-                        stdout);
-                }
-            }
-
-            if (hotspot_diff) {
-                // Phase shares are sampling estimates: a ~60-sample
-                // phase carries ~25% relative 2-sigma wobble run to
-                // run, so the default gate is looser still than
-                // --perf-diff's.
-                const double hot_threshold =
-                    threshold_set ? threshold : 0.25;
-                const HotspotRegressionReport report =
-                    checkHotspotRegressions(baseline, candidate,
-                                            hot_threshold,
-                                            min_samples);
-                if (!report.error.empty()) {
-                    std::fprintf(stderr, "dee_report: %s\n",
-                                 report.error.c_str());
-                    return 2;
-                }
-                if (report.anyRegressed()) {
-                    std::fputs(
-                        report.render(hot_threshold, min_samples)
-                            .c_str(),
-                        stdout);
-                    std::fprintf(
-                        stdout,
-                        "%s: %zu host phase(s) regressed vs %s\n",
-                        warn_only ? "WARN" : "FAIL",
-                        report.items.size(), baseline_path.c_str());
-                    if (!warn_only)
-                        failed = true;
-                } else {
-                    std::fputs(
-                        "OK: no host hotspot phase regressed\n",
-                        stdout);
-                }
-            }
-
-            if (check) {
-                const RegressionReport report = checkRegressions(
-                    baseline, candidate, parseWatchList(watch_specs),
-                    threshold);
-                std::fputs(report.render(threshold).c_str(), stdout);
-                if (report.anyRegressed()) {
-                    std::fputs(report.renderFailures(threshold).c_str(),
-                               stdout);
-                    std::size_t n = 0;
-                    for (const auto &item : report.items)
-                        n += (item.regressed || item.missing) ? 1 : 0;
-                    std::fprintf(
-                        stdout,
-                        "FAIL: %zu watched metric(s) regressed vs %s\n",
-                        n, baseline_path.c_str());
-                    failed = true;
-                } else {
-                    std::fputs("OK: no watched metric regressed\n",
-                               stdout);
-                }
-            }
+        const LoadedManifest baseline = load(baseline_path);
+        const LoadedManifest candidate = load(paths[0]);
+        const std::vector<GateItem> items =
+            checkManifest(baseline, candidate);
+        std::size_t failed = 0;
+        for (const GateItem &item : items) {
+            std::printf("%s\n", item.line().c_str());
+            failed += item.fail ? 1 : 0;
         }
-
-        if (perf_diff) {
-            // Host timing wobbles run to run even on a quiet machine;
-            // the default gate is looser than the bit-exact metrics'.
-            const double perf_threshold =
-                threshold_set ? threshold : 0.10;
-            BenchArtifact baseline, candidate;
-            std::string err;
-            if (!loadBenchArtifact(baseline_path, &baseline, &err) ||
-                !loadBenchArtifact(paths[0], &candidate, &err)) {
-                std::fprintf(stderr, "dee_report: %s\n", err.c_str());
-                return 2;
-            }
-            const PerfRegressionReport report = checkPerfRegressions(
-                baseline, candidate, perf_threshold, noise_mult);
-            std::fputs(report.render(perf_threshold).c_str(), stdout);
-            if (report.anyRegressed()) {
-                std::fputs(report.renderFailures(perf_threshold,
-                                                 warn_only)
-                               .c_str(),
-                           stdout);
-                std::size_t n = 0;
-                for (const auto &item : report.items)
-                    n += item.regressed ? 1 : 0;
-                std::fprintf(stdout,
-                             "%s: %zu bench target(s) regressed vs %s\n",
-                             warn_only ? "WARN" : "FAIL", n,
-                             baseline_path.c_str());
-                if (!warn_only)
-                    failed = true;
-            } else {
-                std::fputs("OK: no bench target regressed\n", stdout);
-            }
+        if (failed > 0) {
+            std::printf("FAIL: %zu leaf(s) differ from %s\n", failed,
+                        baseline_path.c_str());
+            return 1;
         }
-
-        return failed ? 1 : 0;
+        std::printf("OK: %s matches %s (%zu host-phase warning(s))\n",
+                    paths[0].c_str(), baseline_path.c_str(),
+                    items.size());
+        return 0;
     }
 
     if (paths.empty()) {
