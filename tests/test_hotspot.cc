@@ -231,6 +231,24 @@ TEST(HotspotManifest, V7SectionRoundTrip)
         << err;
 }
 
+TEST(HotspotManifest, V6DocumentsAreRejected)
+{
+    // A v6-era document: no hotspots section at all. Gating against it
+    // is a usage error that names the schema, not a silent pass.
+    const std::string v6 = R"({
+      "schema": "dee.run.v6",
+      "tool": "old_tool",
+      "config": {},
+      "results": {"speedup": 3.0}
+    })";
+    LoadedManifest old_doc;
+    std::string err;
+    EXPECT_FALSE(parseManifest(v6, "old.json", &old_doc, &err));
+    EXPECT_NE(err.find("old.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("dee.run.v6"), std::string::npos) << err;
+    EXPECT_NE(err.find("regenerate"), std::string::npos) << err;
+}
+
 /** The items checkManifest() raises between two hotspot manifests;
  *  host shares only ever warn, so none may be a FAIL. */
 std::vector<GateItem>

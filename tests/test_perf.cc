@@ -291,6 +291,32 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     EXPECT_DOUBLE_EQ(value, 5000.0);
 }
 
+TEST(ManifestPerf, V3DocumentsAreRejected)
+{
+    Json doc = Json::object();
+    doc["schema"] = Json("dee.run.v3");
+    doc["tool"] = Json("old_tool");
+    Json results = Json::object();
+    results["speedup"] = Json(3.1);
+    doc["results"] = std::move(results);
+
+    // A refused document leaves an already loaded manifest untouched.
+    Registry reg;
+    LoadedManifest back;
+    std::string err;
+    ASSERT_TRUE(parseManifest(Manifest("test_tool").toJson(reg).dump(2),
+                              "new.json", &back, &err))
+        << err;
+    const std::size_t metrics = back.metrics.size();
+    EXPECT_FALSE(parseManifest(doc.dump(2), "old.json", &back, &err));
+    EXPECT_NE(err.find("dee.run.v3"), std::string::npos) << err;
+    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(back.path, "new.json");
+    EXPECT_EQ(back.metrics.size(), metrics);
+    double value = 0.0;
+    EXPECT_FALSE(back.metric("results.speedup", &value));
+}
+
 // -------------------------------------------------- heartbeat KIPS
 
 TEST(HeartbeatPerf, StatusLineCarriesKipsWhenInstructionsTicked)

@@ -321,6 +321,28 @@ TEST(ManifestV3, ProfileSectionRoundTrips)
     ProfileStore::global().clear();
 }
 
+TEST(ManifestV3, V2DocumentsAreRejected)
+{
+    // The schema tag alone decides: a full manifest, profile section
+    // and all, is refused once it claims to be v2.
+    ProfileStore::global().clear();
+    SpeculationProfile prof;
+    prof.recordExecution(5, 1, true, 2);
+    prof.setMeta("compress", "DEE");
+    ProfileStore::global().merge("compress.DEE", prof);
+    obs::Registry reg;
+    Json doc = obs::Manifest("test_tool").toJson(reg);
+    ProfileStore::global().clear();
+    ASSERT_NE(doc.find("profile"), nullptr);
+    doc["schema"] = Json("dee.run.v2");
+
+    LoadedManifest v2;
+    std::string err;
+    EXPECT_FALSE(parseManifest(doc.dump(2), "v2.json", &v2, &err));
+    EXPECT_NE(err.find("dee.run.v2"), std::string::npos) << err;
+    EXPECT_TRUE(v2.metrics.empty());
+}
+
 // --- Per-branch squashed slots under the regression gate ----------------
 
 std::string
