@@ -1,5 +1,6 @@
 #include "bpred/bpred.hh"
 
+#include <cctype>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -337,14 +338,33 @@ measureAccuracy(const Trace &trace, BranchPredictor &pred,
                           static_cast<double>(report.branches);
     }
 
+    publishAccuracy(pred.name(), report);
+    return report;
+}
+
+void
+publishAccuracy(const std::string &name, const AccuracyReport &report)
+{
     // Per-predictor accuracy bookkeeping, e.g. bpred.2bit.mispredicts.
-    const std::string prefix = "bpred." + pred.name();
+    // A parameterized name becomes one registry path segment:
+    // "gshare(14,8)" publishes under bpred.gshare_14_8.
+    std::string segment;
+    for (const char c : name) {
+        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+            c == '-') {
+            segment.push_back(c);
+        } else if (!segment.empty() && segment.back() != '_') {
+            segment.push_back('_');
+        }
+    }
+    while (!segment.empty() && segment.back() == '_')
+        segment.pop_back();
+    const std::string prefix = "bpred." + segment;
     obs::Registry &reg = obs::Registry::global();
     reg.counter(prefix + ".branches") += report.branches;
     reg.counter(prefix + ".mispredicts") +=
         report.branches - report.correct;
     reg.stat(prefix + ".accuracy").add(report.accuracy);
-    return report;
 }
 
 ConfidenceEstimator::ConfidenceEstimator(std::uint32_t num_static)

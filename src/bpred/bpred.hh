@@ -289,6 +289,14 @@ struct AccuracyReport
 AccuracyReport measureAccuracy(const Trace &trace, BranchPredictor &pred,
                                const std::vector<bool> &backward = {});
 
+/**
+ * Adds one accuracy measurement to the registry's per-predictor
+ * bookkeeping: bpred.<name>.branches, .mispredicts and .accuracy, with
+ * each run of characters a registry path cannot hold in @p name folded
+ * into one '_' ("gshare(14,8)" -> bpred.gshare_14_8).
+ */
+void publishAccuracy(const std::string &name, const AccuracyReport &report);
+
 /** Computes the per-sid "branch is backward" table from a program. */
 std::vector<bool> backwardTable(const Program &program);
 

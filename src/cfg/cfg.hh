@@ -50,6 +50,9 @@ class Cfg
      */
     BlockId ipostdom(BlockId b) const;
 
+    /** ipostdom() of every node, the exit node last. */
+    const std::vector<BlockId> &ipostdoms() const { return ipdom_; }
+
     /** Marker for blocks with no path to the exit. */
     static constexpr BlockId kUnreachable = 0xffffffff;
 

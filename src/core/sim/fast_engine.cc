@@ -16,220 +16,30 @@ namespace dee::sim_detail
 namespace
 {
 
-/**
- * Register-availability slots: architectural registers 1..31 map to
- * themselves; a missing source reads the always-zero slot (the max
- * identity, exactly the reference's "no dependence contributes 0");
- * a missing destination writes a sink slot nobody reads.
- */
-constexpr std::size_t kZeroSlot = kNumRegs;
-constexpr std::size_t kSinkSlot = kNumRegs + 1;
-constexpr std::size_t kNumSlots = kNumRegs + 2;
+/** Completion latency per op class, the cell's LatencyModel::of(). */
+using ClassLatencies = std::array<std::int32_t, kNumOpClasses>;
 
-inline std::uint8_t
-srcSlot(RegId r)
+ClassLatencies
+classLatencies(const LatencyModel &latency)
 {
-    return (r == kNoReg || r == kZeroReg)
-               ? static_cast<std::uint8_t>(kZeroSlot)
-               : r;
-}
-
-inline std::uint8_t
-dstSlot(RegId r)
-{
-    return (r == kNoReg || r == kZeroReg)
-               ? static_cast<std::uint8_t>(kSinkSlot)
-               : r;
+    ClassLatencies lat{};
+    for (std::size_t c = 0; c < kNumOpClasses; ++c)
+        lat[c] = latency.of(static_cast<OpClass>(c));
+    return lat;
 }
 
 /**
- * Packed decoded instruction: the issue loop's entire working set per
- * instruction (plus the address array for memory ops). The single
- * decode-time op-class switch replaces the three opClass()/of() calls
- * the seed engine made per dynamic instruction.
+ * Effective completion latency of decoded record @p i: the class
+ * latency, or the cache model's per-record load latency when
+ * @p load_lat (SimConfig::loadLatencies' data) is set.
  */
-struct DecodedInstr
+inline std::int32_t
+latencyOf(const DecodedInstr &d, std::uint64_t i,
+          const ClassLatencies &lat, const int *load_lat)
 {
-    std::int32_t lat;  ///< effective completion latency
-    std::uint8_t src1; ///< availability slot of rs1
-    std::uint8_t src2; ///< availability slot of rs2
-    std::uint8_t dst;  ///< kSinkSlot when the result is untracked
-    std::uint8_t mem;  ///< 0 none, 1 load, 2 store
-};
-static_assert(sizeof(DecodedInstr) == 8, "issue loop wants 8B entries");
-
-/** splitmix64 finalizer — full-avalanche address hashing. */
-inline std::uint64_t
-mixAddr(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/**
- * Last-store completion time per memory address. Value 0 means "no
- * prior store" — the identity for the dataflow max, so lookups never
- * branch on presence. Dense direct-address table when the workload
- * touches a small address range (the synthetic workloads index small
- * arrays); open-addressing linear-probe hash otherwise, sized to a
- * load factor <= 1/2.
- */
-class MemAvail
-{
-  public:
-    void
-    init(std::uint64_t mem_ops, std::uint64_t max_addr)
-    {
-        // Reset for arena reuse; assign() below recycles capacity.
-        dense_.clear();
-        keys_.clear();
-        vals_.clear();
-        used_.clear();
-        mask_ = 0;
-        if (mem_ops == 0)
-            return;
-        constexpr std::uint64_t kDenseCap = std::uint64_t{1} << 20;
-        if (max_addr < kDenseCap &&
-            max_addr <= 8 * mem_ops + 1024) {
-            dense_.assign(max_addr + 1, 0);
-            return;
-        }
-        std::uint64_t cap = 16;
-        while (cap < 2 * mem_ops)
-            cap <<= 1;
-        mask_ = cap - 1;
-        keys_.assign(cap, 0);
-        vals_.assign(cap, 0);
-        used_.assign(cap, 0);
-    }
-
-    std::int64_t
-    get(std::uint64_t addr) const
-    {
-        if (!dense_.empty())
-            return dense_[addr];
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (used_[h] != 0) {
-            if (keys_[h] == addr)
-                return vals_[h];
-            h = (h + 1) & mask_;
-        }
-        return 0;
-    }
-
-    void
-    put(std::uint64_t addr, std::int64_t avail)
-    {
-        if (!dense_.empty()) {
-            dense_[addr] = avail;
-            return;
-        }
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (used_[h] != 0) {
-            if (keys_[h] == addr) {
-                vals_[h] = avail;
-                return;
-            }
-            h = (h + 1) & mask_;
-        }
-        used_[h] = 1;
-        keys_[h] = addr;
-        vals_[h] = avail;
-    }
-
-  private:
-    std::vector<std::int64_t> dense_;
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::int64_t> vals_;
-    std::vector<std::uint8_t> used_;
-    std::uint64_t mask_ = 0;
-};
-
-/** Decode output: the SoA stream plus what MemAvail sizing needs. */
-struct DecodeInfo
-{
-    std::uint64_t memOps = 0;
-    std::uint64_t maxAddr = 0;
-};
-
-/**
- * Per-opcode decode tables: latency and memory class resolved by two
- * array loads instead of a per-record class switch. Values follow
- * LatencyModel::of() exactly (loads may be overridden per record by
- * config.loadLatencies in the decode loop).
- */
-struct DecodeTables
-{
-    std::array<std::int32_t, 256> lat;
-    std::array<std::uint8_t, 256> mem; ///< 0 none, 1 load, 2 store
-
-    explicit DecodeTables(const LatencyModel &lm)
-    {
-        for (std::size_t k = 0; k < 256; ++k) {
-            std::int32_t l;
-            std::uint8_t m = 0;
-            switch (opClass(static_cast<Opcode>(k))) {
-              case OpClass::IntAlu:
-                l = lm.intAlu;
-                break;
-              case OpClass::Load:
-                l = lm.load;
-                m = 1;
-                break;
-              case OpClass::Store:
-                l = lm.store;
-                m = 2;
-                break;
-              case OpClass::CondBranch:
-              case OpClass::Jump:
-                l = lm.branch;
-                break;
-              default:
-                l = lm.other;
-                break;
-            }
-            lat[k] = l;
-            mem[k] = m;
-        }
-    }
-};
-
-DecodeInfo
-decodeTrace(const Trace &trace, const SimConfig &config,
-            std::vector<DecodedInstr> &dec,
-            std::vector<std::uint64_t> &addrs,
-            std::vector<std::int32_t> &lat_out)
-{
-    const auto &records = trace.records;
-    const std::uint64_t n = records.size();
-    dec.resize(n);
-    addrs.assign(n, 0);
-    lat_out.resize(n);
-    DecodeInfo info;
-    const std::vector<int> *load_lat = config.loadLatencies;
-    const DecodeTables tabs(config.latency);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = records[i];
-        const auto op = static_cast<std::uint8_t>(rec.op);
-        DecodedInstr d;
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.mem = tabs.mem[op];
-        d.lat = tabs.lat[op];
-        if (d.mem == 1 && load_lat != nullptr)
-            d.lat = (*load_lat)[i];
-        dec[i] = d;
-        lat_out[i] = d.lat;
-        if (d.mem != 0) {
-            addrs[i] = rec.memAddr;
-            ++info.memOps;
-            info.maxAddr = std::max(info.maxAddr, rec.memAddr);
-        }
-    }
-    return info;
+    if (load_lat != nullptr && d.cls == OpClass::Load)
+        return load_lat[i];
+    return lat[static_cast<std::size_t>(d.cls)];
 }
 
 /**
@@ -301,8 +111,6 @@ buildWalkPlan(const FlatSpecTree &flat, WalkPlan &plan)
  */
 struct FastScratch
 {
-    std::vector<DecodedInstr> dec;
-    std::vector<std::uint64_t> addrs;
     std::vector<std::uint64_t> bypassPool;
     std::vector<std::uint32_t> bypBegin;
     std::vector<std::uint32_t> bypEnd;
@@ -311,8 +119,8 @@ struct FastScratch
     std::vector<std::pair<DynIndex, std::int64_t>> nd;
     std::vector<std::int64_t> ndSuffix;
     std::vector<std::uint64_t> nm; ///< next-uncrossable-path index
+    std::vector<std::int64_t> memAvail; ///< last-store time per mem id
     WalkPlan plan;
-    MemAvail mem;
 };
 
 } // namespace
@@ -321,10 +129,11 @@ void
 fastForward(ForwardCtx &ctx)
 {
     static thread_local FastScratch scratch;
-    const auto &records = ctx.trace.records;
-    const std::uint64_t n = records.size();
-    const std::vector<BranchPath> &paths = ctx.paths;
-    const std::uint64_t num_paths = paths.size();
+    const PreparedTrace &prep = ctx.prepared;
+    const std::uint64_t n = prep.size();
+    const std::uint64_t num_paths = prep.numPaths();
+    const std::uint64_t num_branches = prep.numBranches();
+    const std::vector<DecodedInstr> &dec = prep.decode();
     const SimConfig &config = ctx.config;
     const int window_reach = ctx.windowReach;
     const int penalty = config.mispredictPenalty;
@@ -341,18 +150,10 @@ fastForward(ForwardCtx &ctx)
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
     obs::SlotLedger *const ledger = ctx.ledger;
     const int branch_lat = config.latency.of(OpClass::CondBranch);
-
-    // --- Decode into the SoA stream (exported to the epilogue) ----------
-    std::vector<DecodedInstr> &dec = scratch.dec;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
-    DecodeInfo mem_info;
-    {
-        // Decode steers what enters the window, so it samples as fetch.
-        const obs::hotspot::HotspotPhase hot_decode(
-            hot, "window", obs::hotspot::Phase::Fetch);
-        mem_info = decodeTrace(ctx.trace, config, dec, addrs,
-                               ctx.decodedLat);
-    }
+    const ClassLatencies lat = classLatencies(config.latency);
+    const int *const load_lat = config.loadLatencies != nullptr
+                                    ? config.loadLatencies->data()
+                                    : nullptr;
 
     // --- Per-run state (SoA) --------------------------------------------
     std::vector<std::int64_t> &exec = ctx.exec;
@@ -380,9 +181,9 @@ fastForward(ForwardCtx &ctx)
     const FlatSpecTree flat =
         ctx.tree.flatten(profiling && !use_confidence);
 
-    std::array<std::int64_t, kNumSlots> reg_avail{};
-    MemAvail &mem = scratch.mem;
-    mem.init(mem_info.memOps, mem_info.maxAddr);
+    std::array<std::int64_t, kNumRegSlots> reg_avail{};
+    std::vector<std::int64_t> &mem_avail = scratch.memAvail;
+    mem_avail.assign(prep.numMemIds(), 0);
 
     // Pending mispredicts as a vector + head cursor (front-retirement
     // only, preserving the reference's blocked-front semantics).
@@ -422,12 +223,13 @@ fastForward(ForwardCtx &ctx)
         nm.assign(num_paths + 1, num_paths);
         for (std::uint64_t k = num_paths; k-- > 0;) {
             nm[k] =
-                (paths[k].endsInBranch && correct[k]) ? nm[k + 1] : k;
+                (k < num_branches && correct[k]) ? nm[k + 1] : k;
         }
     }
 
     for (std::uint64_t r = 0; r < num_paths; ++r) {
         const std::int64_t now = root_time[r];
+        const BranchPath path = prep.path(r);
 
         // Coverage walk from this root position: relax fetch times of
         // every covered path. Already-fetched code stays fetched (min).
@@ -446,16 +248,15 @@ fastForward(ForwardCtx &ctx)
                  r + d + 1 < num_paths &&
                  static_cast<std::int64_t>(d) < limit;
                  ++d) {
-                if (!paths[r + d].endsInBranch)
+                if (r + d >= num_branches)
                     break;
                 if (!correct[r + d]) {
                     if (!crossed.empty())
                         break; // only one mispredict deep, like DEE
-                    const TraceRecord &b =
-                        records[paths[r + d].branchIndex()];
+                    const StaticId sid = prep.exit(r + d).sid;
                     const double acc =
-                        b.sid < config.confidence.accuracy->size()
-                            ? (*config.confidence.accuracy)[b.sid]
+                        sid < config.confidence.accuracy->size()
+                            ? (*config.confidence.accuracy)[sid]
                             : 1.0;
                     if (acc >= config.confidence.threshold)
                         break; // confident branch: no side path here
@@ -507,7 +308,7 @@ fastForward(ForwardCtx &ctx)
                     const auto node = static_cast<std::size_t>(
                         plan.mlNodes[x - r]);
                     profile.recordAssignment(
-                        records[paths[x - 1].branchIndex()].sid,
+                        prep.exit(x - 1).sid,
                         flat.cp[node], flat.rank[node]);
                 }
             }
@@ -517,7 +318,7 @@ fastForward(ForwardCtx &ctx)
             // it is a branch within ML reach and that ML depth has a
             // side chain, then follows correct steps along the chain.
             if (j + 1 < num_paths && j - r <= ml_len &&
-                paths[j].endsInBranch && !correct[j] &&
+                j < num_branches && !correct[j] &&
                 plan.sideLen[j - r] != 0) {
                 const std::size_t dc = j - r;
                 const std::uint64_t slen = plan.sideLen[dc];
@@ -533,7 +334,7 @@ fastForward(ForwardCtx &ctx)
                                            static_cast<std::uint32_t>(
                                                x - j - 1)]);
                         profile.recordAssignment(
-                            records[paths[x - 1].branchIndex()].sid,
+                            prep.exit(x - 1).sid,
                             flat.cp[node], flat.rank[node]);
                     }
                     ++ctx.sidePathFetches;
@@ -559,7 +360,7 @@ fastForward(ForwardCtx &ctx)
             // stop at the last path: a cap-truncated trace can end in
             // a branch, making even the final path endsInBranch.
             for (std::uint64_t d = 0; r + d + 1 < num_paths; ++d) {
-                if (!paths[r + d].endsInBranch)
+                if (r + d >= num_branches)
                     break;
                 node = flat.child(node, correct[r + d] != 0);
                 if (node == kNoNode)
@@ -576,7 +377,7 @@ fastForward(ForwardCtx &ctx)
                         // and resource-assignment rank, charged to
                         // the branch the path hangs off.
                         profile.recordAssignment(
-                            records[paths[r + d].branchIndex()].sid,
+                            prep.exit(r + d).sid,
                             flat.cp[static_cast<std::size_t>(node)],
                             flat.rank[static_cast<std::size_t>(node)]);
                     }
@@ -615,7 +416,7 @@ fastForward(ForwardCtx &ctx)
         while (pending_head < pending.size() &&
                (pending[pending_head].pathIdx + window_reach <= r ||
                 (!pending[pending_head].divergent &&
-                 pending[pending_head].joinIdx <= paths[r].begin))) {
+                 pending[pending_head].joinIdx <= path.begin))) {
             ++pending_head;
             stall_valid = false;
         }
@@ -681,23 +482,21 @@ fastForward(ForwardCtx &ctx)
             const obs::hotspot::HotspotPhase hot_issue(
                 hot, "window", obs::hotspot::Phase::Issue);
             std::size_t nd_lo = 0;
-            const DynIndex pend_i = paths[r].end;
+            const DynIndex pend_i = path.end;
             // Loop-unswitched on the loop-invariant route-B flag: the
             // non-CD models (EE / SP / DEE) pay nothing for the
             // reconvergent-window machinery.
             if (use_cd) {
-                for (DynIndex i = paths[r].begin; i < pend_i; ++i) {
+                for (DynIndex i = path.begin; i < pend_i; ++i) {
                     const DecodedInstr d = dec[i];
 
                     std::int64_t data_ready = reg_avail[d.src1];
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
-                    if (d.mem != 0) {
-                        const std::int64_t am = mem.get(addrs[i]);
-                        if (am > data_ready)
-                            data_ready = am;
-                    }
+                    const std::int64_t am = mem_avail[d.memId];
+                    if (am > data_ready)
+                        data_ready = am;
 
                     // Route A: speculation-tree coverage.
                     std::int64_t t =
@@ -722,29 +521,28 @@ fastForward(ForwardCtx &ctx)
                     exec[i] = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
-                    const std::int64_t fin = t + d.lat;
+                    const std::int64_t fin =
+                        t + latencyOf(d, i, lat, load_lat);
                     if (fin > done)
                         done = fin;
 
                     // Availability updates (flow-only renaming; stores
                     // publish the last-store completion per address).
                     reg_avail[d.dst] = fin;
-                    if (d.mem == 2)
-                        mem.put(addrs[i], fin);
+                    if (d.cls == OpClass::Store)
+                        mem_avail[d.memId] = fin;
                 }
             } else {
-                for (DynIndex i = paths[r].begin; i < pend_i; ++i) {
+                for (DynIndex i = path.begin; i < pend_i; ++i) {
                     const DecodedInstr d = dec[i];
 
                     std::int64_t data_ready = reg_avail[d.src1];
                     const std::int64_t a2 = reg_avail[d.src2];
                     if (a2 > data_ready)
                         data_ready = a2;
-                    if (d.mem != 0) {
-                        const std::int64_t am = mem.get(addrs[i]);
-                        if (am > data_ready)
-                            data_ready = am;
-                    }
+                    const std::int64_t am = mem_avail[d.memId];
+                    if (am > data_ready)
+                        data_ready = am;
 
                     std::int64_t t =
                         fetch_a > data_ready ? fetch_a : data_ready;
@@ -753,31 +551,32 @@ fastForward(ForwardCtx &ctx)
                     exec[i] = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
-                    const std::int64_t fin = t + d.lat;
+                    const std::int64_t fin =
+                        t + latencyOf(d, i, lat, load_lat);
                     if (fin > done)
                         done = fin;
 
                     reg_avail[d.dst] = fin;
-                    if (d.mem == 2)
-                        mem.put(addrs[i], fin);
+                    if (d.cls == OpClass::Store)
+                        mem_avail[d.memId] = fin;
                 }
             }
         }
 
         // Branch resolution (serialized except under MF).
         std::int64_t res = done;
-        if (paths[r].endsInBranch) {
+        if (path.endsInBranch) {
             const obs::hotspot::HotspotPhase hot_resolve(
                 hot, "window", obs::hotspot::Phase::Resolve);
-            const DynIndex b = paths[r].branchIndex();
+            const DynIndex b = path.branchIndex();
             res = exec[b] + branch_lat;
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
             if (use_cd && !correct[r] &&
-                (records[b].backward || join_idx[r] > paths[r].end)) {
+                (prep.exit(r).backward || join_idx[r] > path.end)) {
                 pending.push_back(PendingMispredict{
-                    r, join_idx[r], res, records[b].backward});
+                    r, join_idx[r], res, prep.exit(r).backward});
                 stall_valid = false;
             }
         }
@@ -808,52 +607,19 @@ fastForward(ForwardCtx &ctx)
     }
 }
 
-OracleSummary
-fastOracle(const Trace &trace, const LatencyModel &latency,
+std::int64_t
+fastOracle(const PreparedTrace &prepared, const LatencyModel &latency,
            const std::vector<int> *load_latencies,
            obs::SlotLedger *ledger)
 {
-    // Thread-local decode scratch, independent of the kernel's.
-    static thread_local FastScratch scratch;
-    const auto &records = trace.records;
-    const std::uint64_t n = records.size();
-    OracleSummary summary;
+    const std::vector<DecodedInstr> &dec = prepared.decode();
+    const std::uint64_t n = dec.size();
+    const ClassLatencies lat = classLatencies(latency);
+    const int *const load_lat =
+        load_latencies != nullptr ? load_latencies->data() : nullptr;
 
-    // Decode pass: one sweep over the 40-byte records packs the
-    // dataflow working set into 8-byte entries, sizes the memory
-    // table and counts branches.
-    std::vector<DecodedInstr> &dec = scratch.dec;
-    std::vector<std::uint64_t> &addrs = scratch.addrs;
-    dec.resize(n);
-    addrs.assign(n, 0);
-    std::uint64_t mem_ops = 0;
-    std::uint64_t max_addr = 0;
-    const DecodeTables tabs(latency);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = records[i];
-        const auto op = static_cast<std::uint8_t>(rec.op);
-        DecodedInstr d;
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.mem = tabs.mem[op];
-        d.lat = tabs.lat[op];
-        if (d.mem == 1 && load_latencies != nullptr)
-            d.lat = (*load_latencies)[i];
-        dec[i] = d;
-        if (d.mem != 0) {
-            addrs[i] = rec.memAddr;
-            ++mem_ops;
-            max_addr = std::max(max_addr, rec.memAddr);
-        }
-        if (rec.isBranch)
-            ++summary.branches;
-    }
-
-    std::array<std::int64_t, kNumSlots> reg_avail{};
-    MemAvail &mem = scratch.mem;
-    mem.init(mem_ops, max_addr);
-
+    std::array<std::int64_t, kNumRegSlots> reg_avail{};
+    std::vector<std::int64_t> mem_avail(prepared.numMemIds(), 0);
     std::int64_t last = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         const DecodedInstr d = dec[i];
@@ -862,25 +628,22 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
         const std::int64_t a2 = reg_avail[d.src2];
         if (a2 > ready)
             ready = a2;
-        if (d.mem != 0) {
-            const std::int64_t am = mem.get(addrs[i]);
-            if (am > ready)
-                ready = am;
-        }
+        const std::int64_t am = mem_avail[d.memId];
+        if (am > ready)
+            ready = am;
 
-        const std::int64_t fin = ready + d.lat;
+        const std::int64_t fin = ready + latencyOf(d, i, lat, load_lat);
         if (fin > last)
             last = fin;
 
         reg_avail[d.dst] = fin;
-        if (d.mem == 2)
-            mem.put(addrs[i], fin);
+        if (d.cls == OpClass::Store)
+            mem_avail[d.memId] = fin;
 
         if (ledger != nullptr)
             ledger->issue(ready);
     }
-    summary.lastDone = last;
-    return summary;
+    return last;
 }
 
 } // namespace dee::sim_detail

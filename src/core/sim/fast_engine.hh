@@ -1,23 +1,25 @@
 /**
  * @file
- * Data-oriented fast simulation engine (PR 10's tentpole).
+ * Data-oriented fast simulation engine.
  *
  * Same semantics as the seed engine, restructured for the host machine:
  *
- *  - Decode once into a packed structure-of-arrays instruction stream
- *    (one flat op-class switch per record), so the issue loop touches
- *    8-byte decoded entries instead of 40-byte trace records and never
- *    calls opClass()/LatencyModel::of() again.
+ *  - The issue loops read the trace's shared packed decode
+ *    (PreparedTrace: 8-byte entries of register slots, op class and a
+ *    dense memory id) instead of 40-byte trace records, and map the op
+ *    class to a latency through a per-cell table (plus the optional
+ *    per-record load latencies), never calling opClass() per record.
  *  - Register dataflow through a flat availability table (completion
  *    time of the last writer per architectural register, with an
  *    always-zero slot standing in for "no dependence" so the inner
  *    loop is branch-free on the register path).
- *  - Memory dataflow through a direct-address table when the touched
- *    address space is small, or an open-addressing hash otherwise —
- *    replacing the per-access node-allocating unordered_map.
- *  - Tree moves over the FlatSpecTree array view; per-path correctness
- *    and mispredict sets live in BitVec64 words (common/bit_matrix.hh)
- *    scanned with popcount/ctz in the shared epilogue.
+ *  - Memory dataflow through a flat last-store table indexed by the
+ *    trace's dense address ids — slot 0, read by every non-memory op,
+ *    stays zero — replacing the per-access node-allocating
+ *    unordered_map.
+ *  - Tree moves over the FlatSpecTree array view; per-path mispredict
+ *    sets live in BitVec64 words (common/bit_matrix.hh) scanned with
+ *    popcount/ctz in the shared epilogue.
  *  - Route-B mispredict stalls via a per-path sorted suffix-max over
  *    pending join points with a monotone cursor, replacing the
  *    per-instruction scan of the whole pending deque.
@@ -39,23 +41,17 @@
 namespace dee::sim_detail
 {
 
-/** What the fused oracle pass hands back to oracleSim(). */
-struct OracleSummary
-{
-    std::int64_t lastDone = 0;   ///< latest completion time
-    std::uint64_t branches = 0;  ///< conditional-branch records
-};
-
 /**
- * Fused decode + dataflow + accounting sweep for oracleSim()'s fast
- * engine: one pass computes the dataflow-limit completion horizon and,
- * when @p ledger is non-null, issues each instruction's ready cycle
- * into it in trace order — the same evidence the reference engine's
- * separate second pass produces.
+ * Dataflow + accounting sweep for oracleSim()'s fast engine over the
+ * trace's shared decode: returns the dataflow-limit completion horizon
+ * and, when @p ledger is non-null, issues each instruction's ready
+ * cycle into it in trace order — the same evidence the reference
+ * engine's separate second pass produces.
  */
-OracleSummary fastOracle(const Trace &trace, const LatencyModel &latency,
-                         const std::vector<int> *load_latencies,
-                         obs::SlotLedger *ledger);
+std::int64_t fastOracle(const PreparedTrace &prepared,
+                        const LatencyModel &latency,
+                        const std::vector<int> *load_latencies,
+                        obs::SlotLedger *ledger);
 
 } // namespace dee::sim_detail
 

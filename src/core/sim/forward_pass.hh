@@ -4,14 +4,21 @@
  * kernels (the reference engine in window_sim.cc and the data-oriented
  * fast engine in fast_engine.cc).
  *
- * run() owns the shared prologue (predictor pass, control-dependence
- * join points) and epilogue (totals, resolve histogram, cycle
- * accounting, speculation profile, registry publishing). The kernels
- * own only the per-path forward loop: coverage walks, instruction
- * issue, branch resolution and tree movement. Both fill the same
- * ForwardCtx outputs and make profiler/tracer calls at the same
- * program points in the same order, which is what makes the engines
- * bit-exact — the property tests/test_engine_differential.cc enforces.
+ * Inputs split by lifetime. Per trace, shared read-only by every cell:
+ * the PreparedTrace (trace/prepared.hh) — branch-path bounds, exit
+ * branches, the packed decode with dense memory ids, and the route-B
+ * join points cached per Cfg. Per cell: the window tree, the SimConfig
+ * (latencies included), the predictor outcomes (PathPredictions) and
+ * the RunArena outputs below, the only storage a cell writes.
+ *
+ * run() owns the shared prologue (confidence replay of the predictor
+ * outcomes) and epilogue (totals, resolve histogram, cycle accounting,
+ * speculation profile, registry publishing). The kernels own only the
+ * per-path forward loop: coverage walks, instruction issue, branch
+ * resolution and tree movement. Both fill the same ForwardCtx outputs
+ * and make profiler/tracer calls at the same program points in the
+ * same order, which is what makes the engines bit-exact — the property
+ * tests/test_engine_differential.cc enforces.
  */
 
 #ifndef DEE_CORE_SIM_FORWARD_PASS_HH
@@ -22,11 +29,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bit_matrix.hh"
 #include "core/sim/window_sim.hh"
 #include "obs/accounting.hh"
 #include "obs/profile/profile.hh"
 #include "obs/trace_event.hh"
+#include "trace/prepared.hh"
 
 namespace dee::sim_detail
 {
@@ -95,12 +102,12 @@ struct PendingMispredict
 };
 
 /**
- * Reusable per-run output storage. WindowSim::run() keeps one of these
- * per thread and rebinds the ForwardCtx output references to it, so
- * repeated runs (benchmark repetitions, figure sweeps) recycle
- * capacity instead of faulting in fresh pages every run. Both kernels
- * assign()/clear() every vector they touch, so no state leaks between
- * runs.
+ * Reusable per-cell output storage: everything a cell writes. WindowSim::
+ * run() keeps one of these per thread and rebinds the ForwardCtx output
+ * references to it, so repeated runs (benchmark repetitions, figure
+ * sweeps) recycle capacity instead of faulting in fresh pages every
+ * run. Both kernels assign()/clear() every vector they touch, so no
+ * state leaks between runs. Per-trace inputs live in the PreparedTrace.
  */
 struct RunArena
 {
@@ -110,25 +117,20 @@ struct RunArena
     std::vector<std::int64_t> resolve;
     std::vector<std::uint8_t> fetchSide;
     std::vector<std::int64_t> starvedCycles;
-    std::vector<std::int32_t> decodedLat;
-    std::vector<BranchPath> paths;
-    std::vector<std::uint8_t> correct;
-    std::vector<DynIndex> joinIdx;
-    std::vector<DynIndex> nextOcc; ///< join-sweep scratch
 };
 
 /** Everything a forward-pass kernel reads and everything it must fill. */
 struct ForwardCtx
 {
-    // --- Inputs (borrowed from WindowSim::run) ---------------------------
-    const Trace &trace;
-    const std::vector<BranchPath> &paths;
+    // --- Per-trace inputs (shared by every cell of the trace) ------------
+    const Trace &trace; ///< the reference engine's records
+    const PreparedTrace &prepared;
+    const std::vector<DynIndex> &joinIdx; ///< empty unless CD
+
+    // --- Per-cell inputs --------------------------------------------------
     const SpecTree &tree;
     const SimConfig &config;
     const std::vector<std::uint8_t> &correct; ///< per path; 1 if no branch
-    const BitVec64 &correctBits;              ///< same set, packed
-    const BitVec64 &ends;                     ///< endsInBranch per path
-    const std::vector<DynIndex> &joinIdx;     ///< empty unless CD
     int windowReach;
     bool profiling;
     bool accounting;
@@ -149,10 +151,6 @@ struct ForwardCtx
     std::vector<std::int64_t> &resolve;   ///< per path
     std::vector<std::uint8_t> &fetchSide; ///< per path iff profiling
     std::vector<std::int64_t> &starvedCycles;
-    /** Effective completion latency per instruction; the fast engine
-     *  exports its decode so the epilogue skips re-deriving op
-     *  classes. Empty from the reference engine. */
-    std::vector<std::int32_t> &decodedLat;
     std::uint64_t sidePathFetches = 0;
 };
 

@@ -105,9 +105,19 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
         return result;
     }
 
+    // Heuristic step 1 rides the cell's own predictor pass: the same
+    // power-on predictor over the same branches as a fresh clone's
+    // replay, so p is the same double characteristicAccuracy() gives.
+    const PathPredictions predictions = predictPaths(trace, predictor);
     double p = options.characteristicP;
-    if (p <= 0.0)
-        p = characteristicAccuracy(trace, predictor);
+    if (p <= 0.0) {
+        AccuracyReport report;
+        report.branches = predictions.branches;
+        report.correct = predictions.branches - predictions.mispredicted;
+        report.accuracy = predictions.accuracy();
+        publishAccuracy(predictor.name(), report);
+        p = std::clamp(report.accuracy, 0.5, 0.995);
+    }
 
     const SpecTree tree = treeForModel(kind, p, e_t);
 
@@ -127,7 +137,7 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
     config.engine = options.engine;
 
     WindowSim sim(trace, tree, config, cfg);
-    SimResult result = sim.run(predictor);
+    SimResult result = sim.run(predictions);
     meter.addInstructions(result.instructions);
     meter.addCycles(result.cycles);
     return result;

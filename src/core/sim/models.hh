@@ -76,7 +76,8 @@ struct ModelRunOptions
     std::string profileWorkload;
     /**
      * Characteristic accuracy for tree sizing; <= 0 means "measure it
-     * from the trace with a clone of the predictor" (heuristic step 1).
+     * from the cell's own predictor pass" (heuristic step 1, the same
+     * value characteristicAccuracy() returns).
      */
     double characteristicP = -1.0;
     /** Issue-width limit (0 = unlimited, the paper's assumption). */

@@ -18,6 +18,7 @@
 #include "obs/registry.hh"
 #include "obs/timer.hh"
 #include "obs/trace_event.hh"
+#include "trace/prepared.hh"
 
 namespace dee
 {
@@ -122,8 +123,8 @@ referenceForward(ForwardCtx &ctx)
 {
     const auto &records = ctx.trace.records;
     const std::uint64_t n = records.size();
-    const std::vector<BranchPath> &paths = ctx.paths;
-    const std::uint64_t num_paths = paths.size();
+    const PreparedTrace &prep = ctx.prepared;
+    const std::uint64_t num_paths = prep.numPaths();
     const SpecTree &tree = ctx.tree;
     const SimConfig &config = ctx.config;
     const int window_reach = ctx.windowReach;
@@ -182,6 +183,7 @@ referenceForward(ForwardCtx &ctx)
 
     for (std::uint64_t r = 0; r < num_paths; ++r) {
         const std::int64_t now = root_time[r];
+        const BranchPath path = prep.path(r);
 
         // Coverage walk from this root position: relax fetch times of
         // every covered path. Already-fetched code stays fetched (min).
@@ -200,13 +202,13 @@ referenceForward(ForwardCtx &ctx)
                  r + d + 1 < num_paths &&
                  static_cast<std::int64_t>(d) < limit;
                  ++d) {
-                if (!paths[r + d].endsInBranch)
+                if (!prep.path(r + d).endsInBranch)
                     break;
                 if (!correct[r + d]) {
                     if (!crossed_npred.empty())
                         break; // only one mispredict deep, like DEE
                     const TraceRecord &b =
-                        records[paths[r + d].branchIndex()];
+                        records[prep.path(r + d).branchIndex()];
                     const double acc =
                         b.sid < config.confidence.accuracy->size()
                             ? (*config.confidence.accuracy)[b.sid]
@@ -245,7 +247,7 @@ referenceForward(ForwardCtx &ctx)
             // stop at the last path: a cap-truncated trace can end in
             // a branch, making even the final path endsInBranch.
             for (std::uint64_t d = 0; r + d + 1 < num_paths; ++d) {
-                if (!paths[r + d].endsInBranch)
+                if (!prep.path(r + d).endsInBranch)
                     break;
                 node = tree.child(node, correct[r + d] != 0);
                 if (node == kNoNode)
@@ -262,7 +264,7 @@ referenceForward(ForwardCtx &ctx)
                         // and resource-assignment rank, charged to
                         // the branch the path hangs off.
                         profile.recordAssignment(
-                            records[paths[r + d].branchIndex()].sid,
+                            records[prep.path(r + d).branchIndex()].sid,
                             tree.node(node).cp,
                             assignment_ranks[static_cast<std::size_t>(
                                 node)]);
@@ -294,7 +296,7 @@ referenceForward(ForwardCtx &ctx)
         while (!window_mispredicts.empty() &&
                (window_mispredicts.front().pathIdx + window_reach <= r ||
                 (!window_mispredicts.front().divergent &&
-                 window_mispredicts.front().joinIdx <= paths[r].begin))) {
+                 window_mispredicts.front().joinIdx <= path.begin))) {
             window_mispredicts.pop_front();
         }
 
@@ -309,7 +311,7 @@ referenceForward(ForwardCtx &ctx)
         {
             const obs::hotspot::HotspotPhase hot_issue(
                 hot, "window", obs::hotspot::Phase::Issue);
-            for (DynIndex i = paths[r].begin; i < paths[r].end; ++i) {
+            for (DynIndex i = path.begin; i < path.end; ++i) {
                 const TraceRecord &rec = records[i];
 
                 std::int64_t data_ready = 0;
@@ -379,16 +381,16 @@ referenceForward(ForwardCtx &ctx)
 
         // Branch resolution (serialized except under MF).
         std::int64_t res = done;
-        if (paths[r].endsInBranch) {
+        if (path.endsInBranch) {
             const obs::hotspot::HotspotPhase hot_resolve(
                 hot, "window", obs::hotspot::Phase::Resolve);
-            const DynIndex b = paths[r].branchIndex();
+            const DynIndex b = path.branchIndex();
             res = exec[b] + config.latency.of(OpClass::CondBranch);
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
             if (use_cd && !correct[r] &&
-                (records[b].backward || join_idx[r] > paths[r].end)) {
+                (records[b].backward || join_idx[r] > path.end)) {
                 window_mispredicts.push_back(PendingMispredict{
                     r, join_idx[r], res, records[b].backward});
             }
@@ -424,8 +426,63 @@ referenceForward(ForwardCtx &ctx)
 
 } // namespace sim_detail
 
+double
+PathPredictions::accuracy() const
+{
+    if (branches == 0)
+        return 0.0;
+    return static_cast<double>(branches - mispredicted) /
+           static_cast<double>(branches);
+}
+
+PathPredictions
+predictPaths(const Trace &trace, BranchPredictor &predictor)
+{
+    // The predictor pass steers fetch, so it samples as fetch. The
+    // 2-bit predictor (every figure cell) devirtualizes into one
+    // inlined table access per branch.
+    const bool hot = obs::hotspot::Sampler::process().active();
+    const obs::hotspot::HotspotPhase hot_predict(
+        hot, "window", obs::hotspot::Phase::Fetch);
+
+    predictor.reset();
+    const PreparedTrace &prep = trace.prepared();
+    const std::uint64_t num_paths = prep.numPaths();
+    PathPredictions out;
+    out.correct.assign(num_paths, 1);
+    out.mispredicts = BitVec64(num_paths);
+    out.branches = prep.numBranches();
+    TwoBitPredictor *const twobit =
+        dynamic_cast<TwoBitPredictor *>(&predictor);
+    for (std::uint64_t k = 0; k < out.branches; ++k) {
+        const PathExit &b = prep.exit(k);
+        bool predicted;
+        if (twobit != nullptr) {
+            predicted = twobit->predictThenUpdate(b.sid, b.taken);
+        } else {
+            BranchQuery q;
+            q.sid = b.sid;
+            q.actual = b.taken;
+            predicted = predictor.predict(q);
+            predictor.update(q, b.taken);
+        }
+        if (predicted != b.taken) {
+            out.correct[k] = 0;
+            out.mispredicts.set(k);
+            ++out.mispredicted;
+        }
+    }
+    return out;
+}
+
 SimResult
 WindowSim::run(BranchPredictor &predictor) const
+{
+    return run(predictPaths(trace_, predictor));
+}
+
+SimResult
+WindowSim::run(const PathPredictions &predictions) const
 {
     obs::ScopedTimer run_timer("sim.window.run_ms");
     obs::Tracer &tracer = obs::Tracer::global();
@@ -438,23 +495,22 @@ WindowSim::run(BranchPredictor &predictor) const
     const obs::hotspot::HotspotPhase hot_run(
         hot, "window", obs::hotspot::Phase::Other);
 
-    predictor.reset();
-
-    const auto &records = trace_.records;
-    const std::uint64_t n = records.size();
+    const std::uint64_t n = trace_.size();
     SimResult result;
     result.instructions = n;
     if (n == 0)
         return result;
 
-    // Per-thread run storage: benchmark repetitions and figure sweeps
-    // call run() thousands of times, so output and scratch buffers are
-    // recycled instead of re-faulted from the allocator every run.
+    // Per-trace facts come from the shared prepared view; the
+    // per-thread arena holds only this cell's outputs, recycled across
+    // runs instead of re-faulted from the allocator every run.
+    const PreparedTrace &prep = trace_.prepared();
+    const std::uint64_t num_paths = prep.numPaths();
+    dee_assert(predictions.correct.size() == num_paths,
+               "predictions cover ", predictions.correct.size(),
+               " paths of a ", num_paths, "-path trace");
     static thread_local sim_detail::RunArena arena;
 
-    segmentPaths(trace_, arena.paths);
-    const std::vector<BranchPath> &paths = arena.paths;
-    const std::uint64_t num_paths = paths.size();
     // Static-window reach for route B: the machine holds E_T branch
     // paths of static code regardless of how the tree allocates them
     // between ML and DEE regions (in Levo, DEE paths are extra state
@@ -467,52 +523,27 @@ WindowSim::run(BranchPredictor &predictor) const
     const int penalty = config_.mispredictPenalty;
     const bool use_cd = config_.cd != CdModel::Restrictive;
 
-    // --- Prediction correctness per branch path (functional update) ----
-    // The same pass feeds the per-branch confidence estimator used to
-    // attribute squashed speculative work to accuracy buckets, and the
-    // speculation profiler's per-site execution counts (profiling
-    // rides the accounting ledger, so it forces accounting on).
+    result.branches = predictions.branches;
+    result.mispredicted = predictions.mispredicted;
+    result.predictionAccuracy = predictions.accuracy();
+    const std::vector<std::uint8_t> &correct = predictions.correct;
+
+    // --- Per-branch confidence, replayed from the predictor pass ----------
+    // It attributes squashed speculative work to accuracy buckets, and
+    // feeds the speculation profiler's per-site execution counts
+    // (profiling rides the accounting ledger, so it forces accounting
+    // on).
     const bool profiling =
         config_.gatherProfile || obs::profilingRequested();
     const bool accounting = config_.gatherAccounting || profiling;
     obs::SpeculationProfile profile;
     ConfidenceEstimator confidence_meter(
         accounting ? trace_.numStatic : 0);
-    std::vector<std::uint8_t> &correct = arena.correct;
-    correct.assign(num_paths, 1);
-    // The same correctness facts, packed: branch-ending paths and
-    // correct predictions as bit sets so the epilogue's mispredict
-    // scans run word-parallel (ends &~ correct, then a ctz walk).
-    BitVec64 ends(num_paths);
-    BitVec64 correct_bits(num_paths);
-    {
-        // The predictor pass steers fetch, so it samples as fetch. The
-        // 2-bit predictor (every figure cell) devirtualizes into one
-        // inlined table access per branch.
+    if (accounting) {
         const obs::hotspot::HotspotPhase hot_predict(
             hot, "window", obs::hotspot::Phase::Fetch);
-        TwoBitPredictor *const twobit =
-            dynamic_cast<TwoBitPredictor *>(&predictor);
-        for (std::uint64_t k = 0; k < num_paths; ++k) {
-            if (!paths[k].endsInBranch) {
-                correct_bits.set(k);
-                continue;
-            }
-            ends.set(k);
-            const TraceRecord &b = records[paths[k].branchIndex()];
-            bool predicted;
-            if (twobit != nullptr) {
-                predicted = twobit->predictThenUpdate(b.sid, b.taken);
-            } else {
-                BranchQuery q;
-                q.sid = b.sid;
-                q.actual = b.taken;
-                predicted = predictor.predict(q);
-                predictor.update(q, b.taken);
-            }
-            correct[k] = (predicted == b.taken) ? 1 : 0;
-            if (correct[k])
-                correct_bits.set(k);
+        for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
+            const PathExit &b = prep.exit(k);
             if (profiling) {
                 // Online confidence: the bucket the site occupied
                 // when this instance resolved, before its outcome
@@ -523,49 +554,16 @@ WindowSim::run(BranchPredictor &predictor) const
                     obs::confidenceBucket(
                         confidence_meter.estimate(b.sid)));
             }
-            if (accounting)
-                confidence_meter.record(b.sid, correct[k] != 0);
-            ++result.branches;
-            if (!correct[k])
-                ++result.mispredicted;
+            confidence_meter.record(b.sid, correct[k] != 0);
         }
-    }
-    if (result.branches > 0) {
-        result.predictionAccuracy =
-            static_cast<double>(result.branches - result.mispredicted) /
-            static_cast<double>(result.branches);
     }
 
     // --- Dynamic control-dependence scopes for route B -------------------
-    // A branch instance controls exactly the dynamic instructions between
-    // itself and the first subsequent occurrence of its block's immediate
-    // postdominator (the join point); from there on, execution no longer
-    // depends on which way the branch went. join_idx[k] is that boundary
-    // (as a dynamic instruction index) for the branch ending path k.
-    std::vector<DynIndex> &join_idx = arena.joinIdx;
-    join_idx.clear();
-    if (use_cd) {
-        join_idx.assign(num_paths, n);
-        // One backward sweep: next_occ[b] is the first dynamic index
-        // of block b strictly after the sweep cursor, so each branch
-        // reads its join point (first post-branch occurrence of its
-        // block's immediate postdominator) in O(1). Paths are pushed
-        // after their own branch is queried — a branch's block never
-        // joins at itself.
-        const std::size_t num_blocks = cfg_->numBlocks() + 1;
-        std::vector<DynIndex> &next_occ = arena.nextOcc;
-        next_occ.assign(num_blocks, n);
-        for (std::uint64_t k = num_paths; k-- > 0;) {
-            if (paths[k].endsInBranch) {
-                const DynIndex b = paths[k].branchIndex();
-                const BlockId ipdom = cfg_->ipostdom(records[b].block);
-                if (ipdom < cfg_->numBlocks())
-                    join_idx[k] = next_occ[ipdom];
-            }
-            for (DynIndex i = paths[k].end; i-- > paths[k].begin;)
-                next_occ[records[i].block] = i;
-        }
-    }
+    // join_idx[k] is the dynamic index at which the branch ending path
+    // k stops controlling execution (see PreparedTrace::joinIndex()).
+    static const std::vector<DynIndex> kNoJoins;
+    const std::vector<DynIndex> &join_idx =
+        use_cd ? prep.joinIndex(*cfg_) : kNoJoins;
 
     // --- Forward pass over branch paths ----------------------------------
     // The accounting ledger outlives the kernel: issue cycles are
@@ -581,13 +579,11 @@ WindowSim::run(BranchPredictor &predictor) const
     }
     sim_detail::ForwardCtx ctx{
         .trace = trace_,
-        .paths = paths,
+        .prepared = prep,
+        .joinIdx = join_idx,
         .tree = tree_,
         .config = config_,
         .correct = correct,
-        .correctBits = correct_bits,
-        .ends = ends,
-        .joinIdx = join_idx,
         .windowReach = window_reach,
         .profiling = profiling,
         .accounting = accounting,
@@ -602,13 +598,11 @@ WindowSim::run(BranchPredictor &predictor) const
         .resolve = arena.resolve,
         .fetchSide = arena.fetchSide,
         .starvedCycles = arena.starvedCycles,
-        .decodedLat = arena.decodedLat,
         .sidePathFetches = 0,
     };
-    // The kernels assign() the sized outputs; the append-only ones must
+    // The kernels assign() the sized outputs; the append-only one must
     // start empty so nothing leaks across arena reuse.
     arena.starvedCycles.clear();
-    arena.decodedLat.clear();
     if (config_.engine == Engine::Reference)
         sim_detail::referenceForward(ctx);
     else
@@ -619,28 +613,13 @@ WindowSim::run(BranchPredictor &predictor) const
     const std::vector<std::int64_t> &resolve = ctx.resolve;
     const std::vector<std::uint8_t> &fetch_side = ctx.fetchSide;
     result.sidePathFetches = ctx.sidePathFetches;
-
-    // Mispredicted branch paths, for the epilogue's word-parallel scans.
-    BitVec64 mispredict_paths = ends;
-    mispredict_paths.andNotWith(correct_bits);
-
-    // Effective completion latency of a dynamic instruction; the fast
-    // engine exports its decode, saving the per-record class switches.
-    auto lat_of = [&](DynIndex idx) -> int {
-        if (!ctx.decodedLat.empty())
-            return ctx.decodedLat[idx];
-        const OpClass c = opClass(records[idx].op);
-        if (c == OpClass::Load && config_.loadLatencies)
-            return (*config_.loadLatencies)[idx];
-        return config_.latency.of(c);
-    };
+    const BitVec64 &mispredict_paths = predictions.mispredicts;
 
     // --- Totals -----------------------------------------------------------
-    std::int64_t last_cycle = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        last_cycle = std::max(
-            last_cycle, exec[i] + lat_of(i));
-    }
+    // The root leaves path r no earlier than every instruction of r
+    // completes, and root times never decrease, so the final root
+    // arrival is also the last completion cycle of the whole trace.
+    const std::int64_t last_cycle = root_time[num_paths];
     if (config_.gatherIssueStats) {
         std::unordered_map<std::int64_t, std::uint32_t> per_cycle;
         per_cycle.reserve(n / 4);
@@ -662,7 +641,6 @@ WindowSim::run(BranchPredictor &predictor) const
             }
         }
     }
-    last_cycle = std::max(last_cycle, root_time[num_paths]);
     result.cycles = static_cast<std::uint64_t>(last_cycle);
     result.speedup = static_cast<double>(n) /
                      static_cast<double>(std::max<std::int64_t>(
@@ -695,7 +673,7 @@ WindowSim::run(BranchPredictor &predictor) const
             // steered fetch from there) until resolution plus the
             // repair penalty; spare slots in that span are squashed
             // work, charged to the branch's confidence bucket.
-            const TraceRecord &b = records[paths[m].branchIndex()];
+            const StaticId sid = prep.exit(m).sid;
             const std::int64_t begin =
                 fetch_tree[m] == sim_detail::kNeverFetched
                     ? root_time[m]
@@ -703,8 +681,8 @@ WindowSim::run(BranchPredictor &predictor) const
             ledger->mark(obs::SlotClass::SquashedSpec, begin,
                          resolve[m] + penalty,
                          obs::confidenceBucket(
-                             confidence_meter.estimate(b.sid)),
-                         b.sid);
+                             confidence_meter.estimate(sid)),
+                         sid);
         });
         for (const std::int64_t t : ctx.starvedCycles)
             ledger->mark(obs::SlotClass::ResourceStarved, t, t + 1);
@@ -719,13 +697,13 @@ WindowSim::run(BranchPredictor &predictor) const
 
     // --- Speculation profile: latency, residency, loops, identity --------
     if (profiling) {
-        ends.forEachSet([&](std::size_t k) {
-            const TraceRecord &b = records[paths[k].branchIndex()];
+        for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
+            const StaticId sid = prep.exit(k).sid;
             const std::int64_t begin =
                 fetch_tree[k] == sim_detail::kNeverFetched
                     ? root_time[k]
                     : fetch_tree[k];
-            profile.recordResolveLatency(b.sid, resolve[k] - begin);
+            profile.recordResolveLatency(sid, resolve[k] - begin);
             // The successor path's fetched residency hangs off this
             // branch: DEE-slot cycles when it was held via a
             // not-predicted edge, mainline cycles otherwise.
@@ -735,11 +713,11 @@ WindowSim::run(BranchPredictor &predictor) const
                     resolve[k + 1] - fetch_tree[k + 1];
                 if (span > 0) {
                     profile.addResidency(
-                        b.sid, static_cast<std::uint64_t>(span),
+                        sid, static_cast<std::uint64_t>(span),
                         fetch_side[k + 1] != 0);
                 }
             }
-        });
+        }
 
         if (cfg_ != nullptr) {
             const Dominators doms(*cfg_);
@@ -855,15 +833,15 @@ oracleSim(const Trace &trace, LatencyModel latency,
 
     std::int64_t last = 0;
     if (engine == Engine::Fast) {
-        // Fused decode + dataflow + accounting in one sweep; the
-        // ledger (when accounting) sees the same issue cycles in the
-        // same trace order as the reference's separate second pass.
+        // Dataflow + accounting in one sweep over the shared decode;
+        // the ledger (when accounting) sees the same issue cycles in
+        // the same trace order as the reference's separate second pass.
+        const PreparedTrace &prep = trace.prepared();
         obs::SlotLedger ledger(0, 0);
-        const sim_detail::OracleSummary summary = sim_detail::fastOracle(
-            trace, latency, load_latencies,
-            gather_accounting ? &ledger : nullptr);
-        last = summary.lastDone;
-        result.branches = summary.branches;
+        last = sim_detail::fastOracle(prep, latency, load_latencies,
+                                      gather_accounting ? &ledger
+                                                        : nullptr);
+        result.branches = prep.numBranches();
         result.cycles = static_cast<std::uint64_t>(
             std::max<std::int64_t>(last, 1));
         result.speedup = static_cast<double>(records.size()) /

@@ -56,6 +56,7 @@
 
 #include "bpred/bpred.hh"
 #include "cfg/cfg.hh"
+#include "common/bit_matrix.hh"
 #include "core/sim/engine.hh"
 #include "core/tree/spec_tree.hh"
 #include "obs/accounting.hh"
@@ -188,6 +189,33 @@ struct SimConfig
 std::vector<double> profileBranchAccuracy(const Trace &trace,
                                           const BranchPredictor &pred);
 
+/**
+ * One cell's predictor outcomes on a trace's branch paths: the
+ * predictor pass that precedes every windowed simulation. runModel()
+ * reads the characteristic accuracy p from it before sizing the tree,
+ * so measuring p costs no second replay of the trace.
+ */
+struct PathPredictions
+{
+    /** Per branch path: 1 if its exit branch was predicted right or
+     *  the path has none, else 0. */
+    std::vector<std::uint8_t> correct;
+    /** The paths whose exit branch was mispredicted, packed. */
+    BitVec64 mispredicts;
+    std::uint64_t branches = 0;
+    std::uint64_t mispredicted = 0;
+
+    /** Fraction of branches predicted right; 0 without branches. */
+    double accuracy() const;
+};
+
+/**
+ * Resets @p predictor, then predicts and trains it on every exit
+ * branch of @p trace in trace order.
+ */
+PathPredictions predictPaths(const Trace &trace,
+                             BranchPredictor &predictor);
+
 /** Outcome of one windowed simulation. */
 struct SimResult
 {
@@ -244,6 +272,10 @@ class WindowSim
 
     /** Runs the model; the predictor is reset() first. */
     SimResult run(BranchPredictor &predictor) const;
+
+    /** Runs the model on a predictor pass already made over this
+     *  simulator's trace (predictPaths()). */
+    SimResult run(const PathPredictions &predictions) const;
 
   private:
     const Trace &trace_;

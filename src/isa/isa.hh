@@ -18,6 +18,7 @@
 #ifndef DEE_ISA_ISA_HH
 #define DEE_ISA_ISA_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -77,6 +78,9 @@ enum class OpClass : std::uint8_t
     Halt,
     Nop,
 };
+
+/** Number of OpClass values (a table indexed by class). */
+constexpr std::size_t kNumOpClasses = 7;
 
 /** Returns the class of an opcode. */
 constexpr OpClass

@@ -125,8 +125,13 @@ std::atomic<std::uint64_t> g_generation{0};
 
 /** Registration / lifecycle lock — never taken by the handler. */
 std::mutex g_mutex;
-std::vector<ThreadState *> g_states;     ///< current generation
-std::vector<ThreadState *> g_free_pool;  ///< reusable registrations
+/* The current generation's registrations and the reusable ones. Both
+ * lists are never destroyed, so every pooled ThreadState stays
+ * reachable for the life of the process — through static destruction
+ * too, where a leak checker would otherwise find its last pointers
+ * gone. */
+std::vector<ThreadState *> &g_states = *new std::vector<ThreadState *>;
+std::vector<ThreadState *> &g_free_pool = *new std::vector<ThreadState *>;
 Options g_options;                       ///< guarded by g_mutex
 bool g_ever_started = false;
 bool g_handler_installed = false;

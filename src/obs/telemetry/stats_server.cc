@@ -148,13 +148,11 @@ StatsServer::serveLoop()
         if (ready <= 0)
             continue;
 
-        if (fds[0].revents & POLLIN) {
-            const int cfd = ::accept(listenFd_, nullptr, nullptr);
-            if (cfd >= 0)
-                clients.push_back({cfd, {}});
-        }
-
-        for (std::size_t i = 0; i < clients.size();) {
+        // Serve only the clients this poll round covered: fds holds one
+        // entry per client polled, so a client accepted below must wait
+        // for the next round.
+        const std::size_t polled = fds.size() - 1;
+        for (std::size_t i = 0; i < polled;) {
             const short revents = fds[i + 1].revents;
             bool drop = false;
             if (revents & (POLLERR | POLLHUP | POLLNVAL))
@@ -201,6 +199,12 @@ StatsServer::serveLoop()
                 break;
             }
             ++i;
+        }
+
+        if (fds[0].revents & POLLIN) {
+            const int cfd = ::accept(listenFd_, nullptr, nullptr);
+            if (cfd >= 0)
+                clients.push_back({cfd, {}});
         }
     }
     for (const Client &c : clients)

@@ -9,14 +9,6 @@ std::vector<BranchPath>
 segmentPaths(const Trace &trace)
 {
     std::vector<BranchPath> paths;
-    segmentPaths(trace, paths);
-    return paths;
-}
-
-void
-segmentPaths(const Trace &trace, std::vector<BranchPath> &paths)
-{
-    paths.clear();
     DynIndex begin = 0;
     for (DynIndex i = 0; i < trace.records.size(); ++i) {
         if (trace.records[i].isBranch) {
@@ -28,6 +20,7 @@ segmentPaths(const Trace &trace, std::vector<BranchPath> &paths)
         paths.push_back(
             BranchPath{begin, static_cast<DynIndex>(trace.records.size()),
                        false});
+    return paths;
 }
 
 TraceStats

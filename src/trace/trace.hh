@@ -12,12 +12,18 @@
  * A branch path — the unit in which the paper counts resources — is "the
  * dynamic code between branches, including the exit branch"
  * (Section 1.2/2). segmentPaths() splits a trace accordingly.
+ *
+ * Trace::prepared() adds the per-trace view the simulators share
+ * (trace/prepared.hh): paths, exit branches, packed decode and join
+ * points, built once on first use instead of once per cell.
  */
 
 #ifndef DEE_TRACE_TRACE_HH
 #define DEE_TRACE_TRACE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,6 +51,38 @@ struct TraceRecord
 /** Index of a dynamic instruction within a trace. */
 using DynIndex = std::uint64_t;
 
+class PreparedTrace;
+struct Trace;
+
+namespace detail
+{
+
+/**
+ * A trace's lazily built PreparedTrace. Copies start unprepared (their
+ * records live in a new buffer); moves carry the view along with the
+ * buffer it describes.
+ */
+class PreparedSlot
+{
+  public:
+    PreparedSlot() = default;
+    PreparedSlot(const PreparedSlot &) noexcept {}
+    PreparedSlot &operator=(const PreparedSlot &other) noexcept;
+    PreparedSlot(PreparedSlot &&other) noexcept;
+    PreparedSlot &operator=(PreparedSlot &&other) noexcept;
+    ~PreparedSlot();
+
+    /** The view of @p trace, built by the first caller; the others
+     *  wait for it and get the same object. */
+    const PreparedTrace &get(const Trace &trace) const;
+
+  private:
+    mutable std::atomic<const PreparedTrace *> view_{nullptr};
+    mutable std::mutex mutex_;
+};
+
+} // namespace detail
+
 /** A dynamic instruction stream plus the static-side sizes it indexes. */
 struct Trace
 {
@@ -55,6 +93,17 @@ struct Trace
     std::size_t size() const { return records.size(); }
     bool empty() const { return records.empty(); }
     const TraceRecord &operator[](DynIndex i) const { return records[i]; }
+
+    /**
+     * The shared per-trace view of these records, built on first use
+     * (thread-safe; every caller gets the same object). Once a trace
+     * has been prepared — simulated, in practice — its records must not
+     * change: a call after records were appended or reallocated panics.
+     */
+    const PreparedTrace &prepared() const;
+
+  private:
+    detail::PreparedSlot prepared_;
 };
 
 /**
@@ -74,9 +123,6 @@ struct BranchPath
 
 /** Splits a trace into branch paths at every conditional branch. */
 std::vector<BranchPath> segmentPaths(const Trace &trace);
-
-/** Reuse-friendly overload: clears and refills @p paths in place. */
-void segmentPaths(const Trace &trace, std::vector<BranchPath> &paths);
 
 /** Aggregate statistics over a trace. */
 struct TraceStats

@@ -25,7 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,8 +54,9 @@ namespace dee::obs::hotspot
 namespace
 {
 
-/** Spins real CPU work so the CPU-time timers actually fire. */
-volatile std::uint64_t g_spin_sink = 0;
+/** Spins real CPU work so the CPU-time timers actually fire. The sink
+ *  keeps the loop alive; sweep workers spin at once, so it is atomic. */
+std::atomic<std::uint64_t> g_spin_sink{0};
 
 void
 spinFor(std::chrono::milliseconds wall)
@@ -63,7 +66,7 @@ spinFor(std::chrono::milliseconds wall)
     while (std::chrono::steady_clock::now() < until) {
         for (int i = 0; i < 4096; ++i)
             x = x * 2862933555777941757ull + 3037000493ull;
-        g_spin_sink = x;
+        g_spin_sink.store(x, std::memory_order_relaxed);
     }
 }
 
