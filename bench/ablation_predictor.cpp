@@ -47,10 +47,8 @@ main(int argc, char **argv)
         const char *name = names[c / suite.size()];
         const auto &inst = suite[c % suite.size()];
         CellOut &res = cells[c];
-        const auto backward = dee::backwardTable(inst.program);
         auto meter = dee::makePredictor(name, inst.trace.numStatic);
-        res.acc = dee::measureAccuracy(inst.trace, *meter, backward)
-                      .accuracy;
+        res.acc = dee::measureAccuracy(inst.trace, *meter).accuracy;
         for (bool use_dee : {false, true}) {
             auto pred = dee::makePredictor(name, inst.trace.numStatic);
             const dee::SimResult r = dee::runModel(

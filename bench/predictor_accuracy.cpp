@@ -33,12 +33,10 @@ main(int argc, char **argv)
     std::map<std::string, std::vector<double>> columns;
     for (const auto &inst : suite) {
         std::vector<std::string> row{inst.name};
-        const auto backward = dee::backwardTable(inst.program);
         for (const auto &name : predictors) {
             auto pred = dee::makePredictor(
                 name, inst.trace.numStatic);
-            const auto rep =
-                dee::measureAccuracy(inst.trace, *pred, backward);
+            const auto rep = dee::measureAccuracy(inst.trace, *pred);
             row.push_back(dee::Table::fmt(rep.accuracy, 4));
             columns[name].push_back(rep.accuracy);
         }

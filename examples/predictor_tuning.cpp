@@ -47,9 +47,7 @@ main(int argc, char **argv)
     for (const auto &inst : suite) {
         auto meter = dee::makePredictor(predictor,
                                         inst.trace.numStatic);
-        const auto backward = dee::backwardTable(inst.program);
-        const auto rep =
-            dee::measureAccuracy(inst.trace, *meter, backward);
+        const auto rep = dee::measureAccuracy(inst.trace, *meter);
         accs.push_back(rep.accuracy);
         acc.addRow({inst.name, dee::Table::fmt(rep.accuracy, 4)});
     }

@@ -17,6 +17,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bpred/bpred.hh"
 #include "common/logging.hh"
@@ -47,10 +48,21 @@ doCapture(const dee::Cli &cli)
     return 0;
 }
 
+/** The trace in --file; prints the reader's error and exits 1. */
+dee::Trace
+loadTrace(const dee::Cli &cli)
+{
+    dee::Trace trace;
+    std::string err;
+    if (!dee::readTrace(cli.str("file"), &trace, &err))
+        dee_fatal(err);
+    return trace;
+}
+
 int
 doInfo(const dee::Cli &cli)
 {
-    const dee::Trace trace = dee::readTrace(cli.str("file"));
+    const dee::Trace trace = loadTrace(cli);
     const dee::TraceStats stats = dee::computeStats(trace);
     std::printf("%s\n", stats.render().c_str());
 
@@ -69,7 +81,7 @@ doInfo(const dee::Cli &cli)
 int
 doReplay(const dee::Cli &cli)
 {
-    const dee::Trace trace = dee::readTrace(cli.str("file"));
+    const dee::Trace trace = loadTrace(cli);
     const int e_t = static_cast<int>(cli.integer("et"));
 
     // No Program is available for a bare trace file, so the CD models

@@ -301,8 +301,7 @@ makePredictor(const std::string &name, std::uint32_t num_static)
 }
 
 AccuracyReport
-measureAccuracy(const Trace &trace, BranchPredictor &pred,
-                const std::vector<bool> &backward)
+measureAccuracy(const Trace &trace, BranchPredictor &pred)
 {
     AccuracyReport report;
     // The 2-bit predictor (the paper's default, and what every cell of
@@ -324,7 +323,7 @@ measureAccuracy(const Trace &trace, BranchPredictor &pred,
                 continue;
             BranchQuery q;
             q.sid = rec.sid;
-            q.backward = rec.sid < backward.size() && backward[rec.sid];
+            q.backward = rec.backward;
             q.actual = rec.taken;
             const bool predicted = pred.predict(q);
             pred.update(q, rec.taken);

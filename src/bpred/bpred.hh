@@ -282,12 +282,9 @@ struct AccuracyReport
 /**
  * Heuristic step 1: runs the predictor over every conditional branch of
  * the trace in order (predict, then update) and reports the accuracy.
- *
- * @param backward per-static-branch backwardness, indexed by sid; pass
- *        an empty vector if unknown (treated as forward).
+ * Each query carries the record's own backward flag.
  */
-AccuracyReport measureAccuracy(const Trace &trace, BranchPredictor &pred,
-                               const std::vector<bool> &backward = {});
+AccuracyReport measureAccuracy(const Trace &trace, BranchPredictor &pred);
 
 /**
  * Adds one accuracy measurement to the registry's per-predictor

@@ -462,6 +462,7 @@ predictPaths(const Trace &trace, BranchPredictor &predictor)
         } else {
             BranchQuery q;
             q.sid = b.sid;
+            q.backward = b.backward;
             q.actual = b.taken;
             predicted = predictor.predict(q);
             predictor.update(q, b.taken);

@@ -99,6 +99,35 @@ branchTaken(Opcode op, std::int64_t a, std::int64_t b)
 Interpreter::Interpreter(Program program) : program_(std::move(program))
 {
     program_.validate();
+
+    // Static ids number instructions in block order, so the fallthrough
+    // successor is always sid + 1 (empty blocks hold no ids), and a
+    // control transfer lands on its target block's first id.
+    std::vector<StaticId> block_start(program_.numBlocks() + 1, 0);
+    for (BlockId b = 0; b < program_.numBlocks(); ++b) {
+        block_start[b + 1] =
+            block_start[b] +
+            static_cast<StaticId>(program_.block(b).instrs.size());
+    }
+    steps_.reserve(program_.numInstrs());
+    for (BlockId b = 0; b < program_.numBlocks(); ++b) {
+        for (const Instruction &inst : program_.block(b).instrs) {
+            Step s;
+            s.imm = inst.imm;
+            s.next = static_cast<StaticId>(steps_.size() + 1);
+            s.block = b;
+            s.op = inst.op;
+            s.cls = opClass(inst.op);
+            s.rd = inst.rd;
+            s.dest = inst.dest();
+            s.rs1 = inst.rs1;
+            s.rs2 = inst.rs2;
+            if (s.cls == OpClass::CondBranch || s.cls == OpClass::Jump)
+                s.target = block_start[inst.target];
+            s.backward = s.cls == OpClass::CondBranch && inst.target <= b;
+            steps_.push_back(s);
+        }
+    }
 }
 
 ExecResult
@@ -106,103 +135,87 @@ Interpreter::run(std::uint64_t max_instrs, bool capture_trace) const
 {
     ExecResult result;
     MachineState &st = result.state;
+    RecordStore &records = result.trace.records;
 
-    BlockId block = 0;
-    std::size_t idx = 0;
+    // Entry id of each (static id, taken) pair once it has executed.
+    constexpr std::uint32_t kUnseen = UINT32_MAX;
+    std::vector<std::uint32_t> entry_of(
+        capture_trace ? 2 * steps_.size() : 0, kUnseen);
 
+    StaticId sid = 0;
     while (result.steps < max_instrs) {
-        // Fallthrough across empty / exhausted blocks.
-        while (idx >= program_.block(block).instrs.size()) {
-            dee_assert(block + 1 < program_.numBlocks(),
-                       "fell off program end (validate missed it)");
-            ++block;
-            idx = 0;
-        }
-
-        const Instruction &inst = program_.block(block).instrs[idx];
-        const StaticId sid = program_.staticId(block, idx);
+        dee_assert(sid < steps_.size(),
+                   "fell off program end (validate missed it)");
+        const Step &s = steps_[sid];
         ++result.steps;
 
-        TraceRecord rec;
-        rec.sid = sid;
-        rec.block = block;
-        rec.op = inst.op;
-        rec.rd = inst.dest();
-        rec.rs1 = inst.rs1;
-        rec.rs2 = inst.rs2;
+        StaticId next = s.next;
+        std::uint64_t addr = 0;
+        bool taken = false;
 
-        bool record = capture_trace;
-        BlockId next_block = block;
-        std::size_t next_idx = idx + 1;
-
-        switch (opClass(inst.op)) {
+        switch (s.cls) {
           case OpClass::IntAlu: {
             std::int64_t value;
-            if (inst.op == Opcode::LoadImm) {
-                value = inst.imm;
-            } else if (inst.rs2 != kNoReg) {
-                value = semantics::alu(inst.op, st.readReg(inst.rs1),
-                                       st.readReg(inst.rs2));
+            if (s.op == Opcode::LoadImm) {
+                value = s.imm;
+            } else if (s.rs2 != kNoReg) {
+                value = semantics::alu(s.op, st.readReg(s.rs1),
+                                       st.readReg(s.rs2));
             } else {
-                value = semantics::alu(inst.op, st.readReg(inst.rs1),
-                                       inst.imm);
+                value = semantics::alu(s.op, st.readReg(s.rs1), s.imm);
             }
-            st.writeReg(inst.rd, value);
+            st.writeReg(s.rd, value);
             break;
           }
-          case OpClass::Load: {
-            const auto addr = static_cast<std::uint64_t>(
-                st.readReg(inst.rs1) + inst.imm);
-            st.writeReg(inst.rd, st.readMem(addr));
-            rec.memAddr = addr;
+          case OpClass::Load:
+            addr = static_cast<std::uint64_t>(st.readReg(s.rs1) + s.imm);
+            st.writeReg(s.rd, st.readMem(addr));
             break;
-          }
-          case OpClass::Store: {
-            const auto addr = static_cast<std::uint64_t>(
-                st.readReg(inst.rs1) + inst.imm);
-            st.writeMem(addr, st.readReg(inst.rs2));
-            rec.memAddr = addr;
+          case OpClass::Store:
+            addr = static_cast<std::uint64_t>(st.readReg(s.rs1) + s.imm);
+            st.writeMem(addr, st.readReg(s.rs2));
             break;
-          }
-          case OpClass::CondBranch: {
-            const bool taken = semantics::branchTaken(
-                inst.op, st.readReg(inst.rs1), st.readReg(inst.rs2));
-            rec.isBranch = true;
-            rec.taken = taken;
-            rec.backward = inst.target <= block;
-            if (taken) {
-                next_block = inst.target;
-                next_idx = 0;
-            } else {
-                next_block = block + 1;
-                next_idx = 0;
-            }
+          case OpClass::CondBranch:
+            taken = semantics::branchTaken(s.op, st.readReg(s.rs1),
+                                           st.readReg(s.rs2));
+            if (taken)
+                next = s.target;
             break;
-          }
           case OpClass::Jump:
-            next_block = inst.target;
-            next_idx = 0;
+            next = s.target;
             break;
           case OpClass::Halt:
             result.halted = true;
-            if (record)
-                result.trace.records.push_back(rec);
-            result.trace.numStatic =
-                static_cast<std::uint32_t>(program_.numInstrs());
-            return result;
+            break;
           case OpClass::Nop:
             break;
         }
 
-        if (record)
-            result.trace.records.push_back(rec);
-
-        block = next_block;
-        idx = next_idx;
+        if (capture_trace) {
+            std::uint32_t &entry = entry_of[2 * sid + (taken ? 1 : 0)];
+            if (entry == kUnseen) {
+                TraceRecord tuple;
+                tuple.sid = sid;
+                tuple.block = s.block;
+                tuple.op = s.op;
+                tuple.rd = s.dest;
+                tuple.rs1 = s.rs1;
+                tuple.rs2 = s.rs2;
+                tuple.isBranch = s.cls == OpClass::CondBranch;
+                tuple.taken = taken;
+                tuple.backward = s.backward;
+                entry = records.addEntry(tuple);
+            }
+            records.append(entry, addr);
+        }
+        if (result.halted)
+            break;
+        sid = next;
     }
 
-    result.trace.numStatic =
-        static_cast<std::uint32_t>(program_.numInstrs());
+    // Releases up to a chunk of id slack and the address vectors' growth.
+    records.shrink_to_fit();
+    result.trace.numStatic = static_cast<std::uint32_t>(steps_.size());
     return result;
 }
 

@@ -55,7 +55,16 @@ struct ExecResult
     bool halted = false;    ///< Reached Halt (vs. hitting the step cap).
 };
 
-/** Sequential interpreter over a validated Program. */
+/**
+ * Sequential interpreter over a validated Program.
+ *
+ * The constructor decodes the program once into one entry per static
+ * id (operands, immediate, block, and the static ids of both
+ * successors), so run() steps from static id to static id without
+ * looking blocks up, and writes the trace's compact store directly: the
+ * entry id of each (static instruction, branch outcome) pair is
+ * assigned on its first execution and read from a flat table after.
+ */
 class Interpreter
 {
   public:
@@ -74,7 +83,24 @@ class Interpreter
                    bool capture_trace = true) const;
 
   private:
+    /** One static instruction, decoded for stepping. */
+    struct Step
+    {
+        std::int64_t imm = 0;
+        StaticId next = 0;   ///< fallthrough successor (numInstrs past the end)
+        StaticId target = 0; ///< taken-branch / jump successor
+        BlockId block = 0;
+        Opcode op = Opcode::Nop;
+        OpClass cls = OpClass::Nop;
+        RegId rd = kNoReg;
+        RegId dest = kNoReg; ///< Instruction::dest(), what the trace records
+        RegId rs1 = kNoReg;
+        RegId rs2 = kNoReg;
+        bool backward = false; ///< conditional branch to this block or earlier
+    };
+
     Program program_;
+    std::vector<Step> steps_; ///< indexed by static id
 };
 
 } // namespace dee

@@ -77,45 +77,77 @@ class AddressIds
 } // namespace
 
 PreparedTrace::PreparedTrace(const Trace &trace)
-    : records_(trace.records.data())
 {
-    const auto &records = trace.records;
-    const std::uint64_t n = records.size();
+    const RecordStore &store = trace.records;
+    const std::vector<TraceRecord> &entries = store.entries();
+    const std::uint64_t n = store.size();
+    for (const std::vector<std::uint32_t> &chunk : store.idChunks())
+        idChunks_.push_back(chunk.data());
 
+    // Everything but the memory id is a fact of the record's entry.
+    std::vector<DecodedInstr> entry_decode(entries.size());
+    blockOf_.resize(entries.size());
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+        const TraceRecord &t = entries[e];
+        DecodedInstr &d = entry_decode[e];
+        d.src1 = srcSlot(t.rs1);
+        d.src2 = srcSlot(t.rs2);
+        d.dst = dstSlot(t.rd);
+        d.cls = opClass(t.op);
+        blockOf_[e] = t.block;
+    }
+    std::vector<std::uint64_t> uses(entries.size(), 0);
+    for (const std::vector<std::uint32_t> &chunk : store.idChunks()) {
+        for (const std::uint32_t e : chunk)
+            ++uses[e];
+    }
     std::uint64_t mem_ops = 0;
     std::uint64_t branches = 0;
-    for (const TraceRecord &rec : records) {
-        const OpClass cls = opClass(rec.op);
-        mem_ops += cls == OpClass::Load || cls == OpClass::Store;
-        branches += rec.isBranch;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+        const OpClass cls = entry_decode[e].cls;
+        if (cls == OpClass::Load || cls == OpClass::Store)
+            mem_ops += uses[e];
+        if (entries[e].isBranch)
+            branches += uses[e];
     }
 
-    AddressIds ids(mem_ops);
+    AddressIds addr_ids(mem_ops);
     decode_.resize(n);
     exits_.reserve(branches);
     bounds_.reserve(branches + 2);
     bounds_.push_back(0);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const TraceRecord &rec = records[i];
+        const std::uint32_t e = store.id(i);
         DecodedInstr &d = decode_[i];
-        d.src1 = srcSlot(rec.rs1);
-        d.src2 = srcSlot(rec.rs2);
-        d.dst = dstSlot(rec.rd);
-        d.cls = opClass(rec.op);
+        d = entry_decode[e];
         if (d.cls == OpClass::Load || d.cls == OpClass::Store)
-            d.memId = ids.idOf(rec.memAddr);
-        if (rec.isBranch) {
+            d.memId = addr_ids.idOf(store.memAddr(i));
+        const TraceRecord &t = entries[e];
+        if (t.isBranch) {
             bounds_.push_back(i + 1);
-            exits_.push_back(
-                PathExit{rec.sid, rec.block, rec.taken, rec.backward});
+            exits_.push_back(PathExit{t.sid, t.block, t.taken, t.backward});
         }
     }
     if (bounds_.back() < n)
         bounds_.push_back(n);
-    numMemIds_ = ids.count();
+    numMemIds_ = addr_ids.count();
 }
 
 PreparedTrace::~PreparedTrace() = default;
+
+bool
+PreparedTrace::describes(const Trace &trace) const
+{
+    const auto &chunks = trace.records.idChunks();
+    if (trace.records.size() != decode_.size() ||
+        chunks.size() != idChunks_.size())
+        return false;
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+        if (chunks[k].data() != idChunks_[k])
+            return false;
+    }
+    return true;
+}
 
 const std::vector<DynIndex> &
 PreparedTrace::joinIndex(const Cfg &cfg) const
@@ -150,7 +182,9 @@ PreparedTrace::joinIndex(const Cfg &cfg) const
                 join_idx[k] = next_occ[ipdom];
         }
         for (DynIndex i = p.end; i-- > p.begin;) {
-            const BlockId block = records_[i].block;
+            const BlockId block =
+                blockOf_[idChunks_[i / RecordStore::kChunkRecords]
+                                  [i % RecordStore::kChunkRecords]];
             dee_assert(block <= num_blocks, "record ", i, " runs block ",
                        block, " of a ", num_blocks, "-block Cfg");
             next_occ[block] = i;

@@ -16,9 +16,14 @@
  *  - the dynamic control-dependence join points of route B, cached per
  *    Cfg and keyed by the contents of its ipostdom table.
  *
+ * It reads the trace's RecordStore in its compact form: the op class,
+ * register slots, branch flags and block of each of the store's table
+ * entries are worked out once per entry, not once per record, and each
+ * record only adds its entry id and, for a load or store, its address.
+ *
  * Trace::prepared() builds the view on first use, thread-safely, and
  * every later caller gets the same object. The view describes the
- * records buffer it was built from; Trace::prepared() panics if that
+ * store's id buffer it was built from; Trace::prepared() panics if that
  * buffer was reallocated or resized since (see trace/trace.hh).
  * Preparation publishes nothing to the registry, tracer or profile:
  * whichever cell touches a trace first would otherwise own it.
@@ -124,14 +129,9 @@ class PreparedTrace
      */
     const std::vector<DynIndex> &joinIndex(const Cfg &cfg) const;
 
-    /** True while @p trace still holds the records buffer (same address,
-     *  same length) this view was built from. */
-    bool
-    describes(const Trace &trace) const
-    {
-        return trace.records.data() == records_ &&
-               trace.records.size() == decode_.size();
-    }
+    /** True while @p trace still holds the id buffer (same chunks at
+     *  the same addresses, same length) this view was built from. */
+    bool describes(const Trace &trace) const;
 
   private:
     struct JoinEntry
@@ -140,7 +140,9 @@ class PreparedTrace
         std::vector<DynIndex> joinIdx;
     };
 
-    const TraceRecord *records_;          ///< buffer the view describes
+    /** The id buffer's chunks, as RecordStore::idChunks() held them. */
+    std::vector<const std::uint32_t *> idChunks_;
+    std::vector<BlockId> blockOf_;        ///< block of each store entry
     std::vector<DynIndex> bounds_;        ///< numPaths() + 1 path bounds
     std::vector<PathExit> exits_;         ///< one per branch path
     std::vector<DecodedInstr> decode_;

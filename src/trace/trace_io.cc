@@ -1,8 +1,11 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -97,35 +100,77 @@ writeTrace(const Trace &trace, const std::string &path)
     flush();
 }
 
-Trace
-readTrace(const std::string &path)
+bool
+readTrace(const std::string &path, Trace *out, std::string *err)
 {
+    auto fail = [&](const std::string &why) {
+        *err = "'" + path + "' " + why;
+        return false;
+    };
     FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        dee_fatal("cannot open '", path, "' for reading");
+    if (!f) {
+        *err = "cannot open '" + path + "' for reading";
+        return false;
+    }
 
     unsigned char header[8 + 4 + 8];
     if (std::fread(header, sizeof(header), 1, f.get()) != 1)
-        dee_fatal("'", path, "' is too short to be a trace file");
+        return fail("is too short to be a trace file");
     if (std::memcmp(header, kMagic, 8) != 0)
-        dee_fatal("'", path, "' is not a DEETRAC1 trace file");
+        return fail("is not a DEETRAC1 trace file");
 
-    Trace trace;
+    Trace &trace = *out;
+    trace = Trace();
     trace.numStatic = unpackU32(header + 8);
     const std::uint64_t count = unpackU64(header + 12);
+    if (trace.numStatic > kMaxTraceStatic) {
+        return fail("declares numStatic " +
+                    std::to_string(trace.numStatic) + ", above the limit " +
+                    std::to_string(kMaxTraceStatic));
+    }
+
+    // The records must fit in what is left of the file before anything
+    // is sized by the header's count.
+    if (std::fseek(f.get(), 0, SEEK_END) != 0)
+        return fail("cannot be sized");
+    const long end = std::ftell(f.get());
+    if (end < 0 ||
+        std::fseek(f.get(), static_cast<long>(sizeof(header)), SEEK_SET) != 0)
+        return fail("cannot be sized");
+    const std::uint64_t room =
+        (static_cast<std::uint64_t>(end) - sizeof(header)) / kRecordSize;
+    if (count > room) {
+        return fail("is truncated: the header claims " +
+                    std::to_string(count) + " records, the file holds " +
+                    std::to_string(room));
+    }
     trace.records.reserve(count);
 
     std::vector<unsigned char> buf(kRecordSize * 4096);
     std::uint64_t remaining = count;
+    std::uint64_t index = 0;
     while (remaining > 0) {
         const std::size_t batch =
             std::min<std::uint64_t>(remaining, 4096);
         if (std::fread(buf.data(), kRecordSize, batch, f.get()) != batch)
-            dee_fatal("'", path, "' is truncated");
-        for (std::size_t i = 0; i < batch; ++i) {
+            return fail("is truncated");
+        for (std::size_t i = 0; i < batch; ++i, ++index) {
             const unsigned char *rec = buf.data() + i * kRecordSize;
+            auto bad = [&](const char *what, std::uint64_t value) {
+                return fail("has " + std::string(what) + " " +
+                            std::to_string(value) + " in record " +
+                            std::to_string(index));
+            };
+            if (rec[8] > static_cast<unsigned char>(Opcode::Nop))
+                return bad("invalid opcode", rec[8]);
+            for (int k = 9; k < 12; ++k) {
+                if (rec[k] != kNoReg && rec[k] >= kNumRegs)
+                    return bad("invalid register", rec[k]);
+            }
             TraceRecord r;
             r.sid = unpackU32(rec + 0);
+            if (r.sid >= trace.numStatic)
+                return bad("static id past numStatic", r.sid);
             r.block = unpackU32(rec + 4);
             r.op = static_cast<Opcode>(rec[8]);
             r.rd = rec[9];
@@ -139,7 +184,7 @@ readTrace(const std::string &path)
         }
         remaining -= batch;
     }
-    return trace;
+    return true;
 }
 
 } // namespace dee

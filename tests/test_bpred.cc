@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "bpred/bpred.hh"
 #include "common/random.hh"
 #include "isa/builder.hh"
@@ -275,6 +277,30 @@ TEST(MeasureAccuracy, IgnoresNonBranches)
     TwoBitPredictor p(1);
     const AccuracyReport rep = measureAccuracy(t, p);
     EXPECT_EQ(rep.branches, 10u);
+}
+
+TEST(MeasureAccuracy, BtfntReadsEachRecordsDirection)
+{
+    // Three taken loop latches, a not-taken forward branch, and a
+    // latch's exit: BTFNT misses only the exit.
+    Trace t;
+    t.numStatic = 2;
+    for (const auto &[sid, backward, taken] :
+         {std::tuple{0, true, true}, std::tuple{0, true, true},
+          std::tuple{0, true, true}, std::tuple{1, false, false},
+          std::tuple{0, true, false}}) {
+        TraceRecord r;
+        r.sid = static_cast<StaticId>(sid);
+        r.op = Opcode::BranchLt;
+        r.isBranch = true;
+        r.taken = taken;
+        r.backward = backward;
+        t.records.push_back(r);
+    }
+    BtfntPredictor btfnt;
+    const AccuracyReport rep = measureAccuracy(t, btfnt);
+    EXPECT_EQ(rep.branches, 5u);
+    EXPECT_EQ(rep.correct, 4u);
 }
 
 TEST(BackwardTable, MarksLoopBranches)

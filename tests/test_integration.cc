@@ -37,8 +37,11 @@ TEST(Pipeline, CaptureFileReplayMatchesDirect)
         ".bin";
     const BenchmarkInstance inst = makeInstance(WorkloadId::Eqntott, 1);
     writeTrace(inst.trace, path);
-    const Trace loaded = readTrace(path);
+    Trace loaded;
+    std::string err;
+    const bool read = readTrace(path, &loaded, &err);
     std::remove(path.c_str());
+    ASSERT_TRUE(read) << err;
 
     for (ModelKind kind : {ModelKind::SP, ModelKind::DEE,
                            ModelKind::DEE_CD_MF, ModelKind::Oracle}) {

@@ -302,6 +302,21 @@ TEST(Models, CharacteristicAccuracyClamped)
     EXPECT_GE(p, 0.5);
 }
 
+TEST(PredictPaths, BtfntSeesEachBranchsDirection)
+{
+    // BTFNT predicts taken exactly for backward branches, so it misses
+    // every branch whose outcome differs from its direction.
+    for (const WorkloadId id : allWorkloads()) {
+        const BenchmarkInstance inst = makeInstance(id, 1);
+        std::uint64_t expect = 0;
+        for (const TraceRecord &rec : inst.trace.records)
+            expect += rec.isBranch && rec.taken != rec.backward;
+        BtfntPredictor btfnt;
+        const PathPredictions got = predictPaths(inst.trace, btfnt);
+        EXPECT_EQ(got.mispredicted, expect) << inst.name;
+    }
+}
+
 TEST(Models, CdModelsRequireCfg)
 {
     Trace t;
