@@ -1,4 +1,42 @@
-#include "core/sim/fast_engine.hh"
+/**
+ * @file
+ * The data-oriented simulation kernels: fastForward(), the window
+ * forward pass, and fastOracle(), the oracle's dataflow sweep.
+ *
+ * Same semantics as the seed kernels, restructured for the host
+ * machine:
+ *
+ *  - The issue loops read the trace's shared packed decode
+ *    (PreparedTrace: 8-byte entries of register slots, op class and a
+ *    dense memory id) instead of trace records, and map the op class
+ *    to a latency through a per-cell table (plus the optional
+ *    per-record load latencies), never calling opClass() per record.
+ *  - Register dataflow through a flat availability table (completion
+ *    time of the last writer per architectural register, with an
+ *    always-zero slot standing in for "no dependence" so the inner
+ *    loop is branch-free on the register path).
+ *  - Memory dataflow through a flat last-store table indexed by the
+ *    trace's dense address ids — slot 0, read by every non-memory op,
+ *    stays zero — replacing the per-access node-allocating
+ *    unordered_map.
+ *  - No per-record output: a path's exit branch is its last
+ *    instruction, so its issue cycle is kept in a local, and the issue
+ *    counts per cycle go straight into the SlotLedger.
+ *  - Tree moves over the FlatSpecTree array view; per-path mispredict
+ *    sets live in BitVec64 words (common/bit_matrix.hh) scanned with
+ *    popcount/ctz in the shared epilogue.
+ *  - Route-B mispredict stalls via a per-path sorted suffix-max over
+ *    pending join points with a monotone cursor, replacing the
+ *    per-instruction scan of the whole pending deque.
+ *  - Scratch (walk state, stall tables, bypass spans) is hoisted into
+ *    per-run arenas reused across every tree move.
+ *
+ * Both are declared in forward_pass.hh. The seed kernels in
+ * tests/reference_engine.cc hold them to bit-exact results
+ * (tests/test_engine_differential.cc).
+ */
+
+#include "core/sim/forward_pass.hh"
 
 #include <algorithm>
 #include <array>
@@ -130,7 +168,6 @@ fastForward(ForwardCtx &ctx)
 {
     static thread_local FastScratch scratch;
     const PreparedTrace &prep = ctx.prepared;
-    const std::uint64_t n = prep.size();
     const std::uint64_t num_paths = prep.numPaths();
     const std::uint64_t num_branches = prep.numBranches();
     const std::vector<DecodedInstr> &dec = prep.decode();
@@ -156,8 +193,6 @@ fastForward(ForwardCtx &ctx)
                                     : nullptr;
 
     // --- Per-run state (SoA) --------------------------------------------
-    std::vector<std::int64_t> &exec = ctx.exec;
-    exec.assign(n, 0);
     std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
     fetch_tree.assign(num_paths, kNeverFetched);
     std::vector<std::int64_t> &root_time = ctx.rootTime;
@@ -186,7 +221,7 @@ fastForward(ForwardCtx &ctx)
     mem_avail.assign(prep.numMemIds(), 0);
 
     // Pending mispredicts as a vector + head cursor (front-retirement
-    // only, preserving the reference's blocked-front semantics).
+    // only, preserving the seed kernel's blocked-front semantics).
     std::vector<PendingMispredict> &pending = scratch.pending;
     pending.clear();
     std::size_t pending_head = 0;
@@ -412,7 +447,7 @@ fastForward(ForwardCtx &ctx)
         // (divergent ones stall until resolution wherever they are, so
         // only the reach bound retires them). Front-retirement only: a
         // blocked front entry keeps every later entry live, exactly as
-        // the reference deque does.
+        // the seed kernel's deque does.
         while (pending_head < pending.size() &&
                (pending[pending_head].pathIdx + window_reach <= r ||
                 (!pending[pending_head].divergent &&
@@ -478,6 +513,9 @@ fastForward(ForwardCtx &ctx)
                           ? r - window_reach
                           : 0];
         std::int64_t done = now;
+        // Issue cycle of the path's last instruction: its exit branch,
+        // when it has one.
+        std::int64_t last_issue = now;
         {
             const obs::hotspot::HotspotPhase hot_issue(
                 hot, "window", obs::hotspot::Phase::Issue);
@@ -502,8 +540,13 @@ fastForward(ForwardCtx &ctx)
                     std::int64_t t =
                         fetch_a > data_ready ? fetch_a : data_ready;
 
-                    // Route B: reconvergent-window CD execution (see
-                    // the reference engine for the full rationale).
+                    // Route B: reconvergent-window CD execution. Stall
+                    // on a mispredicted branch if this instruction is
+                    // inside its dynamic control scope (decided by the
+                    // branch) or the branch diverges (loop latch:
+                    // actual-path code was never fetched) — unless an
+                    // EE/DEE alternate path holds the code, which the
+                    // stall tables above already left out.
                     while (nd_lo < nd_size && nd[nd_lo].first <= i)
                         ++nd_lo;
                     std::int64_t stall = stall_div;
@@ -518,7 +561,7 @@ fastForward(ForwardCtx &ctx)
 
                     if (pe_limited)
                         t = slots.claim(t);
-                    exec[i] = t;
+                    last_issue = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
                     const std::int64_t fin =
@@ -548,7 +591,7 @@ fastForward(ForwardCtx &ctx)
                         fetch_a > data_ready ? fetch_a : data_ready;
                     if (pe_limited)
                         t = slots.claim(t);
-                    exec[i] = t;
+                    last_issue = t;
                     if (ledger != nullptr)
                         ledger->issue(t);
                     const std::int64_t fin =
@@ -568,8 +611,7 @@ fastForward(ForwardCtx &ctx)
         if (path.endsInBranch) {
             const obs::hotspot::HotspotPhase hot_resolve(
                 hot, "window", obs::hotspot::Phase::Resolve);
-            const DynIndex b = path.branchIndex();
-            res = exec[b] + branch_lat;
+            res = last_issue + branch_lat;
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
@@ -608,10 +650,11 @@ fastForward(ForwardCtx &ctx)
 }
 
 std::int64_t
-fastOracle(const PreparedTrace &prepared, const LatencyModel &latency,
+fastOracle(const Trace &trace, const LatencyModel &latency,
            const std::vector<int> *load_latencies,
            obs::SlotLedger *ledger)
 {
+    const PreparedTrace &prepared = trace.prepared();
     const std::vector<DecodedInstr> &dec = prepared.decode();
     const std::uint64_t n = dec.size();
     const ClassLatencies lat = classLatencies(latency);

@@ -1,8 +1,14 @@
 /**
  * @file
- * Internal contract between WindowSim::run() and its two forward-pass
- * kernels (the reference engine in window_sim.cc and the data-oriented
- * fast engine in fast_engine.cc).
+ * Internal seam between the simulators and their kernels.
+ *
+ * WindowSim::run(), oracleSim() and runModel() are thin wrappers over
+ * the entry points declared below, which take the kernel as a plain
+ * function argument: a window forward pass (ForwardKernel) and an
+ * oracle sweep (OracleKernel). The library always passes the
+ * data-oriented kernels of fast_engine.cc. The seed kernels they
+ * replaced live in tests/reference_engine.cc, where the differential
+ * suite passes them instead; nothing else picks a kernel.
  *
  * Inputs split by lifetime. Per trace, shared read-only by every cell:
  * the PreparedTrace (trace/prepared.hh) — branch-path bounds, exit
@@ -11,13 +17,14 @@
  * (latencies included), the predictor outcomes (PathPredictions) and
  * the RunArena outputs below, the only storage a cell writes.
  *
- * run() owns the shared prologue (confidence replay of the predictor
- * outcomes) and epilogue (totals, resolve histogram, cycle accounting,
- * speculation profile, registry publishing). The kernels own only the
- * per-path forward loop: coverage walks, instruction issue, branch
- * resolution and tree movement. Both fill the same ForwardCtx outputs
- * and make profiler/tracer calls at the same program points in the
- * same order, which is what makes the engines bit-exact — the property
+ * runWindowWith() owns the shared prologue (confidence replay of the
+ * predictor outcomes) and epilogue (totals, issue stats, resolve
+ * histogram, cycle accounting, speculation profile, registry
+ * publishing). A forward kernel owns only the per-path forward loop:
+ * coverage walks, instruction issue, branch resolution and tree
+ * movement. Every kernel fills the same ForwardCtx outputs and makes
+ * ledger/profiler/tracer calls at the same program points in the same
+ * order, which is what makes two kernels bit-exact — the property
  * tests/test_engine_differential.cc enforces.
  */
 
@@ -29,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/sim/models.hh"
 #include "core/sim/window_sim.hh"
 #include "obs/accounting.hh"
 #include "obs/profile/profile.hh"
@@ -45,7 +53,7 @@ constexpr std::int64_t kNeverFetched =
 /**
  * Per-cycle issue-slot accounting for the limited-PE extension: finds
  * the earliest cycle >= ready with a free slot and claims it. Shared
- * verbatim between the engines so starvation evidence is identical.
+ * verbatim between kernels so starvation evidence is identical.
  */
 class IssueSlots
 {
@@ -64,7 +72,7 @@ class IssueSlots
     {
         if (width_ == 0)
             return ready;
-        std::int64_t t = std::max(ready, floor_);
+        std::int64_t t = ready;
         while (true) {
             auto &used = used_[t];
             if (used < width_) {
@@ -79,7 +87,6 @@ class IssueSlots
 
   private:
     int width_;
-    std::int64_t floor_ = 0;
     std::unordered_map<std::int64_t, int> used_;
     std::vector<std::int64_t> *starved_;
 };
@@ -102,16 +109,16 @@ struct PendingMispredict
 };
 
 /**
- * Reusable per-cell output storage: everything a cell writes. WindowSim::
- * run() keeps one of these per thread and rebinds the ForwardCtx output
- * references to it, so repeated runs (benchmark repetitions, figure
- * sweeps) recycle capacity instead of faulting in fresh pages every
- * run. Both kernels assign()/clear() every vector they touch, so no
- * state leaks between runs. Per-trace inputs live in the PreparedTrace.
+ * Reusable per-cell output storage: everything a cell writes, one entry
+ * per branch path. runWindowWith() keeps one of these per thread and
+ * binds the ForwardCtx output references to it, so repeated runs
+ * (benchmark repetitions, figure sweeps) recycle capacity instead of
+ * faulting in fresh pages every run. Kernels assign()/clear() every
+ * vector they touch, so no state leaks between runs. Per-trace inputs
+ * live in the PreparedTrace.
  */
 struct RunArena
 {
-    std::vector<std::int64_t> exec;
     std::vector<std::int64_t> fetchTree;
     std::vector<std::int64_t> rootTime;
     std::vector<std::int64_t> resolve;
@@ -123,7 +130,7 @@ struct RunArena
 struct ForwardCtx
 {
     // --- Per-trace inputs (shared by every cell of the trace) ------------
-    const Trace &trace; ///< the reference engine's records
+    const Trace &trace; ///< the records, for kernels that read them
     const PreparedTrace &prepared;
     const std::vector<DynIndex> &joinIdx; ///< empty unless CD
 
@@ -138,14 +145,13 @@ struct ForwardCtx
     bool hot;
     obs::Tracer &tracer;
     obs::SpeculationProfile &profile; ///< recordAssignment() target
-    /** Cycle-accounting ledger (non-null iff accounting): the kernels
-     *  record each instruction's issue cycle as it is computed — the
-     *  same values in the same trace order the epilogue's separate
-     *  sweep over exec[] produced, fused to avoid re-reading it. */
+    /** Issue-slot ledger (non-null iff accounting or issue stats are
+     *  on): kernels record each instruction's issue cycle into it as
+     *  they compute it, in trace order. The epilogue reads its
+     *  per-cycle issue counts and finalizes the account. */
     obs::SlotLedger *ledger;
 
     // --- Outputs (the epilogue's inputs; arena-backed references) --------
-    std::vector<std::int64_t> &exec;      ///< issue cycle per instruction
     std::vector<std::int64_t> &fetchTree; ///< per path; kNeverFetched
     std::vector<std::int64_t> &rootTime;  ///< num_paths + 1 entries
     std::vector<std::int64_t> &resolve;   ///< per path
@@ -154,11 +160,52 @@ struct ForwardCtx
     std::uint64_t sidePathFetches = 0;
 };
 
-/** The seed forward pass, kept as ground truth (window_sim.cc). */
-void referenceForward(ForwardCtx &ctx);
+/** A window forward pass: fills every ForwardCtx output. */
+using ForwardKernel = void (*)(ForwardCtx &ctx);
 
-/** The data-oriented SoA / bit-vector kernel (fast_engine.cc). */
+/**
+ * An oracle sweep over @p trace: returns the dataflow-limit completion
+ * horizon and, when @p ledger is non-null, issues each instruction's
+ * ready cycle into it in trace order.
+ */
+using OracleKernel = std::int64_t (*)(const Trace &trace,
+                                      const LatencyModel &latency,
+                                      const std::vector<int> *load_latencies,
+                                      obs::SlotLedger *ledger);
+
+/** The kernels one model run needs. */
+struct Kernels
+{
+    ForwardKernel forward;
+    OracleKernel oracle;
+};
+
+/** The data-oriented SoA / bit-vector window kernel (fast_engine.cc). */
 void fastForward(ForwardCtx &ctx);
+
+/** The oracle sweep over the trace's shared decode (fast_engine.cc). */
+std::int64_t fastOracle(const Trace &trace, const LatencyModel &latency,
+                        const std::vector<int> *load_latencies,
+                        obs::SlotLedger *ledger);
+
+/** The kernels every public entry point runs. */
+inline constexpr Kernels kFastKernels{&fastForward, &fastOracle};
+
+/** WindowSim::run(predictions), with the forward pass passed in. */
+SimResult runWindowWith(const WindowSim &sim,
+                        const PathPredictions &predictions,
+                        ForwardKernel forward);
+
+/** oracleSim(), with the sweep passed in. */
+SimResult oracleSimWith(const Trace &trace, LatencyModel latency,
+                        const std::vector<int> *load_latencies,
+                        bool gather_accounting, OracleKernel sweep);
+
+/** runModel(), with the kernels passed in. */
+SimResult runModelWith(ModelKind kind, const Trace &trace,
+                       const Cfg *cfg, BranchPredictor &predictor,
+                       int e_t, const ModelRunOptions &options,
+                       Kernels kernels);
 
 } // namespace dee::sim_detail
 

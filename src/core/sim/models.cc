@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "core/sim/forward_pass.hh"
 #include "obs/perf/perf.hh"
 
 namespace dee
@@ -87,6 +88,16 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
          BranchPredictor &predictor, int e_t,
          const ModelRunOptions &options)
 {
+    return sim_detail::runModelWith(kind, trace, cfg, predictor, e_t,
+                                    options, sim_detail::kFastKernels);
+}
+
+SimResult
+sim_detail::runModelWith(ModelKind kind, const Trace &trace,
+                         const Cfg *cfg, BranchPredictor &predictor,
+                         int e_t, const ModelRunOptions &options,
+                         Kernels kernels)
+{
     // Every model run — Oracle included — is metered under the same
     // "<workload>.<model>" scope the profiler uses, so perf.* lines up
     // with prof.* in reports.
@@ -97,9 +108,9 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
     obs::perf::ThroughputMeter meter(scope);
 
     if (kind == ModelKind::Oracle) {
-        SimResult result =
-            oracleSim(trace, options.latency, options.loadLatencies,
-                      options.gatherAccounting, options.engine);
+        SimResult result = oracleSimWith(
+            trace, options.latency, options.loadLatencies,
+            options.gatherAccounting, kernels.oracle);
         meter.addInstructions(result.instructions);
         meter.addCycles(result.cycles);
         return result;
@@ -134,10 +145,9 @@ runModel(ModelKind kind, const Trace &trace, const Cfg *cfg,
     config.profileWorkload = options.profileWorkload;
     config.peLimit = options.peLimit;
     config.loadLatencies = options.loadLatencies;
-    config.engine = options.engine;
 
-    WindowSim sim(trace, tree, config, cfg);
-    SimResult result = sim.run(predictions);
+    const WindowSim sim(trace, tree, config, cfg);
+    SimResult result = runWindowWith(sim, predictions, kernels.forward);
     meter.addInstructions(result.instructions);
     meter.addCycles(result.cycles);
     return result;

@@ -84,9 +84,6 @@ struct ModelRunOptions
     int peLimit = 0;
     /** Optional per-record load latencies from the cache model. */
     const std::vector<int> *loadLatencies = nullptr;
-    /** Forward-pass kernel (see SimConfig::engine); defaults to the
-     *  process-wide --engine / DEE_ENGINE selection. */
-    Engine engine = selectedEngine();
 };
 
 /**

@@ -57,7 +57,6 @@
 #include "bpred/bpred.hh"
 #include "cfg/cfg.hh"
 #include "common/bit_matrix.hh"
-#include "core/sim/engine.hh"
 #include "core/tree/spec_tree.hh"
 #include "obs/accounting.hh"
 #include "obs/profile/profile.hh"
@@ -103,8 +102,13 @@ struct SimConfig
     LatencyModel latency = LatencyModel::unit();
     /** Gather the where-do-mispredictions-resolve histogram (E6). */
     bool gatherResolveStats = false;
-    /** Measure per-cycle issue counts (peak busy PEs — the paper's
-     *  "<200 PEs at 100 branch paths" estimate). */
+    /**
+     * Measure per-cycle issue counts (peak busy PEs — the paper's
+     * "<200 PEs at 100 branch paths" estimate). The counts come from
+     * the cycle-accounting ledger, so they share its limit,
+     * obs::SlotLedger::kMaxCycles (64M cycles): a longer run reports
+     * no peak and no occupancy track.
+     */
     bool gatherIssueStats = false;
     /**
      * Classify every issue-slot-cycle of the run into the closed
@@ -171,14 +175,6 @@ struct SimConfig
         int sideLen = 0;
     };
     ConfidenceDee confidence;
-
-    /**
-     * Which forward-pass kernel runs the simulation: the data-oriented
-     * fast engine or the seed reference engine. The two are bit-exact
-     * (tests/test_engine_differential.cc); this only selects speed.
-     * Defaults to the process-wide selection (--engine / DEE_ENGINE).
-     */
-    Engine engine = selectedEngine();
 };
 
 /**
@@ -240,7 +236,8 @@ struct SimResult
     std::uint64_t sidePathFetches = 0;
 
     /** Most instructions issued in any single cycle (peak busy PEs);
-     *  only filled when gatherIssueStats. The mean is `speedup`. */
+     *  only filled when gatherIssueStats and the run fit the ledger.
+     *  The mean is `speedup`. */
     std::uint64_t peakIssue = 0;
 
     /** Closed slot-cycle account (valid() iff gatherAccounting was on
@@ -277,6 +274,11 @@ class WindowSim
      *  simulator's trace (predictPaths()). */
     SimResult run(const PathPredictions &predictions) const;
 
+    const Trace &trace() const { return trace_; }
+    const SpecTree &tree() const { return tree_; }
+    const SimConfig &config() const { return config_; }
+    const Cfg *cfg() const { return cfg_; }
+
   private:
     const Trace &trace_;
     SpecTree tree_;
@@ -289,14 +291,11 @@ class WindowSim
  *         model), overriding latency.load per access.
  *  @param gather_accounting fill SimResult::account ("acct.oracle.*";
  *         the oracle never speculates, so its slots split between
- *         useful and the idle/fetch_stall residue).
- *  @param engine fast (fused single-pass kernel) or reference; both
- *         are bit-exact, defaulting to the process-wide selection. */
+ *         useful and the idle/fetch_stall residue). */
 SimResult oracleSim(const Trace &trace,
                     LatencyModel latency = LatencyModel::unit(),
                     const std::vector<int> *load_latencies = nullptr,
-                    bool gather_accounting = true,
-                    Engine engine = selectedEngine());
+                    bool gather_accounting = true);
 
 } // namespace dee
 

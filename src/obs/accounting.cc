@@ -280,6 +280,15 @@ SlotLedger::~SlotLedger()
     }
 }
 
+std::uint64_t
+SlotLedger::peakIssue() const
+{
+    std::uint32_t peak = 0;
+    for (const std::uint32_t u : issued_)
+        peak = std::max(peak, u);
+    return peak;
+}
+
 void
 SlotLedger::mark(SlotClass cls, std::int64_t begin, std::int64_t end,
                  std::size_t bucket, std::uint32_t site)
@@ -318,14 +327,10 @@ SlotLedger::finalize(
     marks_.resize(cycles, 0);
     owner_.resize(cycles, kNoSite);
 
-    std::uint64_t pes = pes_;
-    if (pes == 0) {
-        // Implicit PE provisioning: the machine owns exactly its peak
-        // concurrency (the paper sized hardware by peak busy PEs).
-        for (const std::uint32_t u : issued_)
-            pes = std::max<std::uint64_t>(pes, u);
-        pes = std::max<std::uint64_t>(pes, 1);
-    }
+    // Implicit PE provisioning: the machine owns exactly its peak
+    // concurrency (the paper sized hardware by peak busy PEs).
+    const std::uint64_t pes =
+        pes_ != 0 ? pes_ : std::max<std::uint64_t>(peakIssue(), 1);
     account.setDenominator(pes, cycles);
 
 #if DEE_OBS_TRACE_ENABLED

@@ -240,6 +240,18 @@ class SlotLedger
         ++issued_[static_cast<std::size_t>(cycle)];
     }
 
+    /** Instructions issued so far, per cycle (index = cycle); complete
+     *  only while active(). */
+    const std::vector<std::uint32_t> &
+    issuedPerCycle() const
+    {
+        return issued_;
+    }
+
+    /** Most instructions issued in any one cycle: the peak busy PEs,
+     *  which finalize() provisions when constructed with pes == 0. */
+    std::uint64_t peakIssue() const;
+
     /**
      * Marks [begin, end) as stalled for @p cls (one of SquashedSpec,
      * CopyBack, RefillStall, ResourceStarved); @p bucket attributes

@@ -25,16 +25,7 @@ checkWritable(const std::string &path, const char *what)
         dee_fatal("cannot open ", what, " file '", path, "'");
 }
 
-/** Installed by the simulation core (core/sim/engine.cc). */
-void (*g_engine_flag_handler)(const std::string &) = nullptr;
-
 } // namespace
-
-void
-setEngineFlagHandler(void (*handler)(const std::string &))
-{
-    g_engine_flag_handler = handler;
-}
 
 void
 declareFlags(Cli &cli)
@@ -73,10 +64,6 @@ declareFlags(Cli &cli)
     cli.flag("hotspot-interval", "2",
              "hotspot sampler per-thread CPU-time period in "
              "milliseconds");
-    cli.flag("engine", "",
-             "simulation engine: fast (data-oriented, the default) or "
-             "reference (the seed implementation); also settable via "
-             "the DEE_ENGINE environment variable");
 }
 
 SessionOptions
@@ -137,19 +124,14 @@ Session::Session(std::string tool, SessionOptions options)
 Session::Session(std::string tool, const Cli &cli)
     : Session(std::move(tool), SessionOptions::fromCli(cli))
 {
-    if (g_engine_flag_handler != nullptr)
-        g_engine_flag_handler(cli.str("engine"));
     for (const auto &[name, value] : cli.values()) {
-        // The observability flags themselves are not configuration;
-        // "engine" is excluded too so fast and reference runs produce
-        // byte-identical manifests (the bit-exactness contract).
+        // The observability flags themselves are not configuration.
         if (name == "json" || name == "trace-out" || name == "stats" ||
             name == "profile" || name == "profile-out" ||
             name == "telemetry" || name == "telemetry-out" ||
             name == "telemetry-socket" ||
             name == "telemetry-interval" || name == "hotspots" ||
-            name == "hotspot-out" || name == "hotspot-interval" ||
-            name == "engine")
+            name == "hotspot-out" || name == "hotspot-interval")
             continue;
         manifest_.setConfig(name, value);
     }

@@ -60,18 +60,8 @@ namespace dee::obs
 {
 
 /** Declares --json, --trace-out, --stats, --profile, --profile-out,
- *  the --telemetry* flags, the --hotspot* flags and --engine on
- *  @p cli. */
+ *  the --telemetry* flags and the --hotspot* flags on @p cli. */
 void declareFlags(Cli &cli);
-
-/**
- * Registers the handler a Cli-constructed Session invokes with the
- * parsed --engine flag value (empty string when the flag was not
- * given). The simulation core installs its engine selector here at
- * static-init time, so obs stays independent of core/sim while every
- * tool that uses declareFlags() gets the flag wired up.
- */
-void setEngineFlagHandler(void (*handler)(const std::string &));
 
 /** Parsed values of the standard observability flags. */
 struct SessionOptions

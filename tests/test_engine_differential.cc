@@ -2,10 +2,11 @@
  * @file
  * Reference-vs-fast engine differential harness.
  *
- * The data-oriented fast engine (src/core/sim/fast_engine.cc) must be
- * *provably* bit-exact against the seed reference kernel it replaced —
- * not statistically close, identical. These tests run both engines
- * in-process over:
+ * The data-oriented fast kernels (src/core/sim/fast_engine.cc) must be
+ * *provably* bit-exact against the seed reference kernels they
+ * replaced (tests/reference_engine.cc) — not statistically close,
+ * identical. These tests pass both kernel pairs to the simulators'
+ * internal entry points (core/sim/forward_pass.hh) in-process over:
  *
  *   - the full model grid: all eight Section-5.2 models x all five
  *     workloads x scales {1, 2, 4, 16},
@@ -16,13 +17,15 @@
  *     input: confidence-gated DEE, an explicit PE limit, realistic
  *     latencies with per-record load-latency overrides, resolve/issue
  *     stats, and full speculation profiling,
+ *   - one traced cell per control-dependence regime, plus one with
+ *     issue stats on,
  *
  * asserting bit-exact SimResult equality (every field, doubles
  * compared by value produced from identical integer operands), equal
  * CycleAccounts with the acct.* identity closed on both sides, equal
- * registry snapshots, and byte-equal normalized dee.run.v2 manifests
- * whether the grid ran serially (--jobs 1) or on the parallel runner
- * (--jobs 8).
+ * registry snapshots, byte-equal trace events, and byte-equal
+ * normalized manifests whether the grid ran serially (--jobs 1) or on
+ * the parallel runner (--jobs 8).
  *
  * The last tests pin the cell-sink merge-order contract the manifest
  * equality rests on: Histogram / RunningStat samples must be replayed
@@ -33,15 +36,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bpred/bpred.hh"
+#include "core/sim/forward_pass.hh"
 #include "core/sim/models.hh"
 #include "core/sim/window_sim.hh"
 #include "obs/manifest.hh"
 #include "obs/obs.hh"
+#include "reference_engine.hh"
 #include "runner/seed.hh"
 #include "runner/sweep.hh"
 #include "workloads/suite.hh"
@@ -50,6 +58,12 @@ namespace dee
 {
 namespace
 {
+
+using sim_detail::Kernels;
+
+/** The two kernel pairs under comparison. */
+constexpr Kernels kFast = sim_detail::kFastKernels;
+constexpr Kernels kReference = sim_detail::kReferenceKernels;
 
 // ------------------------------------------------------- equality
 
@@ -150,18 +164,18 @@ snapshotRegistry(const obs::Registry &reg)
 }
 
 SimResult
-runCell(Engine engine, ModelKind kind, const BenchmarkInstance &inst,
-        int e_t, bool profile = false)
+runCell(const Kernels &kernels, ModelKind kind,
+        const BenchmarkInstance &inst, int e_t, bool profile = false)
 {
     TwoBitPredictor pred(inst.trace.numStatic);
     ModelRunOptions options;
-    options.engine = engine;
     options.gatherResolveStats = true;
     options.gatherIssueStats = true;
     options.gatherProfile = profile;
     if (profile)
         options.profileWorkload = inst.name;
-    return runModel(kind, inst.trace, &inst.cfg, pred, e_t, options);
+    return sim_detail::runModelWith(kind, inst.trace, &inst.cfg, pred,
+                                    e_t, options, kernels);
 }
 
 // ------------------------------------------------- the full grid
@@ -182,10 +196,8 @@ TEST_P(EngineGrid, AllModelsAllScalesBitExact)
             const std::string ctx = inst.name + "/" +
                                     modelName(kind) + "/scale" +
                                     std::to_string(scale);
-            const SimResult fast =
-                runCell(Engine::Fast, kind, inst, 32);
-            const SimResult ref =
-                runCell(Engine::Reference, kind, inst, 32);
+            const SimResult fast = runCell(kFast, kind, inst, 32);
+            const SimResult ref = runCell(kReference, kind, inst, 32);
             expectSameResult(fast, ref, ctx);
         }
     }
@@ -199,11 +211,11 @@ TEST_P(EngineGrid, RegistryOutputBitExactAcrossEngines)
     // registry.
     const BenchmarkInstance inst =
         makeInstance(GetParam(), 1, kGridMaxInstrs);
-    const auto grid_snapshot = [&inst](Engine engine) {
+    const auto grid_snapshot = [&inst](const Kernels &kernels) {
         obs::Registry::process().clear();
         obs::ProfileStore::process().clear();
         for (ModelKind kind : allModels())
-            runCell(engine, kind, inst, 32, /*profile=*/true);
+            runCell(kernels, kind, inst, 32, /*profile=*/true);
         std::string snap =
             snapshotRegistry(obs::Registry::process()) + "--\n" +
             obs::ProfileStore::process().toJson().dump();
@@ -211,8 +223,8 @@ TEST_P(EngineGrid, RegistryOutputBitExactAcrossEngines)
         obs::ProfileStore::process().clear();
         return snap;
     };
-    const std::string fast = grid_snapshot(Engine::Fast);
-    const std::string ref = grid_snapshot(Engine::Reference);
+    const std::string fast = grid_snapshot(kFast);
+    const std::string ref = grid_snapshot(kReference);
     ASSERT_FALSE(fast.empty());
     EXPECT_EQ(fast, ref) << inst.name;
 }
@@ -251,9 +263,8 @@ TEST(EngineDifferential, HundredRandomCellsBitExact)
         const std::string ctx = "draw " + std::to_string(draw) + " " +
                                 inst.name + "/" + modelName(kind) +
                                 "/et" + std::to_string(e_t);
-        const SimResult fast = runCell(Engine::Fast, kind, inst, e_t);
-        const SimResult ref =
-            runCell(Engine::Reference, kind, inst, e_t);
+        const SimResult fast = runCell(kFast, kind, inst, e_t);
+        const SimResult ref = runCell(kReference, kind, inst, e_t);
         expectSameResult(fast, ref, ctx);
     }
 }
@@ -262,18 +273,18 @@ TEST(EngineDifferential, HundredRandomCellsBitExact)
 
 /** Direct WindowSim comparison for a hand-built SimConfig. */
 void
-expectEnginesAgree(const BenchmarkInstance &inst, SimConfig config,
+expectEnginesAgree(const BenchmarkInstance &inst, const SimConfig &config,
                    const SpecTree &tree, const std::string &ctx)
 {
-    config.engine = Engine::Fast;
-    WindowSim fast_sim(inst.trace, tree, config, &inst.cfg);
-    TwoBitPredictor fast_pred(inst.trace.numStatic);
-    const SimResult fast = fast_sim.run(fast_pred);
+    const WindowSim sim(inst.trace, tree, config, &inst.cfg);
 
-    config.engine = Engine::Reference;
-    WindowSim ref_sim(inst.trace, tree, config, &inst.cfg);
+    TwoBitPredictor fast_pred(inst.trace.numStatic);
+    const SimResult fast = sim_detail::runWindowWith(
+        sim, predictPaths(inst.trace, fast_pred), kFast.forward);
+
     TwoBitPredictor ref_pred(inst.trace.numStatic);
-    const SimResult ref = ref_sim.run(ref_pred);
+    const SimResult ref = sim_detail::runWindowWith(
+        sim, predictPaths(inst.trace, ref_pred), kReference.forward);
 
     expectSameResult(fast, ref, ctx);
 }
@@ -363,6 +374,97 @@ TEST(EngineDifferential, ProfilingSurfaceBitExact)
     }
 }
 
+// ------------------------------------------------- trace events
+
+/** Ring size for one traced cell: far above what a kGridMaxInstrs cell
+ *  records, so nothing is ever dropped. */
+constexpr std::size_t kTraceCapacity = 1u << 18;
+
+/** Runs one cell through @p kernels with the global tracer on; returns
+ *  the trace as JSON-Lines and leaves its events in the ring. */
+std::string
+tracedCell(const Kernels &kernels, ModelKind kind,
+           const BenchmarkInstance &inst, bool issue_stats,
+           SimResult *result)
+{
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.setCapacity(kTraceCapacity); // empties the ring
+    tracer.enable();
+    TwoBitPredictor pred(inst.trace.numStatic);
+    ModelRunOptions options;
+    options.gatherIssueStats = issue_stats;
+    *result = sim_detail::runModelWith(kind, inst.trace, &inst.cfg, pred,
+                                       32, options, kernels);
+    tracer.disable();
+    std::ostringstream os;
+    tracer.writeJsonLines(os);
+    return os.str();
+}
+
+TEST(EngineDifferential, TraceEventsBitExact)
+{
+    // Every event a window run emits — side-path fetches, copy-backs,
+    // root advances, the acct.* tracks and the issue-occupancy track —
+    // in the same order with the same arguments under both kernels.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, kGridMaxInstrs);
+    struct Cell
+    {
+        ModelKind kind;
+        bool issueStats;
+    };
+    const Cell cells[] = {
+        {ModelKind::DEE, false},       // restrictive control deps
+        {ModelKind::DEE_CD, false},    // reduced
+        {ModelKind::DEE_CD_MF, false}, // minimal
+        {ModelKind::DEE_CD_MF, true},
+    };
+    obs::Tracer &tracer = obs::Tracer::global();
+    std::string all_events;
+    for (const Cell &cell : cells) {
+        const std::string ctx =
+            std::string(modelName(cell.kind)) +
+            (cell.issueStats ? " with issue stats" : "");
+        SimResult ref;
+        SimResult fast;
+        const std::string ref_events =
+            tracedCell(kReference, cell.kind, inst, cell.issueStats, &ref);
+        const std::string fast_events =
+            tracedCell(kFast, cell.kind, inst, cell.issueStats, &fast);
+        EXPECT_EQ(tracer.dropped(), 0u) << ctx;
+        ASSERT_FALSE(fast_events.empty()) << ctx;
+        EXPECT_EQ(fast_events, ref_events) << ctx;
+        expectSameResult(fast, ref, ctx);
+
+        // The occupancy track counts every instruction once, and its
+        // peak is the reported peak busy PEs.
+        std::uint64_t issued = 0;
+        std::uint64_t peak = 0;
+        for (std::size_t i = 0; i < tracer.size(); ++i) {
+            const obs::TraceEvent &e = tracer.event(i);
+            if (std::string_view(e.name) != "sim.issue_occupancy")
+                continue;
+            issued += static_cast<std::uint64_t>(e.arg1);
+            peak = std::max(peak, static_cast<std::uint64_t>(e.arg1));
+        }
+        if (cell.issueStats) {
+            EXPECT_EQ(issued, fast.instructions) << ctx;
+            EXPECT_EQ(peak, fast.peakIssue) << ctx;
+            EXPECT_GT(fast.peakIssue, 0u) << ctx;
+        } else {
+            EXPECT_EQ(issued, 0u) << ctx;
+        }
+        all_events += fast_events;
+    }
+    tracer.setCapacity(obs::Tracer::kDefaultCapacity);
+    for (const char *name :
+         {"\"sim.side_path_fetch\"", "\"sim.copyback\"",
+          "\"sim.root_advance\"", "\"sim.issue_occupancy\"",
+          "\"acct.useful\""}) {
+        EXPECT_NE(all_events.find(name), std::string::npos) << name;
+    }
+}
+
 // ------------------------------- manifests across engines and jobs
 
 /** Runs a 2-workload x 8-model grid through runner::runCells and
@@ -374,7 +476,7 @@ struct GridOutput
 };
 
 GridOutput
-runManifestGrid(Engine engine, int jobs)
+runManifestGrid(const Kernels &kernels, int jobs)
 {
     static const std::vector<BenchmarkInstance> *insts = [] {
         auto *v = new std::vector<BenchmarkInstance>;
@@ -390,9 +492,9 @@ runManifestGrid(Engine engine, int jobs)
     const std::size_t cells = insts->size() * kinds.size();
     runner::SweepOptions options;
     options.jobs = jobs;
-    runner::runCells(cells, options, [&kinds, engine](std::size_t c) {
+    runner::runCells(cells, options, [&kinds, &kernels](std::size_t c) {
         const BenchmarkInstance &inst = (*insts)[c / kinds.size()];
-        runCell(engine, kinds[c % kinds.size()], inst, 32,
+        runCell(kernels, kinds[c % kinds.size()], inst, 32,
                 /*profile=*/true);
     });
     GridOutput out;
@@ -408,10 +510,10 @@ runManifestGrid(Engine engine, int jobs)
 
 TEST(EngineDifferential, ManifestsByteEqualAcrossEnginesAndJobs)
 {
-    const GridOutput fast1 = runManifestGrid(Engine::Fast, 1);
-    const GridOutput fast8 = runManifestGrid(Engine::Fast, 8);
-    const GridOutput ref1 = runManifestGrid(Engine::Reference, 1);
-    const GridOutput ref8 = runManifestGrid(Engine::Reference, 8);
+    const GridOutput fast1 = runManifestGrid(kFast, 1);
+    const GridOutput fast8 = runManifestGrid(kFast, 8);
+    const GridOutput ref1 = runManifestGrid(kReference, 1);
+    const GridOutput ref8 = runManifestGrid(kReference, 8);
 
     ASSERT_FALSE(fast1.registry.empty());
 

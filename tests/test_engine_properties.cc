@@ -4,15 +4,16 @@
  *
  * Two families:
  *
- *   - The paper's dominance invariants, asserted with the fast engine
- *     *explicitly* selected (not inherited from --engine / DEE_ENGINE)
- *     on seed-perturbed workloads: Oracle dominates every constrained
+ *   - The paper's dominance invariants, asserted through the public
+ *     runModel() — which always runs the fast kernels — on
+ *     seed-perturbed workloads: Oracle dominates every constrained
  *     model, DEE >= SP at equal resources in every control-dependency
  *     regime, and relaxing control dependencies never hurts
- *     (*-CD-MF >= *-CD >= base). The fast engine is bit-exact against
- *     the reference (test_engine_differential.cc), so these are really
- *     model-semantics checks — but they must keep holding when only
- *     the fast kernel runs, which is the production configuration.
+ *     (*-CD-MF >= *-CD >= base). The fast kernels are bit-exact
+ *     against the reference ones (test_engine_differential.cc), so
+ *     these are really model-semantics checks — but they must keep
+ *     holding on the production path, which never links the
+ *     reference kernels.
  *
  *   - The word-parallel BitVec64 / BitMatrix operations the engine's
  *     per-path sets are built on (the RE/VE bookkeeping form of
@@ -63,10 +64,7 @@ double
 fastSpeedup(ModelKind kind, const BenchmarkInstance &inst, int e_t)
 {
     TwoBitPredictor pred(inst.trace.numStatic);
-    ModelRunOptions options;
-    options.engine = Engine::Fast;
-    return runModel(kind, inst.trace, &inst.cfg, pred, e_t, options)
-        .speedup;
+    return runModel(kind, inst.trace, &inst.cfg, pred, e_t).speedup;
 }
 
 TEST(EngineProperties, DominanceInvariantsHoldOnFastEngine)

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <sstream>
 
 #include "obs/obs.hh"
@@ -715,6 +718,51 @@ TEST(ManifestGate, DoubledHotspotShareWarnsButPasses)
     EXPECT_FALSE(items[0].fail);
     EXPECT_EQ(items[0].metric, "hotspots.phases." + top + ".self_pct");
     EXPECT_EQ(items[0].line().rfind("WARN ", 0), 0u) << items[0].line();
+}
+
+TEST(ManifestGate, SurvivesSeededMutations)
+{
+    // Byte flips and truncations of the committed baseline: each
+    // mutant is an error, or a manifest the gate compares against the
+    // original to the end.
+    std::string original;
+    {
+        std::ifstream in(std::string(DEE_SOURCE_DIR) +
+                             "/tools/baselines/fig5_scale1.json",
+                         std::ios::binary);
+        original.assign(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(original.size(), 1000u);
+    const LoadedManifest &base = fig5Baseline();
+
+    std::mt19937_64 rng(20261017);
+    int rejected = 0;
+    int accepted = 0;
+    for (int m = 0; m < 300; ++m) {
+        std::string text = original;
+        if (m % 4 == 3) {
+            text.resize(rng() % text.size());
+        } else {
+            const int flips = 1 + static_cast<int>(rng() % 4);
+            for (int k = 0; k < flips; ++k)
+                text[rng() % text.size()] ^=
+                    static_cast<char>(1 + rng() % 255);
+        }
+        LoadedManifest mutant;
+        std::string err;
+        if (!parseManifest(text, "mutant.json", &mutant, &err)) {
+            EXPECT_FALSE(err.empty()) << "mutant " << m;
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        for (const GateItem &item : checkManifest(base, mutant))
+            EXPECT_FALSE(item.line().empty()) << "mutant " << m;
+    }
+    // Both outcomes occur, so neither half of the contract is vacuous.
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted, 0);
 }
 
 TEST(Session, SurfacesTracerDropCountsInRegistry)
