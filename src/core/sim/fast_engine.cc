@@ -6,11 +6,14 @@
  * Same semantics as the seed kernels, restructured for the host
  * machine:
  *
- *  - The issue loops read the trace's shared packed decode
- *    (PreparedTrace: 8-byte entries of register slots, op class and a
- *    dense memory id) instead of trace records, and map the op class
- *    to a latency through a per-cell table (plus the optional
- *    per-record load latencies), never calling opClass() per record.
+ *  - One issue loop, issueRecords(), serves the window pass (per path,
+ *    both control-dependence regimes) and the oracle (per block). It
+ *    reads each record's entry id straight from the trace's id chunks
+ *    and that entry's shared 4-byte decode (PreparedTrace: register
+ *    slots and op class), takes memory ids for loads and stores with a
+ *    running cursor, and maps the op class to a latency through a
+ *    per-cell table (plus the optional per-record load latencies),
+ *    never calling opClass() per record.
  *  - Register dataflow through a flat availability table (completion
  *    time of the last writer per architectural register, with an
  *    always-zero slot standing in for "no dependence" so the inner
@@ -21,7 +24,11 @@
  *    unordered_map.
  *  - No per-record output: a path's exit branch is its last
  *    instruction, so its issue cycle is kept in a local, and the issue
- *    counts per cycle go straight into the SlotLedger.
+ *    counts per cycle go straight into the SlotLedger: a plain
+ *    increment of its count array, grown once per path (or oracle
+ *    block) to a proven bound on the cycles, with the checked
+ *    SlotLedger::issue() left for PE-limited runs and for bounds past
+ *    the ledger's limit.
  *  - Tree moves over the FlatSpecTree array view; per-path mispredict
  *    sets live in BitVec64 words (common/bit_matrix.hh) scanned with
  *    popcount/ctz in the shared epilogue.
@@ -40,6 +47,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -54,30 +62,211 @@ namespace dee::sim_detail
 namespace
 {
 
-/** Completion latency per op class, the cell's LatencyModel::of(). */
-using ClassLatencies = std::array<std::int32_t, kNumOpClasses>;
-
-ClassLatencies
-classLatencies(const LatencyModel &latency)
+/**
+ * A cell's completion latencies: per op class (LatencyModel::of()), and
+ * the optional per-record load latencies (SimConfig::loadLatencies'
+ * data).
+ */
+struct Latencies
 {
-    ClassLatencies lat{};
-    for (std::size_t c = 0; c < kNumOpClasses; ++c)
-        lat[c] = latency.of(static_cast<OpClass>(c));
-    return lat;
+    std::array<std::int32_t, kNumOpClasses> byClass{};
+    const int *load = nullptr;
+    /** The largest latency, at least 1: no instruction completes more
+     *  than this many cycles after it issues. */
+    std::int64_t max = 1;
+    /** No latency is negative, so no ready cycle is either. */
+    bool nonNegative = true;
+
+    Latencies(const LatencyModel &latency,
+              const std::vector<int> *load_latencies)
+    {
+        const auto note = [this](std::int64_t l) {
+            max = std::max(max, l);
+            nonNegative = nonNegative && l >= 0;
+        };
+        for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+            byClass[c] = latency.of(static_cast<OpClass>(c));
+            note(byClass[c]);
+        }
+        if (load_latencies != nullptr) {
+            load = load_latencies->data();
+            for (const int l : *load_latencies)
+                note(l);
+        }
+    }
+};
+
+/**
+ * An exclusive bound on the issue cycles of @p count instructions when
+ * every cycle they wait on is at most @p floor: each completes at most
+ * @p max_lat cycles after it issues, so the k-th (from 0) issues by
+ * floor + k * max_lat. Saturates past SlotLedger::kMaxCycles, where
+ * issue counts fall back to the checked SlotLedger::issue() anyway.
+ */
+inline std::int64_t
+issueBound(std::int64_t floor, std::uint64_t count, std::int64_t max_lat)
+{
+    constexpr auto kLimit =
+        static_cast<std::int64_t>(obs::SlotLedger::kMaxCycles);
+    if (floor >= kLimit ||
+        count >= static_cast<std::uint64_t>(kLimit / max_lat))
+        return kLimit;
+    return floor + static_cast<std::int64_t>(count) * max_lat;
 }
 
 /**
- * Effective completion latency of decoded record @p i: the class
- * latency, or the cache model's per-record load latency when
- * @p load_lat (SimConfig::loadLatencies' data) is set.
+ * The issue loop's inputs that stay fixed for a whole window pass or
+ * oracle sweep.
  */
-inline std::int32_t
-latencyOf(const DecodedInstr &d, std::uint64_t i,
-          const ClassLatencies &lat, const int *load_lat)
+struct IssueInputs
 {
-    if (load_lat != nullptr && d.cls == OpClass::Load)
-        return load_lat[i];
-    return lat[static_cast<std::size_t>(d.cls)];
+    const std::uint32_t *const *idChunks; ///< PreparedTrace::idChunks()
+    const DecodedInstr *decode;           ///< by entry id
+    const std::int32_t *lat;              ///< by op class
+    const int *loadLat;                   ///< by record, or null
+    std::int64_t *regAvail;               ///< kNumRegSlots entries
+    std::int64_t *memAvail;               ///< by memory id
+    IssueSlots *slots;                    ///< null unless PE-limited
+    obs::SlotLedger *ledger;              ///< null unless gathering
+};
+
+/**
+ * The out-of-line path of an issue: claims a PE slot when the run is
+ * PE-limited and records the cycle through the ledger's checked
+ * SlotLedger::issue(). Returns the cycle the instruction issues at.
+ */
+std::int64_t
+checkedIssue(const IssueInputs &in, std::int64_t t)
+{
+    if (in.slots != nullptr)
+        t = in.slots->claim(t);
+    if (in.ledger != nullptr)
+        in.ledger->issue(t);
+    return t;
+}
+
+/**
+ * Route B's stalls for one path, both arrays ended by a sentinel:
+ * join[j] is the j-th pending non-divergent mispredict's join point in
+ * sorted order (the sentinel is past every record), and stall[j] is the
+ * latest (resolve + penalty) over the divergent mispredicts and the
+ * non-divergent ones from j on. An instruction at record i stalls until
+ * stall[j] for the first j with join[j] > i.
+ */
+struct RouteBStalls
+{
+    const DynIndex *join;
+    const std::int64_t *stall;
+};
+
+/** RouteBStalls' sentinel join point, past every record. */
+constexpr DynIndex kNoJoin = std::numeric_limits<DynIndex>::max();
+
+/**
+ * Issues records [@p begin, @p end) in trace order: the one issue loop
+ * of the window pass (one call per path) and the oracle sweep (one call
+ * per block of records). Each instruction issues once its operands are
+ * ready and its code was fetched at @p fetch_a (route A, speculation
+ * tree coverage) or, with @p kRouteB, at @p fetch_b behind the stalls
+ * of @p stalls (route B, the reconvergent window), whichever is
+ * earlier. When @p counts is non-null, every issue cycle is known to
+ * lie inside it (SlotLedger::issueCounts()) and is counted there
+ * directly; otherwise checkedIssue() runs. @p done (the latest
+ * completion, raised here) and @p mem_id (the cursor into
+ * PreparedTrace::memIds()) carry over between calls. Returns the issue
+ * cycle of the last record, or @p last_issue when the range is empty.
+ *
+ * Kept out of line so that the loop's registers are its own: inlined
+ * into fastForward(), the loop-carried values end up in stack slots
+ * that every instruction reloads.
+ */
+template <bool kRouteB>
+[[gnu::noinline]] std::int64_t
+issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
+             std::int64_t fetch_a, std::int64_t fetch_b,
+             RouteBStalls stalls, std::uint32_t *const counts,
+             std::int64_t last_issue, std::int64_t &done,
+             const std::uint32_t *&mem_id)
+{
+    // Locals, not the caller's memory: the stores below through
+    // int64/uint32 pointers could alias it, which would make the
+    // compiler reload every field once per instruction.
+    const DecodedInstr *const decode = in.decode;
+    const std::int32_t *const lat = in.lat;
+    const int *const load_lat = in.loadLat;
+    std::int64_t *const reg_avail = in.regAvail;
+    std::int64_t *const mem_avail = in.memAvail;
+    std::int64_t last_done = done;
+    const std::uint32_t *mem_cursor = mem_id;
+    const DynIndex *stall_join = stalls.join;
+    const std::int64_t *stall = stalls.stall;
+    for (DynIndex i = begin; i < end;) {
+        const std::uint32_t *const ids =
+            in.idChunks[i / RecordStore::kChunkRecords];
+        const DynIndex chunk_end = std::min<DynIndex>(
+            end, (i / RecordStore::kChunkRecords + 1) *
+                     RecordStore::kChunkRecords);
+        for (; i < chunk_end; ++i) {
+            const DecodedInstr d =
+                decode[ids[i % RecordStore::kChunkRecords]];
+            // Branch-free memory id: the cursor's entry when the record
+            // takes one (and advances), slot 0 otherwise.
+            const std::uint32_t takes_mem = takesMemId(d.cls) ? 1 : 0;
+            const std::uint32_t mid = *mem_cursor & (0u - takes_mem);
+            mem_cursor += takes_mem;
+
+            std::int64_t data_ready = reg_avail[d.src1];
+            const std::int64_t a2 = reg_avail[d.src2];
+            if (a2 > data_ready)
+                data_ready = a2;
+            const std::int64_t am = mem_avail[mid];
+            if (am > data_ready)
+                data_ready = am;
+
+            // Route A: speculation-tree coverage.
+            std::int64_t t = fetch_a > data_ready ? fetch_a : data_ready;
+            if constexpr (kRouteB) {
+                // Route B: reconvergent-window CD execution. Stall on
+                // a mispredicted branch if this instruction is inside
+                // its dynamic control scope (decided by the branch) or
+                // the branch diverges (loop latch: actual-path code was
+                // never fetched) — unless an EE/DEE alternate path
+                // holds the code, which the stall tables already left
+                // out.
+                while (*stall_join <= i) {
+                    ++stall_join;
+                    ++stall;
+                }
+                std::int64_t t_b =
+                    fetch_b > data_ready ? fetch_b : data_ready;
+                if (*stall > t_b)
+                    t_b = *stall;
+                if (t_b < t)
+                    t = t_b;
+            }
+
+            if (counts != nullptr)
+                ++counts[t];
+            else
+                t = checkedIssue(in, t);
+            last_issue = t;
+            const std::int64_t fin =
+                t + (d.cls == OpClass::Load && load_lat != nullptr
+                         ? load_lat[i]
+                         : lat[static_cast<std::size_t>(d.cls)]);
+            if (fin > last_done)
+                last_done = fin;
+
+            // Availability updates (flow-only renaming; stores publish
+            // the last-store completion per address).
+            reg_avail[d.dst] = fin;
+            if (d.cls == OpClass::Store)
+                mem_avail[mid] = fin;
+        }
+    }
+    done = last_done;
+    mem_id = mem_cursor;
+    return last_issue;
 }
 
 /**
@@ -155,7 +344,8 @@ struct FastScratch
     std::vector<PendingMispredict> pending;
     std::vector<std::uint64_t> crossed;
     std::vector<std::pair<DynIndex, std::int64_t>> nd;
-    std::vector<std::int64_t> ndSuffix;
+    std::vector<DynIndex> ndJoin;   ///< RouteBStalls::join
+    std::vector<std::int64_t> ndStall; ///< RouteBStalls::stall
     std::vector<std::uint64_t> nm; ///< next-uncrossable-path index
     std::vector<std::int64_t> memAvail; ///< last-store time per mem id
     WalkPlan plan;
@@ -170,7 +360,6 @@ fastForward(ForwardCtx &ctx)
     const PreparedTrace &prep = ctx.prepared;
     const std::uint64_t num_paths = prep.numPaths();
     const std::uint64_t num_branches = prep.numBranches();
-    const std::vector<DecodedInstr> &dec = prep.decode();
     const SimConfig &config = ctx.config;
     const int window_reach = ctx.windowReach;
     const int penalty = config.mispredictPenalty;
@@ -187,18 +376,18 @@ fastForward(ForwardCtx &ctx)
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
     obs::SlotLedger *const ledger = ctx.ledger;
     const int branch_lat = config.latency.of(OpClass::CondBranch);
-    const ClassLatencies lat = classLatencies(config.latency);
-    const int *const load_lat = config.loadLatencies != nullptr
-                                    ? config.loadLatencies->data()
-                                    : nullptr;
+    const Latencies lat(config.latency, config.loadLatencies);
 
     // --- Per-run state (SoA) --------------------------------------------
     std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
     fetch_tree.assign(num_paths, kNeverFetched);
+    // Every root_time[r + 1] and resolve[r] is written at the end of
+    // iteration r, before anything reads it.
     std::vector<std::int64_t> &root_time = ctx.rootTime;
-    root_time.assign(num_paths + 1, 0);
+    root_time.resize(num_paths + 1);
+    root_time[0] = 0;
     std::vector<std::int64_t> &resolve = ctx.resolve;
-    resolve.assign(num_paths, 0);
+    resolve.resize(num_paths);
     std::vector<std::uint8_t> &fetch_side = ctx.fetchSide;
     fetch_side.assign(profiling ? num_paths : 0, 0);
 
@@ -234,15 +423,26 @@ fastForward(ForwardCtx &ctx)
     // Per-tree-move scratch arenas, hoisted out of the root loop.
     std::vector<std::uint64_t> &crossed = scratch.crossed;
     std::vector<std::pair<DynIndex, std::int64_t>> &nd = scratch.nd;
-    std::vector<std::int64_t> &nd_suffix = scratch.ndSuffix;
+    std::vector<DynIndex> &nd_join = scratch.ndJoin;
+    std::vector<std::int64_t> &nd_stall = scratch.ndStall;
 
     // Route-B stall tables, cached across tree moves: the pending set
     // only changes on retirement or a new mispredict, and the bypass
     // filter only bites on the rare side-path-covered root, so most
     // paths reuse the previous tables verbatim.
-    std::int64_t stall_div = 0;
-    std::size_t nd_size = 0;
     bool stall_valid = false;
+
+    const IssueInputs issue_in{
+        .idChunks = prep.idChunks().data(),
+        .decode = prep.entryDecode().data(),
+        .lat = lat.byClass.data(),
+        .loadLat = lat.load,
+        .regAvail = reg_avail.data(),
+        .memAvail = mem_avail.data(),
+        .slots = pe_limited ? &slots : nullptr,
+        .ledger = ledger,
+    };
+    const std::uint32_t *mem_id = prep.memIds().data();
 
     // Closed-form walk tables (chain / DEE-static shapes only).
     WalkPlan &plan = scratch.plan;
@@ -465,10 +665,9 @@ fastForward(ForwardCtx &ctx)
         const bool has_bypass =
             use_cd && byp_end[r] > byp_begin[r];
         if (use_cd && (!stall_valid || has_bypass)) {
-            stall_div = 0;
-            nd_size = 0;
+            std::int64_t stall_div = 0;
+            nd.clear();
             if (pending_head < pending.size()) {
-                nd.clear();
                 const std::uint32_t bb = byp_begin[r];
                 const std::uint32_t be = byp_end[r];
                 for (std::size_t j = pending_head; j < pending.size();
@@ -492,13 +691,18 @@ fastForward(ForwardCtx &ctx)
                     }
                 }
                 std::sort(nd.begin(), nd.end());
-                nd_size = nd.size();
-                nd_suffix.resize(nd_size);
-                std::int64_t running = 0;
-                for (std::size_t j = nd_size; j-- > 0;) {
-                    running = std::max(running, nd[j].second);
-                    nd_suffix[j] = running;
-                }
+            }
+            // The divergent stall seeds the suffix max; the sentinel
+            // entry, past every record, holds it alone.
+            nd_join.resize(nd.size() + 1);
+            nd_stall.resize(nd.size() + 1);
+            nd_join[nd.size()] = kNoJoin;
+            std::int64_t running = stall_div;
+            nd_stall[nd.size()] = running;
+            for (std::size_t j = nd.size(); j-- > 0;) {
+                running = std::max(running, nd[j].second);
+                nd_join[j] = nd[j].first;
+                nd_stall[j] = running;
             }
             // A bypass-filtered build is specific to this path; an
             // unfiltered one keeps serving until the set changes.
@@ -507,6 +711,8 @@ fastForward(ForwardCtx &ctx)
 
         // Execute this path's instructions (trace order; dependencies
         // always point backward, so their availability is final).
+        // Every earlier completion, fetch time and pending stall is at
+        // most `now`, so the path issues below issueBound() of it.
         const std::int64_t fetch_a = fetch_tree[r];
         const std::int64_t fetch_b =
             root_time[r > static_cast<std::uint64_t>(window_reach)
@@ -519,90 +725,22 @@ fastForward(ForwardCtx &ctx)
         {
             const obs::hotspot::HotspotPhase hot_issue(
                 hot, "window", obs::hotspot::Phase::Issue);
-            std::size_t nd_lo = 0;
-            const DynIndex pend_i = path.end;
-            // Loop-unswitched on the loop-invariant route-B flag: the
-            // non-CD models (EE / SP / DEE) pay nothing for the
+            std::uint32_t *const counts =
+                ledger != nullptr && !pe_limited
+                    ? ledger->issueCounts(
+                          issueBound(now, path.size(), lat.max))
+                    : nullptr;
+            // The non-CD models (EE / SP / DEE) pay nothing for the
             // reconvergent-window machinery.
             if (use_cd) {
-                for (DynIndex i = path.begin; i < pend_i; ++i) {
-                    const DecodedInstr d = dec[i];
-
-                    std::int64_t data_ready = reg_avail[d.src1];
-                    const std::int64_t a2 = reg_avail[d.src2];
-                    if (a2 > data_ready)
-                        data_ready = a2;
-                    const std::int64_t am = mem_avail[d.memId];
-                    if (am > data_ready)
-                        data_ready = am;
-
-                    // Route A: speculation-tree coverage.
-                    std::int64_t t =
-                        fetch_a > data_ready ? fetch_a : data_ready;
-
-                    // Route B: reconvergent-window CD execution. Stall
-                    // on a mispredicted branch if this instruction is
-                    // inside its dynamic control scope (decided by the
-                    // branch) or the branch diverges (loop latch:
-                    // actual-path code was never fetched) — unless an
-                    // EE/DEE alternate path holds the code, which the
-                    // stall tables above already left out.
-                    while (nd_lo < nd_size && nd[nd_lo].first <= i)
-                        ++nd_lo;
-                    std::int64_t stall = stall_div;
-                    if (nd_lo < nd_size && nd_suffix[nd_lo] > stall)
-                        stall = nd_suffix[nd_lo];
-                    std::int64_t t_b =
-                        fetch_b > data_ready ? fetch_b : data_ready;
-                    if (stall > t_b)
-                        t_b = stall;
-                    if (t_b < t)
-                        t = t_b;
-
-                    if (pe_limited)
-                        t = slots.claim(t);
-                    last_issue = t;
-                    if (ledger != nullptr)
-                        ledger->issue(t);
-                    const std::int64_t fin =
-                        t + latencyOf(d, i, lat, load_lat);
-                    if (fin > done)
-                        done = fin;
-
-                    // Availability updates (flow-only renaming; stores
-                    // publish the last-store completion per address).
-                    reg_avail[d.dst] = fin;
-                    if (d.cls == OpClass::Store)
-                        mem_avail[d.memId] = fin;
-                }
+                last_issue = issueRecords<true>(
+                    issue_in, path.begin, path.end, fetch_a, fetch_b,
+                    RouteBStalls{nd_join.data(), nd_stall.data()},
+                    counts, last_issue, done, mem_id);
             } else {
-                for (DynIndex i = path.begin; i < pend_i; ++i) {
-                    const DecodedInstr d = dec[i];
-
-                    std::int64_t data_ready = reg_avail[d.src1];
-                    const std::int64_t a2 = reg_avail[d.src2];
-                    if (a2 > data_ready)
-                        data_ready = a2;
-                    const std::int64_t am = mem_avail[d.memId];
-                    if (am > data_ready)
-                        data_ready = am;
-
-                    std::int64_t t =
-                        fetch_a > data_ready ? fetch_a : data_ready;
-                    if (pe_limited)
-                        t = slots.claim(t);
-                    last_issue = t;
-                    if (ledger != nullptr)
-                        ledger->issue(t);
-                    const std::int64_t fin =
-                        t + latencyOf(d, i, lat, load_lat);
-                    if (fin > done)
-                        done = fin;
-
-                    reg_avail[d.dst] = fin;
-                    if (d.cls == OpClass::Store)
-                        mem_avail[d.memId] = fin;
-                }
+                last_issue = issueRecords<false>(
+                    issue_in, path.begin, path.end, fetch_a, fetch_b,
+                    RouteBStalls{}, counts, last_issue, done, mem_id);
             }
         }
 
@@ -654,37 +792,39 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
            const std::vector<int> *load_latencies,
            obs::SlotLedger *ledger)
 {
-    const PreparedTrace &prepared = trace.prepared();
-    const std::vector<DecodedInstr> &dec = prepared.decode();
-    const std::uint64_t n = dec.size();
-    const ClassLatencies lat = classLatencies(latency);
-    const int *const load_lat =
-        load_latencies != nullptr ? load_latencies->data() : nullptr;
+    const PreparedTrace &prep = trace.prepared();
+    const std::uint64_t n = prep.size();
+    const Latencies lat(latency, load_latencies);
 
     std::array<std::int64_t, kNumRegSlots> reg_avail{};
-    std::vector<std::int64_t> mem_avail(prepared.numMemIds(), 0);
+    std::vector<std::int64_t> mem_avail(prep.numMemIds(), 0);
+    const IssueInputs issue_in{
+        .idChunks = prep.idChunks().data(),
+        .decode = prep.entryDecode().data(),
+        .lat = lat.byClass.data(),
+        .loadLat = lat.load,
+        .regAvail = reg_avail.data(),
+        .memAvail = mem_avail.data(),
+        .slots = nullptr,
+        .ledger = ledger,
+    };
+    const std::uint32_t *mem_id = prep.memIds().data();
+    // No fetch constraint: each instruction issues when its operands
+    // are ready. A ready cycle is at most the latest completion so far,
+    // which bounds a block's issue cycles as `now` does a path's. Short
+    // blocks keep the bound, and so the ledger, close to the run.
+    constexpr std::int64_t kNoFetch =
+        std::numeric_limits<std::int64_t>::min();
+    constexpr DynIndex kBlock = 1024;
     std::int64_t last = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const DecodedInstr d = dec[i];
-
-        std::int64_t ready = reg_avail[d.src1];
-        const std::int64_t a2 = reg_avail[d.src2];
-        if (a2 > ready)
-            ready = a2;
-        const std::int64_t am = mem_avail[d.memId];
-        if (am > ready)
-            ready = am;
-
-        const std::int64_t fin = ready + latencyOf(d, i, lat, load_lat);
-        if (fin > last)
-            last = fin;
-
-        reg_avail[d.dst] = fin;
-        if (d.cls == OpClass::Store)
-            mem_avail[d.memId] = fin;
-
-        if (ledger != nullptr)
-            ledger->issue(ready);
+    for (DynIndex begin = 0; begin < n; begin += kBlock) {
+        const DynIndex end = std::min<DynIndex>(n, begin + kBlock);
+        std::uint32_t *const counts =
+            ledger != nullptr && lat.nonNegative
+                ? ledger->issueCounts(issueBound(last, end - begin, lat.max))
+                : nullptr;
+        issueRecords<false>(issue_in, begin, end, kNoFetch, kNoFetch,
+                            RouteBStalls{}, counts, 0, last, mem_id);
     }
     return last;
 }

@@ -12,8 +12,8 @@
  *
  * Inputs split by lifetime. Per trace, shared read-only by every cell:
  * the PreparedTrace (trace/prepared.hh) — branch-path bounds, exit
- * branches, the packed decode with dense memory ids, and the route-B
- * join points cached per Cfg. Per cell: the window tree, the SimConfig
+ * branches, the decode of each record-store entry, the dense memory ids
+ * of loads and stores, and the route-B join points cached per Cfg. Per cell: the window tree, the SimConfig
  * (latencies included), the predictor outcomes (PathPredictions) and
  * the RunArena outputs below, the only storage a cell writes.
  *
@@ -183,7 +183,8 @@ struct Kernels
 /** The data-oriented SoA / bit-vector window kernel (fast_engine.cc). */
 void fastForward(ForwardCtx &ctx);
 
-/** The oracle sweep over the trace's shared decode (fast_engine.cc). */
+/** The oracle sweep over the trace's shared per-entry decode
+ *  (fast_engine.cc). */
 std::int64_t fastOracle(const Trace &trace, const LatencyModel &latency,
                         const std::vector<int> *load_latencies,
                         obs::SlotLedger *ledger);

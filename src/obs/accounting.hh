@@ -48,6 +48,7 @@
 #ifndef DEE_OBS_ACCOUNTING_HH
 #define DEE_OBS_ACCOUNTING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -240,6 +241,31 @@ class SlotLedger
         ++issued_[static_cast<std::size_t>(cycle)];
     }
 
+    /**
+     * The per-cycle issue counts, grown to cover every cycle below
+     * @p bound, for a caller that knows each instruction it is about to
+     * issue lands in [0, @p bound): it may bump the counts itself, with
+     * none of issue()'s checks. Null, changing nothing, once the ledger
+     * is inactive or when @p bound is at or past kMaxCycles; the caller
+     * then calls issue(), which deactivates the ledger only if a cycle
+     * really is out of range.
+     */
+    std::uint32_t *
+    issueCounts(std::int64_t bound)
+    {
+        if (!active_ || bound >= static_cast<std::int64_t>(kMaxCycles))
+            return nullptr;
+        const std::uint64_t need =
+            bound > 0 ? static_cast<std::uint64_t>(bound) : 0;
+        if (need > issued_.size()) {
+            // Callers ask once per few instructions, each time for a
+            // bound a little past the last: grow a step at a time.
+            grow(std::min(std::max(need, issued_.size() + kGrowStep),
+                          kMaxCycles));
+        }
+        return issued_.data();
+    }
+
     /** Instructions issued so far, per cycle (index = cycle); complete
      *  only while active(). */
     const std::vector<std::uint32_t> &
@@ -289,13 +315,23 @@ class SlotLedger
         const auto c = static_cast<std::uint64_t>(cycle);
         if (c >= kMaxCycles)
             return active_ = false;
-        if (c >= issued_.size()) {
-            issued_.resize(c + 1, 0);
-            marks_.resize(c + 1, 0);
-            owner_.resize(c + 1, kNoSite);
-        }
+        grow(c + 1);
         return true;
     }
+
+    /** Covers cycles [0, @p cycles), keeping the buffers in lock-step. */
+    void
+    grow(std::uint64_t cycles)
+    {
+        if (cycles > issued_.size()) {
+            issued_.resize(cycles, 0);
+            marks_.resize(cycles, 0);
+            owner_.resize(cycles, kNoSite);
+        }
+    }
+
+    /** Fewest cycles issueCounts() adds when it grows the buffers. */
+    static constexpr std::uint64_t kGrowStep = 4096;
 
     bool active_ = true;
     std::uint64_t pes_;

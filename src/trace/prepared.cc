@@ -80,16 +80,16 @@ PreparedTrace::PreparedTrace(const Trace &trace)
 {
     const RecordStore &store = trace.records;
     const std::vector<TraceRecord> &entries = store.entries();
-    const std::uint64_t n = store.size();
+    size_ = store.size();
     for (const std::vector<std::uint32_t> &chunk : store.idChunks())
         idChunks_.push_back(chunk.data());
 
     // Everything but the memory id is a fact of the record's entry.
-    std::vector<DecodedInstr> entry_decode(entries.size());
+    entryDecode_.resize(entries.size());
     blockOf_.resize(entries.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         const TraceRecord &t = entries[e];
-        DecodedInstr &d = entry_decode[e];
+        DecodedInstr &d = entryDecode_[e];
         d.src1 = srcSlot(t.rs1);
         d.src2 = srcSlot(t.rs2);
         d.dst = dstSlot(t.rd);
@@ -104,42 +104,51 @@ PreparedTrace::PreparedTrace(const Trace &trace)
     std::uint64_t mem_ops = 0;
     std::uint64_t branches = 0;
     for (std::size_t e = 0; e < entries.size(); ++e) {
-        const OpClass cls = entry_decode[e].cls;
-        if (cls == OpClass::Load || cls == OpClass::Store)
+        if (takesMemId(entryDecode_[e].cls))
             mem_ops += uses[e];
         if (entries[e].isBranch)
             branches += uses[e];
     }
 
     AddressIds addr_ids(mem_ops);
-    decode_.resize(n);
+    memIds_.reserve(mem_ops + 1);
     exits_.reserve(branches);
     bounds_.reserve(branches + 2);
     bounds_.push_back(0);
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < size_; ++i) {
         const std::uint32_t e = store.id(i);
-        DecodedInstr &d = decode_[i];
-        d = entry_decode[e];
-        if (d.cls == OpClass::Load || d.cls == OpClass::Store)
-            d.memId = addr_ids.idOf(store.memAddr(i));
+        if (takesMemId(entryDecode_[e].cls))
+            memIds_.push_back(addr_ids.idOf(store.memAddr(i)));
         const TraceRecord &t = entries[e];
         if (t.isBranch) {
             bounds_.push_back(i + 1);
             exits_.push_back(PathExit{t.sid, t.block, t.taken, t.backward});
         }
     }
-    if (bounds_.back() < n)
-        bounds_.push_back(n);
+    memIds_.push_back(0);
+    if (bounds_.back() < size_)
+        bounds_.push_back(size_);
     numMemIds_ = addr_ids.count();
 }
 
 PreparedTrace::~PreparedTrace() = default;
 
+std::size_t
+PreparedTrace::bytes() const
+{
+    return idChunks_.capacity() * sizeof(idChunks_[0]) +
+           entryDecode_.capacity() * sizeof(DecodedInstr) +
+           blockOf_.capacity() * sizeof(BlockId) +
+           bounds_.capacity() * sizeof(DynIndex) +
+           exits_.capacity() * sizeof(PathExit) +
+           memIds_.capacity() * sizeof(std::uint32_t);
+}
+
 bool
 PreparedTrace::describes(const Trace &trace) const
 {
     const auto &chunks = trace.records.idChunks();
-    if (trace.records.size() != decode_.size() ||
+    if (trace.records.size() != size_ ||
         chunks.size() != idChunks_.size())
         return false;
     for (std::size_t k = 0; k < chunks.size(); ++k) {
@@ -182,9 +191,7 @@ PreparedTrace::joinIndex(const Cfg &cfg) const
                 join_idx[k] = next_occ[ipdom];
         }
         for (DynIndex i = p.end; i-- > p.begin;) {
-            const BlockId block =
-                blockOf_[idChunks_[i / RecordStore::kChunkRecords]
-                                  [i % RecordStore::kChunkRecords]];
+            const BlockId block = blockOf_[entryId(i)];
             dee_assert(block <= num_blocks, "record ", i, " runs block ",
                        block, " of a ", num_blocks, "-block Cfg");
             next_occ[block] = i;

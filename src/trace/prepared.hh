@@ -10,16 +10,22 @@
  *
  *  - the branch-path bounds (segmentPaths()) and each path's exit
  *    branch (static id, block, outcome, direction);
- *  - one packed 8-byte decode per instruction: register availability
- *    slots, op class, and a dense memory-address id that indexes a flat
- *    last-store table (ids are per trace, so no hashing per cell);
+ *  - one 4-byte decode per RecordStore entry: register availability
+ *    slots and op class. A record's entry id, which the store already
+ *    holds, names its decode, so nothing is copied per record;
+ *  - one dense memory-address id per load or store record, in trace
+ *    order, indexing a flat last-store table (ids are per trace, so no
+ *    hashing per cell);
  *  - the dynamic control-dependence join points of route B, cached per
  *    Cfg and keyed by the contents of its ipostdom table.
  *
  * It reads the trace's RecordStore in its compact form: the op class,
  * register slots, branch flags and block of each of the store's table
- * entries are worked out once per entry, not once per record, and each
- * record only adds its entry id and, for a load or store, its address.
+ * entries are worked out once per entry, not once per record, and only
+ * a load or store adds anything per record: its memory id. The issue
+ * loops read each record's entry id straight from the store's id
+ * chunks and take memory ids with a running cursor, which works
+ * because every pass visits the records in trace order.
  *
  * Trace::prepared() builds the view on first use, thread-safely, and
  * every later caller gets the same object. The view describes the
@@ -46,7 +52,7 @@ namespace dee
 class Cfg;
 
 /**
- * Register-availability slots of the packed decode: architectural
+ * Register-availability slots of the entry decode: architectural
  * registers 1..31 map to themselves; a missing source reads the
  * always-zero slot (the identity of the dataflow max) and a missing
  * destination writes a sink slot nobody reads.
@@ -56,21 +62,27 @@ constexpr std::uint8_t kSinkSlot = kNumRegs + 1;
 constexpr std::size_t kNumRegSlots = kNumRegs + 2;
 
 /**
- * One packed decoded instruction: the dataflow working set of the fast
- * kernels. Latency is not part of it; each cell maps the op class
- * through its own LatencyModel (and SimConfig::loadLatencies).
+ * The decode of one RecordStore entry: the dataflow working set of the
+ * fast kernels, shared by every record of the entry. Latency is not
+ * part of it; each cell maps the op class through its own LatencyModel
+ * (and SimConfig::loadLatencies). A load or store's memory id is per
+ * record: see PreparedTrace::memIds().
  */
 struct DecodedInstr
 {
-    /** Dense per-trace address id of a load or store, from 1; 0 for
-     *  every other op, naming a slot no store ever writes. */
-    std::uint32_t memId = 0;
     std::uint8_t src1 = kZeroSlot; ///< availability slot of rs1
     std::uint8_t src2 = kZeroSlot; ///< availability slot of rs2
     std::uint8_t dst = kSinkSlot;  ///< availability slot of rd
     OpClass cls = OpClass::Nop;
 };
-static_assert(sizeof(DecodedInstr) == 8, "issue loops want 8B entries");
+static_assert(sizeof(DecodedInstr) == 4, "issue loops want 4B entries");
+
+/** True for the op classes that take a memory id (loads and stores). */
+constexpr bool
+takesMemId(OpClass cls)
+{
+    return cls == OpClass::Load || cls == OpClass::Store;
+}
 
 /** The conditional branch that ends a branch path. */
 struct PathExit
@@ -93,7 +105,7 @@ class PreparedTrace
     PreparedTrace &operator=(const PreparedTrace &) = delete;
 
     /** Records in the trace. */
-    std::uint64_t size() const { return decode_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Branch paths (segmentPaths(), path for path). */
     std::uint64_t numPaths() const { return bounds_.size() - 1; }
@@ -113,12 +125,44 @@ class PreparedTrace
     /** Exit branch of path @p k; valid iff k < numBranches(). */
     const PathExit &exit(std::uint64_t k) const { return exits_[k]; }
 
-    /** The packed decode, one entry per record. */
-    const std::vector<DecodedInstr> &decode() const { return decode_; }
+    /** The store's id buffer: chunk k holds the entry ids of records
+     *  from k * RecordStore::kChunkRecords on. */
+    const std::vector<const std::uint32_t *> &
+    idChunks() const
+    {
+        return idChunks_;
+    }
 
-    /** Size of a last-store table indexed by DecodedInstr::memId: the
-     *  distinct load/store addresses plus the reserved slot 0. */
+    /** Entry id of record @p i. */
+    std::uint32_t
+    entryId(DynIndex i) const
+    {
+        return idChunks_[i / RecordStore::kChunkRecords]
+                        [i % RecordStore::kChunkRecords];
+    }
+
+    /** The decode of each RecordStore entry, indexed by entry id. */
+    const std::vector<DecodedInstr> &
+    entryDecode() const
+    {
+        return entryDecode_;
+    }
+
+    /**
+     * Dense per-trace address ids, from 1: entry k belongs to the k-th
+     * load or store record in trace order. A trailing 0 follows the
+     * last one, so a loop holding a cursor into the array may read the
+     * entry under it before it knows whether the record takes an id.
+     */
+    const std::vector<std::uint32_t> &memIds() const { return memIds_; }
+
+    /** Size of a last-store table indexed by memory id: the distinct
+     *  load/store addresses plus slot 0, which no store writes. */
     std::uint32_t numMemIds() const { return numMemIds_; }
+
+    /** Heap bytes the view holds, counting allocated capacity; the
+     *  join cache, which grows per Cfg, is left out. */
+    std::size_t bytes() const;
 
     /**
      * Route-B join points for @p cfg: entry k is the first dynamic index
@@ -140,12 +184,14 @@ class PreparedTrace
         std::vector<DynIndex> joinIdx;
     };
 
+    std::uint64_t size_ = 0;
     /** The id buffer's chunks, as RecordStore::idChunks() held them. */
     std::vector<const std::uint32_t *> idChunks_;
+    std::vector<DecodedInstr> entryDecode_; ///< one per store entry
     std::vector<BlockId> blockOf_;        ///< block of each store entry
     std::vector<DynIndex> bounds_;        ///< numPaths() + 1 path bounds
     std::vector<PathExit> exits_;         ///< one per branch path
-    std::vector<DecodedInstr> decode_;
+    std::vector<std::uint32_t> memIds_;   ///< one per load/store, then 0
     std::uint32_t numMemIds_ = 1;
     mutable std::mutex joinMutex_;
     mutable std::vector<std::unique_ptr<JoinEntry>> joins_;

@@ -21,8 +21,9 @@
  * (Section 1.2/2). segmentPaths() splits a trace accordingly.
  *
  * Trace::prepared() adds the per-trace view the simulators share
- * (trace/prepared.hh): paths, exit branches, packed decode and join
- * points, built once on first use instead of once per cell.
+ * (trace/prepared.hh): paths, exit branches, the decode of each store
+ * entry, memory ids and join points, built once on first use instead
+ * of once per cell.
  */
 
 #ifndef DEE_TRACE_TRACE_HH

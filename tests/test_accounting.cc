@@ -250,6 +250,36 @@ TEST(SlotLedger, RunsPastTheCycleCapSkipGracefully)
     EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped_before + 1);
 }
 
+TEST(SlotLedger, IssueCountsCoverTheBoundOrFallBack)
+{
+    SlotLedger ledger(0);
+    ledger.issue(1);
+    std::uint32_t *counts = ledger.issueCounts(5);
+    ASSERT_NE(counts, nullptr);
+    EXPECT_GE(ledger.issuedPerCycle().size(), 5u);
+    EXPECT_EQ(counts[1], 1u) << "growing kept the counts";
+    ++counts[1];
+    ++counts[4];
+    EXPECT_EQ(ledger.peakIssue(), 2u);
+
+    // A bound at the limit hands out nothing and leaves the ledger
+    // active: only a cycle issued past the limit deactivates it.
+    const auto limit = static_cast<std::int64_t>(SlotLedger::kMaxCycles);
+    EXPECT_EQ(ledger.issueCounts(limit), nullptr);
+    EXPECT_TRUE(ledger.active());
+    ledger.issue(limit);
+    EXPECT_FALSE(ledger.active());
+    EXPECT_EQ(ledger.issueCounts(5), nullptr);
+
+    SlotLedger counted(0);
+    ++counted.issueCounts(3)[2];
+    counted.mark(SlotClass::SquashedSpec, 0, 4);
+    const CycleAccount acct = counted.finalize(3);
+    ASSERT_TRUE(acct.valid());
+    EXPECT_EQ(acct.slots(SlotClass::Useful), 1u);
+    EXPECT_EQ(acct.slots(SlotClass::SquashedSpec), 2u);
+}
+
 // --- The identity on every model ----------------------------------------
 
 class ModelAccounting : public ::testing::TestWithParam<ModelKind>

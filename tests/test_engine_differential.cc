@@ -19,6 +19,9 @@
  *     stats, and full speculation profiling,
  *   - one traced cell per control-dependence regime, plus one with
  *     issue stats on,
+ *   - a trace that spans several of the record store's id chunks, and
+ *     load latencies that push issue cycles past the slot ledger's
+ *     limit,
  *
  * asserting bit-exact SimResult equality (every field, doubles
  * compared by value produced from identical integer operands), equal
@@ -165,13 +168,15 @@ snapshotRegistry(const obs::Registry &reg)
 
 SimResult
 runCell(const Kernels &kernels, ModelKind kind,
-        const BenchmarkInstance &inst, int e_t, bool profile = false)
+        const BenchmarkInstance &inst, int e_t, bool profile = false,
+        const std::vector<int> *load_latencies = nullptr)
 {
     TwoBitPredictor pred(inst.trace.numStatic);
     ModelRunOptions options;
     options.gatherResolveStats = true;
     options.gatherIssueStats = true;
     options.gatherProfile = profile;
+    options.loadLatencies = load_latencies;
     if (profile)
         options.profileWorkload = inst.name;
     return sim_detail::runModelWith(kind, inst.trace, &inst.cfg, pred,
@@ -371,6 +376,59 @@ TEST(EngineDifferential, ProfilingSurfaceBitExact)
                            std::string("profiling ") +
                                modelName(kind));
         obs::ProfileStore::process().clear();
+    }
+}
+
+TEST(EngineDifferential, AcrossIdChunksBitExact)
+{
+    // Every other trace here fits in the record store's first id chunk;
+    // this one spans four, so the issue loops' walk from one chunk to
+    // the next, inside a path and between oracle blocks, is compared
+    // too.
+    constexpr std::uint64_t kChunk = RecordStore::kChunkRecords;
+    constexpr std::uint64_t kRecords = 3 * kChunk + 17;
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, kRecords);
+    ASSERT_EQ(inst.trace.size(), kRecords);
+    const PreparedTrace &prep = inst.trace.prepared();
+    std::uint64_t straddling = 0;
+    for (std::uint64_t k = 0; k < prep.numPaths(); ++k) {
+        const BranchPath p = prep.path(k);
+        if (p.begin / kChunk != (p.end - 1) / kChunk)
+            ++straddling;
+    }
+    EXPECT_GE(straddling, 1u) << "no path crosses a chunk boundary";
+    for (ModelKind kind : allModels()) {
+        const SimResult fast = runCell(kFast, kind, inst, 32);
+        const SimResult ref = runCell(kReference, kind, inst, 32);
+        expectSameResult(fast, ref,
+                         std::string(modelName(kind)) + " across chunks");
+    }
+}
+
+TEST(EngineDifferential, LedgerLimitFallbackBitExact)
+{
+    // Loads this slow push issue cycles past the slot ledger's limit:
+    // the fast kernels' issue bound does too, so they fall back to the
+    // checked SlotLedger::issue(), and every run's account is skipped
+    // on both kernels alike.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Compress, 1, kGridMaxInstrs);
+    const std::vector<int> load_lat(inst.trace.size(), 1 << 26);
+    obs::Registry &reg = obs::Registry::global();
+    for (ModelKind kind : allModels()) {
+        const std::string ctx = modelName(kind);
+        const std::uint64_t skipped = reg.counter("acct.skipped_runs");
+        const SimResult fast = runCell(kFast, kind, inst, 32,
+                                       /*profile=*/false, &load_lat);
+        EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped + 1) << ctx;
+        const SimResult ref = runCell(kReference, kind, inst, 32,
+                                      /*profile=*/false, &load_lat);
+        EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped + 2) << ctx;
+        expectSameResult(fast, ref, ctx);
+        EXPECT_GT(fast.cycles, obs::SlotLedger::kMaxCycles) << ctx;
+        EXPECT_FALSE(fast.account.valid()) << ctx;
+        EXPECT_EQ(fast.peakIssue, 0u) << ctx;
     }
 }
 

@@ -5,9 +5,12 @@
  *
  *  - every prepared fact equals an independent recomputation from the
  *    records, on all five workloads at scales 1 and 4: path bounds
- *    (segmentPaths), exit branches, the packed decode, memory ids
- *    (one-to-one onto the distinct addresses) and join points (the
- *    backward sweep WindowSim::run used to make per cell);
+ *    (segmentPaths), exit branches, the per-entry decode, memory ids
+ *    (one per load or store in trace order, one-to-one onto the
+ *    distinct addresses) and join points (the backward sweep
+ *    WindowSim::run used to make per cell);
+ *  - the view holds no per-record array: its bytes() stay within a
+ *    budget of memory ops, paths and store entries;
  *  - the characteristic accuracy runModel() takes from its own
  *    predictor pass is bit-equal to characteristicAccuracy() for every
  *    predictor makePredictor() knows, and is published the same way;
@@ -123,30 +126,39 @@ TEST_P(PreparedFacts, MatchIndependentRecomputation)
     }
     EXPECT_EQ(prep.numBranches(), branches);
 
-    // Packed decode; memory ids one-to-one onto distinct addresses.
+    // The entry decode matches every record; each load or store takes
+    // exactly one memory id, in trace order, and other records none;
+    // ids map one-to-one onto distinct addresses.
+    const std::vector<std::uint32_t> &mem_ids = prep.memIds();
+    ASSERT_FALSE(mem_ids.empty());
+    EXPECT_EQ(mem_ids.back(), 0u) << "no trailing 0 after the last id";
+    std::size_t cursor = 0;
     std::unordered_map<std::uint64_t, std::uint32_t> id_of_addr;
     std::unordered_map<std::uint32_t, std::uint64_t> addr_of_id;
     for (std::uint64_t i = 0; i < records.size(); ++i) {
         const TraceRecord &rec = records[i];
-        const DecodedInstr &d = prep.decode()[i];
+        ASSERT_EQ(prep.entryId(i), records.id(i)) << i;
+        ASSERT_LT(prep.entryId(i), prep.entryDecode().size()) << i;
+        const DecodedInstr &d = prep.entryDecode()[prep.entryId(i)];
         ASSERT_EQ(d.src1, expectedSlot(rec.rs1, kZeroSlot)) << i;
         ASSERT_EQ(d.src2, expectedSlot(rec.rs2, kZeroSlot)) << i;
         ASSERT_EQ(d.dst, expectedSlot(rec.rd, kSinkSlot)) << i;
         ASSERT_EQ(d.cls, opClass(rec.op)) << i;
-        if (d.cls != OpClass::Load && d.cls != OpClass::Store) {
-            ASSERT_EQ(d.memId, 0u) << i;
+        if (d.cls != OpClass::Load && d.cls != OpClass::Store)
             continue;
-        }
-        ASSERT_GE(d.memId, 1u) << i;
-        ASSERT_LT(d.memId, prep.numMemIds()) << i;
+        ASSERT_LT(cursor + 1, mem_ids.size()) << "ids ran out at " << i;
+        const std::uint32_t mem_id = mem_ids[cursor++];
+        ASSERT_GE(mem_id, 1u) << i;
+        ASSERT_LT(mem_id, prep.numMemIds()) << i;
         const auto [a, fresh_addr] = id_of_addr.emplace(rec.memAddr,
-                                                        d.memId);
-        ASSERT_EQ(a->second, d.memId) << "address reused another id";
-        const auto [b, fresh_id] = addr_of_id.emplace(d.memId,
+                                                        mem_id);
+        ASSERT_EQ(a->second, mem_id) << "address reused another id";
+        const auto [b, fresh_id] = addr_of_id.emplace(mem_id,
                                                       rec.memAddr);
         ASSERT_EQ(b->second, rec.memAddr) << "id names two addresses";
         ASSERT_EQ(fresh_addr, fresh_id) << i;
     }
+    EXPECT_EQ(cursor + 1, mem_ids.size()) << "ids left over";
     EXPECT_EQ(prep.numMemIds(), id_of_addr.size() + 1);
 
     // Join points, and the cache keyed by ipostdom contents: a copy of
@@ -176,6 +188,30 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(workloadName(info.param.first)) + "_scale" +
                std::to_string(info.param.second);
     });
+
+TEST(PreparedTrace, HoldsNoPerRecordArray)
+{
+    // The view adds per record only a load or store's memory id; the
+    // rest is per path (bounds, exits), per store entry (decode, block)
+    // or fixed. An array with one entry per record breaks the budget.
+    for (const auto &[id, scale] : factCases()) {
+        const Trace &trace = instance(id, scale).trace;
+        const PreparedTrace &prep = trace.prepared();
+        const TraceStats stats = computeStats(trace);
+        const std::uint64_t mem_ops = stats.loads + stats.stores;
+        const std::uint64_t entries = trace.records.entries().size();
+        const std::uint64_t budget = 4 * mem_ops + 32 * prep.numPaths() +
+                                     16 * entries + 4096;
+        EXPECT_LE(prep.bytes(), budget)
+            << workloadName(id) << " scale " << scale << ": "
+            << prep.size() << " records, " << mem_ops
+            << " loads/stores, " << prep.numPaths() << " paths, "
+            << entries << " entries";
+        EXPECT_GE(prep.bytes(), 4 * mem_ops)
+            << workloadName(id) << " scale " << scale
+            << ": bytes() leaves out memIds()";
+    }
+}
 
 /** What one call published under bpred.<predictor>.* in its own
  *  registry (the predictor's name folded into one path segment). */
