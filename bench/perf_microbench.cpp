@@ -9,11 +9,11 @@
  * --stats) in addition to the google-benchmark ones; they are
  * stripped from argv before benchmark::Initialize sees them.
  *
- * Timing/attribution rides the shared obs::perf::ThroughputMeter
- * (scoped "microbench.<name>"), so items_per_second here and the
- * perf.* registry stats in the --json manifest agree on what an
- * "item" is: one simulated (or interpreted) instruction actually
- * executed, not an iterations x trace-size estimate.
+ * An "item" is one simulated (or interpreted) instruction actually
+ * executed, not an iterations x trace-size estimate. Every simulated
+ * run meters itself (obs/perf/perf.hh: scopes "Oracle", "<model>" and
+ * "Levo" in the --json manifest); the interpreter, which has no meter
+ * of its own, runs under "microbench.interpreter".
  *
  * With --hotspots each kernel's timed loop also runs under a
  * HotspotPhase marker (scope "bench"), the engines' own nested phase
@@ -23,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -69,17 +70,15 @@ void
 BM_OracleSim(benchmark::State &state)
 {
     const auto &inst = compressInstance();
-    dee::obs::perf::ThroughputMeter meter("microbench.oracle");
+    std::uint64_t instructions = 0;
     for (auto _ : state) {
         const dee::obs::hotspot::HotspotPhase hot(
             "bench", dee::obs::hotspot::Phase::Issue);
         auto r = dee::oracleSim(inst.trace);
         benchmark::DoNotOptimize(r.cycles);
-        meter.addInstructions(r.instructions);
-        meter.addCycles(r.cycles);
+        instructions += r.instructions;
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(meter.instructions()));
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
 }
 BENCHMARK(BM_OracleSim);
 
@@ -89,18 +88,15 @@ BM_WindowSim(benchmark::State &state)
     const auto &inst = compressInstance();
     const auto kind = static_cast<dee::ModelKind>(state.range(0));
     dee::TwoBitPredictor pred(inst.trace.numStatic);
-    dee::obs::perf::ThroughputMeter meter(
-        std::string("microbench.window.") + dee::modelName(kind));
+    std::uint64_t instructions = 0;
     for (auto _ : state) {
         const dee::obs::hotspot::HotspotPhase hot(
             "bench", dee::obs::hotspot::Phase::Issue);
         auto r = dee::runModel(kind, inst.trace, &inst.cfg, pred, 256);
         benchmark::DoNotOptimize(r.cycles);
-        meter.addInstructions(r.instructions);
-        meter.addCycles(r.cycles);
+        instructions += r.instructions;
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(meter.instructions()));
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
 }
 BENCHMARK(BM_WindowSim)
     ->Arg(static_cast<int>(dee::ModelKind::SP))
@@ -113,17 +109,15 @@ BM_LevoMachine(benchmark::State &state)
 {
     const auto &inst = compressInstance();
     dee::LevoMachine machine(inst.program, inst.cfg, dee::LevoConfig{});
-    dee::obs::perf::ThroughputMeter meter("microbench.levo");
+    std::uint64_t instructions = 0;
     for (auto _ : state) {
         const dee::obs::hotspot::HotspotPhase hot(
             "bench", dee::obs::hotspot::Phase::Issue);
         auto r = machine.run(10'000'000);
         benchmark::DoNotOptimize(r.cycles);
-        meter.addInstructions(r.instructions);
-        meter.addCycles(r.cycles);
+        instructions += r.instructions;
     }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(meter.instructions()));
+    state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
 }
 BENCHMARK(BM_LevoMachine);
 

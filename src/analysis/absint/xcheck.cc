@@ -223,7 +223,7 @@ checkPerfScope(Checker &ck, const std::string &path, const Json &node)
     }
 }
 
-/** Walks host_perf.scopes, treating any object that carries a numeric
+/** Walks stats.perf, treating any object that carries a numeric
  *  "runs" as one metered scope. */
 void
 walkPerfScopes(Checker &ck, const std::string &prefix, const Json &node)
@@ -450,9 +450,8 @@ crossCheckManifest(const obs::Json &doc)
 
     // Perf scopes first: checks (a)/(b), plus the cycle totals the
     // residency bound (e) needs.
-    const Json *host_perf = doc.find("host_perf");
-    const Json *scopes =
-        host_perf != nullptr ? host_perf->find("scopes") : nullptr;
+    const Json *stats = doc.find("stats");
+    const Json *scopes = stats != nullptr ? stats->find("perf") : nullptr;
     if (scopes != nullptr && scopes->isObject())
         walkPerfScopes(ck, std::string(), *scopes);
 

@@ -3,9 +3,12 @@
  * Internal seam between the simulators and their kernels.
  *
  * WindowSim::run(), oracleSim() and runModel() are thin wrappers over
- * the entry points declared below, which take the kernel as a plain
- * function argument: a window forward pass (ForwardKernel) and an
- * oracle sweep (OracleKernel). The library always passes the
+ * the entry points declared below. The first two also hold the run's
+ * one host clock (obs/perf/perf.hh); runModelWith() holds its own and
+ * calls runWindowWith() / oracleSimWith(), so no run is timed twice.
+ * The entry points take the kernel as a plain function argument: a
+ * window forward pass (ForwardKernel) and an oracle sweep
+ * (OracleKernel). The library always passes the
  * data-oriented kernels of fast_engine.cc. The seed kernels they
  * replaced live in tests/reference_engine.cc, where the differential
  * suite passes them instead; nothing else picks a kernel.
@@ -192,12 +195,13 @@ std::int64_t fastOracle(const Trace &trace, const LatencyModel &latency,
 /** The kernels every public entry point runs. */
 inline constexpr Kernels kFastKernels{&fastForward, &fastOracle};
 
-/** WindowSim::run(predictions), with the forward pass passed in. */
+/** WindowSim::run(predictions) without its meter, with the forward
+ *  pass passed in. */
 SimResult runWindowWith(const WindowSim &sim,
                         const PathPredictions &predictions,
                         ForwardKernel forward);
 
-/** oracleSim(), with the sweep passed in. */
+/** oracleSim() without its meter, with the sweep passed in. */
 SimResult oracleSimWith(const Trace &trace, LatencyModel latency,
                         const std::vector<int> *load_latencies,
                         bool gather_accounting, OracleKernel sweep);

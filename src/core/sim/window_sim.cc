@@ -11,8 +11,8 @@
 #include "common/table.hh"
 #include "core/sim/forward_pass.hh"
 #include "obs/hotspot/hotspot.hh"
+#include "obs/perf/perf.hh"
 #include "obs/registry.hh"
-#include "obs/timer.hh"
 #include "obs/trace_event.hh"
 #include "trace/prepared.hh"
 
@@ -157,8 +157,16 @@ WindowSim::run(BranchPredictor &predictor) const
 SimResult
 WindowSim::run(const PathPredictions &predictions) const
 {
-    return sim_detail::runWindowWith(*this, predictions,
-                                     &sim_detail::fastForward);
+    // A direct run's one host clock, under the profile's scope
+    // convention; runModel() meters its own runs and calls
+    // runWindowWith() itself.
+    obs::perf::ThroughputMeter meter(
+        config_.profileScope.empty() ? "window" : config_.profileScope);
+    SimResult result = sim_detail::runWindowWith(
+        *this, predictions, &sim_detail::fastForward);
+    meter.addInstructions(result.instructions);
+    meter.addCycles(result.cycles);
+    return result;
 }
 
 SimResult
@@ -170,7 +178,6 @@ sim_detail::runWindowWith(const WindowSim &sim,
     const SpecTree &tree = sim.tree();
     const SimConfig &config = sim.config();
     const Cfg *cfg = sim.cfg();
-    obs::ScopedTimer run_timer("sim.window.run_ms");
     obs::Tracer &tracer = obs::Tracer::global();
     const bool tracing =
         DEE_OBS_TRACE_ENABLED != 0 && tracer.enabled();
@@ -498,9 +505,13 @@ oracleSim(const Trace &trace, LatencyModel latency,
           const std::vector<int> *load_latencies,
           bool gather_accounting)
 {
-    return sim_detail::oracleSimWith(trace, latency, load_latencies,
-                                     gather_accounting,
-                                     &sim_detail::fastOracle);
+    obs::perf::ThroughputMeter meter("Oracle");
+    SimResult result = sim_detail::oracleSimWith(
+        trace, latency, load_latencies, gather_accounting,
+        &sim_detail::fastOracle);
+    meter.addInstructions(result.instructions);
+    meter.addCycles(result.cycles);
+    return result;
 }
 
 SimResult
@@ -508,8 +519,6 @@ sim_detail::oracleSimWith(const Trace &trace, LatencyModel latency,
                           const std::vector<int> *load_latencies,
                           bool gather_accounting, OracleKernel sweep)
 {
-    obs::ScopedTimer run_timer("sim.oracle.run_ms");
-
     SimResult result;
     result.instructions = trace.size();
     if (trace.empty())

@@ -13,7 +13,6 @@
 #include "obs/hotspot/hotspot.hh"
 #include "obs/perf/perf.hh"
 #include "obs/registry.hh"
-#include "obs/timer.hh"
 #include "obs/trace_event.hh"
 
 namespace dee
@@ -75,9 +74,9 @@ LevoMachine::LevoMachine(Program program, Cfg cfg,
 LevoResult
 LevoMachine::run(std::uint64_t max_instrs) const
 {
-    obs::ScopedTimer run_timer("levo.run_ms");
-    // Host-throughput metering under the profiler's scope convention
-    // ("<workload>.Levo" when configured, bare "Levo" otherwise).
+    // The run's one host clock: throughput metering under the
+    // profiler's scope convention ("<workload>.Levo" when configured,
+    // bare "Levo" otherwise).
     obs::perf::ThroughputMeter perf_meter(
         config_.profileScope.empty() ? "Levo" : config_.profileScope);
     obs::Tracer &tracer = obs::Tracer::global();

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/registry.hh"
 #include "obs/telemetry/telemetry.hh"
 
 namespace dee::obs
@@ -73,26 +72,6 @@ void
 Heartbeat::finish()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Final progress totals, surfaced in stats dumps and manifests
-    // under heartbeat.<label>.* (wall_ms is wall-clock and therefore
-    // nondeterministic — manifest normalizers drop the subtree, like
-    // runner.* and perf.*). Serialized against the telemetry sampler's
-    // registry walks when one is running.
-    {
-        telemetry::Hub &hub = telemetry::Hub::process();
-        std::unique_lock<std::mutex> reg_lock(hub.registryMutex(),
-                                              std::defer_lock);
-        if (hub.active())
-            reg_lock.lock();
-        Registry &registry = Registry::global();
-        const std::string prefix = "heartbeat." + label_ + ".";
-        registry.counter(prefix + "units") = done_;
-        registry.counter(prefix + "instructions") = instructions_;
-        registry.scalar(prefix + "wall_ms") =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-    }
     if (!enabled_)
         return;
     std::fprintf(stderr, "%s (done)\n", statusLineLocked().c_str());

@@ -3,10 +3,10 @@
  * Host hot-path sampling profiler with simulator-phase attribution.
  *
  * Everything the perf layer (obs/perf) measures is *aggregate* host
- * cost — simulated KIPS, host IPC — and everything the speculation
- * profiler (obs/profile) attributes is *simulated* cost. Neither says
- * which host code burns the cycles, which is exactly what the
- * ROADMAP-item-1 hot-path rewrite needs to aim and to prove itself.
+ * cost — host ms and simulated KIPS per run — and everything the
+ * speculation profiler (obs/profile) attributes is *simulated* cost.
+ * Neither says which host code burns the cycles, which is exactly what
+ * a hot-path rewrite needs to aim and to prove itself.
  * This layer closes that gap with a self-contained, dependency-free
  * sampling profiler over the simulator's own execution:
  *

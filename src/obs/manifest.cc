@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "obs/hotspot/hotspot.hh"
-#include "obs/perf/perf.hh"
 #include "obs/profile/profile.hh"
 #include "obs/telemetry/telemetry.hh"
 #include "obs/trace_event.hh"
@@ -77,27 +76,6 @@ Manifest::toJson(const Registry &registry) const
     const ProfileStore &profiles = ProfileStore::global();
     root["profile"] = profiles.empty() ? Json::object()
                                        : profiles.toJson();
-
-    // v4: host-performance observability — whether real hardware
-    // counters backed the perf.* numbers (containers often forbid
-    // perf_event_open, leaving timing-only metering), and the perf
-    // subtree itself surfaced as a section for trajectory tooling.
-    Json host_perf = Json::object();
-    host_perf["hw_counters"] = Json(perf::HwCounters::available());
-    // v5: host memory pressure — peak RSS and page-fault totals for the
-    // whole process (getrusage), the numbers a "did this sweep start
-    // swapping?" triage reaches for first.
-    const perf::HostResources host_res = perf::readHostResources();
-    if (host_res.valid) {
-        host_perf["peak_rss_kb"] = Json(host_res.peakRssKb);
-        host_perf["major_faults"] = Json(host_res.majorFaults);
-        host_perf["minor_faults"] = Json(host_res.minorFaults);
-    }
-    if (const Json *perf_stats = stats.find("perf"))
-        host_perf["scopes"] = *perf_stats;
-    else
-        host_perf["scopes"] = Json::object();
-    root["host_perf"] = std::move(host_perf);
 
     // v5: the live sampler's summary — per-series sample counts and
     // min/max/last, {"enabled": false} when telemetry never ran.

@@ -18,9 +18,6 @@
  *       "trace": { "enabled": ..., "recorded": ..., "dropped": ...,
  *                  "buffered": ... },
  *       "profile": { ... },        // ProfileStore::toJson(); {} when off
- *       "host_perf": { "hw_counters": ..., "peak_rss_kb": ...,
- *                      "major_faults": ..., "minor_faults": ...,
- *                      "scopes": { ... } },
  *       "telemetry": { "enabled": ..., "interval_ms": ...,
  *                      "samples": ..., "series": { ... } },
  *       "static_bounds": { ... },  // analysis/absint section; {} when
@@ -29,27 +26,27 @@
  *                     "samples": ..., "attributed": ...,
  *                     "attributed_pct": ..., "phases": { ... },
  *                     "top_stacks": [ ... ] },
- *       "stats": { ... },          // Registry::toJson()
+ *       "stats": { ... },          // Registry::toJson(); host
+ *                                  // throughput under stats.perf
  *       "wall_clock_ms": 123.4
  *     }
  *
- * v2 added the "accounting" and "trace" sections on top of v1; v3 adds
- * the "profile" section (per-branch speculation attribution); v4 adds
- * "host_perf" — whether hardware counters were live, and the perf.*
- * stats subtree (simulated-KIPS / host-IPC per <workload>.<model>
- * scope, see obs/perf/perf.hh) surfaced as a section; v5 adds host
- * memory pressure to "host_perf" (getrusage peak RSS and page-fault
- * totals) and the "telemetry" section — the live sampler's per-series
- * sample counts and min/max/last summaries ({"enabled": false} when
- * telemetry was off); v6 adds "static_bounds" — the abstract
- * interpreter's per-workload bounds (analysis/absint/bounds.hh),
- * installed via setStaticBoundsSection() by tools that call
+ * v2 added the "accounting" and "trace" sections on top of v1; v3
+ * adds the "profile" section (per-branch speculation attribution);
+ * v4's "host_perf" section is gone: host throughput per
+ * <workload>.<model> scope (obs/perf/perf.hh) and peak RSS /
+ * page-fault totals live once, under stats.perf; v5 adds the
+ * "telemetry" section — the live sampler's per-series sample counts
+ * and min/max/last summaries ({"enabled": false} when telemetry was
+ * off); v6 adds "static_bounds" — the abstract interpreter's
+ * per-workload bounds (analysis/absint/bounds.hh), installed via
+ * setStaticBoundsSection() by tools that call
  * analysis::absint::publishStaticBounds(), and the static side of
  * dee_lint --xcheck; v7 adds "hotspots" — the host hot-path sampler's
  * per-phase CPU attribution and top folded host stacks
  * (obs/hotspot/hotspot.hh), {"enabled": false} when the sampler never
- * ran. The reader (obs/manifest_diff.hh) accepts v7 only: regenerate an
- * older document by rerunning the tool that wrote it.
+ * ran. The reader (obs/manifest_diff.hh) accepts v7 only: regenerate
+ * an older document by rerunning the tool that wrote it.
  */
 
 #ifndef DEE_OBS_MANIFEST_HH

@@ -103,8 +103,7 @@ parseManifest(const std::string &text, const std::string &path,
     // Flatten the sections that carry comparable numbers; "schema",
     // "tool" and "config" are identity, not metrics.
     for (const char *section : {"results", "accounting", "trace",
-                                "profile", "host_perf",
-                                "static_bounds", "hotspots",
+                                "profile", "static_bounds", "hotspots",
                                 "stats"}) {
         if (const Json *sub = doc.find(section))
             flattenNumeric(*sub, section, &out->metrics);

@@ -69,7 +69,9 @@ bool globMatch(const std::string &pattern, const std::string &text);
  * depth, whose key is run_ms, wall_clock_ms, runner, jobs, perf,
  * host_perf, telemetry, heartbeat, hotspots or hot. What remains is a
  * pure function of the simulated inputs, byte-identical across --jobs
- * values and engines.
+ * values and engines. No tool writes host_perf or heartbeat any more;
+ * they stay in the set because the committed baseline still carries
+ * both sections, and a gate against it must skip them.
  */
 Json withoutHostMeasured(const Json &doc);
 

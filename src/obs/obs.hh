@@ -4,9 +4,8 @@
  *
  *   registry.hh      hierarchical stats registry (dotted paths)
  *   trace_event.hh   cycle-level ring-buffer tracer (trace_event JSONL)
- *   timer.hh         ScopedTimer wall-clock profiling into the registry
  *   accounting.hh    closed per-slot cycle accounting (acct.*)
- *   perf/perf.hh     host throughput meter + hw counters (perf.*)
+ *   perf/perf.hh     host throughput meter, one per simulated run (perf.*)
  *   profile/profile.hh per-branch speculation profiler (prof.*)
  *   profile/report.hh  self-contained HTML profile report (dee_prof)
  *   heartbeat.hh     rate/ETA progress lines for long bench runs
@@ -35,7 +34,6 @@
 #include "obs/session.hh"
 #include "obs/telemetry/stats_server.hh"
 #include "obs/telemetry/telemetry.hh"
-#include "obs/timer.hh"
 #include "obs/trace_event.hh"
 
 #endif // DEE_OBS_OBS_HH

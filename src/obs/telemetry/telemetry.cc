@@ -409,7 +409,6 @@ Hub::tick(bool final)
             const Registry &registry = Registry::process();
             double acct[sizeof(kAcctClasses) /
                         sizeof(kAcctClasses[0])] = {};
-            std::uint64_t host_cycles = 0, host_instrs = 0;
             for (const std::string &path : registry.paths()) {
                 for (std::size_t c = 0;
                      c < sizeof(kAcctClasses) / sizeof(kAcctClasses[0]);
@@ -420,22 +419,6 @@ Hub::tick(bool final)
                             acct[c] += static_cast<double>(*v);
                     }
                 }
-                if (path.compare(0, 5, "perf.") == 0) {
-                    if (path.size() > 12 &&
-                        path.compare(path.size() - 12, 12,
-                                     ".host_cycles") == 0) {
-                        if (const std::uint64_t *v =
-                                registry.findCounter(path))
-                            host_cycles += *v;
-                    } else if (path.size() > 18 &&
-                               path.compare(path.size() - 18, 18,
-                                            ".host_instructions") ==
-                                   0) {
-                        if (const std::uint64_t *v =
-                                registry.findCounter(path))
-                            host_instrs += *v;
-                    }
-                }
             }
             for (std::size_t c = 0;
                  c < sizeof(kAcctClasses) / sizeof(kAcctClasses[0]);
@@ -443,10 +426,6 @@ Hub::tick(bool final)
                 if (acct[c] > 0.0)
                     vals[std::string("acct.") + kAcctClasses[c]] =
                         acct[c];
-            }
-            if (host_cycles > 0) {
-                vals["host.ipc"] = static_cast<double>(host_instrs) /
-                                   static_cast<double>(host_cycles);
             }
 
             // Top squashed-slot branch sites, aggregated over every

@@ -15,7 +15,6 @@
  *   sim.instructions            simulated instructions (Heartbeat fed)
  *   sim.kips                    instantaneous simulated KIPS
  *   host.rss_kb                 live resident set (/proc/self/status)
- *   host.ipc                    host IPC over the perf.* hw counters
  *   acct.<class>                merged issue-slot class totals
  *   runner.worker.<i>.util      live per-worker busy fraction
  *   runner.worker.<i>.tasks/.steals  cumulative pool tallies
@@ -37,13 +36,13 @@
  * runner::runCells reports cell starts/completions and holds the Hub's
  * registry mutex while it mutates the *process* registry (per-cell
  * merges, and the whole serial run(i) when --jobs 1), and Heartbeat
- * adds instruction progress under its own mutex. The sampler snapshots
- * the acct and perf subtrees of the process registry only under
- * try_lock — when a
- * producer holds the lock the tick simply skips the registry-derived
- * series — so sampling never blocks or perturbs the sweep and never
- * races the single-threaded Registry. Simulated results are a pure
- * function of the cell; telemetry observes, it cannot steer.
+ * adds instruction progress under its own mutex (it never touches the
+ * registry). The sampler snapshots the acct subtree of the process
+ * registry only under try_lock — when a producer holds the lock the
+ * tick simply skips the registry-derived series — so sampling never
+ * blocks or perturbs the sweep and never races the single-threaded
+ * Registry. Simulated results are a pure function of the cell;
+ * telemetry observes, it cannot steer.
  *
  * Overhead discipline (the tracer's, applied again): compile out with
  * -DDEE_OBS_TELEMETRY_ENABLED=0 and every hook folds to nothing; at

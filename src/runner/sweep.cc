@@ -42,7 +42,7 @@ unsigned
 effectiveJobs(const SweepOptions &options)
 {
     if (options.jobs < 0)
-        dee_fatal("--jobs must be >= 0 (got %d)", options.jobs);
+        dee_fatal("--jobs must be >= 0 (got ", options.jobs, ")");
     if (options.jobs == 0)
         return ThreadPool::hardwareConcurrency();
     return static_cast<unsigned>(options.jobs);

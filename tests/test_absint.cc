@@ -28,7 +28,9 @@
 #include "cfg/cfg.hh"
 #include "core/sim/models.hh"
 #include "isa/builder.hh"
+#include "obs/isolate.hh"
 #include "obs/json.hh"
+#include "obs/manifest.hh"
 #include "workloads/suite.hh"
 #include "workloads/workloads.hh"
 
@@ -378,14 +380,14 @@ docWithPerfScope(const std::string &workload,
     byModel[model] = std::move(scope);
     Json byWl = Json::object();
     byWl[workload] = std::move(byModel);
-    Json scopes = Json::object();
-    scopes["scopes"] = std::move(byWl);
+    Json stats = Json::object();
+    stats["perf"] = std::move(byWl);
     Json config = Json::object();
     config["scale"] = std::int64_t{1};
     config["seed"] = std::int64_t{0};
     Json doc = Json::object();
     doc["config"] = std::move(config);
-    doc["host_perf"] = std::move(scopes);
+    doc["stats"] = std::move(stats);
     return doc;
 }
 
@@ -420,8 +422,8 @@ TEST(AbsintXcheck, DeflatedCyclesFailTheCriticalPathGate)
 TEST(AbsintXcheck, ImpossibleOracleIpcFailsTheDataflowGate)
 {
     Json doc = docWithPerfScope("compress", "Oracle", 1.0, 100.0);
-    doc["host_perf"]["scopes"]["compress"]["Oracle"]
-       ["sim_instructions"] = 50000.0;
+    doc["stats"]["perf"]["compress"]["Oracle"]["sim_instructions"] =
+        50000.0;
     const XcheckResult res = crossCheckManifest(doc);
     EXPECT_TRUE(
         anyFailureContains(res, "oracle_ipc_vs_dataflow_limit"));
@@ -450,6 +452,34 @@ TEST(AbsintXcheck, EveryRealModelNameIsRecognized)
         docWithPerfScope("compress", "Bogus", 1.0, 1e9));
     EXPECT_EQ(bogus.checks, 0u);
     EXPECT_FALSE(bogus.notes.empty());
+}
+
+TEST(AbsintXcheck, ChecksEveryScopeOfARealManifest)
+{
+    // The perf scopes xcheck reads are the ones a real run writes:
+    // every model through runModel, the manifest built as a tool
+    // builds it. One critical-path check per model plus Oracle's IPC
+    // check; a manifest whose perf scopes went missing would pass with
+    // no check at all.
+    const BenchmarkInstance inst = makeInstance(WorkloadId::Compress, 1);
+    obs::CellSink sink;
+    Json doc;
+    {
+        obs::IsolationScope scope(sink);
+        for (ModelKind kind : allModels()) {
+            TwoBitPredictor pred(inst.trace.numStatic);
+            ModelRunOptions options;
+            options.profileWorkload = inst.name;
+            runModel(kind, inst.trace, &inst.cfg, pred, 8, options);
+        }
+        obs::Manifest manifest("xcheck_test");
+        manifest.config()["scale"] = std::int64_t{1};
+        manifest.config()["seed"] = std::int64_t{0};
+        doc = manifest.toJson(sink.registry);
+    }
+    const XcheckResult res = crossCheckManifest(doc);
+    EXPECT_TRUE(res.ok()) << res.renderText();
+    EXPECT_EQ(res.checks, 9u) << res.renderText();
 }
 
 Json

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the observability layer: stats registry naming rules,
  * tracer ring-buffer semantics, JSON emission round-tripped through the
- * built-in parser, scoped timers, run manifests, and the manifest
- * regression gate (against synthetic manifests and the committed
- * Figure 5 baseline).
+ * built-in parser, run manifests, and the manifest regression gate
+ * (against synthetic manifests and the committed Figure 5 baseline).
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@ namespace
 using dee::obs::Json;
 using dee::obs::Manifest;
 using dee::obs::Registry;
-using dee::obs::ScopedTimer;
 using dee::obs::Tracer;
 
 TEST(Registry, CounterScalarStatHistogram)
@@ -292,20 +290,6 @@ TEST(Json, DuplicateObjectKeysLastWins)
     EXPECT_EQ(out.size(), 2u);
     EXPECT_EQ(out.find("a")->asInt(), 3);
     EXPECT_EQ(out.find("b")->asInt(), 2);
-}
-
-TEST(ScopedTimer, RecordsOneSamplePerScope)
-{
-    Registry reg;
-    {
-        ScopedTimer timer("sim.window.run_ms", reg);
-    }
-    {
-        ScopedTimer timer("sim.window.run_ms", reg);
-    }
-    const dee::RunningStat &stat = reg.stat("sim.window.run_ms");
-    EXPECT_EQ(stat.count(), 2u);
-    EXPECT_GE(stat.min(), 0.0);
 }
 
 TEST(Manifest, DocumentShapeAndRoundTrip)

@@ -2,17 +2,21 @@
  * @file
  * Unit tests for the host-performance observability layer
  * (obs/perf/): ThroughputMeter arithmetic and scope isolation at any
- * --jobs value, the HwCounters env-forced fallback, and the dee.run.v7
- * manifest's host_perf section.
+ * --jobs value, one meter per simulated run, and perf.* carried once
+ * in the dee.run.v7 manifest, under stats.perf.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "bpred/bpred.hh"
+#include "core/sim/models.hh"
+#include "levo/levo.hh"
 #include "obs/obs.hh"
 #include "runner/sweep.hh"
+#include "workloads/suite.hh"
 
 namespace dee
 {
@@ -27,8 +31,6 @@ using obs::LoadedManifest;
 using obs::Manifest;
 using obs::parseManifest;
 using obs::Registry;
-using obs::perf::HwCounters;
-using obs::perf::HwSample;
 using obs::perf::refreshPerfScalars;
 using obs::perf::ThroughputMeter;
 
@@ -193,62 +195,47 @@ TEST(ThroughputMeter, ScopeCountersIdenticalAcrossJobs)
         << serial;
 }
 
-// ------------------------------------------------------- HwCounters
-
-TEST(HwCounters, EnvVariableForcesTimingOnlyFallback)
+TEST(ThroughputMeter, EveryRunPassesExactlyOneClock)
 {
-    ASSERT_EQ(setenv("DEE_PERF_HW", "0", 1), 0);
-    EXPECT_TRUE(HwCounters::envDisabled());
-    EXPECT_FALSE(HwCounters::available());
-    const HwSample sample = HwCounters::threadLocal().read();
-    EXPECT_FALSE(sample.valid);
-
-    // A meter under the forced fallback publishes timing but no
-    // host_* counters.
+    // Each simulated run's host time is recorded once, by one meter:
+    // runModel (window and Oracle), a direct WindowSim::run under its
+    // profile scope, a direct oracleSim and LevoMachine::run.
+    const BenchmarkInstance inst = makeInstance(WorkloadId::Compress, 1);
     CellSink sink;
     {
         IsolationScope scope(sink);
-        ThroughputMeter meter("env.SP");
-        meter.addInstructions(10);
+        ModelRunOptions options;
+        options.profileWorkload = "compress";
+        TwoBitPredictor pred(inst.trace.numStatic);
+        runModel(ModelKind::DEE_CD_MF, inst.trace, &inst.cfg, pred, 8,
+                 options);
+        runModel(ModelKind::Oracle, inst.trace, &inst.cfg, pred, 8,
+                 options);
+
+        SimConfig config;
+        config.profileScope = "direct.SP";
+        const WindowSim sim(inst.trace, SpecTree::singlePath(0.9, 8),
+                            config, &inst.cfg);
+        TwoBitPredictor direct_pred(inst.trace.numStatic);
+        sim.run(direct_pred);
+        oracleSim(inst.trace);
+        LevoMachine(inst.program, inst.cfg, LevoConfig{}).run();
     }
-    EXPECT_NE(sink.registry.findCounter("perf.env.SP.sim_instructions"),
-              nullptr);
-    EXPECT_EQ(sink.registry.findCounter("perf.env.SP.host_cycles"),
-              nullptr);
-    EXPECT_EQ(sink.registry.findScalar("perf.env.SP.host_ipc"),
-              nullptr);
-    unsetenv("DEE_PERF_HW");
-}
-
-TEST(HwCounters, ReadNeverFailsHard)
-{
-    // Whatever the host supports (bare metal, VM, seccomp'd
-    // container), read() must return — valid or not — rather than
-    // error out.
-    const HwSample sample = HwCounters::threadLocal().read();
-    if (sample.valid) {
-        EXPECT_TRUE(HwCounters::threadLocal().enabled());
+    std::vector<std::string> clocks;
+    for (const std::string &path : sink.registry.paths()) {
+        if (path.size() < 6 ||
+            path.compare(path.size() - 6, 6, "run_ms") != 0)
+            continue;
+        clocks.push_back(path);
+        EXPECT_EQ(sink.registry.findStat(path)->count(), 1u) << path;
     }
-    SUCCEED();
-}
-
-TEST(HwSample, DeltaFromPropagatesValidity)
-{
-    HwSample begin, end;
-    begin.valid = true;
-    begin.cycles = 100;
-    begin.instructions = 50;
-    end.valid = true;
-    end.cycles = 300;
-    end.instructions = 250;
-    const HwSample delta = end.deltaFrom(begin);
-    EXPECT_TRUE(delta.valid);
-    EXPECT_EQ(delta.cycles, 200u);
-    EXPECT_EQ(delta.instructions, 200u);
-
-    HwSample invalid;
-    EXPECT_FALSE(end.deltaFrom(invalid).valid);
-    EXPECT_FALSE(invalid.deltaFrom(begin).valid);
+    EXPECT_EQ(clocks, (std::vector<std::string>{
+                          "perf.Levo.run_ms",
+                          "perf.Oracle.run_ms",
+                          "perf.compress.DEE-CD-MF.run_ms",
+                          "perf.compress.Oracle.run_ms",
+                          "perf.direct.SP.run_ms",
+                      }));
 }
 
 // ------------------------------------------------- manifest schema
@@ -267,25 +254,14 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     Manifest manifest("test_tool");
     const Json doc = manifest.toJson(reg);
     EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v7");
-    const Json *host_perf = doc.find("host_perf");
-    ASSERT_NE(host_perf, nullptr);
-    ASSERT_NE(host_perf->find("hw_counters"), nullptr);
-    // Stats JSON nests on dots: scopes.compress.SP.{...}.
-    const Json *scopes = host_perf->find("scopes");
-    ASSERT_NE(scopes, nullptr);
-    const Json *compress = scopes->find("compress");
-    ASSERT_NE(compress, nullptr);
-    ASSERT_NE(compress->find("SP"), nullptr);
+    // perf.* lives once, under stats.perf: no host_perf copy.
+    EXPECT_EQ(doc.find("host_perf"), nullptr);
 
-    // The v4 reader flattens host_perf numerics into dotted metrics.
     LoadedManifest back;
     std::string err;
     ASSERT_TRUE(parseManifest(doc.dump(2), "t.json", &back, &err))
         << err;
     double value = 0.0;
-    ASSERT_TRUE(back.metric(
-        "host_perf.scopes.compress.SP.sim_instructions", &value));
-    EXPECT_DOUBLE_EQ(value, 5000.0);
     ASSERT_TRUE(
         back.metric("stats.perf.compress.SP.sim_instructions", &value));
     EXPECT_DOUBLE_EQ(value, 5000.0);

@@ -289,6 +289,15 @@ TEST(RunCells, CellExceptionPropagates)
     obs::Registry::process().clear();
 }
 
+TEST(RunCellsDeathTest, NegativeJobsNamesTheValue)
+{
+    runner::SweepOptions bad;
+    bad.jobs = -1;
+    EXPECT_EXIT(runner::runCells(1, bad, [](std::size_t) {}),
+                ::testing::ExitedWithCode(1),
+                "--jobs must be >= 0 \\(got -1\\)");
+}
+
 // ------------------------------------------- differential determinism
 
 /**

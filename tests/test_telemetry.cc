@@ -288,32 +288,6 @@ TEST(TelemetryHeartbeat, RidesSamplerClockAndFeedsInstructions)
     EXPECT_FALSE(after.ridesSamplerClock());
 }
 
-TEST(TelemetryHeartbeat, FinishPublishesCountersUnderHubLock)
-{
-    Registry::global().clear();
-    Hub &hub = Hub::process();
-    Options opts;
-    opts.intervalMs = 5.0;
-    ASSERT_TRUE(hub.start(opts));
-    {
-        Heartbeat hb("pub_test", /*enabled=*/false);
-        hb.tick(2, 1'000);
-        hb.finish();
-    }
-    hub.stop();
-    Registry &reg = Registry::global();
-    const std::uint64_t *units =
-        reg.findCounter("heartbeat.pub_test.units");
-    ASSERT_NE(units, nullptr);
-    EXPECT_EQ(*units, 2u);
-    const std::uint64_t *instrs =
-        reg.findCounter("heartbeat.pub_test.instructions");
-    ASSERT_NE(instrs, nullptr);
-    EXPECT_EQ(*instrs, 1'000u);
-    EXPECT_NE(reg.findScalar("heartbeat.pub_test.wall_ms"), nullptr);
-    Registry::global().clear();
-}
-
 // --------------------------------------------------- stats endpoint
 
 TEST(TelemetryServer, HandleRequestUnits)

@@ -268,14 +268,9 @@ renderFrame(std::FILE *to, const Json &snapshot,
     std::fputc('\n', to);
 
     // Host probes.
-    if (seriesHas(snapshot, "host.rss_kb") ||
-        seriesHas(snapshot, "host.ipc")) {
-        std::fprintf(to, "host     rss %.1f MiB",
+    if (seriesHas(snapshot, "host.rss_kb")) {
+        std::fprintf(to, "host     rss %.1f MiB\n",
                      seriesLast(snapshot, "host.rss_kb") / 1024.0);
-        if (seriesHas(snapshot, "host.ipc"))
-            std::fprintf(to, ", ipc %.2f",
-                         seriesLast(snapshot, "host.ipc"));
-        std::fputc('\n', to);
     }
 
     // Per-worker utilization bars (runner.worker.<i>.util).
