@@ -34,13 +34,14 @@ namespace dee::bench
  * manifest is live for the whole run; outputs are written when the
  * session leaves scope (see obs/session.hh).
  *
- * Because obs::declareFlags() declares the --telemetry-* family, every
- * grid tool built on this helper gets live streaming telemetry for
- * free: the Session starts the sampler (obs/telemetry/telemetry.hh),
+ * Because obs::declareFlags() declares the --telemetry* family, every
+ * grid tool built on this helper gets streaming telemetry for free:
+ * the Session starts the sampler (obs/telemetry/telemetry.hh),
  * runner::runCells inside the sweep drivers below feeds it cell
  * progress, and the Heartbeat the tool passes to sweepInstance() /
- * runGrid() feeds simulated-instruction throughput — so `dee_top
- * --socket` can watch any of them mid-run with no per-tool wiring.
+ * runGrid() feeds simulated-instruction throughput — so
+ * `--telemetry-out` plus `dee_top --replay` shows how any of them ran
+ * with no per-tool wiring.
  */
 inline obs::Session
 openSession(const std::string &tool, const Cli &cli)

@@ -14,18 +14,6 @@ Heartbeat::Heartbeat(std::string label, bool enabled,
       minIntervalS_(min_interval_s),
       start_(std::chrono::steady_clock::now()), lastEmit_(start_)
 {
-    // Ride the sampler clock when it is running: the sampler fires
-    // maybeEmit() every tick, so progress lines and telemetry samples
-    // are readings of the same counters on the same clock.
-    telemetry::Hub &hub = telemetry::Hub::process();
-    if (hub.active())
-        emitterId_ = hub.addEmitter([this] { maybeEmit(); });
-}
-
-Heartbeat::~Heartbeat()
-{
-    if (emitterId_ != 0)
-        telemetry::Hub::process().removeEmitter(emitterId_);
 }
 
 void
@@ -42,23 +30,8 @@ Heartbeat::tick(std::uint64_t units, std::uint64_t instructions)
     std::lock_guard<std::mutex> lock(mutex_);
     done_ += units;
     instructions_ += instructions;
-    if (!enabled_ || emitterId_ != 0)
-        return;
-    maybeEmitLocked();
-}
-
-void
-Heartbeat::maybeEmit()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_)
         return;
-    maybeEmitLocked();
-}
-
-void
-Heartbeat::maybeEmitLocked()
-{
     const auto now = std::chrono::steady_clock::now();
     const double since_emit =
         std::chrono::duration<double>(now - lastEmit_).count();

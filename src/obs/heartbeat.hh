@@ -9,15 +9,9 @@
  * --json (machine consumers must see only the manifest on stdout, and
  * quiet CI logs stay diffable).
  *
- * Clocking: when the telemetry sampler (obs/telemetry/telemetry.hh)
- * is running, a Heartbeat registers with it at construction and its
- * lines are emitted by the sampler's tick — tick() only updates the
- * counters (and feeds instruction progress to the telemetry hub, so
- * the sim.kips series exists even under --json). Progress lines and
- * telemetry samples therefore share one clock and read one counter
- * set: they can never disagree about how far the run is. Without the
- * sampler, tick() emits inline exactly as it always did; either way
- * the rate limit lives in one place (maybeEmit()).
+ * tick() prints a line when one is due, and feeds instruction
+ * progress to the telemetry hub (obs/telemetry/telemetry.hh) whenever
+ * the hub runs, so the sim.kips series exists even under --json.
  */
 
 #ifndef DEE_OBS_HEARTBEAT_HH
@@ -48,17 +42,13 @@ class Heartbeat
     explicit Heartbeat(std::string label, bool enabled = true,
                        double min_interval_s = 2.0);
 
-    /** Unregisters from the telemetry sampler clock, if riding it. */
-    ~Heartbeat();
-
     Heartbeat(const Heartbeat &) = delete;
     Heartbeat &operator=(const Heartbeat &) = delete;
 
     /** Declares the expected total unit count (enables ETA). */
     void setTotal(std::uint64_t total) { total_ = total; }
 
-    /** Advances progress; emits a line when due (inline only when not
-     *  riding the sampler clock). */
+    /** Advances progress; emits a line when due. */
     void tick(std::uint64_t units = 1);
 
     /**
@@ -67,13 +57,6 @@ class Heartbeat
      * (thousand instructions per wall second) next to the unit rate.
      */
     void tick(std::uint64_t units, std::uint64_t instructions);
-
-    /**
-     * Emits a progress line now if the rate limit allows — the single
-     * emission path, called inline from tick() when self-clocked and
-     * from the telemetry sampler's tick when registered with it.
-     */
-    void maybeEmit();
 
     /** Emits a final summary line regardless of rate limiting. */
     void finish();
@@ -85,17 +68,11 @@ class Heartbeat
         return done_;
     }
 
-    /** True when the telemetry sampler drives emission. */
-    bool ridesSamplerClock() const { return emitterId_ != 0; }
-
     /** The line tick() would print now (without the trailing newline);
      *  exposed so tests need not capture stderr. */
     std::string statusLine() const;
 
   private:
-    /** maybeEmit() body; caller holds mutex_. */
-    void maybeEmitLocked();
-
     /** statusLine() body; caller holds mutex_. */
     std::string statusLineLocked() const;
 
@@ -105,8 +82,6 @@ class Heartbeat
     std::uint64_t total_ = 0;
     std::uint64_t done_ = 0;
     std::uint64_t instructions_ = 0;
-    /** Telemetry emitter registration (0 = self-clocked). */
-    std::uint64_t emitterId_ = 0;
     std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point lastEmit_;
     mutable std::mutex mutex_;

@@ -45,14 +45,11 @@ declareFlags(Cli &cli)
              "write the collected speculation profile as folded stacks "
              "to this path (flamegraph input); implies --profile");
     cli.flag("telemetry", "false",
-             "start the live telemetry sampler (adds the manifest's "
+             "start the telemetry sampler (adds the manifest's "
              "\"telemetry\" section)");
     cli.flag("telemetry-out", "",
              "stream telemetry samples as JSON-Lines (schema "
              "dee.telemetry.v1) to this path; implies --telemetry");
-    cli.flag("telemetry-socket", "",
-             "serve live telemetry snapshots on a unix domain socket "
-             "at this path (attach with dee_top); implies --telemetry");
     cli.flag("telemetry-interval", "250",
              "telemetry sampler period in milliseconds");
     cli.flag("hotspots", "false",
@@ -77,10 +74,8 @@ SessionOptions::fromCli(const Cli &cli)
     options.profile =
         cli.boolean("profile") || !options.profileOutPath.empty();
     options.telemetryOutPath = cli.str("telemetry-out");
-    options.telemetrySocketPath = cli.str("telemetry-socket");
-    options.telemetry = cli.boolean("telemetry") ||
-                        !options.telemetryOutPath.empty() ||
-                        !options.telemetrySocketPath.empty();
+    options.telemetry =
+        cli.boolean("telemetry") || !options.telemetryOutPath.empty();
     options.telemetryIntervalMs = cli.real("telemetry-interval");
     options.hotspotOutPath = cli.str("hotspot-out");
     options.hotspots =
@@ -102,13 +97,15 @@ Session::Session(std::string tool, SessionOptions options)
         checkWritable(options_.profileOutPath, "profile output");
     if (options_.profile)
         requestProfiling(true);
-    if (options_.telemetry && telemetry::compiledIn()) {
+    if (options_.telemetry) {
+        if (options_.telemetryIntervalMs <= 0.0)
+            dee_fatal("--telemetry-interval must be > 0 ms (got ",
+                      options_.telemetryIntervalMs, ")");
         if (!options_.telemetryOutPath.empty())
             checkWritable(options_.telemetryOutPath, "telemetry output");
         telemetry::Options topts;
         topts.intervalMs = options_.telemetryIntervalMs;
         topts.jsonlPath = options_.telemetryOutPath;
-        topts.socketPath = options_.telemetrySocketPath;
         topts.tool = manifest_.tool();
         telemetry::Hub::process().start(topts);
     }
@@ -129,7 +126,6 @@ Session::Session(std::string tool, const Cli &cli)
         if (name == "json" || name == "trace-out" || name == "stats" ||
             name == "profile" || name == "profile-out" ||
             name == "telemetry" || name == "telemetry-out" ||
-            name == "telemetry-socket" ||
             name == "telemetry-interval" || name == "hotspots" ||
             name == "hotspot-out" || name == "hotspot-interval")
             continue;
@@ -139,9 +135,9 @@ Session::Session(std::string tool, const Cli &cli)
 
 Session::~Session()
 {
-    // Stop the telemetry sampler first: its final tick walks the
-    // registry, and the dumps below must see the settled state (the
-    // manifest's "telemetry" section reads the stopped hub's summary).
+    // Stop the telemetry sampler first: the manifest's "telemetry"
+    // section reads the stopped hub's summary, which ends on the final
+    // tick's settled progress.
     telemetry::Hub::process().stop();
     // Then the hotspot sampler (the telemetry tick above still saw
     // live hot.* counts): stop folds every thread's samples into the

@@ -27,16 +27,14 @@
  *   --profile-out PATH  write the collected profile as folded stacks
  *                     ("frame;frame count" lines, flamegraph.pl /
  *                     speedscope compatible) to PATH; implies --profile
- *   --telemetry BOOL  start the live telemetry sampler (time series in
+ *   --telemetry BOOL  start the telemetry sampler (series summaries in
  *                     the manifest's "telemetry" section; see
  *                     obs/telemetry/telemetry.hh)
  *   --telemetry-out PATH  stream telemetry samples as JSON-Lines
- *                     (schema dee.telemetry.v1) to PATH; implies
- *                     --telemetry
- *   --telemetry-socket PATH  serve live snapshots on a unix domain
- *                     socket at PATH (attach with tools/dee_top);
- *                     implies --telemetry
- *   --telemetry-interval MS  sampler period in milliseconds
+ *                     (schema dee.telemetry.v1) to PATH, rendered by
+ *                     tools/dee_top --replay; implies --telemetry
+ *   --telemetry-interval MS  sampler period in milliseconds (> 0
+ *                     when telemetry is on)
  *   --hotspots BOOL   start the host hot-path sampling profiler
  *                     (per-phase CPU attribution in the manifest's
  *                     "hotspots" section; see obs/hotspot/hotspot.hh)
@@ -71,9 +69,8 @@ struct SessionOptions
     bool dumpStats = false;   ///< text registry dump to stderr at exit
     bool profile = false;     ///< collect speculation profiles
     std::string profileOutPath; ///< folded-stack output; implies profile
-    bool telemetry = false;   ///< start the live telemetry sampler
-    std::string telemetryOutPath;    ///< JSONL stream; implies telemetry
-    std::string telemetrySocketPath; ///< unix socket; implies telemetry
+    bool telemetry = false;   ///< start the telemetry sampler
+    std::string telemetryOutPath; ///< JSONL stream; implies telemetry
     double telemetryIntervalMs = 250.0; ///< sampler period
     bool hotspots = false;    ///< start the host hotspot sampler
     std::string hotspotOutPath; ///< folded stacks; implies hotspots

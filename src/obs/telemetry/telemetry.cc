@@ -7,54 +7,35 @@
 
 #include "common/logging.hh"
 #include "obs/hotspot/hotspot.hh"
-#include "obs/profile/profile.hh"
-#include "obs/registry.hh"
-#include "obs/telemetry/stats_server.hh"
 
 namespace dee::obs::telemetry
 {
 
-// ---- Series -------------------------------------------------------------
-
-Series::Series(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
-{
-}
+// ---- SeriesSummary ------------------------------------------------------
 
 void
-Series::add(double t_ms, double value)
+SeriesSummary::add(double value)
 {
-    if (ring_.size() != capacity_)
-        ring_.resize(capacity_);
-    ring_[head_] = {t_ms, value};
-    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-    if (size_ < capacity_)
-        ++size_;
-    if (summary_.count == 0) {
-        summary_.min = value;
-        summary_.max = value;
+    if (count == 0) {
+        min = value;
+        max = value;
     } else {
-        summary_.min = std::min(summary_.min, value);
-        summary_.max = std::max(summary_.max, value);
+        min = std::min(min, value);
+        max = std::max(max, value);
     }
-    summary_.last = value;
-    ++summary_.count;
+    last = value;
+    ++count;
 }
 
-std::vector<Sample>
-Series::tail(std::size_t n) const
+Json
+SeriesSummary::toJson() const
 {
-    const std::size_t take = std::min(n, size_);
-    std::vector<Sample> out;
-    out.reserve(take);
-    // Oldest of the requested window first: walk back `take` slots
-    // from the write head, then forward.
-    std::size_t idx = (head_ + capacity_ - take) % capacity_;
-    for (std::size_t i = 0; i < take; ++i) {
-        out.push_back(ring_[idx]);
-        idx = idx + 1 == capacity_ ? 0 : idx + 1;
-    }
-    return out;
+    Json node = Json::object();
+    node["count"] = Json(count);
+    node["min"] = Json(min);
+    node["max"] = Json(max);
+    node["last"] = Json(last);
+    return node;
 }
 
 // ---- host probes --------------------------------------------------------
@@ -94,11 +75,6 @@ Hub::~Hub()
 bool
 Hub::start(const Options &options)
 {
-    if (!compiledIn()) {
-        dee_warn("telemetry requested but compiled out "
-                 "(DEE_OBS_TELEMETRY_ENABLED=0)");
-        return false;
-    }
     if (active()) {
         dee_warn("telemetry already running; ignoring start()");
         return false;
@@ -114,7 +90,6 @@ Hub::start(const Options &options)
     {
         std::lock_guard<std::mutex> lock(dataMutex_);
         series_.clear();
-        topSquashSites_.clear();
         ticks_ = 0;
     }
     cellsTotal_.store(0, std::memory_order_relaxed);
@@ -139,12 +114,6 @@ Hub::start(const Options &options)
         }
     }
 
-    if (!options_.socketPath.empty()) {
-        server_ = std::make_unique<StatsServer>(*this);
-        if (!server_->start(options_.socketPath))
-            server_.reset();
-    }
-
     stopRequested_ = false;
     everStarted_ = true;
     active_.store(true, std::memory_order_release);
@@ -164,14 +133,10 @@ Hub::stop()
     wake_.notify_all();
     if (sampler_.joinable())
         sampler_.join();
-    // One final sample with the registry lock taken for real, so the
-    // stream and the manifest summary end on fully merged state.
-    tick(/*final=*/true);
+    // One final sample after every producer has finished, so the
+    // stream and the manifest summary end on the settled state.
+    tick();
     active_.store(false, std::memory_order_release);
-    if (server_) {
-        server_->stop();
-        server_.reset();
-    }
     if (jsonl_ != nullptr) {
         Json foot = Json::object();
         foot["schema"] = Json("dee.telemetry.v1");
@@ -180,16 +145,7 @@ Hub::stop()
         {
             std::lock_guard<std::mutex> lock(dataMutex_);
             foot["samples"] = Json(ticks_);
-            Json series = Json::object();
-            for (const auto &[name, s] : series_) {
-                Json node = Json::object();
-                node["count"] = Json(s.summary().count);
-                node["min"] = Json(s.summary().min);
-                node["max"] = Json(s.summary().max);
-                node["last"] = Json(s.summary().last);
-                series[name] = std::move(node);
-            }
-            foot["series"] = std::move(series);
+            foot["series"] = seriesJsonLocked();
         }
         writeJsonlLine(foot.dump());
         std::fclose(static_cast<std::FILE *>(jsonl_));
@@ -242,39 +198,6 @@ Hub::removeSource(std::uint64_t id)
 }
 
 std::uint64_t
-Hub::addEmitter(std::function<void()> fn)
-{
-    std::lock_guard<std::mutex> lock(sourceMutex_);
-    const std::uint64_t id = nextSourceId_++;
-    emitters_.emplace_back(id, std::move(fn));
-    return id;
-}
-
-void
-Hub::removeEmitter(std::uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(sourceMutex_);
-    for (std::size_t i = 0; i < emitters_.size(); ++i) {
-        if (emitters_[i].first == id) {
-            emitters_.erase(emitters_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            return;
-        }
-    }
-}
-
-void
-Hub::record(const std::string &name, double value)
-{
-    if (!active())
-        return;
-    const double t = elapsedMs();
-    std::lock_guard<std::mutex> lock(dataMutex_);
-    series_.try_emplace(name, options_.seriesCapacity)
-        .first->second.add(t, value);
-}
-
-std::uint64_t
 Hub::samples() const
 {
     std::lock_guard<std::mutex> lock(dataMutex_);
@@ -303,36 +226,13 @@ Hub::samplerLoop()
         if (stopRequested_)
             break;
         lock.unlock();
-        tick(/*final=*/false);
+        tick();
         lock.lock();
     }
 }
 
-namespace
-{
-
-/** True when @p path is "acct.<scope>.<class>" for @p cls. */
-bool
-isAcctClassPath(const std::string &path, const char *cls)
-{
-    if (path.compare(0, 5, "acct.") != 0)
-        return false;
-    const std::string suffix = std::string(".") + cls;
-    return path.size() > suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-const char *const kAcctClasses[] = {
-    "useful",          "squashed_spec", "fetch_stall",
-    "resource_starved", "refill_stall",  "copy_back",
-    "idle",
-};
-
-} // namespace
-
 void
-Hub::tick(bool final)
+Hub::tick()
 {
     const double t = elapsedMs();
     std::map<std::string, double> vals;
@@ -365,9 +265,9 @@ Hub::tick(bool final)
     if (const std::uint64_t rss = currentRssKb(); rss > 0)
         vals["host.rss_kb"] = static_cast<double>(rss);
 
-    // Host hot-phase self shares from the sampler's lock-free live
-    // table — no registry lock needed, and skipped entirely (no empty
-    // series) while the sampler is off.
+    // Host hot-phase self shares from the hotspot sampler's lock-free
+    // live table, skipped entirely (no empty series) while that
+    // sampler is off.
     if (hotspot::Sampler::process().active()) {
         const auto hot_counts = hotspot::liveSelfCounts();
         double hot_total = 0.0;
@@ -392,77 +292,10 @@ Hub::tick(bool final)
             fn(vals);
     }
 
-    // Registry-derived series: only when no producer is mutating the
-    // process registry right now (the final tick waits for the lock —
-    // every producer has finished by then).
-    std::vector<std::pair<std::string, std::uint64_t>> top_sites;
-    bool have_registry = false;
-    {
-        std::unique_lock<std::mutex> reg_lock(registryMutex_,
-                                              std::defer_lock);
-        if (final)
-            reg_lock.lock();
-        else if (!reg_lock.try_lock())
-            reg_lock.release();
-        if (reg_lock.owns_lock()) {
-            have_registry = true;
-            const Registry &registry = Registry::process();
-            double acct[sizeof(kAcctClasses) /
-                        sizeof(kAcctClasses[0])] = {};
-            for (const std::string &path : registry.paths()) {
-                for (std::size_t c = 0;
-                     c < sizeof(kAcctClasses) / sizeof(kAcctClasses[0]);
-                     ++c) {
-                    if (isAcctClassPath(path, kAcctClasses[c])) {
-                        if (const std::uint64_t *v =
-                                registry.findCounter(path))
-                            acct[c] += static_cast<double>(*v);
-                    }
-                }
-            }
-            for (std::size_t c = 0;
-                 c < sizeof(kAcctClasses) / sizeof(kAcctClasses[0]);
-                 ++c) {
-                if (acct[c] > 0.0)
-                    vals[std::string("acct.") + kAcctClasses[c]] =
-                        acct[c];
-            }
-
-            // Top squashed-slot branch sites, aggregated over every
-            // merged scope (what dee_top's hot-sites row shows).
-            std::map<std::uint32_t, std::uint64_t> by_pc;
-            for (const auto &[scope, profile] :
-                 ProfileStore::process().scopes()) {
-                for (const auto &[pc, site] : profile.sites()) {
-                    if (site.squashedSlots > 0)
-                        by_pc[pc] += site.squashedSlots;
-                }
-            }
-            top_sites.reserve(by_pc.size());
-            for (const auto &[pc, slots] : by_pc) {
-                std::ostringstream name;
-                name << "0x" << std::hex << pc;
-                top_sites.emplace_back(name.str(), slots);
-            }
-            std::sort(top_sites.begin(), top_sites.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.second != b.second
-                                     ? a.second > b.second
-                                     : a.first < b.first;
-                      });
-            if (top_sites.size() > 8)
-                top_sites.resize(8);
-        }
-    }
-
     {
         std::lock_guard<std::mutex> lock(dataMutex_);
-        for (const auto &[name, value] : vals) {
-            series_.try_emplace(name, options_.seriesCapacity)
-                .first->second.add(t, value);
-        }
-        if (have_registry)
-            topSquashSites_ = std::move(top_sites);
+        for (const auto &[name, value] : vals)
+            series_[name].add(value);
         ++ticks_;
     }
 
@@ -475,15 +308,6 @@ Hub::tick(bool final)
             series[name] = Json(value);
         line["series"] = std::move(series);
         writeJsonlLine(line.dump());
-    }
-
-    if (!final) {
-        // Fire the emitters (Heartbeat progress lines) on the sampler
-        // clock, after this tick's samples landed, so a stderr line
-        // can never describe state telemetry has not yet seen.
-        std::lock_guard<std::mutex> lock(sourceMutex_);
-        for (auto &[id, fn] : emitters_)
-            fn();
     }
 }
 
@@ -500,63 +324,12 @@ Hub::writeJsonlLine(const std::string &line)
 }
 
 Json
-Hub::snapshotJson() const
+Hub::seriesJsonLocked() const
 {
-    const double t = elapsedMs();
-    std::lock_guard<std::mutex> lock(dataMutex_);
-    return snapshotJsonLocked(t);
-}
-
-Json
-Hub::snapshotJsonLocked(double t_ms) const
-{
-    Json out = Json::object();
-    out["schema"] = Json("dee.telemetry.v1");
-    out["tool"] = Json(options_.tool);
-    out["active"] = Json(active());
-    out["t_ms"] = Json(t_ms);
-    out["samples"] = Json(ticks_);
-    out["interval_ms"] = Json(options_.intervalMs);
-
-    Json progress = Json::object();
-    progress["cells_done"] =
-        Json(cellsDone_.load(std::memory_order_relaxed));
-    progress["cells_total"] =
-        Json(cellsTotal_.load(std::memory_order_relaxed));
-    progress["instructions"] =
-        Json(instructions_.load(std::memory_order_relaxed));
-    out["progress"] = std::move(progress);
-
     Json series = Json::object();
-    for (const auto &[name, s] : series_) {
-        Json node = Json::object();
-        node["count"] = Json(s.summary().count);
-        node["min"] = Json(s.summary().min);
-        node["max"] = Json(s.summary().max);
-        node["last"] = Json(s.summary().last);
-        series[name] = std::move(node);
-    }
-    out["series"] = std::move(series);
-
-    Json sites = Json::array();
-    for (const auto &[site, slots] : topSquashSites_) {
-        Json node = Json::object();
-        node["site"] = Json(site);
-        node["slots"] = Json(slots);
-        sites.push(std::move(node));
-    }
-    out["top_squash_sites"] = std::move(sites);
-    return out;
-}
-
-std::vector<Sample>
-Hub::seriesTail(const std::string &name, std::size_t n) const
-{
-    std::lock_guard<std::mutex> lock(dataMutex_);
-    const auto it = series_.find(name);
-    if (it == series_.end())
-        return {};
-    return it->second.tail(n);
+    for (const auto &[name, summary] : series_)
+        series[name] = summary.toJson();
+    return series;
 }
 
 Json
@@ -571,16 +344,7 @@ Hub::summaryJson() const
     out["enabled"] = Json(true);
     out["interval_ms"] = Json(options_.intervalMs);
     out["samples"] = Json(ticks_);
-    Json series = Json::object();
-    for (const auto &[name, s] : series_) {
-        Json node = Json::object();
-        node["count"] = Json(s.summary().count);
-        node["min"] = Json(s.summary().min);
-        node["max"] = Json(s.summary().max);
-        node["last"] = Json(s.summary().last);
-        series[name] = std::move(node);
-    }
-    out["series"] = std::move(series);
+    out["series"] = seriesJsonLocked();
     return out;
 }
 

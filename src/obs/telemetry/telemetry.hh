@@ -1,53 +1,42 @@
 /**
  * @file
- * Live streaming telemetry: a background sampler over the running
- * process.
+ * Streaming telemetry: a background sampler over the running process.
  *
- * Everything the observability stack produced before this layer is
- * end-of-run snapshot output — a multi-hour sweep is a black box until
- * it finishes. The telemetry Hub makes an in-flight run inspectable:
- * a sampler thread wakes every --telemetry-interval milliseconds
- * (default 250) and records one time-series sample per live metric
- * into per-metric ring buffers (Series):
+ * The manifest is end-of-run output; telemetry records how a run got
+ * there. A sampler thread wakes every --telemetry-interval
+ * milliseconds (default 250) and takes one sample of every live
+ * metric:
  *
  *   cells.done / cells.total    sweep progress (runner::runCells)
  *   cells.eta_s                 remaining-time estimate from the rate
  *   sim.instructions            simulated instructions (Heartbeat fed)
  *   sim.kips                    instantaneous simulated KIPS
  *   host.rss_kb                 live resident set (/proc/self/status)
- *   acct.<class>                merged issue-slot class totals
+ *   hot.<scope>.<phase>         host hot-phase self shares (--hotspots)
  *   runner.worker.<i>.util      live per-worker busy fraction
  *   runner.worker.<i>.tasks/.steals  cumulative pool tallies
  *
- * Two consumers ride the sampler:
+ * Each sample lands in two places:
  *   --telemetry-out PATH    append-only JSONL event stream (schema
  *                           dee.telemetry.v1: one "start" record, one
- *                           "sample" per tick, one "finish" summary)
- *                           for offline plotting and CI artifacts
- *   --telemetry-socket PATH unix-domain-socket endpoint serving JSON
- *                           snapshots and series tails to concurrent
- *                           clients (stats_server.hh) — the live-stats
- *                           surface a dee_serve daemon will mount
- * plus tools/dee_top, a terminal dashboard over either.
+ *                           "sample" per tick, one "finish" summary),
+ *                           rendered after the run by
+ *                           `dee_top --replay`
+ *   the manifest            per-series count/min/max/last
+ *                           (summaryJson(), the "telemetry" section)
  *
  * Threading / determinism contract. Simulators never talk to the Hub;
- * they keep publishing into their (possibly cell-local) Registry.
- * Producers feed the Hub only at well-defined synchronization points:
- * runner::runCells reports cell starts/completions and holds the Hub's
- * registry mutex while it mutates the *process* registry (per-cell
- * merges, and the whole serial run(i) when --jobs 1), and Heartbeat
- * adds instruction progress under its own mutex (it never touches the
- * registry). The sampler snapshots the acct subtree of the process
- * registry only under try_lock — when a producer holds the lock the
- * tick simply skips the registry-derived series — so sampling never
- * blocks or perturbs the sweep and never races the single-threaded
- * Registry. Simulated results are a pure function of the cell;
- * telemetry observes, it cannot steer.
+ * they keep publishing into their (possibly cell-local) Registry. The
+ * sampler reads no registry. It reads four things, each safe from any
+ * thread: the hook atomics (runner::runCells reports cell starts and
+ * completions, Heartbeat adds instruction progress), /proc/self/status,
+ * the hotspot sampler's lock-free live table, and the sources
+ * registered with addSource() (runCells' per-worker pool tallies).
+ * Sampling therefore never blocks or perturbs a sweep, and simulated
+ * results stay a pure function of the cell.
  *
- * Overhead discipline (the tracer's, applied again): compile out with
- * -DDEE_OBS_TELEMETRY_ENABLED=0 and every hook folds to nothing; at
- * run time the Hub is off until a Session --telemetry-* flag starts
- * it, and every hook guards on one relaxed atomic load.
+ * The Hub is off until a Session --telemetry* flag starts it; while
+ * off, every producer hook is one relaxed atomic load.
  */
 
 #ifndef DEE_OBS_TELEMETRY_TELEMETRY_HH
@@ -59,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,83 +55,40 @@
 
 #include "obs/json.hh"
 
-/** Compile-time master switch; on by default. */
-#ifndef DEE_OBS_TELEMETRY_ENABLED
-#define DEE_OBS_TELEMETRY_ENABLED 1
-#endif
-
 namespace dee::obs::telemetry
 {
 
-/** True when the layer is compiled in (DEE_OBS_TELEMETRY_ENABLED). */
-constexpr bool
-compiledIn()
-{
-    return DEE_OBS_TELEMETRY_ENABLED != 0;
-}
-
-/** One time-series point: milliseconds since Hub start, value. */
-struct Sample
-{
-    double tMs = 0.0;
-    double value = 0.0;
-};
-
-/** Running summary of one series (manifest + snapshot form). */
+/**
+ * One series: the running count/min/max/last of every value added.
+ * Each point is written to the JSONL stream when it is taken, so the
+ * summary is all the Hub keeps. Not internally synchronized: the Hub
+ * serializes access.
+ */
 struct SeriesSummary
 {
     std::uint64_t count = 0;
     double min = 0.0;
     double max = 0.0;
     double last = 0.0;
+
+    void add(double value);
+    /** {"count", "min", "max", "last"}: the stream's "finish" record,
+     *  the manifest section and dee_top --once all use this form. */
+    Json toJson() const;
 };
 
-/**
- * Ring-buffered time series for one metric. Keeps the most recent
- * `capacity` samples plus an exact running count/min/max/last over
- * everything ever added (summaries never lose history to the ring).
- * Not internally synchronized: the Hub serializes access.
- */
-class Series
-{
-  public:
-    explicit Series(std::size_t capacity);
-
-    void add(double t_ms, double value);
-
-    /** Samples ever added (>= buffered()). */
-    std::uint64_t count() const { return summary_.count; }
-    /** Samples still in the ring. */
-    std::size_t buffered() const { return size_; }
-    const SeriesSummary &summary() const { return summary_; }
-
-    /** The most recent min(n, buffered()) samples, oldest first. */
-    std::vector<Sample> tail(std::size_t n) const;
-
-  private:
-    std::vector<Sample> ring_;
-    std::size_t capacity_;
-    std::size_t head_ = 0; ///< next write slot
-    std::size_t size_ = 0;
-    SeriesSummary summary_;
-};
-
-/** Hub configuration (Session fills it from the --telemetry-* flags). */
+/** Hub configuration (Session fills it from the --telemetry* flags). */
 struct Options
 {
-    double intervalMs = 250.0;      ///< sampler period
-    std::size_t seriesCapacity = 4096; ///< ring slots per series
-    std::string jsonlPath;          ///< empty: no JSONL stream
-    std::string socketPath;         ///< empty: no socket endpoint
-    std::string tool;               ///< emitting binary, for headers
+    double intervalMs = 250.0; ///< sampler period
+    std::string jsonlPath;     ///< empty: no JSONL stream
+    std::string tool;          ///< emitting binary, for headers
 };
-
-class StatsServer;
 
 /**
  * The process-wide telemetry hub: owns the sampler thread, the series
- * map, and the optional JSONL stream / socket endpoint. One per
- * process (like Tracer::process()); tools start it through Session.
+ * summaries and the optional JSONL stream. One per process (like
+ * Tracer::process()); tools start it through Session.
  */
 class Hub
 {
@@ -156,25 +101,21 @@ class Hub
     Hub &operator=(const Hub &) = delete;
 
     /**
-     * Spawns the sampler (and socket server when configured). Returns
-     * false — with a warning, without side effects — when telemetry is
-     * compiled out or the hub is already running.
+     * Spawns the sampler. Returns false — with a warning, without side
+     * effects — when the hub is already running or the interval is not
+     * positive.
      */
     bool start(const Options &options);
 
-    /** Takes a final sample, writes the JSONL "finish" record, joins
-     *  the sampler and the server. Idempotent. */
+    /** Takes a final sample, writes the JSONL "finish" record and
+     *  joins the sampler. Idempotent. */
     void stop();
 
     /** One relaxed atomic load; every producer hook guards on this. */
     bool
     active() const
     {
-#if DEE_OBS_TELEMETRY_ENABLED
         return active_.load(std::memory_order_relaxed);
-#else
-        return false;
-#endif
     }
 
     // ---- producer hooks (all no-ops unless active()) ----------------
@@ -187,14 +128,6 @@ class Hub
     void addInstructions(std::uint64_t n);
 
     /**
-     * Serializes process-Registry/ProfileStore mutation against
-     * sampler snapshots: runner::runCells holds it while merging cell
-     * sinks (parallel) or running a cell in-place (serial); the
-     * sampler only try_locks it.
-     */
-    std::mutex &registryMutex() { return registryMutex_; }
-
-    /**
      * Registers a per-tick source: @p fn is called by the sampler each
      * tick and fills (series name -> value) into the map it is handed.
      * Returns an id for removeSource(). The callback must be
@@ -203,18 +136,6 @@ class Hub
     std::uint64_t addSource(
         std::function<void(std::map<std::string, double> &)> fn);
     void removeSource(std::uint64_t id);
-
-    /**
-     * Registers an emitter the sampler clock fires every tick —
-     * Heartbeat progress lines ride this so stderr lines and telemetry
-     * samples share one clock. Returns an id for removeEmitter().
-     */
-    std::uint64_t addEmitter(std::function<void()> fn);
-    void removeEmitter(std::uint64_t id);
-
-    /** Records one sample directly (tests, ad-hoc probes); dropped
-     *  when inactive. */
-    void record(const std::string &name, double value);
 
     // ---- consumer surface -------------------------------------------
 
@@ -225,32 +146,19 @@ class Hub
     double elapsedMs() const;
 
     /**
-     * Full live snapshot — the socket "snapshot" reply and dee_top's
-     * input: schema/tool/progress, per-series summaries, top squashed
-     * branch sites. Callable from any thread.
-     */
-    Json snapshotJson() const;
-
-    /** The last min(n, buffered) samples of @p name (empty when the
-     *  series does not exist). */
-    std::vector<Sample> seriesTail(const std::string &name,
-                                   std::size_t n) const;
-
-    /**
      * The manifest "telemetry" section: {"enabled", "interval_ms",
      * "samples", "series": {name: {count,min,max,last}}}. When the hub
      * never ran, just {"enabled": false}.
      */
     Json summaryJson() const;
 
-    const Options &options() const { return options_; }
-
   private:
     void samplerLoop();
-    /** One sampler tick; @p final forces the registry snapshot lock. */
-    void tick(bool final);
+    /** One sampler tick (sampler thread, then stop()'s final tick). */
+    void tick();
     void writeJsonlLine(const std::string &line);
-    Json snapshotJsonLocked(double t_ms) const;
+    /** {name: {count,min,max,last}}; caller holds dataMutex_. */
+    Json seriesJsonLocked() const;
 
     Options options_;
     std::atomic<bool> active_{false};
@@ -266,21 +174,15 @@ class Hub
     std::atomic<std::uint64_t> cellsDone_{0};
     std::atomic<std::uint64_t> instructions_{0};
 
-    std::mutex registryMutex_;
-
     /** Last tick's clock/instruction readings for instantaneous KIPS;
      *  touched only by the sampler thread and the post-join final
      *  tick, never concurrently. */
     double prevTickMs_ = 0.0;
     std::uint64_t prevInstructions_ = 0;
 
-    // Series map + everything derived from it.
     mutable std::mutex dataMutex_;
-    std::map<std::string, Series> series_;
+    std::map<std::string, SeriesSummary> series_;
     std::uint64_t ticks_ = 0;
-    /** Top squashed-slot branch sites ("0x<pc>" -> slots), refreshed
-     *  on ticks that win the registry try_lock. */
-    std::vector<std::pair<std::string, std::uint64_t>> topSquashSites_;
 
     std::mutex sourceMutex_;
     std::uint64_t nextSourceId_ = 1;
@@ -288,14 +190,11 @@ class Hub
         std::uint64_t,
         std::function<void(std::map<std::string, double> &)>>>
         sources_;
-    std::vector<std::pair<std::uint64_t, std::function<void()>>>
-        emitters_;
 
     std::mutex jsonlMutex_;
     /** FILE* kept as void* so <cstdio> stays out of the header. */
     void *jsonl_ = nullptr;
 
-    std::unique_ptr<StatsServer> server_;
     std::chrono::steady_clock::time_point start_;
 };
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,31 +52,19 @@ runCells(std::size_t cells, const SweepOptions &options,
          const std::function<void(std::size_t)> &run)
 {
     const unsigned jobs = effectiveJobs(options);
-    // Telemetry contract (obs/telemetry/telemetry.hh): the sampler
-    // only reads the process registry under registryMutex(), so every
-    // stretch of code that mutates it below is bracketed by that lock
-    // when (and only when) the hub is live. active() is stable across
+    // The telemetry hub only counts cells here; its sampler reads no
+    // registry (obs/telemetry/telemetry.hh). active() is stable across
     // a sweep — the hub starts/stops in the Session ctor/dtor.
     obs::telemetry::Hub &hub = obs::telemetry::Hub::process();
     const bool live = hub.active();
-    if (live)
-        hub.addCells(cells);
+    hub.addCells(cells);
     if (jobs == 1 || cells <= 1) {
         // Serial path: identical to the pre-runner loops, including
         // the absence of runner.* bookkeeping, so --jobs 1 output is
-        // byte-for-byte what the tools always produced. Each run(i)
-        // publishes straight into the process registry, hence the
-        // whole call sits under the registry lock.
+        // byte-for-byte what the tools always produced.
         for (std::size_t i = 0; i < cells; ++i) {
-            {
-                std::unique_lock<std::mutex> reg_lock(
-                    hub.registryMutex(), std::defer_lock);
-                if (live)
-                    reg_lock.lock();
-                run(i);
-            }
-            if (live)
-                hub.cellDone();
+            run(i);
+            hub.cellDone();
         }
         return;
     }
@@ -158,58 +145,42 @@ runCells(std::size_t cells, const SweepOptions &options,
             // own sim markers must not nest under runner.merge.
             const obs::hotspot::HotspotPhase hot_merge(
                 "runner", obs::hotspot::Phase::Merge);
-            std::unique_lock<std::mutex> reg_lock(hub.registryMutex(),
-                                                  std::defer_lock);
-            if (live)
-                reg_lock.lock();
             sinks[i]->mergeInto(registry, tracer, profiles);
             registry.stat("runner.cell_wall_ms").add(cell_ms[i]);
         }
         merge_ms += std::chrono::duration<double, std::milli>(
                         clock::now() - merge_start)
                         .count();
-        if (live)
-            hub.cellDone();
+        hub.cellDone();
         sinks[i].reset();
     }
 
-    {
-        std::unique_lock<std::mutex> reg_lock(hub.registryMutex(),
-                                              std::defer_lock);
-        if (live)
-            reg_lock.lock();
+    // Re-derive the publish-time scalars from the merged integers so
+    // they match what a serial run would have left behind.
+    obs::refreshAccountingScalars(registry);
+    obs::refreshProfileScalars(registry);
+    obs::perf::refreshPerfScalars(registry);
 
-        // Re-derive the publish-time scalars from the merged integers
-        // so they match what a serial run would have left behind.
-        obs::refreshAccountingScalars(registry);
-        obs::refreshProfileScalars(registry);
-        obs::perf::refreshPerfScalars(registry);
-
-        // Per-worker execution observability: what each worker
-        // actually did, how much it stole, how long it sat idle.
-        // Snapshotted while the pool is still alive.
-        const std::vector<WorkerStats> worker_stats =
-            pool.workerStats();
-        for (std::size_t w = 0; w < worker_stats.size(); ++w) {
-            const std::string prefix =
-                "runner.worker." + std::to_string(w) + ".";
-            registry.counter(prefix + "tasks") += worker_stats[w].tasks;
-            registry.counter(prefix + "steals") +=
-                worker_stats[w].steals;
-            registry.stat(prefix + "idle_ms")
-                .add(worker_stats[w].idleMs);
-        }
-        registry.counter("runner.external_tasks") +=
-            pool.externalTasks();
-        registry.stat("runner.merge_ms").add(merge_ms);
-
-        registry.counter("runner.cells") += cells;
-        registry.scalar("runner.jobs") = static_cast<double>(jobs);
-        registry.scalar("runner.wall_ms") =
-            std::chrono::duration<double, std::milli>(clock::now() -
-                                                      sweep_start)
-                .count();
+    // Per-worker execution observability: what each worker actually
+    // did, how much it stole, how long it sat idle. Snapshotted while
+    // the pool is still alive.
+    const std::vector<WorkerStats> worker_stats = pool.workerStats();
+    for (std::size_t w = 0; w < worker_stats.size(); ++w) {
+        const std::string prefix =
+            "runner.worker." + std::to_string(w) + ".";
+        registry.counter(prefix + "tasks") += worker_stats[w].tasks;
+        registry.counter(prefix + "steals") += worker_stats[w].steals;
+        registry.stat(prefix + "idle_ms").add(worker_stats[w].idleMs);
     }
+    registry.counter("runner.external_tasks") += pool.externalTasks();
+    registry.stat("runner.merge_ms").add(merge_ms);
+
+    registry.counter("runner.cells") += cells;
+    registry.scalar("runner.jobs") = static_cast<double>(jobs);
+    registry.scalar("runner.wall_ms") =
+        std::chrono::duration<double, std::milli>(clock::now() -
+                                                  sweep_start)
+            .count();
 
     // The worker-stats source captures the pool by reference; drop it
     // before the pool leaves scope.

@@ -770,4 +770,27 @@ TEST(Session, SurfacesTracerDropCountsInRegistry)
     EXPECT_EQ(reg.counter("trace.dropped"), 5u);
 }
 
+TEST(SessionDeathTest, NonPositiveTelemetryIntervalIsFatal)
+{
+    // A run that asked for telemetry must not go on without it, and
+    // must fail before it truncates the stream it was asked to write.
+    const std::string path = ::testing::TempDir() + "bad_interval.jsonl";
+    std::ofstream(path) << "keep\n";
+    dee::obs::SessionOptions options;
+    options.telemetry = true;
+    options.telemetryOutPath = path;
+    options.telemetryIntervalMs = 0.0;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1),
+                "--telemetry-interval must be > 0 ms \\(got 0\\)");
+    options.telemetryIntervalMs = -5.0;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got -5\\)");
+
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "keep");
+}
+
 } // namespace

@@ -1,57 +1,38 @@
 /**
  * @file
- * dee_top: terminal dashboard over the live telemetry endpoint.
+ * dee_top: terminal dashboard over a recorded telemetry stream.
  *
  * Usage:
- *   dee_top --socket /tmp/dee.sock              attach to a live run
- *   dee_top --replay telemetry.jsonl            render a recorded run
- *   dee_top --socket /tmp/dee.sock --once       one JSON snapshot, exit
- *   dee_top --replay telemetry.jsonl --once     reconstructed snapshot
+ *   dee_top --replay telemetry.jsonl            render the final frame
+ *   dee_top --replay telemetry.jsonl --once     one JSON summary, exit
  *
- * In live mode the tool connects to a --telemetry-socket endpoint
- * (retrying until --connect-timeout-ms while the run boots), polls a
- * snapshot plus the sim.kips series tail every --refresh-ms, and
- * redraws a full-screen dashboard: cell progress with ETA, a KIPS
- * sparkline, per-worker utilization bars, issue-slot class shares, and
- * the top squashed-slot branch sites. When the run finishes and the
- * endpoint disappears, dee_top prints the final frame and exits 0.
+ * Reads a --telemetry-out JSONL stream (schema dee.telemetry.v1) and
+ * renders the run's final frame: cell progress (with an ETA while
+ * cells remain), a KIPS sparkline, live RSS, per-worker utilization
+ * bars and the host hot-phase shares. Useful for post-mortems and CI
+ * artifacts.
  *
- * Replay mode reconstructs the same picture from a --telemetry-out
- * JSONL stream (schema dee.telemetry.v1) and renders the final frame —
- * useful for post-mortems and CI artifacts where no socket exists.
+ * --once skips the frame and prints one machine-readable JSON document
+ * to stdout (per-series count/min/max/last reconstructed from the
+ * stream), so scripts and CI probes can assert on it with a JSON
+ * parser instead of scraping text.
  *
- * --once skips the ANSI screen handling and prints one machine-
- * readable JSON document to stdout (the live snapshot, or a summary
- * reconstructed from the stream), so scripts and CI probes can assert
- * on it with a JSON parser instead of scraping escape codes.
- *
- * Exit status: 0 on success, 2 on usage/connect/load errors.
+ * Exit status: 0 on success, 2 on usage/load errors.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define DEE_TOP_HAVE_UNIX_SOCKETS 1
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#else
-#define DEE_TOP_HAVE_UNIX_SOCKETS 0
-#endif
-
-#include <chrono>
-
 #include "obs/json.hh"
+#include "obs/telemetry/telemetry.hh"
 
 using dee::obs::Json;
+using dee::obs::telemetry::SeriesSummary;
 
 namespace
 {
@@ -60,112 +41,18 @@ void
 usage(std::FILE *to)
 {
     std::fputs(
-        "usage: dee_top (--socket PATH | --replay FILE) [options]\n"
+        "usage: dee_top --replay FILE [--once]\n"
         "\n"
-        "Terminal dashboard over dee live telemetry: attach to a\n"
-        "--telemetry-socket endpoint of a running bench, or replay a\n"
-        "--telemetry-out JSONL stream (schema dee.telemetry.v1).\n"
+        "Terminal dashboard over a --telemetry-out JSONL stream\n"
+        "(schema dee.telemetry.v1) recorded by a dee bench run.\n"
         "\n"
         "options:\n"
-        "  --socket PATH          unix socket of a live run\n"
         "  --replay FILE          render a recorded JSONL stream\n"
         "  --once                 print one machine-readable JSON\n"
         "                         document to stdout and exit\n"
-        "  --refresh-ms N         live redraw period (default 500)\n"
-        "  --connect-timeout-ms N keep retrying the socket this long\n"
-        "                         (default 5000)\n"
         "  --help                 this text\n",
         to);
 }
-
-// ---- tiny line-oriented unix-socket client ------------------------------
-
-#if DEE_TOP_HAVE_UNIX_SOCKETS
-
-class SocketClient
-{
-  public:
-    ~SocketClient() { close(); }
-
-    bool
-    connectTo(const std::string &path)
-    {
-        close();
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return false;
-        struct sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path)) {
-            close();
-            return false;
-        }
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        if (::connect(fd_, reinterpret_cast<struct sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            close();
-            return false;
-        }
-        return true;
-    }
-
-    bool connected() const { return fd_ >= 0; }
-
-    /** One request line out, one reply line back. */
-    bool
-    request(const std::string &line, std::string *reply)
-    {
-        if (fd_ < 0)
-            return false;
-        std::string out = line;
-        out.push_back('\n');
-        std::size_t sent = 0;
-        while (sent < out.size()) {
-            const ssize_t n =
-                ::send(fd_, out.data() + sent, out.size() - sent, 0);
-            if (n <= 0) {
-                close();
-                return false;
-            }
-            sent += static_cast<std::size_t>(n);
-        }
-        reply->clear();
-        // The buffer may already hold a complete line from a previous
-        // oversized read; drain it before recv'ing more.
-        for (;;) {
-            const std::size_t nl = inbuf_.find('\n');
-            if (nl != std::string::npos) {
-                *reply = inbuf_.substr(0, nl);
-                inbuf_.erase(0, nl + 1);
-                return true;
-            }
-            char buf[4096];
-            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n <= 0) {
-                close();
-                return false;
-            }
-            inbuf_.append(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-  private:
-    void
-    close()
-    {
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-        inbuf_.clear();
-    }
-
-    int fd_ = -1;
-    std::string inbuf_;
-};
-
-#endif // DEE_TOP_HAVE_UNIX_SOCKETS
 
 // ---- rendering ----------------------------------------------------------
 
@@ -252,7 +139,9 @@ renderFrame(std::FILE *to, const Json &snapshot,
     std::fprintf(to, "cells    [%s] %.0f/%.0f",
                  bar(total > 0 ? done / total : 0.0, 32).c_str(), done,
                  total);
-    if (seriesHas(snapshot, "cells.eta_s"))
+    // The last ETA sample predates the last finished cell, so a
+    // finished run shows none.
+    if (done < total && seriesHas(snapshot, "cells.eta_s"))
         std::fprintf(to, "  eta %.1fs",
                      seriesLast(snapshot, "cells.eta_s"));
     std::fputc('\n', to);
@@ -298,27 +187,6 @@ renderFrame(std::FILE *to, const Json &snapshot,
         }
     }
 
-    // Issue-slot class shares from the merged accounting totals.
-    if (series != nullptr) {
-        double slot_total = 0.0;
-        std::vector<std::pair<std::string, double>> classes;
-        for (const auto &[name, node] : series->members()) {
-            if (name.rfind("acct.", 0) != 0)
-                continue;
-            const Json *last = node.find("last");
-            const double v = last != nullptr ? last->asDouble() : 0.0;
-            classes.emplace_back(name.substr(5), v);
-            slot_total += v;
-        }
-        if (slot_total > 0.0) {
-            std::fputs("slots    ", to);
-            for (const auto &[cls, v] : classes)
-                std::fprintf(to, "%s %.1f%%  ", cls.c_str(),
-                             100.0 * v / slot_total);
-            std::fputc('\n', to);
-        }
-    }
-
     // Host hot-phase self shares (hot.<scope>.<phase> series from the
     // sampling profiler); absent series — an old stream or a run
     // without --hotspots — simply render no panel.
@@ -349,29 +217,15 @@ renderFrame(std::FILE *to, const Json &snapshot,
             }
         }
     }
-
-    // Hottest squashed-slot branch sites.
-    const Json *sites = snapshot.find("top_squash_sites");
-    if (sites != nullptr && sites->isArray() && sites->size() > 0) {
-        std::fputs("squash   ", to);
-        for (const Json &site : sites->items()) {
-            const Json *pc = site.find("site");
-            const Json *slots = site.find("slots");
-            if (pc != nullptr && slots != nullptr)
-                std::fprintf(to, "%s:%lld  ", pc->asString().c_str(),
-                             static_cast<long long>(slots->asInt()));
-        }
-        std::fputc('\n', to);
-    }
 }
 
 // ---- replay mode --------------------------------------------------------
 
 /**
- * Reconstructs a snapshot-shaped document from a dee.telemetry.v1
- * JSONL stream: per-series count/min/max/last built from the "sample"
- * records (the "finish" summary is used when present — it also covers
- * ring-evicted history), tool and interval from "start".
+ * Reconstructs a summary document from a dee.telemetry.v1 JSONL
+ * stream: per-series count/min/max/last built from the "sample"
+ * records (the "finish" summary is used when present), tool and
+ * interval from "start".
  */
 bool
 loadReplay(const std::string &path, Json *snapshot,
@@ -386,15 +240,9 @@ loadReplay(const std::string &path, Json *snapshot,
     Json out = Json::object();
     out["schema"] = Json("dee.telemetry.v1");
     out["tool"] = Json("?");
-    out["active"] = Json(false);
     out["replayed_from"] = Json(path);
 
-    struct Summary
-    {
-        std::uint64_t count = 0;
-        double min = 0.0, max = 0.0, last = 0.0;
-    };
-    std::map<std::string, Summary> summaries;
+    std::map<std::string, SeriesSummary> summaries;
     Json finish_series = Json::object();
     bool have_finish = false;
     double last_t = 0.0;
@@ -429,16 +277,7 @@ loadReplay(const std::string &path, Json *snapshot,
                 continue;
             for (const auto &[name, node] : series->members()) {
                 const double v = node.asDouble();
-                Summary &s = summaries[name];
-                if (s.count == 0) {
-                    s.min = v;
-                    s.max = v;
-                } else {
-                    s.min = std::min(s.min, v);
-                    s.max = std::max(s.max, v);
-                }
-                s.last = v;
-                ++s.count;
+                summaries[name].add(v);
                 if (name == "sim.kips")
                     kips_window->push_back(v);
             }
@@ -462,14 +301,8 @@ loadReplay(const std::string &path, Json *snapshot,
         out["series"] = std::move(finish_series);
     } else {
         Json series = Json::object();
-        for (const auto &[name, s] : summaries) {
-            Json node = Json::object();
-            node["count"] = Json(s.count);
-            node["min"] = Json(s.min);
-            node["max"] = Json(s.max);
-            node["last"] = Json(s.last);
-            series[name] = std::move(node);
-        }
+        for (const auto &[name, summary] : summaries)
+            series[name] = summary.toJson();
         out["series"] = std::move(series);
     }
     // Keep the sparkline to a screen-width window.
@@ -480,62 +313,27 @@ loadReplay(const std::string &path, Json *snapshot,
     return true;
 }
 
-#if DEE_TOP_HAVE_UNIX_SOCKETS
-
-/** Pulls the recent sim.kips window over the socket (best effort). */
-void
-fetchKipsWindow(SocketClient &client, std::vector<double> *window)
-{
-    std::string reply;
-    if (!client.request("tail sim.kips 60", &reply))
-        return;
-    Json doc;
-    if (!Json::parse(reply, &doc, nullptr))
-        return;
-    const Json *values = doc.find("v");
-    if (values == nullptr || !values->isArray())
-        return;
-    window->clear();
-    for (const Json &v : values->items())
-        window->push_back(v.asDouble());
-}
-
-#endif // DEE_TOP_HAVE_UNIX_SOCKETS
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string socket_path;
     std::string replay_path;
     bool once = false;
-    long refresh_ms = 500;
-    long connect_timeout_ms = 5000;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "dee_top: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
             return 0;
-        } else if (arg == "--socket") {
-            socket_path = value("--socket");
         } else if (arg == "--replay") {
-            replay_path = value("--replay");
+            if (i + 1 >= argc) {
+                std::fputs("dee_top: --replay needs a value\n", stderr);
+                return 2;
+            }
+            replay_path = argv[++i];
         } else if (arg == "--once") {
             once = true;
-        } else if (arg == "--refresh-ms") {
-            refresh_ms = std::atol(value("--refresh-ms"));
-        } else if (arg == "--connect-timeout-ms") {
-            connect_timeout_ms = std::atol(value("--connect-timeout-ms"));
         } else {
             std::fprintf(stderr, "dee_top: unknown argument '%s'\n",
                          arg.c_str());
@@ -543,88 +341,22 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (socket_path.empty() == replay_path.empty()) {
-        std::fputs("dee_top: exactly one of --socket or --replay is "
-                   "required\n",
-                   stderr);
+    if (replay_path.empty()) {
+        std::fputs("dee_top: --replay is required\n", stderr);
         usage(stderr);
         return 2;
     }
 
-    // ---- replay ---------------------------------------------------------
-    if (!replay_path.empty()) {
-        Json snapshot;
-        std::vector<double> kips_window;
-        std::string err;
-        if (!loadReplay(replay_path, &snapshot, &kips_window, &err)) {
-            std::fprintf(stderr, "dee_top: %s\n", err.c_str());
-            return 2;
-        }
-        if (once) {
-            std::fprintf(stdout, "%s\n", snapshot.dump(2).c_str());
-        } else {
-            renderFrame(stdout, snapshot, kips_window);
-        }
-        return 0;
+    Json snapshot;
+    std::vector<double> kips_window;
+    std::string err;
+    if (!loadReplay(replay_path, &snapshot, &kips_window, &err)) {
+        std::fprintf(stderr, "dee_top: %s\n", err.c_str());
+        return 2;
     }
-
-    // ---- live -----------------------------------------------------------
-#if !DEE_TOP_HAVE_UNIX_SOCKETS
-    std::fputs("dee_top: unix sockets are not available on this "
-               "platform; use --replay\n",
-               stderr);
-    return 2;
-#else
-    SocketClient client;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(connect_timeout_ms);
-    while (!client.connectTo(socket_path)) {
-        if (std::chrono::steady_clock::now() >= deadline) {
-            std::fprintf(stderr,
-                         "dee_top: cannot connect to '%s' within "
-                         "%ld ms\n",
-                         socket_path.c_str(), connect_timeout_ms);
-            return 2;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-
-    bool drew_frame = false;
-    for (;;) {
-        std::string reply;
-        if (!client.request("snapshot", &reply)) {
-            // Endpoint gone: the observed run finished. Keep the last
-            // frame on screen and leave quietly once we drew anything.
-            if (drew_frame) {
-                std::fputs("dee_top: run finished (endpoint closed)\n",
-                           stdout);
-                return 0;
-            }
-            std::fprintf(stderr, "dee_top: lost connection to '%s'\n",
-                         socket_path.c_str());
-            return 2;
-        }
-        Json snapshot;
-        std::string err;
-        if (!Json::parse(reply, &snapshot, &err)) {
-            std::fprintf(stderr, "dee_top: bad snapshot reply: %s\n",
-                         err.c_str());
-            return 2;
-        }
-        if (once) {
-            std::fprintf(stdout, "%s\n", snapshot.dump(2).c_str());
-            return 0;
-        }
-        std::vector<double> kips_window;
-        fetchKipsWindow(client, &kips_window);
-        // Home the cursor and clear: one flicker-free redraw per poll.
-        std::fputs("\x1b[H\x1b[2J", stdout);
+    if (once)
+        std::fprintf(stdout, "%s\n", snapshot.dump(2).c_str());
+    else
         renderFrame(stdout, snapshot, kips_window);
-        std::fflush(stdout);
-        drew_frame = true;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(refresh_ms));
-    }
-#endif // DEE_TOP_HAVE_UNIX_SOCKETS
+    return 0;
 }
