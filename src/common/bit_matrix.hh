@@ -124,6 +124,22 @@ class BitVec64
             words_[w] &= ~other.words_[w];
     }
 
+    /** The first set index at or after @p from; size() when none. */
+    std::size_t
+    nextSet(std::size_t from) const
+    {
+        if (from >= size_)
+            return size_;
+        std::size_t w = from >> 6;
+        std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (from & 63));
+        while (bits == 0) {
+            if (++w == words_.size())
+                return size_;
+            bits = words_[w];
+        }
+        return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+
     /** Calls @p fn with every set index, ascending, via ctz scan. */
     template <typename Fn>
     void

@@ -29,14 +29,19 @@
  *    block) to a proven bound on the cycles, with the checked
  *    SlotLedger::issue() left for PE-limited runs and for bounds past
  *    the ledger's limit.
- *  - Tree moves over the FlatSpecTree array view; per-path mispredict
- *    sets live in BitVec64 words (common/bit_matrix.hh) scanned with
- *    popcount/ctz in the shared epilogue.
+ *  - Tree moves over the FlatSpecTree array view; the mispredicts are
+ *    PathPredictions' BitVec64 (common/bit_matrix.hh), and the walk's
+ *    next uncrossable path is a next-set-bit scan of it.
+ *  - Window-sized state: fetch times, bypass sets, root times and
+ *    pending mispredicts live in rings (Ring) that hold only the paths
+ *    the window can still touch, so a cell's state does not grow with
+ *    the trace. Each path's accounting is retired as the root leaves
+ *    it (PathRetirer).
  *  - Route-B mispredict stalls via a per-path sorted suffix-max over
  *    pending join points with a monotone cursor, replacing the
  *    per-instruction scan of the whole pending deque.
- *  - Scratch (walk state, stall tables, bypass spans) is hoisted into
- *    per-run arenas reused across every tree move.
+ *  - Scratch (rings, walk plan, stall and last-store tables) is kept
+ *    per thread and reused across runs and tree moves.
  *
  * Both are declared in forward_pass.hh. The seed kernels in
  * tests/reference_engine.cc hold them to bit-exact results
@@ -47,6 +52,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -275,13 +281,14 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
  * chain per ML node, the side chains themselves free of not-predicted
  * edges) admit a closed form: the walk from root r follows correct
  * predictions down the ML, may cross exactly one mispredict into a
- * side chain, and dies at the second bad path. Given nm[] ("next path
- * the walk cannot step across"), each walk collapses to at most two
+ * side chain, and dies at the second bad path. Given the next path the
+ * walk cannot step across, each walk collapses to at most two
  * contiguous range relaxations — and since covered ranges always
- * attach to the already-fetched prefix, a frontier cursor makes the
- * whole run O(paths + fetches) instead of O(paths x walk depth).
- * Trees with deeper not-predicted structure (EE subtrees, greedy DEE
- * shapes that branch off side paths) keep the generic walk.
+ * attach to the already-fetched prefix, only the paths past it are
+ * touched, which makes the whole run O(paths + fetches) instead of
+ * O(paths x walk depth). Trees with deeper not-predicted structure (EE
+ * subtrees, greedy DEE shapes that branch off side paths) keep the
+ * generic walk.
  */
 struct WalkPlan
 {
@@ -331,29 +338,73 @@ buildWalkPlan(const FlatSpecTree &flat, WalkPlan &plan)
 }
 
 /**
+ * The live values of a sequence indexed by an ever-growing position (a
+ * path index, or a count of FIFO pushes): position i lives in slot
+ * i & mask. reset() sizes the ring to the power of two at or above the
+ * span of positions that must stay live, or, when that is at least
+ * @p limit, to exactly @p limit slots that never wrap (every position
+ * stays below @p limit), so a ring never outgrows a whole-trace array.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    void
+    reset(std::uint64_t live, std::uint64_t limit)
+    {
+        std::uint64_t slots = std::bit_ceil(std::max<std::uint64_t>(live, 1));
+        mask_ = slots - 1;
+        if (slots >= limit) {
+            slots = limit;
+            mask_ = ~std::uint64_t{0};
+        }
+        slots_.assign(slots, T{});
+    }
+
+    T &operator[](std::uint64_t i) { return slots_[i & mask_]; }
+
+  private:
+    std::vector<T> slots_;
+    std::uint64_t mask_ = 0;
+};
+
+/**
+ * A fetched path: when it was fetched, and its bypass set — the
+ * mispredicted paths that the fetching walk crossed through
+ * not-predicted edges, whose alternate state therefore holds the
+ * path's code. A walk crosses every mispredict it passes and stops at
+ * one it cannot cross, so the set is exactly the mispredicts from the
+ * first crossed one to the path before this one: one index,
+ * @c bypassFrom (the path itself when the set is empty), stands for
+ * it. A non-empty set is a fetch through a side path.
+ */
+struct FetchedPath
+{
+    std::int64_t time;
+    std::uint64_t bypassFrom;
+};
+
+/**
  * Per-thread kernel scratch, recycled across runs: repeated cells
  * (benchmark repetitions, figure sweeps) reuse warmed-up capacity
  * instead of faulting fresh pages from the allocator every run. Every
- * field is cleared or assign()ed before use below.
+ * field is cleared, reset or assign()ed before use below.
  */
 struct FastScratch
 {
-    std::vector<std::uint64_t> bypassPool;
-    std::vector<std::uint32_t> bypBegin;
-    std::vector<std::uint32_t> bypEnd;
-    std::vector<PendingMispredict> pending;
-    std::vector<std::uint64_t> crossed;
+    Ring<FetchedPath> fetched;          ///< paths [root, last fetched]
+    Ring<std::int64_t> rootTime;        ///< root arrival per path
+    Ring<PendingMispredict> pending;    ///< by push count
     std::vector<std::pair<DynIndex, std::int64_t>> nd;
     std::vector<DynIndex> ndJoin;   ///< RouteBStalls::join
     std::vector<std::int64_t> ndStall; ///< RouteBStalls::stall
-    std::vector<std::uint64_t> nm; ///< next-uncrossable-path index
     std::vector<std::int64_t> memAvail; ///< last-store time per mem id
     WalkPlan plan;
 };
 
 } // namespace
 
-void
+std::int64_t
 fastForward(ForwardCtx &ctx)
 {
     static thread_local FastScratch scratch;
@@ -372,48 +423,49 @@ fastForward(ForwardCtx &ctx)
     const bool hot = ctx.hot;
     obs::Tracer &tracer = ctx.tracer;
     obs::SpeculationProfile &profile = ctx.profile;
-    const std::vector<std::uint8_t> &correct = ctx.correct;
+    const BitVec64 &mispredicts = ctx.mispredicts;
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
     obs::SlotLedger *const ledger = ctx.ledger;
     const int branch_lat = config.latency.of(OpClass::CondBranch);
     const Latencies lat(config.latency, config.loadLatencies);
 
-    // --- Per-run state (SoA) --------------------------------------------
-    std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
-    fetch_tree.assign(num_paths, kNeverFetched);
-    // Every root_time[r + 1] and resolve[r] is written at the end of
-    // iteration r, before anything reads it.
-    std::vector<std::int64_t> &root_time = ctx.rootTime;
-    root_time.resize(num_paths + 1);
-    root_time[0] = 0;
-    std::vector<std::int64_t> &resolve = ctx.resolve;
-    resolve.resize(num_paths);
-    std::vector<std::uint8_t> &fetch_side = ctx.fetchSide;
-    fetch_side.assign(profiling ? num_paths : 0, 0);
-
-    // Bypass sets (mispredicted paths crossed via a not-predicted edge
-    // on the fetching walk) as spans into one append-only pool — each
-    // path's span is written at most once, so no per-path vectors.
-    std::vector<std::uint64_t> &bypass_pool = scratch.bypassPool;
-    bypass_pool.clear();
-    std::vector<std::uint32_t> &byp_begin = scratch.bypBegin;
-    byp_begin.assign(num_paths, 0);
-    std::vector<std::uint32_t> &byp_end = scratch.bypEnd;
-    byp_end.assign(num_paths, 0);
-
     // Flat tree view for the coverage walks.
     const FlatSpecTree flat =
         ctx.tree.flatten(profiling && !use_confidence);
+
+    // --- Window-sized state (rings) ---------------------------------------
+    // The fetched set is always a prefix [0, fetch_end): every walk
+    // covers a contiguous run of paths after its root, and roots
+    // advance one path at a time. A walk from root r fetches no further
+    // than r + reach, so only paths [r, r + reach] have fetch state
+    // still to be read; route B reads root times back to
+    // r - window_reach; and a pending mispredict retires once the root
+    // is window_reach paths past it.
+    const std::uint64_t reach =
+        static_cast<std::uint64_t>(flat.maxDepth) +
+        (use_confidence ? static_cast<std::uint64_t>(std::max(
+                              config.confidence.sideLen, 0)) + 1
+                        : 0);
+    const std::uint64_t live =
+        std::max(static_cast<std::uint64_t>(window_reach), reach) + 2;
+    Ring<FetchedPath> &fetched = scratch.fetched;
+    fetched.reset(live, num_paths + 1);
+    std::uint64_t fetch_end = 0;
+    Ring<std::int64_t> &root_time = scratch.rootTime;
+    root_time.reset(live, num_paths + 1);
+    root_time[0] = 0;
+    // Pending mispredicts: the FIFO of pushes [pending_head,
+    // pending_tail), front-retirement only (the seed kernel's
+    // blocked-front semantics).
+    Ring<PendingMispredict> &pending = scratch.pending;
+    pending.reset(live, num_paths + 1);
+    std::uint64_t pending_head = 0;
+    std::uint64_t pending_tail = 0;
 
     std::array<std::int64_t, kNumRegSlots> reg_avail{};
     std::vector<std::int64_t> &mem_avail = scratch.memAvail;
     mem_avail.assign(prep.numMemIds(), 0);
 
-    // Pending mispredicts as a vector + head cursor (front-retirement
-    // only, preserving the seed kernel's blocked-front semantics).
-    std::vector<PendingMispredict> &pending = scratch.pending;
-    pending.clear();
-    std::size_t pending_head = 0;
     std::int64_t last_resolve = -1;
     const bool pe_limited = config.peLimit > 0;
     IssueSlots slots(config.peLimit,
@@ -421,7 +473,6 @@ fastForward(ForwardCtx &ctx)
                                               : nullptr);
 
     // Per-tree-move scratch arenas, hoisted out of the root loop.
-    std::vector<std::uint64_t> &crossed = scratch.crossed;
     std::vector<std::pair<DynIndex, std::int64_t>> &nd = scratch.nd;
     std::vector<DynIndex> &nd_join = scratch.ndJoin;
     std::vector<std::int64_t> &nd_stall = scratch.ndStall;
@@ -450,26 +501,37 @@ fastForward(ForwardCtx &ctx)
         buildWalkPlan(flat, plan);
     else
         plan.closedForm = false;
-    std::vector<std::uint64_t> &nm = scratch.nm;
-    std::uint64_t frontier = 0; ///< fetched set is exactly [0, frontier]
-    if (plan.closedForm) {
-        // nm[k]: first path >= k the walk cannot step across (not a
-        // branch, or mispredicted).
-        nm.assign(num_paths + 1, num_paths);
-        for (std::uint64_t k = num_paths; k-- > 0;) {
-            nm[k] =
-                (k < num_branches && correct[k]) ? nm[k + 1] : k;
-        }
-    }
+    // The first path at or after k that a walk cannot step across: a
+    // mispredicted branch, or the last path when it has no branch.
+    const auto uncrossable = [&mispredicts, num_branches](std::uint64_t k) {
+        return std::min<std::uint64_t>(mispredicts.nextSet(k),
+                                       num_branches);
+    };
 
     for (std::uint64_t r = 0; r < num_paths; ++r) {
         const std::int64_t now = root_time[r];
         const BranchPath path = prep.path(r);
 
-        // Coverage walk from this root position: relax fetch times of
-        // every covered path. Already-fetched code stays fetched (min).
-        if (now < fetch_tree[r])
-            fetch_tree[r] = now; // distance 0: always covered
+        // A fresh fetch of path x by this root's walk, whose first
+        // crossed mispredict is first_cross (num_paths when none).
+        const auto fetch = [&](std::uint64_t x, std::uint64_t first_cross) {
+            fetched[x] = FetchedPath{now, std::min(first_cross, x)};
+            fetch_end = x + 1;
+            if (first_cross < x) {
+                ++ctx.sidePathFetches;
+                dee_trace_event_if(
+                    tracing, tracer, "sim.side_path_fetch", 'i', now,
+                    "path", static_cast<std::int64_t>(x), "root",
+                    static_cast<std::int64_t>(r));
+            }
+        };
+
+        // Coverage walk from this root position: fetch every covered
+        // path. Already-fetched code stays fetched: a path fetched by
+        // an earlier root has a fetch time at most `now`, so only the
+        // paths past the fetched prefix change.
+        if (r >= fetch_end)
+            fetch(r, num_paths); // distance 0: always covered
         if (use_confidence) {
             const obs::hotspot::HotspotPhase hot_fetch(
                 hot, "window", obs::hotspot::Phase::Fetch);
@@ -477,7 +539,7 @@ fastForward(ForwardCtx &ctx)
             // the ML depth; one low-confidence mispredict may be
             // crossed, extending coverage by sideLen paths.
             const int ml_depth = flat.maxDepth;
-            crossed.clear();
+            std::uint64_t first_cross = num_paths;
             std::int64_t limit = ml_depth;
             for (std::uint64_t d = 0;
                  r + d + 1 < num_paths &&
@@ -485,8 +547,8 @@ fastForward(ForwardCtx &ctx)
                  ++d) {
                 if (r + d >= num_branches)
                     break;
-                if (!correct[r + d]) {
-                    if (!crossed.empty())
+                if (mispredicts.test(r + d)) {
+                    if (first_cross != num_paths)
                         break; // only one mispredict deep, like DEE
                     const StaticId sid = prep.exit(r + d).sid;
                     const double acc =
@@ -495,51 +557,29 @@ fastForward(ForwardCtx &ctx)
                             : 1.0;
                     if (acc >= config.confidence.threshold)
                         break; // confident branch: no side path here
-                    crossed.push_back(r + d);
+                    first_cross = r + d;
                     limit = static_cast<std::int64_t>(d) +
                             config.confidence.sideLen + 1;
                 }
-                if (now < fetch_tree[r + d + 1]) {
-                    fetch_tree[r + d + 1] = now;
-                    if (profiling)
-                        fetch_side[r + d + 1] =
-                            crossed.empty() ? 0 : 1;
-                    if (!crossed.empty()) {
-                        ++ctx.sidePathFetches;
-                        DEE_INVARIANT(crossed.front() >= r &&
-                                          crossed.back() <= r + d,
-                                      "bypass set escapes its walk");
-                        byp_begin[r + d + 1] = static_cast<std::uint32_t>(
-                            bypass_pool.size());
-                        bypass_pool.insert(bypass_pool.end(),
-                                           crossed.begin(),
-                                           crossed.end());
-                        byp_end[r + d + 1] = static_cast<std::uint32_t>(
-                            bypass_pool.size());
-                        dee_trace_event_if(
-                            tracing, tracer, "sim.side_path_fetch", 'i', now,
-                            "path",
-                            static_cast<std::int64_t>(r + d + 1),
-                            "root", static_cast<std::int64_t>(r));
-                    }
-                }
+                if (r + d + 1 >= fetch_end)
+                    fetch(r + d + 1, first_cross);
             }
         } else if (plan.closedForm) {
             const obs::hotspot::HotspotPhase hot_fetch(
                 hot, "window", obs::hotspot::Phase::Fetch);
             // ML segment: correct steps down the main line cover paths
-            // r+1 .. min(nm[r], r + ML length, last path). Paths at or
-            // below the frontier were fetched by an earlier (never
-            // later) root, so only the fresh suffix needs touching.
-            const std::uint64_t j = nm[r];
+            // r+1 .. min(j, r + ML length, last path), j the first
+            // path the walk cannot cross. Paths below fetch_end were
+            // fetched by an earlier (never later) root, so only the
+            // fresh suffix needs touching.
+            const std::uint64_t j = uncrossable(r);
             const std::uint64_t ml_len = plan.mlNodes.size() - 1;
             const std::uint64_t hi =
                 std::min({j, r + ml_len, num_paths - 1});
-            for (std::uint64_t x = std::max(r + 1, frontier + 1);
-                 x <= hi; ++x) {
-                fetch_tree[x] = now;
+            for (std::uint64_t x = std::max(r + 1, fetch_end); x <= hi;
+                 ++x) {
+                fetch(x, num_paths);
                 if (profiling) {
-                    fetch_side[x] = 0;
                     const auto node = static_cast<std::size_t>(
                         plan.mlNodes[x - r]);
                     profile.recordAssignment(
@@ -547,23 +587,21 @@ fastForward(ForwardCtx &ctx)
                         flat.cp[node], flat.rank[node]);
                 }
             }
-            if (hi > frontier)
-                frontier = hi;
-            // Side segment: the walk crosses the first mispredict if
-            // it is a branch within ML reach and that ML depth has a
-            // side chain, then follows correct steps along the chain.
+            // Side segment: the walk crosses j if it is a mispredicted
+            // branch (j < num_branches) within ML reach and that ML
+            // depth has a side chain, then follows correct steps along
+            // the chain.
             if (j + 1 < num_paths && j - r <= ml_len &&
-                j < num_branches && !correct[j] &&
-                plan.sideLen[j - r] != 0) {
+                j < num_branches && plan.sideLen[j - r] != 0) {
                 const std::size_t dc = j - r;
                 const std::uint64_t slen = plan.sideLen[dc];
                 const std::uint64_t hi_s =
-                    std::min({j + slen, nm[j + 1], num_paths - 1});
-                for (std::uint64_t x = std::max(j + 1, frontier + 1);
+                    std::min({j + slen, uncrossable(j + 1),
+                              num_paths - 1});
+                for (std::uint64_t x = std::max(j + 1, fetch_end);
                      x <= hi_s; ++x) {
-                    fetch_tree[x] = now;
+                    fetch(x, j);
                     if (profiling) {
-                        fetch_side[x] = 1;
                         const auto node = static_cast<std::size_t>(
                             plan.sideNodes[plan.sideOff[dc] +
                                            static_cast<std::uint32_t>(
@@ -572,41 +610,28 @@ fastForward(ForwardCtx &ctx)
                             prep.exit(x - 1).sid,
                             flat.cp[node], flat.rank[node]);
                     }
-                    ++ctx.sidePathFetches;
-                    byp_begin[x] = static_cast<std::uint32_t>(
-                        bypass_pool.size());
-                    bypass_pool.push_back(j);
-                    byp_end[x] = static_cast<std::uint32_t>(
-                        bypass_pool.size());
-                    dee_trace_event_if(
-                        tracing, tracer, "sim.side_path_fetch", 'i',
-                        now, "path", static_cast<std::int64_t>(x),
-                        "root", static_cast<std::int64_t>(r));
                 }
-                if (hi_s > frontier)
-                    frontier = hi_s;
             }
         } else {
             const obs::hotspot::HotspotPhase hot_fetch(
                 hot, "window", obs::hotspot::Phase::Fetch);
             int node = SpecTree::kOrigin;
-            crossed.clear();
-            // The walk relaxes fetch times of paths r+d+1, so it must
-            // stop at the last path: a cap-truncated trace can end in
-            // a branch, making even the final path endsInBranch.
+            std::uint64_t first_cross = num_paths;
+            // The walk fetches paths r+d+1, so it must stop at the last
+            // path: a cap-truncated trace can end in a branch, making
+            // even the final path endsInBranch.
             for (std::uint64_t d = 0; r + d + 1 < num_paths; ++d) {
                 if (r + d >= num_branches)
                     break;
-                node = flat.child(node, correct[r + d] != 0);
+                const bool mispredicted = mispredicts.test(r + d);
+                node = flat.child(node, !mispredicted);
                 if (node == kNoNode)
                     break;
-                if (!correct[r + d])
-                    crossed.push_back(r + d);
-                if (now < fetch_tree[r + d + 1]) {
-                    fetch_tree[r + d + 1] = now;
+                if (mispredicted && first_cross == num_paths)
+                    first_cross = r + d;
+                if (r + d + 1 >= fetch_end) {
+                    fetch(r + d + 1, first_cross);
                     if (profiling) {
-                        fetch_side[r + d + 1] =
-                            crossed.empty() ? 0 : 1;
                         // Theorem-1 attribution at assignment time:
                         // the covering node's cumulative probability
                         // and resource-assignment rank, charged to
@@ -616,31 +641,16 @@ fastForward(ForwardCtx &ctx)
                             flat.cp[static_cast<std::size_t>(node)],
                             flat.rank[static_cast<std::size_t>(node)]);
                     }
-                    if (!crossed.empty()) {
-                        ++ctx.sidePathFetches;
-                        DEE_INVARIANT(crossed.front() >= r &&
-                                          crossed.back() <= r + d,
-                                      "bypass set escapes its walk");
-                        byp_begin[r + d + 1] = static_cast<std::uint32_t>(
-                            bypass_pool.size());
-                        bypass_pool.insert(bypass_pool.end(),
-                                           crossed.begin(),
-                                           crossed.end());
-                        byp_end[r + d + 1] = static_cast<std::uint32_t>(
-                            bypass_pool.size());
-                        dee_trace_event_if(
-                            tracing, tracer, "sim.side_path_fetch", 'i', now,
-                            "path",
-                            static_cast<std::int64_t>(r + d + 1),
-                            "root", static_cast<std::int64_t>(r));
-                    }
                 }
             }
         }
+        DEE_INVARIANT(fetch_end - r <= reach + 1, "walk from path ", r,
+                      " fetched past the window's reach");
 
         // Code at the root is never fetched later than the root's own
         // arrival: coverage walks only ever relax fetch times.
-        DEE_INVARIANT(fetch_tree[r] <= now, "path ", r,
+        const FetchedPath here = fetched[r];
+        DEE_INVARIANT(here.time <= now, "path ", r,
                       " fetched after its root time");
 
         // Retire mispredicts whose window reach or control scope ended
@@ -648,7 +658,7 @@ fastForward(ForwardCtx &ctx)
         // only the reach bound retires them). Front-retirement only: a
         // blocked front entry keeps every later entry live, exactly as
         // the seed kernel's deque does.
-        while (pending_head < pending.size() &&
+        while (pending_head < pending_tail &&
                (pending[pending_head].pathIdx + window_reach <= r ||
                 (!pending[pending_head].divergent &&
                  pending[pending_head].joinIdx <= path.begin))) {
@@ -662,36 +672,26 @@ fastForward(ForwardCtx &ctx)
         // and keep a suffix max of (resolve + penalty). The issue loop
         // then reads the stall in O(1) with a monotone cursor instead
         // of rescanning the pending set per instruction.
-        const bool has_bypass =
-            use_cd && byp_end[r] > byp_begin[r];
+        const bool side = here.bypassFrom < r;
+        const bool has_bypass = use_cd && side;
         if (use_cd && (!stall_valid || has_bypass)) {
             std::int64_t stall_div = 0;
             nd.clear();
-            if (pending_head < pending.size()) {
-                const std::uint32_t bb = byp_begin[r];
-                const std::uint32_t be = byp_end[r];
-                for (std::size_t j = pending_head; j < pending.size();
-                     ++j) {
-                    const PendingMispredict &m = pending[j];
-                    bool bypassed = false;
-                    for (std::uint32_t q = bb; q < be; ++q) {
-                        if (bypass_pool[q] == m.pathIdx) {
-                            bypassed = true;
-                            break;
-                        }
-                    }
-                    if (bypassed)
-                        continue; // held by a side path / EE subtree
-                    if (m.divergent) {
-                        stall_div = std::max(stall_div,
-                                             m.resolveTime + penalty);
-                    } else {
-                        nd.emplace_back(m.joinIdx,
-                                        m.resolveTime + penalty);
-                    }
+            for (std::uint64_t q = pending_head; q < pending_tail; ++q) {
+                const PendingMispredict &m = pending[q];
+                // Every pending path is a mispredict before r, so it
+                // is in r's bypass set iff it is at or past the set's
+                // first path.
+                if (m.pathIdx >= here.bypassFrom)
+                    continue; // held by a side path / EE subtree
+                if (m.divergent) {
+                    stall_div =
+                        std::max(stall_div, m.resolveTime + penalty);
+                } else {
+                    nd.emplace_back(m.joinIdx, m.resolveTime + penalty);
                 }
-                std::sort(nd.begin(), nd.end());
             }
+            std::sort(nd.begin(), nd.end());
             // The divergent stall seeds the suffix max; the sentinel
             // entry, past every record, holds it alone.
             nd_join.resize(nd.size() + 1);
@@ -713,7 +713,7 @@ fastForward(ForwardCtx &ctx)
         // always point backward, so their availability is final).
         // Every earlier completion, fetch time and pending stall is at
         // most `now`, so the path issues below issueBound() of it.
-        const std::int64_t fetch_a = fetch_tree[r];
+        const std::int64_t fetch_a = here.time;
         const std::int64_t fetch_b =
             root_time[r > static_cast<std::uint64_t>(window_reach)
                           ? r - window_reach
@@ -745,6 +745,7 @@ fastForward(ForwardCtx &ctx)
         }
 
         // Branch resolution (serialized except under MF).
+        const bool mispredicted = mispredicts.test(r);
         std::int64_t res = done;
         if (path.endsInBranch) {
             const obs::hotspot::HotspotPhase hot_resolve(
@@ -753,27 +754,26 @@ fastForward(ForwardCtx &ctx)
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
-            if (use_cd && !correct[r] &&
+            if (use_cd && mispredicted &&
                 (prep.exit(r).backward || join_idx[r] > path.end)) {
-                pending.push_back(PendingMispredict{
-                    r, join_idx[r], res, prep.exit(r).backward});
+                pending[pending_tail++] = PendingMispredict{
+                    r, join_idx[r], res, prep.exit(r).backward};
                 stall_valid = false;
             }
         }
-        resolve[r] = res;
 
         // Tree movement: root leaves this path once the path has fully
         // executed and its branch has resolved (+ penalty on mispredict).
         const obs::hotspot::HotspotPhase hot_move(
             hot, "window", obs::hotspot::Phase::TreeMove);
         const std::int64_t move =
-            std::max({root_time[r], done,
-                      res + (correct[r] ? 0 : penalty)});
+            std::max({now, done, res + (mispredicted ? penalty : 0)});
         DEE_INVARIANT(move >= now, "root time went backwards at path ",
                       r);
         root_time[r + 1] = move;
+        ctx.retirer.retire(r, fetch_a, side, res, move);
 
-        if (!correct[r]) {
+        if (mispredicted) {
             dee_trace_event_if(tracing, tracer, "sim.copyback", 'i',
                                res + penalty, "path",
                                static_cast<std::int64_t>(r));
@@ -782,9 +782,10 @@ fastForward(ForwardCtx &ctx)
                            move, "path",
                            static_cast<std::int64_t>(r + 1),
                            "mispredict",
-                           correct[r] ? std::int64_t{0}
-                                      : std::int64_t{1});
+                           mispredicted ? std::int64_t{1}
+                                        : std::int64_t{0});
     }
+    return root_time[num_paths];
 }
 
 std::int64_t

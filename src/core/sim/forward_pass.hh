@@ -16,26 +16,30 @@
  * Inputs split by lifetime. Per trace, shared read-only by every cell:
  * the PreparedTrace (trace/prepared.hh) — branch-path bounds, exit
  * branches, the decode of each record-store entry, the dense memory ids
- * of loads and stores, and the route-B join points cached per Cfg. Per cell: the window tree, the SimConfig
- * (latencies included), the predictor outcomes (PathPredictions) and
- * the RunArena outputs below, the only storage a cell writes.
+ * of loads and stores, and the route-B join points cached per Cfg. Per
+ * cell: the window tree, the SimConfig (latencies included), the
+ * predictor outcomes (PathPredictions' mispredict bits, one per path)
+ * and what the cell writes: the slot ledger, the speculation profile
+ * and the resolve-depth histogram. A kernel keeps a path's fetch, root
+ * and resolve times only while the path is inside the window, and no
+ * state that grows with the trace.
  *
  * runWindowWith() owns the shared prologue (confidence replay of the
- * predictor outcomes) and epilogue (totals, issue stats, resolve
- * histogram, cycle accounting, speculation profile, registry
- * publishing). A forward kernel owns only the per-path forward loop:
- * coverage walks, instruction issue, branch resolution and tree
- * movement. Every kernel fills the same ForwardCtx outputs and makes
- * ledger/profiler/tracer calls at the same program points in the same
- * order, which is what makes two kernels bit-exact — the property
- * tests/test_engine_differential.cc enforces.
+ * predictor outcomes) and epilogue (totals, issue stats, starved-cycle
+ * marks, cycle accounting, loop roll-ups, registry publishing). A
+ * forward kernel owns the per-path forward loop: coverage walks,
+ * instruction issue, branch resolution and tree movement, after which
+ * it hands the path to PathRetirer::retire() for its per-path
+ * accounting. Every kernel makes ledger/profiler/tracer calls at the
+ * same program points in the same order, which is what makes two
+ * kernels bit-exact — the property tests/test_engine_differential.cc
+ * enforces.
  */
 
 #ifndef DEE_CORE_SIM_FORWARD_PASS_HH
 #define DEE_CORE_SIM_FORWARD_PASS_HH
 
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -48,10 +52,6 @@
 
 namespace dee::sim_detail
 {
-
-/** Sentinel "not yet fetched". */
-constexpr std::int64_t kNeverFetched =
-    std::numeric_limits<std::int64_t>::max();
 
 /**
  * Per-cycle issue-slot accounting for the limited-PE extension: finds
@@ -112,24 +112,81 @@ struct PendingMispredict
 };
 
 /**
- * Reusable per-cell output storage: everything a cell writes, one entry
- * per branch path. runWindowWith() keeps one of these per thread and
- * binds the ForwardCtx output references to it, so repeated runs
- * (benchmark repetitions, figure sweeps) recycle capacity instead of
- * faulting in fresh pages every run. Kernels assign()/clear() every
- * vector they touch, so no state leaks between runs. Per-trace inputs
- * live in the PreparedTrace.
+ * A window run's per-path accounting, done as the root leaves each
+ * path: a kernel calls retire() once per path, in path order, right
+ * after the tree moves past it, and only once the path's instructions
+ * have issued (a ledger mark may grow the count array that
+ * SlotLedger::issueCounts() handed out). For path r it
+ *
+ *  - bins a mispredicted r by its distance from the root when it
+ *    resolved (SimResult::resolveDepthCounts), reading the last
+ *    maxDepth + 2 root times, which it keeps itself;
+ *  - marks a mispredicted r's span, from its fetch to its resolution
+ *    plus the repair penalty, as squashed speculation, charged to its
+ *    branch's confidence bucket and site: wrong-path work occupies
+ *    the machine while the prediction steers fetch, so spare slots in
+ *    that span are squashed work;
+ *  - credits r's fetched residency (fetch to resolve) to branch r - 1,
+ *    as DEE-slot cycles when a not-predicted edge held r and mainline
+ *    cycles otherwise, then r's fetch-to-resolve latency to branch r.
+ *
+ * Squash marks keep path order, and marks of other classes commute
+ * with them, so the account does not depend on when they are made.
  */
-struct RunArena
+class PathRetirer
 {
-    std::vector<std::int64_t> fetchTree;
-    std::vector<std::int64_t> rootTime;
-    std::vector<std::int64_t> resolve;
-    std::vector<std::uint8_t> fetchSide;
-    std::vector<std::int64_t> starvedCycles;
+  public:
+    /**
+     * @param resolve_depths the resolve-depth histogram to fill, sized
+     *        maxDepth + 1; null without resolve stats.
+     * @param ledger the ledger to mark squashes into; null without
+     *        accounting.
+     * @param meter each branch's confidence, replayed over the whole
+     *        run before the pass; read only with @p ledger.
+     * @param profile null unless profiling.
+     */
+    PathRetirer(const PreparedTrace &prep, const BitVec64 &mispredicts,
+                int penalty, std::vector<std::uint64_t> *resolve_depths,
+                obs::SlotLedger *ledger, const ConfidenceEstimator &meter,
+                obs::SpeculationProfile *profile);
+
+    /** Retires path @p r, fetched at @p fetch (through a not-predicted
+     *  edge iff @p side) and resolved at @p resolve, as the root moves
+     *  on to path r + 1 at @p next_root. */
+    void
+    retire(std::uint64_t r, std::int64_t fetch, bool side,
+           std::int64_t resolve, std::int64_t next_root)
+    {
+        // Without resolve stats or a profile, as in most runs, a path
+        // predicted right has nothing to retire.
+        if (everyPath_ || mispredicts_.test(r))
+            retirePath(r, fetch, side, resolve, next_root);
+    }
+
+  private:
+    void retirePath(std::uint64_t r, std::int64_t fetch, bool side,
+                    std::int64_t resolve, std::int64_t next_root);
+
+    /** The resolve-depth bin of the path that resolved at @p resolve,
+     *  with the root's arrival after it in roots_[@p top]. */
+    std::size_t resolveDepth(std::size_t top, std::int64_t resolve) const;
+
+    const PreparedTrace &prep_;
+    const BitVec64 &mispredicts_;
+    int penalty_;
+    std::vector<std::uint64_t> *resolveDepths_;
+    obs::SlotLedger *ledger_;
+    const ConfidenceEstimator &meter_;
+    obs::SpeculationProfile *profile_;
+    bool everyPath_; ///< resolve stats or a profile
+    /** The last maxDepth + 2 root times, with resolve stats only:
+     *  root time i (the root's arrival at path i) in slot i mod
+     *  roots_.size(). */
+    std::vector<std::int64_t> roots_;
+    std::size_t nextSlot_ = 1; ///< slot of the next root time
 };
 
-/** Everything a forward-pass kernel reads and everything it must fill. */
+/** Everything a forward-pass kernel reads and everything it writes. */
 struct ForwardCtx
 {
     // --- Per-trace inputs (shared by every cell of the trace) ------------
@@ -140,7 +197,7 @@ struct ForwardCtx
     // --- Per-cell inputs --------------------------------------------------
     const SpecTree &tree;
     const SimConfig &config;
-    const std::vector<std::uint8_t> &correct; ///< per path; 1 if no branch
+    const BitVec64 &mispredicts; ///< per path: exit branch mispredicted
     int windowReach;
     bool profiling;
     bool accounting;
@@ -153,18 +210,19 @@ struct ForwardCtx
      *  they compute it, in trace order. The epilogue reads its
      *  per-cycle issue counts and finalizes the account. */
     obs::SlotLedger *ledger;
+    PathRetirer &retirer; ///< called once per path, in path order
 
-    // --- Outputs (the epilogue's inputs; arena-backed references) --------
-    std::vector<std::int64_t> &fetchTree; ///< per path; kNeverFetched
-    std::vector<std::int64_t> &rootTime;  ///< num_paths + 1 entries
-    std::vector<std::int64_t> &resolve;   ///< per path
-    std::vector<std::uint8_t> &fetchSide; ///< per path iff profiling
-    std::vector<std::int64_t> &starvedCycles;
+    // --- Outputs ----------------------------------------------------------
+    std::vector<std::int64_t> starvedCycles;
     std::uint64_t sidePathFetches = 0;
 };
 
-/** A window forward pass: fills every ForwardCtx output. */
-using ForwardKernel = void (*)(ForwardCtx &ctx);
+/**
+ * A window forward pass: fills every ForwardCtx output and returns the
+ * root's arrival past the last path, the run's last cycle (the root
+ * leaves a path no earlier than its instructions complete).
+ */
+using ForwardKernel = std::int64_t (*)(ForwardCtx &ctx);
 
 /**
  * An oracle sweep over @p trace: returns the dataflow-limit completion
@@ -184,7 +242,7 @@ struct Kernels
 };
 
 /** The data-oriented SoA / bit-vector window kernel (fast_engine.cc). */
-void fastForward(ForwardCtx &ctx);
+std::int64_t fastForward(ForwardCtx &ctx);
 
 /** The oracle sweep over the trace's shared per-entry decode
  *  (fast_engine.cc). */

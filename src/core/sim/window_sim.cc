@@ -121,7 +121,6 @@ predictPaths(const Trace &trace, BranchPredictor &predictor)
     const PreparedTrace &prep = trace.prepared();
     const std::uint64_t num_paths = prep.numPaths();
     PathPredictions out;
-    out.correct.assign(num_paths, 1);
     out.mispredicts = BitVec64(num_paths);
     out.branches = prep.numBranches();
     TwoBitPredictor *const twobit =
@@ -140,7 +139,6 @@ predictPaths(const Trace &trace, BranchPredictor &predictor)
             predictor.update(q, b.taken);
         }
         if (predicted != b.taken) {
-            out.correct[k] = 0;
             out.mispredicts.set(k);
             ++out.mispredicted;
         }
@@ -169,6 +167,80 @@ WindowSim::run(const PathPredictions &predictions) const
     return result;
 }
 
+sim_detail::PathRetirer::PathRetirer(
+    const PreparedTrace &prep, const BitVec64 &mispredicts, int penalty,
+    std::vector<std::uint64_t> *resolve_depths, obs::SlotLedger *ledger,
+    const ConfidenceEstimator &meter, obs::SpeculationProfile *profile)
+    : prep_(prep), mispredicts_(mispredicts), penalty_(penalty),
+      resolveDepths_(resolve_depths), ledger_(ledger), meter_(meter),
+      profile_(profile),
+      everyPath_(resolve_depths != nullptr || profile != nullptr)
+{
+    // Root time 0 is 0; a depth scan reads back maxDepth + 1 of them.
+    if (resolveDepths_ != nullptr)
+        roots_.assign(resolveDepths_->size() + 1, 0);
+}
+
+std::size_t
+sim_detail::PathRetirer::resolveDepth(std::size_t top,
+                                      std::int64_t resolve) const
+{
+    // Every root time exceeds a resolve before cycle 0, root time 0
+    // included: no root position precedes it, and it bins at depth 0.
+    if (resolve < 0)
+        return 0;
+    // The root sat at the last path whose arrival is <= the resolve
+    // time. Root times never decrease, so the ones that exceed it come
+    // last: counting them back from r + 1, r's depth is one less than
+    // their count (none: the root had already left r). The last bin
+    // takes every depth from maxDepth on, so the count stops there.
+    const std::size_t last_bin = resolveDepths_->size() - 1;
+    std::size_t later = 0;
+    std::size_t slot = top;
+    while (later <= last_bin && roots_[slot] > resolve) {
+        ++later;
+        slot = slot == 0 ? roots_.size() - 1 : slot - 1;
+    }
+    return later == 0 ? 0 : later - 1;
+}
+
+void
+sim_detail::PathRetirer::retirePath(std::uint64_t r, std::int64_t fetch,
+                                    bool side, std::int64_t resolve,
+                                    std::int64_t next_root)
+{
+    const bool mispredicted = mispredicts_.test(r);
+    if (resolveDepths_ != nullptr) {
+        const std::size_t top = nextSlot_; // root time r + 1
+        roots_[top] = next_root;
+        nextSlot_ = top + 1 == roots_.size() ? 0 : top + 1;
+        if (mispredicted)
+            ++(*resolveDepths_)[resolveDepth(top, resolve)];
+    }
+    // A squash mark past the ledger's limit is left out: it ends no
+    // later than the run, whose account finalize() then skips anyway,
+    // and leaving it out keeps the issue counts valid whenever every
+    // issue fit.
+    const std::int64_t squash_end = resolve + penalty_;
+    if (ledger_ != nullptr && mispredicted &&
+        squash_end <= static_cast<std::int64_t>(
+                           obs::SlotLedger::kMaxCycles)) {
+        const StaticId sid = prep_.exit(r).sid;
+        ledger_->mark(obs::SlotClass::SquashedSpec, fetch, squash_end,
+                      obs::confidenceBucket(meter_.estimate(sid)), sid);
+    }
+    if (profile_ != nullptr) {
+        const std::int64_t latency = resolve - fetch;
+        if (r > 0 && latency > 0) {
+            profile_->addResidency(prep_.exit(r - 1).sid,
+                                   static_cast<std::uint64_t>(latency),
+                                   side);
+        }
+        if (r < prep_.numBranches())
+            profile_->recordResolveLatency(prep_.exit(r).sid, latency);
+    }
+}
+
 SimResult
 sim_detail::runWindowWith(const WindowSim &sim,
                           const PathPredictions &predictions,
@@ -194,15 +266,12 @@ sim_detail::runWindowWith(const WindowSim &sim,
     if (n == 0)
         return result;
 
-    // Per-trace facts come from the shared prepared view; the
-    // per-thread arena holds only this cell's outputs, recycled across
-    // runs instead of re-faulted from the allocator every run.
+    // Per-trace facts come from the shared prepared view.
     const PreparedTrace &prep = trace.prepared();
-    const std::uint64_t num_paths = prep.numPaths();
-    dee_assert(predictions.correct.size() == num_paths,
-               "predictions cover ", predictions.correct.size(),
-               " paths of a ", num_paths, "-path trace");
-    static thread_local RunArena arena;
+    const BitVec64 &mispredicts = predictions.mispredicts;
+    dee_assert(mispredicts.size() == prep.numPaths(),
+               "predictions cover ", mispredicts.size(),
+               " paths of a ", prep.numPaths(), "-path trace");
 
     // Static-window reach for route B: the machine holds E_T branch
     // paths of static code regardless of how the tree allocates them
@@ -213,13 +282,11 @@ sim_detail::runWindowWith(const WindowSim &sim,
         config.windowReachOverride > 0
             ? config.windowReachOverride
             : std::max(tree.numPaths(), 1);
-    const int penalty = config.mispredictPenalty;
     const bool use_cd = config.cd != CdModel::Restrictive;
 
     result.branches = predictions.branches;
     result.mispredicted = predictions.mispredicted;
     result.predictionAccuracy = predictions.accuracy();
-    const std::vector<std::uint8_t> &correct = predictions.correct;
 
     // --- Per-branch confidence, replayed from the predictor pass ----------
     // It attributes squashed speculative work to accuracy buckets, and
@@ -237,17 +304,18 @@ sim_detail::runWindowWith(const WindowSim &sim,
             hot, "window", obs::hotspot::Phase::Fetch);
         for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
             const PathExit &b = prep.exit(k);
+            const bool mispredicted = mispredicts.test(k);
             if (profiling) {
                 // Online confidence: the bucket the site occupied
                 // when this instance resolved, before its outcome
                 // updates the meter.
                 profile.recordExecution(
                     b.sid, static_cast<std::int64_t>(b.block),
-                    correct[k] == 0,
+                    mispredicted,
                     obs::confidenceBucket(
                         confidence_meter.estimate(b.sid)));
             }
-            confidence_meter.record(b.sid, correct[k] != 0);
+            confidence_meter.record(b.sid, !mispredicted);
         }
     }
 
@@ -260,22 +328,34 @@ sim_detail::runWindowWith(const WindowSim &sim,
 
     // --- Forward pass over branch paths ----------------------------------
     // The slot ledger outlives the kernel: the kernel records each
-    // issue cycle as it computes it, in trace order; the epilogue reads
-    // the per-cycle issue counts, adds the stall marks and finalizes.
+    // issue cycle as it computes it, in trace order, and the retire
+    // step marks each mispredict's squash as the root leaves it; the
+    // epilogue reads the per-cycle issue counts, adds the starved
+    // marks and finalizes. Only a profiled run attributes squash to
+    // sites.
     std::optional<obs::SlotLedger> ledger;
     if (accounting || config.gatherIssueStats) {
         ledger.emplace(config.peLimit > 0
                            ? static_cast<std::uint64_t>(config.peLimit)
                            : 0,
-                       n / 2);
+                       n / 2, /*attribute_sites=*/profiling);
     }
+    if (config.gatherResolveStats) {
+        result.resolveDepthCounts.assign(
+            static_cast<std::size_t>(tree.maxDepth()) + 1, 0);
+    }
+    PathRetirer retirer(
+        prep, mispredicts, config.mispredictPenalty,
+        config.gatherResolveStats ? &result.resolveDepthCounts : nullptr,
+        accounting ? &*ledger : nullptr, confidence_meter,
+        profiling ? &profile : nullptr);
     ForwardCtx ctx{
         .trace = trace,
         .prepared = prep,
         .joinIdx = join_idx,
         .tree = tree,
         .config = config,
-        .correct = correct,
+        .mispredicts = mispredicts,
         .windowReach = window_reach,
         .profiling = profiling,
         .accounting = accounting,
@@ -284,29 +364,14 @@ sim_detail::runWindowWith(const WindowSim &sim,
         .tracer = tracer,
         .profile = profile,
         .ledger = ledger.has_value() ? &*ledger : nullptr,
-        .fetchTree = arena.fetchTree,
-        .rootTime = arena.rootTime,
-        .resolve = arena.resolve,
-        .fetchSide = arena.fetchSide,
-        .starvedCycles = arena.starvedCycles,
+        .retirer = retirer,
+        .starvedCycles = {},
         .sidePathFetches = 0,
     };
-    // The kernels assign() the sized outputs; the append-only one must
-    // start empty so nothing leaks across arena reuse.
-    arena.starvedCycles.clear();
-    forward(ctx);
-    const std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
-    const std::vector<std::int64_t> &root_time = ctx.rootTime;
-    const std::vector<std::int64_t> &resolve = ctx.resolve;
-    const std::vector<std::uint8_t> &fetch_side = ctx.fetchSide;
+    const std::int64_t last_cycle = forward(ctx);
     result.sidePathFetches = ctx.sidePathFetches;
-    const BitVec64 &mispredict_paths = predictions.mispredicts;
 
     // --- Totals -----------------------------------------------------------
-    // The root leaves path r no earlier than every instruction of r
-    // completes, and root times never decrease, so the final root
-    // arrival is also the last completion cycle of the whole trace.
-    const std::int64_t last_cycle = root_time[num_paths];
     const bool issue_stats = config.gatherIssueStats && ledger->active();
     if (issue_stats) {
         result.peakIssue = ledger->peakIssue();
@@ -330,44 +395,10 @@ sim_detail::runWindowWith(const WindowSim &sim,
                      static_cast<double>(std::max<std::int64_t>(
                          last_cycle, 1));
 
-    // --- Where do mispredictions resolve in the tree? ---------------------
-    if (config.gatherResolveStats) {
-        result.resolveDepthCounts.assign(
-            static_cast<std::size_t>(tree.maxDepth()) + 1, 0);
-        mispredict_paths.forEachSet([&](std::size_t m) {
-            // Root position when this branch resolved: the last path
-            // whose root-arrival time is <= the resolve time.
-            const auto it = std::upper_bound(root_time.begin(),
-                                             root_time.end(), resolve[m]);
-            const std::uint64_t root_at = static_cast<std::uint64_t>(
-                std::distance(root_time.begin(), it)) - 1;
-            std::uint64_t depth = m >= root_at ? m - root_at : 0;
-            depth = std::min<std::uint64_t>(
-                depth, result.resolveDepthCounts.size() - 1);
-            ++result.resolveDepthCounts[depth];
-        });
-    }
-
     // --- Cycle accounting: classify every issue-slot-cycle ----------------
-    // The kernels already recorded every instruction's issue cycle.
+    // The kernel already recorded every instruction's issue cycle and
+    // the retire step every squash.
     if (accounting) {
-        mispredict_paths.forEachSet([&](std::size_t m) {
-            // Wrong-path work occupies the machine from the moment the
-            // mispredicted branch's path was fetched (its prediction
-            // steered fetch from there) until resolution plus the
-            // repair penalty; spare slots in that span are squashed
-            // work, charged to the branch's confidence bucket.
-            const StaticId sid = prep.exit(m).sid;
-            const std::int64_t begin =
-                fetch_tree[m] == kNeverFetched
-                    ? root_time[m]
-                    : fetch_tree[m];
-            ledger->mark(obs::SlotClass::SquashedSpec, begin,
-                         resolve[m] + penalty,
-                         obs::confidenceBucket(
-                             confidence_meter.estimate(sid)),
-                         sid);
-        });
         for (const std::int64_t t : ctx.starvedCycles)
             ledger->mark(obs::SlotClass::ResourceStarved, t, t + 1);
         std::unordered_map<std::uint32_t, std::uint64_t> squash_by_site;
@@ -379,30 +410,8 @@ sim_detail::runWindowWith(const WindowSim &sim,
             profile.attributeSquash(squash_by_site);
     }
 
-    // --- Speculation profile: latency, residency, loops, identity --------
+    // --- Speculation profile: loops, identity -----------------------------
     if (profiling) {
-        for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
-            const StaticId sid = prep.exit(k).sid;
-            const std::int64_t begin =
-                fetch_tree[k] == kNeverFetched
-                    ? root_time[k]
-                    : fetch_tree[k];
-            profile.recordResolveLatency(sid, resolve[k] - begin);
-            // The successor path's fetched residency hangs off this
-            // branch: DEE-slot cycles when it was held via a
-            // not-predicted edge, mainline cycles otherwise.
-            if (k + 1 < num_paths &&
-                fetch_tree[k + 1] != kNeverFetched) {
-                const std::int64_t span =
-                    resolve[k + 1] - fetch_tree[k + 1];
-                if (span > 0) {
-                    profile.addResidency(
-                        sid, static_cast<std::uint64_t>(span),
-                        fetch_side[k + 1] != 0);
-                }
-            }
-        }
-
         if (cfg != nullptr) {
             const Dominators doms(*cfg);
             const LoopForest forest(*cfg, doms);

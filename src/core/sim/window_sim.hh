@@ -124,9 +124,9 @@ struct SimConfig
      * see obs/profile/profile.hh). Also honored — regardless of this
      * flag — when obs::profilingRequested() is set, which is how the
      * Session --profile flag reaches every tool. Profiling implies
-     * accounting (the ledger carries the squash attribution), and the
-     * identity sum(per-site squashed) == squashed_spec is checked
-     * fatally at end-of-run.
+     * accounting (the ledger carries the squash attribution, 4 more
+     * bytes per cycle), and the identity sum(per-site squashed) ==
+     * squashed_spec is checked fatally at end-of-run.
      */
     bool gatherProfile = false;
     /** ProfileStore scope the profile merges under; empty -> "window".
@@ -193,10 +193,8 @@ std::vector<double> profileBranchAccuracy(const Trace &trace,
  */
 struct PathPredictions
 {
-    /** Per branch path: 1 if its exit branch was predicted right or
-     *  the path has none, else 0. */
-    std::vector<std::uint8_t> correct;
-    /** The paths whose exit branch was mispredicted, packed. */
+    /** One bit per branch path, set iff its exit branch was
+     *  mispredicted (never for a path without one). */
     BitVec64 mispredicts;
     std::uint64_t branches = 0;
     std::uint64_t mispredicted = 0;

@@ -110,12 +110,13 @@ LevoMachine::run(std::uint64_t max_instrs) const
     // Cycle accounting over the machine's n per-row PEs; the cycle
     // count is unknown until the walk ends, so the ledger grows.
     // Profiling rides the ledger's squash attribution, so it forces
-    // accounting on.
+    // accounting on and keeps the ledger's per-cycle mark sites.
     const bool profiling =
         config_.gatherProfile || obs::profilingRequested();
     const bool accounting = config_.gatherAccounting || profiling;
     obs::SpeculationProfile profile;
-    obs::SlotLedger ledger(static_cast<std::uint64_t>(n));
+    obs::SlotLedger ledger(static_cast<std::uint64_t>(n), 0,
+                           /*attribute_sites=*/profiling);
     ConfidenceEstimator confidence_meter(
         accounting ? static_cast<std::uint32_t>(program_.numInstrs())
                    : 0);

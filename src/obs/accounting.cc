@@ -252,8 +252,9 @@ thread_local LedgerBuffers t_ledger_buffers;
 
 } // namespace
 
-SlotLedger::SlotLedger(std::uint64_t pes, std::uint64_t cycles_hint)
-    : pes_(pes)
+SlotLedger::SlotLedger(std::uint64_t pes, std::uint64_t cycles_hint,
+                       bool attribute_sites)
+    : attributeSites_(attribute_sites), pes_(pes)
 {
     // Adopt the thread's recycled buffers (empty on first use or if
     // another ledger currently holds them); clear() keeps capacity and
@@ -268,7 +269,8 @@ SlotLedger::SlotLedger(std::uint64_t pes, std::uint64_t cycles_hint)
     const std::uint64_t hint = std::min(cycles_hint, kMaxCycles);
     issued_.reserve(hint);
     marks_.reserve(hint);
-    owner_.reserve(hint);
+    if (attributeSites_)
+        owner_.reserve(hint);
 }
 
 SlotLedger::~SlotLedger()
@@ -308,7 +310,8 @@ SlotLedger::mark(SlotClass cls, std::int64_t begin, std::int64_t end,
         std::uint8_t &m = marks_[static_cast<std::size_t>(c)];
         if ((m >> 4) < prio) {
             m = code;
-            owner_[static_cast<std::size_t>(c)] = site;
+            if (attributeSites_)
+                owner_[static_cast<std::size_t>(c)] = site;
         }
     }
 }
@@ -318,6 +321,8 @@ SlotLedger::finalize(
     std::uint64_t cycles, Tracer *tracer,
     std::unordered_map<std::uint32_t, std::uint64_t> *squash_by_site)
 {
+    dee_assert(squash_by_site == nullptr || attributeSites_,
+               "squash attribution from a ledger built without sites");
     CycleAccount account;
     if (!active_ || cycles > kMaxCycles) {
         ++Registry::global().counter("acct.skipped_runs");
@@ -325,7 +330,8 @@ SlotLedger::finalize(
     }
     issued_.resize(cycles, 0);
     marks_.resize(cycles, 0);
-    owner_.resize(cycles, kNoSite);
+    if (attributeSites_)
+        owner_.resize(cycles, kNoSite);
 
     // Implicit PE provisioning: the machine owns exactly its peak
     // concurrency (the paper sized hardware by peak busy PEs).

@@ -209,7 +209,8 @@ class CycleAccount
 class SlotLedger
 {
   public:
-    /** ~64M cycles; 9 bytes/cycle of ledger state at the limit. */
+    /** ~64M cycles. Ledger state is 5 bytes per cycle, 9 with site
+     *  attribution. */
     static constexpr std::uint64_t kMaxCycles = 1ull << 26;
 
     /**
@@ -217,8 +218,13 @@ class SlotLedger
      *            the peak per-cycle issue at finalize() (the paper's
      *            implicitly-limited-PEs reading).
      * @param cycles_hint expected cycle count (pre-allocation only).
+     * @param attribute_sites keep each cycle's winning mark site, so
+     *            finalize() can credit squashed slots per site; off,
+     *            the ledger drops mark sites and saves 4 bytes per
+     *            cycle.
      */
-    explicit SlotLedger(std::uint64_t pes, std::uint64_t cycles_hint = 0);
+    explicit SlotLedger(std::uint64_t pes, std::uint64_t cycles_hint = 0,
+                        bool attribute_sites = false);
 
     /** Returns the cycle buffers to a thread-local recycling pool, so
      *  per-run ledgers (one per simulated cell) reuse warmed capacity
@@ -299,7 +305,8 @@ class SlotLedger
      * every squash-classified cycle are credited to the site recorded
      * by the winning mark, so
      *   sum over sites == account.slots(SquashedSpec)
-     * by construction. Call once.
+     * by construction; it must be null unless the ledger was built to
+     * attribute sites. Call once.
      */
     CycleAccount finalize(
         std::uint64_t cycles, Tracer *tracer = nullptr,
@@ -326,7 +333,8 @@ class SlotLedger
         if (cycles > issued_.size()) {
             issued_.resize(cycles, 0);
             marks_.resize(cycles, 0);
-            owner_.resize(cycles, kNoSite);
+            if (attributeSites_)
+                owner_.resize(cycles, kNoSite);
         }
     }
 
@@ -334,6 +342,7 @@ class SlotLedger
     static constexpr std::uint64_t kGrowStep = 4096;
 
     bool active_ = true;
+    bool attributeSites_;
     std::uint64_t pes_;
     std::vector<std::uint32_t> issued_; ///< instructions per cycle
     /** Per-cycle winning stall mark: (priority << 4) | bucket; 0 =
@@ -341,7 +350,8 @@ class SlotLedger
      *  starved 1. */
     std::vector<std::uint8_t> marks_;
     /** Attribution site of the winning mark (kNoSite when unmarked or
-     *  unattributed); kept in lock-step with marks_. */
+     *  unattributed); kept in lock-step with marks_ when attributing
+     *  sites, empty otherwise. */
     std::vector<std::uint32_t> owner_;
 };
 

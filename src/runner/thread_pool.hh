@@ -12,9 +12,14 @@
  *
  * Waiting discipline: a worker that blocks on a future would deadlock
  * a pool whose every thread waits on work only the pool can run, so
- * wait() *helps* — while the future is not ready and the caller is a
- * worker thread, it pops and runs pending tasks (the nested-submit
- * deadlock guard; see tests/test_runner.cc NestedSubmitDoesNotDeadlock).
+ * wait() *helps* — while the future is not ready, it pops and runs
+ * pending tasks on the calling thread, whether that is a worker (the
+ * nested-submit deadlock guard; see tests/test_runner.cc
+ * NestedSubmitDoesNotDeadlock) or an outside thread, which counts them
+ * in externalTasks(). A pool of N workers waited on from outside can
+ * therefore run N + 1 tasks at once: runner::runCells() waits on its
+ * calling thread, so `--jobs N` (N > 1) holds up to N + 1 cells in
+ * memory.
  *
  * Shutdown: the destructor drains — every task submitted before
  * destruction runs to completion before the threads join, so futures
@@ -80,10 +85,10 @@ class ThreadPool
     std::future<void> submit(std::function<void()> fn);
 
     /**
-     * Blocks until @p future is ready, running pending pool tasks
-     * while waiting when called from a worker thread (never deadlocks
-     * on tasks the pool itself must run). Rethrows the task's
-     * exception, if any.
+     * Blocks until @p future is ready, running pending pool tasks on
+     * the calling thread while waiting, from a worker or not (never
+     * deadlocks on tasks the pool itself must run). Rethrows the
+     * task's exception, if any.
      */
     void wait(std::future<void> &future);
 

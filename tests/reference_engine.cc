@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <unordered_map>
 
 #include "common/invariant.hh"
@@ -19,7 +20,7 @@ constexpr std::int64_t kNoDep = -1;
 
 } // namespace
 
-void
+std::int64_t
 referenceForward(ForwardCtx &ctx)
 {
     const auto &records = ctx.trace.records;
@@ -39,26 +40,26 @@ referenceForward(ForwardCtx &ctx)
     const bool hot = ctx.hot;
     obs::Tracer &tracer = ctx.tracer;
     obs::SpeculationProfile &profile = ctx.profile;
-    const std::vector<std::uint8_t> &correct = ctx.correct;
+    // Per path: 1 if its exit branch was predicted right or the path
+    // has none, else 0.
+    std::vector<std::uint8_t> correct(num_paths, 1);
+    ctx.mispredicts.forEachSet([&correct](std::size_t k) { correct[k] = 0; });
     const std::vector<DynIndex> &join_idx = ctx.joinIdx;
 
     // Issue cycle per instruction: a dependence may name any earlier
-    // one, so the whole trace's cycles stay live for the run.
+    // one, so the whole trace's cycles stay live for the run. Fetch
+    // and root times, too, are kept for every path.
     std::vector<std::int64_t> exec(n, 0);
-    std::vector<std::int64_t> &fetch_tree = ctx.fetchTree;
-    fetch_tree.assign(num_paths, kNeverFetched);
-    std::vector<std::int64_t> &root_time = ctx.rootTime;
-    root_time.assign(num_paths + 1, 0);
-    std::vector<std::int64_t> &resolve = ctx.resolve;
-    resolve.assign(num_paths, 0);
+    std::vector<std::int64_t> fetch_tree(
+        num_paths, std::numeric_limits<std::int64_t>::max());
+    std::vector<std::int64_t> root_time(num_paths + 1, 0);
     // Mispredicted branch paths crossed via a not-predicted edge on the
     // walk that fetched each path (alternate state held in hardware).
     std::vector<std::vector<std::uint64_t>> bypass(num_paths);
     // Profiler side data: whether each path's earliest fetch crossed a
     // not-predicted edge (DEE-slot vs. mainline residency), and the
     // tree's Theorem-1 assignment ranks for cp/rank attribution.
-    std::vector<std::uint8_t> &fetch_side = ctx.fetchSide;
-    fetch_side.assign(profiling ? num_paths : 0, 0);
+    std::vector<std::uint8_t> fetch_side(num_paths, 0);
     const std::vector<int> assignment_ranks =
         profiling && !use_confidence ? tree.assignmentRanks()
                                      : std::vector<int>();
@@ -123,9 +124,7 @@ referenceForward(ForwardCtx &ctx)
                 }
                 if (now < fetch_tree[r + d + 1]) {
                     fetch_tree[r + d + 1] = now;
-                    if (profiling)
-                        fetch_side[r + d + 1] =
-                            crossed_npred.empty() ? 0 : 1;
+                    fetch_side[r + d + 1] = crossed_npred.empty() ? 0 : 1;
                     if (!crossed_npred.empty()) {
                         ++ctx.sidePathFetches;
                         DEE_INVARIANT(crossed_npred.front() >= r &&
@@ -158,9 +157,8 @@ referenceForward(ForwardCtx &ctx)
                     crossed_npred.push_back(r + d);
                 if (now < fetch_tree[r + d + 1]) {
                     fetch_tree[r + d + 1] = now;
+                    fetch_side[r + d + 1] = crossed_npred.empty() ? 0 : 1;
                     if (profiling) {
-                        fetch_side[r + d + 1] =
-                            crossed_npred.empty() ? 0 : 1;
                         // Theorem-1 attribution at assignment time:
                         // the covering node's cumulative probability
                         // and resource-assignment rank, charged to
@@ -297,7 +295,6 @@ referenceForward(ForwardCtx &ctx)
                     r, join_idx[r], res, records[b].backward});
             }
         }
-        resolve[r] = res;
 
         // Tree movement: root leaves this path once the path has fully
         // executed and its branch has resolved (+ penalty on mispredict).
@@ -311,6 +308,8 @@ referenceForward(ForwardCtx &ctx)
         DEE_INVARIANT(move >= now, "root time went backwards at path ",
                       r);
         root_time[r + 1] = move;
+        ctx.retirer.retire(r, fetch_tree[r], fetch_side[r] != 0, res,
+                           move);
 
         if (!correct[r]) {
             dee_trace_event_if(tracing, tracer, "sim.copyback", 'i',
@@ -324,6 +323,7 @@ referenceForward(ForwardCtx &ctx)
                            correct[r] ? std::int64_t{0}
                                       : std::int64_t{1});
     }
+    return root_time[num_paths];
 }
 
 std::int64_t

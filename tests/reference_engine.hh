@@ -23,7 +23,7 @@ namespace dee::sim_detail
 
 /** The seed window forward pass: one pointer-chasing walk and one
  *  dependence scan per path over the raw records. */
-void referenceForward(ForwardCtx &ctx);
+std::int64_t referenceForward(ForwardCtx &ctx);
 
 /** The seed oracle: a dataflow pass over the raw records, then a
  *  second pass that issues each ready cycle into @p ledger. */

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "bpred/bpred.hh"
 #include "core/sim/models.hh"
 #include "isa/builder.hh"
@@ -188,6 +190,44 @@ TEST(SlotLedger, MarkPriorityAndBucketAttribution)
     const CycleAccount same = reversed.finalize(6);
     EXPECT_EQ(same.slots(SlotClass::SquashedSpec), 4u);
     EXPECT_EQ(same.slots(SlotClass::ResourceStarved), 2u);
+
+    // Site attribution follows the winning mark and changes no class
+    // or bucket: a ledger that keeps sites and one that drops them
+    // give the same account.
+    SlotLedger with_sites(1, 0, /*attribute_sites=*/true);
+    SlotLedger without_sites(1);
+    for (SlotLedger *l : {&with_sites, &without_sites}) {
+        l->issue(1);
+        l->mark(SlotClass::ResourceStarved, 0, 4);
+        l->mark(SlotClass::SquashedSpec, 2, 6, 1, /*site=*/7);
+        l->mark(SlotClass::SquashedSpec, 4, 8, 2, /*site=*/9);
+    }
+    std::unordered_map<std::uint32_t, std::uint64_t> by_site;
+    const CycleAccount sited = with_sites.finalize(8, nullptr, &by_site);
+    const CycleAccount siteless = without_sites.finalize(8);
+    ASSERT_TRUE(sited.valid());
+    for (std::size_t c = 0; c < obs::kNumSlotClasses; ++c) {
+        const auto cls = static_cast<SlotClass>(c);
+        EXPECT_EQ(sited.slots(cls), siteless.slots(cls))
+            << obs::slotClassName(cls);
+    }
+    for (std::size_t b = 0; b < obs::kNumConfidenceBuckets; ++b)
+        EXPECT_EQ(sited.squashedInBucket(b), siteless.squashedInBucket(b));
+    EXPECT_EQ(sited.pes(), siteless.pes());
+    EXPECT_EQ(sited.peSlotCycles(), siteless.peSlotCycles());
+    // Cycles 2-5 go to site 7, which marked them first; 6-7 to site 9.
+    EXPECT_EQ(by_site[7], 4u);
+    EXPECT_EQ(by_site[9], 2u);
+    EXPECT_EQ(sited.slots(SlotClass::SquashedSpec), 6u);
+}
+
+TEST(SlotLedgerDeathTest, SiteAttributionNeedsASitedLedger)
+{
+    SlotLedger ledger(1);
+    ledger.mark(SlotClass::SquashedSpec, 0, 2, 0, /*site=*/3);
+    std::unordered_map<std::uint32_t, std::uint64_t> by_site;
+    EXPECT_DEATH((void)ledger.finalize(2, nullptr, &by_site),
+                 "squash attribution from a ledger built without sites");
 }
 
 TEST(SlotLedger, LevoClassesRefillAndCopyBack)

@@ -17,6 +17,10 @@
  *     input: confidence-gated DEE, an explicit PE limit, realistic
  *     latencies with per-record load-latency overrides, resolve/issue
  *     stats, and full speculation profiling,
+ *   - the edges of the fast kernel's window-sized state: confidence
+ *     side paths longer than the tree, route-B reaches of 1, 3 and 999
+ *     paths, a zero mispredict penalty, and a trace with fewer paths
+ *     than the tree,
  *   - one traced cell per control-dependence regime, plus one with
  *     issue stats on,
  *   - a trace that spans several of the record store's id chunks, and
@@ -40,10 +44,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -302,16 +309,94 @@ TEST(EngineDifferential, ConfidenceGatedDeeBitExact)
     const double p = characteristicAccuracy(inst.trace, probe);
     const std::vector<double> acc =
         profileBranchAccuracy(inst.trace, probe);
-    for (double threshold : {0.0, 0.9, 1.1}) {
-        SimConfig config;
-        config.cd = CdModel::Minimal;
-        config.gatherResolveStats = true;
-        config.confidence.accuracy = &acc;
-        config.confidence.threshold = threshold;
-        config.confidence.sideLen = 6;
-        expectEnginesAgree(inst, config, SpecTree::singlePath(p, 24),
-                           "confidence threshold " +
-                               std::to_string(threshold));
+    // Side paths of 64 hanging off an 8-deep main line reach far past
+    // the tree: a walk fetches up to maxDepth + sideLen + 1 paths on.
+    struct Shape
+    {
+        int sideLen;
+        int mainLine;
+    };
+    for (const Shape shape : {Shape{6, 24}, Shape{64, 8}}) {
+        for (double threshold : {0.0, 0.9, 1.1}) {
+            SimConfig config;
+            config.cd = CdModel::Minimal;
+            config.gatherResolveStats = true;
+            config.confidence.accuracy = &acc;
+            config.confidence.threshold = threshold;
+            config.confidence.sideLen = shape.sideLen;
+            expectEnginesAgree(
+                inst, config, SpecTree::singlePath(p, shape.mainLine),
+                "confidence threshold " + std::to_string(threshold) +
+                    ", sideLen " + std::to_string(shape.sideLen));
+        }
+    }
+}
+
+TEST(EngineDifferential, WindowReachOverridesBitExact)
+{
+    // Route B's reach decides how far back root times are read and how
+    // long a mispredict stays pending: 1 retires each one a path on, 3
+    // is shorter than the tree, and 999 exceeds this trace's paths.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Compress, 1, 2'000);
+    ASSERT_LT(inst.trace.prepared().numPaths(), 999u);
+    TwoBitPredictor probe(inst.trace.numStatic);
+    const double p = characteristicAccuracy(inst.trace, probe);
+    for (ModelKind kind : {ModelKind::SP_CD, ModelKind::DEE_CD_MF}) {
+        for (int reach : {1, 3, 999}) {
+            SimConfig config;
+            config.cd = cdModelOf(kind);
+            config.windowReachOverride = reach;
+            config.gatherResolveStats = true;
+            expectEnginesAgree(inst, config, treeForModel(kind, p, 8),
+                               std::string(modelName(kind)) +
+                                   " reach " + std::to_string(reach));
+        }
+    }
+}
+
+TEST(EngineDifferential, ZeroPenaltyResolveDepthsBitExact)
+{
+    // Without a repair penalty the root can leave a mispredicted path
+    // at its resolve cycle, so a resolve can find the root already
+    // past its path.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Eqntott, 1, kGridMaxInstrs);
+    ModelRunOptions options;
+    options.mispredictPenalty = 0;
+    options.gatherResolveStats = true;
+    for (ModelKind kind : allModels()) {
+        const std::string ctx =
+            std::string(modelName(kind)) + " penalty 0";
+        TwoBitPredictor fast_pred(inst.trace.numStatic);
+        const SimResult fast = sim_detail::runModelWith(
+            kind, inst.trace, &inst.cfg, fast_pred, 32, options, kFast);
+        TwoBitPredictor ref_pred(inst.trace.numStatic);
+        const SimResult ref = sim_detail::runModelWith(
+            kind, inst.trace, &inst.cfg, ref_pred, 32, options,
+            kReference);
+        expectSameResult(fast, ref, ctx);
+        if (kind == ModelKind::Oracle)
+            continue;
+        std::uint64_t binned = 0;
+        for (const std::uint64_t c : fast.resolveDepthCounts)
+            binned += c;
+        EXPECT_EQ(binned, fast.mispredicted) << ctx;
+    }
+}
+
+TEST(EngineDifferential, FewerPathsThanTheTreeBitExact)
+{
+    // A few dozen records hold fewer paths than a 256-path tree, so
+    // every window state covers the whole trace.
+    const BenchmarkInstance inst = makeInstance(WorkloadId::Cc1, 1, 40);
+    ASSERT_FALSE(inst.trace.empty());
+    ASSERT_LT(inst.trace.prepared().numPaths(), 256u);
+    for (ModelKind kind : allModels()) {
+        const SimResult fast = runCell(kFast, kind, inst, 256);
+        const SimResult ref = runCell(kReference, kind, inst, 256);
+        expectSameResult(fast, ref,
+                         std::string(modelName(kind)) + " at E_T 256");
     }
 }
 
@@ -429,6 +514,110 @@ TEST(EngineDifferential, LedgerLimitFallbackBitExact)
         EXPECT_GT(fast.cycles, obs::SlotLedger::kMaxCycles) << ctx;
         EXPECT_FALSE(fast.account.valid()) << ctx;
         EXPECT_EQ(fast.peakIssue, 0u) << ctx;
+    }
+}
+
+// ------------------------------------------------- the retire step
+
+TEST(PathRetirer, MatchesTheWholeRunEpilogueOnRandomRuns)
+{
+    // Both kernels share the retire step, so the differential cases
+    // above cannot catch a fault in it. This checks it against the
+    // whole-run epilogue it replaced, which kept every path's fetch,
+    // root and resolve times: an upper_bound over all root times for
+    // the resolve depth, one squash mark per mispredict in path order,
+    // and one pass over the branches for the profile.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, kGridMaxInstrs);
+    const PreparedTrace &prep = inst.trace.prepared();
+    const std::uint64_t num_paths = prep.numPaths();
+    std::mt19937_64 rng(0x5E71E5u);
+    const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    for (int run = 0; run < 24; ++run) {
+        const int max_depth = std::array{0, 1, 4, 16}[run % 4];
+        const int penalty = std::array{0, 1, 3}[run % 3];
+        const std::string ctx = "run " + std::to_string(run);
+
+        BitVec64 mispredicts(num_paths);
+        ConfidenceEstimator meter(inst.trace.numStatic);
+        for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
+            const bool wrong = draw(0, 3) == 0;
+            if (wrong)
+                mispredicts.set(k);
+            meter.record(prep.exit(k).sid, !wrong);
+        }
+        // Root times never decrease; fetches precede their root; a
+        // resolve may land before or after the root leaves its path,
+        // and rarely before cycle 0.
+        std::vector<std::int64_t> root(num_paths + 1, 0);
+        std::vector<std::int64_t> fetch(num_paths);
+        std::vector<std::int64_t> resolve(num_paths);
+        std::vector<std::uint8_t> side(num_paths);
+        for (std::uint64_t r = 0; r < num_paths; ++r) {
+            root[r + 1] = root[r] + draw(0, 4);
+            fetch[r] = std::max<std::int64_t>(0, root[r] - draw(0, 12));
+            resolve[r] =
+                draw(0, 50) == 0 ? -1 : root[r] + draw(-2, 30);
+            side[r] = draw(0, 1) != 0;
+        }
+
+        std::vector<std::uint64_t> depths(
+            static_cast<std::size_t>(max_depth) + 1, 0);
+        obs::SlotLedger ledger(0, 0, /*attribute_sites=*/true);
+        obs::SpeculationProfile profile;
+        sim_detail::PathRetirer retirer(prep, mispredicts, penalty,
+                                        &depths, &ledger, meter,
+                                        &profile);
+        for (std::uint64_t r = 0; r < num_paths; ++r) {
+            ledger.issue(root[r]);
+            retirer.retire(r, fetch[r], side[r] != 0, resolve[r],
+                           root[r + 1]);
+        }
+
+        std::vector<std::uint64_t> want_depths(depths.size(), 0);
+        obs::SlotLedger want_ledger(0, 0, /*attribute_sites=*/true);
+        obs::SpeculationProfile want_profile;
+        for (std::uint64_t r = 0; r < num_paths; ++r)
+            want_ledger.issue(root[r]);
+        mispredicts.forEachSet([&](std::size_t m) {
+            const auto it =
+                std::upper_bound(root.begin(), root.end(), resolve[m]);
+            const std::uint64_t root_at = static_cast<std::uint64_t>(
+                std::distance(root.begin(), it)) - 1;
+            const std::uint64_t depth = m >= root_at ? m - root_at : 0;
+            ++want_depths[std::min<std::uint64_t>(depth,
+                                                  want_depths.size() - 1)];
+            const StaticId sid = prep.exit(m).sid;
+            want_ledger.mark(obs::SlotClass::SquashedSpec, fetch[m],
+                             resolve[m] + penalty,
+                             obs::confidenceBucket(meter.estimate(sid)),
+                             sid);
+        });
+        for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
+            const StaticId sid = prep.exit(k).sid;
+            want_profile.recordResolveLatency(sid, resolve[k] - fetch[k]);
+            if (k + 1 < num_paths && resolve[k + 1] > fetch[k + 1]) {
+                want_profile.addResidency(
+                    sid,
+                    static_cast<std::uint64_t>(resolve[k + 1] -
+                                               fetch[k + 1]),
+                    side[k + 1] != 0);
+            }
+        }
+
+        EXPECT_EQ(depths, want_depths) << ctx;
+        const auto cycles = static_cast<std::uint64_t>(root[num_paths]);
+        std::unordered_map<std::uint32_t, std::uint64_t> by_site;
+        std::unordered_map<std::uint32_t, std::uint64_t> want_by_site;
+        expectSameAccount(ledger.finalize(cycles, nullptr, &by_site),
+                          want_ledger.finalize(cycles, nullptr,
+                                               &want_by_site),
+                          ctx);
+        EXPECT_EQ(by_site, want_by_site) << ctx;
+        EXPECT_EQ(profile.toJson().dump(), want_profile.toJson().dump())
+            << ctx;
     }
 }
 

@@ -161,6 +161,14 @@ TEST(BitVecProperties, OpsMatchSetOracleOnRandomMasks)
             EXPECT_EQ(a.popcount(), sa.size()) << ctx;
             EXPECT_EQ(toSet(a), sa) << ctx;
 
+            // Next set bit, from every start up to one past the end.
+            for (std::size_t from = 0; from <= size; ++from) {
+                const auto next = sa.lower_bound(from);
+                EXPECT_EQ(a.nextSet(from),
+                          next == sa.end() ? size : *next)
+                    << ctx << " from " << from;
+            }
+
             // Intersection.
             IndexSet s_and;
             for (std::size_t i : sa) {
