@@ -28,27 +28,6 @@
 namespace dee::bench
 {
 
-/**
- * Standard bench observability scope: declare the obs flags before
- * cli.parse(), then open a session after it. The returned Session's
- * manifest is live for the whole run; outputs are written when the
- * session leaves scope (see obs/session.hh).
- *
- * Because obs::declareFlags() declares the --telemetry* family, every
- * grid tool built on this helper gets streaming telemetry for free:
- * the Session starts the sampler (obs/telemetry/telemetry.hh),
- * runner::runCells inside the sweep drivers below feeds it cell
- * progress, and the Heartbeat the tool passes to sweepInstance() /
- * runGrid() feeds simulated-instruction throughput — so
- * `--telemetry-out` plus `dee_top --replay` shows how any of them ran
- * with no per-tool wiring.
- */
-inline obs::Session
-openSession(const std::string &tool, const Cli &cli)
-{
-    return obs::Session(tool, cli);
-}
-
 /** Speedup of one model at one resource level on one instance. Scopes
  *  any speculation profile — and the host-throughput meter inside
  *  runModel (obs/perf/perf.hh) — under "<instance>.<model>". */
@@ -64,32 +43,6 @@ speedupOf(ModelKind kind, const BenchmarkInstance &inst, int e_t,
         .speedup;
 }
 
-/**
- * Per-model speedup series over resource levels for one instance.
- * @p heartbeat, when given, ticks once per model run so long sweeps
- * report progress (see obs/heartbeat.hh).
- */
-inline std::map<ModelKind, std::vector<double>>
-sweepInstance(const BenchmarkInstance &inst, const std::vector<int> &ets,
-              const ModelRunOptions &options = {},
-              obs::Heartbeat *heartbeat = nullptr)
-{
-    std::map<ModelKind, std::vector<double>> series;
-    for (ModelKind kind : allModels()) {
-        auto &row = series[kind];
-        for (int e_t : ets) {
-            row.push_back(speedupOf(kind, inst, e_t, options));
-            if (heartbeat != nullptr)
-                heartbeat->tick(1, inst.trace.size());
-            if (kind == ModelKind::Oracle) {
-                row.resize(ets.size(), row.front());
-                break;
-            }
-        }
-    }
-    return series;
-}
-
 /** One (model, E_T) point of a model-sweep grid; Oracle contributes a
  *  single point regardless of |ets| (its speedup is E_T-independent). */
 struct SweepCell
@@ -99,10 +52,10 @@ struct SweepCell
 };
 
 /**
- * The cell list sweepInstance() walks, in its exact serial order
- * (model-major, E_T-minor, one Oracle point). Parallel drivers run
- * these through runner::runCells so the deterministic in-order merge
- * reproduces the serial registry state.
+ * The cells of one instance's model sweep, model-major and E_T-minor
+ * with one Oracle point. Drivers run them through runner::runCells,
+ * whose in-order merge keeps the registry state the same at any
+ * --jobs value.
  */
 inline std::vector<SweepCell>
 sweepCells(const std::vector<int> &ets)
@@ -119,8 +72,8 @@ sweepCells(const std::vector<int> &ets)
     return cells;
 }
 
-/** Reassembles flat sweepCells() results into the per-model series
- *  shape sweepInstance() returns. */
+/** Reassembles flat sweepCells() results into per-model series over
+ *  the E_T levels; Oracle's one point fills its whole row. */
 inline std::map<ModelKind, std::vector<double>>
 assembleSeries(const std::vector<int> &ets,
                const std::vector<double> &flat)
@@ -137,27 +90,6 @@ assembleSeries(const std::vector<int> &ets,
             row.push_back(flat.at(idx++));
     }
     return series;
-}
-
-/**
- * sweepInstance() distributed over runner::runCells: identical output
- * and (after the runner's in-order merge) identical observability
- * state, any --jobs value.
- */
-inline std::map<ModelKind, std::vector<double>>
-sweepInstance(const BenchmarkInstance &inst, const std::vector<int> &ets,
-              const runner::SweepOptions &sweep,
-              const ModelRunOptions &options = {},
-              obs::Heartbeat *heartbeat = nullptr)
-{
-    const std::vector<SweepCell> cells = sweepCells(ets);
-    std::vector<double> flat(cells.size(), 0.0);
-    runner::runCells(cells.size(), sweep, [&](std::size_t i) {
-        flat[i] = speedupOf(cells[i].kind, inst, cells[i].et, options);
-        if (heartbeat != nullptr)
-            heartbeat->tick(1, inst.trace.size());
-    });
-    return assembleSeries(ets, flat);
 }
 
 /**

@@ -6,7 +6,6 @@
 #include "analysis/dependence.hh"
 #include "analysis/lint.hh"
 #include "obs/manifest.hh"
-#include "obs/registry.hh"
 
 namespace dee::analysis::absint
 {
@@ -372,22 +371,8 @@ publishStaticBounds(const std::vector<WorkloadId> &ids, int scale,
     obs::Json section = buildSection(ids, scale, seed, &reports);
     obs::setStaticBoundsSection(std::move(section));
 
-    obs::Registry &reg = obs::Registry::global();
-    for (const LintReport &report : reports) {
+    for (const LintReport &report : reports)
         recordLintStats(report);
-        if (!report.boundsComputed)
-            continue;
-        const std::string wl =
-            report.subject.substr(0, report.subject.find(' '));
-        const std::string base = "bounds." + wl + ".";
-        reg.scalar(base + "cp_lower") =
-            static_cast<double>(report.bounds.cpLowerBound);
-        reg.scalar(base + "serialized_ilp") =
-            report.bounds.serializedIlpBound;
-        reg.scalar(base + "max_block_ilp") = report.bounds.maxBlockIlp;
-        reg.scalar(base + "predictable_defs_frac") =
-            report.bounds.locality.predictableFraction();
-    }
 }
 
 } // namespace dee::analysis::absint

@@ -22,9 +22,9 @@
  *
  * staticBoundsSection() packages the bounds for every workload of a
  * run into the manifest's "static_bounds" section (since schema dee.run.v6);
- * publishStaticBounds() additionally publishes bounds.* registry
- * scalars and feeds lint.* counters so every grid tool's manifest
- * carries the summary, not just dee_lint.
+ * publishStaticBounds() installs that section and feeds lint.*
+ * counters so every grid tool's manifest carries the summary, not
+ * just dee_lint's.
  */
 
 #ifndef DEE_ANALYSIS_ABSINT_BOUNDS_HH
@@ -133,9 +133,9 @@ obs::Json staticBoundsSection(const std::vector<WorkloadId> &ids,
 
 /**
  * Computes staticBoundsSection(), installs it as the process manifest
- * section (obs::setStaticBoundsSection) and publishes bounds.<wl>.*
- * registry scalars + lint.* counters. Serial, deterministic; grid
- * tools call it once after building their suite.
+ * section (obs::setStaticBoundsSection) and publishes the lint.*
+ * counters. Serial, deterministic; grid tools call it once after
+ * building their suite.
  */
 void publishStaticBounds(const std::vector<WorkloadId> &ids, int scale,
                          std::uint64_t seed);

@@ -2,7 +2,7 @@
  * @file
  * Static <-> dynamic cross-check over a run manifest.
  *
- * crossCheckManifest() loads the measured side from a dee.run.v7
+ * crossCheckManifest() loads the measured side from a dee.run.v8
  * manifest document and checks it against freshly computed static
  * bounds (bounds.hh) for the same (workload, scale, seed):
  *
@@ -13,7 +13,7 @@
  *  - measured per-branch mispredict rates of provably-monotone loop
  *    tests must sit inside the predicted band (2-bit predictor runs
  *    only: skipped when the config carries a "predictor" override);
- *  - spec-tree cumulative probabilities (prof.* cp_mean) must respect
+ *  - spec-tree cumulative probabilities (profile cp_mean) must respect
  *    the 0.995 characteristic-accuracy ceiling;
  *  - DEE residency: single-path models must report zero DEE slot
  *    cycles, and eager/DEE models at most E_T_max per simulated cycle.

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "common/table.hh"
 
 namespace dee
 {
@@ -128,122 +125,6 @@ harmonicMean(const std::vector<double> &xs)
         recip_sum += 1.0 / x;
     }
     return static_cast<double>(xs.size()) / recip_sum;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    dee_assert(hi > lo, "Histogram needs hi > lo");
-    dee_assert(buckets > 0, "Histogram needs at least one bucket");
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        idx = std::min(idx, counts_.size() - 1);
-        ++counts_[idx];
-    }
-}
-
-void
-Histogram::add(double x, std::uint64_t weight)
-{
-    if (weight == 0)
-        return;
-    total_ += weight - 1; // add(x) below contributes the final unit
-    if (x < lo_) {
-        underflow_ += weight - 1;
-    } else if (x >= hi_) {
-        overflow_ += weight - 1;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        idx = std::min(idx, counts_.size() - 1);
-        counts_[idx] += weight - 1;
-    }
-    add(x);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    dee_assert(lo_ == other.lo_ && hi_ == other.hi_ &&
-                   counts_.size() == other.counts_.size(),
-               "Histogram::merge geometry mismatch: [", lo_, ",", hi_,
-               ")x", counts_.size(), " vs [", other.lo_, ",", other.hi_,
-               ")x", other.counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    total_ += other.total_;
-}
-
-double
-Histogram::percentile(double p) const
-{
-    dee_assert(p >= 0.0 && p <= 1.0, "percentile needs p in [0, 1]");
-    if (total_ == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    const double target = p * static_cast<double>(total_);
-    double seen = static_cast<double>(underflow_);
-    if (target <= seen)
-        return lo_;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double in_bucket = static_cast<double>(counts_[i]);
-        if (target <= seen + in_bucket && in_bucket > 0.0) {
-            double frac = (target - seen) / in_bucket;
-            frac = std::clamp(frac, 0.0, 1.0);
-            return bucketLo(i) + frac * width_;
-        }
-        seen += in_bucket;
-    }
-    // Residue: the target falls in the overflow mass (or rounding left
-    // us past every bucket) — clamp to the upper bound.
-    return hi_;
-}
-
-double
-Histogram::fraction(std::size_t i) const
-{
-    dee_assert(i < counts_.size(), "Histogram bucket out of range");
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_[i]) / static_cast<double>(total_);
-}
-
-double
-Histogram::bucketLo(std::size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-std::string
-Histogram::render(const std::string &label) const
-{
-    Table table({"bucket", "count", "fraction"});
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        std::string bucket = "[";
-        bucket += Table::fmt(bucketLo(i));
-        bucket += ", ";
-        bucket += Table::fmt(bucketLo(i) + width_);
-        bucket += ")";
-        table.addRow({std::move(bucket), std::to_string(counts_[i]),
-                      Table::fmtPercent(fraction(i))});
-    }
-    if (underflow_ > 0)
-        table.addRow({"underflow", std::to_string(underflow_), ""});
-    if (overflow_ > 0)
-        table.addRow({"overflow", std::to_string(overflow_), ""});
-    return label + " (n=" + std::to_string(total_) + ")\n" +
-           table.render();
 }
 
 } // namespace dee

@@ -3,17 +3,14 @@
  * Small statistics toolkit used throughout the simulators and benches.
  *
  * The paper reports harmonic means over benchmarks (its Figure 5 summary
- * graph) and per-run distributions (e.g. where in the DEE tree mispredicted
- * branches resolve), so this module provides running moments, the three
- * Pythagorean means, and a fixed-bucket histogram.
+ * graph), so this module provides running moments and the three
+ * Pythagorean means.
  */
 
 #ifndef DEE_COMMON_STATS_HH
 #define DEE_COMMON_STATS_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dee
@@ -83,65 +80,6 @@ double geometricMean(const std::vector<double> &xs);
  * graph and for the espresso multi-input datum.
  */
 double harmonicMean(const std::vector<double> &xs);
-
-/** Fixed-width bucket histogram over [lo, hi) with overflow buckets. */
-class Histogram
-{
-  public:
-    /** @param lo lower bound, @param hi upper bound, @param buckets count */
-    Histogram(double lo, double hi, std::size_t buckets);
-
-    void add(double x);
-
-    /** Adds @p x with multiplicity @p weight (no-op when weight==0). */
-    void add(double x, std::uint64_t weight);
-
-    std::size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t total() const { return total_; }
-
-    /** Fraction of all samples falling in bucket i. */
-    double fraction(std::size_t i) const;
-
-    /** Lower edge of bucket i. */
-    double bucketLo(std::size_t i) const;
-
-    /** The construction-time bounds (geometry identity for merge()). */
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-
-    /**
-     * Value below which fraction @p p (in [0, 1]) of the samples fall,
-     * linearly interpolated inside the winning bucket and clamped to
-     * [lo, hi]. Underflow mass reports lo; overflow mass reports hi.
-     * Returns NaN on an empty histogram — the sentinel callers must
-     * test with std::isnan — and never indexes past the bucket array,
-     * including the single-bucket / all-mass-in-one-bucket cases.
-     */
-    double percentile(double p) const;
-
-    /** Renders "label: [lo,hi) count (pct%)" lines. */
-    std::string render(const std::string &label) const;
-
-    /**
-     * Adds @p other's bucket/underflow/overflow counts to this
-     * histogram. Counts are integers, so the merge is exact: merging
-     * per-run histograms gives the same result as accumulating every
-     * sample into one. Fatal when the geometries differ.
-     */
-    void merge(const Histogram &other);
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-};
 
 } // namespace dee
 

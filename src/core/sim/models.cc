@@ -100,7 +100,7 @@ sim_detail::runModelWith(ModelKind kind, const Trace &trace,
 {
     // Every model run — Oracle included — is metered under the same
     // "<workload>.<model>" scope the profiler uses, so perf.* lines up
-    // with prof.* in reports.
+    // with the manifest's profile section in reports.
     const std::string scope =
         options.profileWorkload.empty()
             ? std::string(modelName(kind))

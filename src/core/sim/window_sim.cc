@@ -459,7 +459,6 @@ sim_detail::runWindowWith(const WindowSim &sim,
                         config.profileModel.empty()
                             ? cdModelName(config.cd)
                             : config.profileModel);
-        profile.publish(reg, scope);
         obs::ProfileStore::global().merge(scope, profile);
         result.profile = std::move(profile);
     }

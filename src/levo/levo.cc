@@ -586,7 +586,6 @@ LevoMachine::run(std::uint64_t max_instrs) const
                                       ? "levo"
                                       : config_.profileScope;
         profile.setMeta(scope, "Levo");
-        profile.publish(reg, scope);
         obs::ProfileStore::global().merge(scope, profile);
         result.profile = std::move(profile);
     }

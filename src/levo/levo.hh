@@ -66,8 +66,9 @@ struct LevoConfig
     bool gatherAccounting = true;
     /**
      * Collect the per-branch speculation profile (LevoResult::profile,
-     * registry "prof.<scope>.*"); also forced on by the Session
-     * --profile flag. Implies accounting.
+     * and the manifest's "profile" section under the scope below);
+     * also forced on by the Session --profile flag. Implies
+     * accounting.
      */
     bool gatherProfile = false;
     /** ProfileStore scope for the profile; empty -> "levo". */

@@ -137,74 +137,6 @@ CycleAccount::publish(Registry &registry, const std::string &prefix) const
                          confidenceBucketName(i)) += squashedByBucket_[i];
     }
     registry.counter(base + "pe_slot_cycles") += peSlotCycles_;
-
-    // Derived ratios from the *accumulated* counters, so they remain
-    // exact totals however many runs were merged in — never a noisy
-    // last-run snapshot.
-    const std::uint64_t useful =
-        registry.counter(base + slotClassName(SlotClass::Useful));
-    const std::uint64_t squashed =
-        registry.counter(base + slotClassName(SlotClass::SquashedSpec));
-    const std::uint64_t denom =
-        registry.counter(base + "pe_slot_cycles");
-    registry.scalar(base + "waste_fraction") =
-        useful + squashed == 0
-            ? 0.0
-            : static_cast<double>(squashed) /
-                  static_cast<double>(useful + squashed);
-    registry.scalar(base + "useful_fraction") =
-        denom == 0 ? 0.0
-                   : static_cast<double>(useful) /
-                         static_cast<double>(denom);
-}
-
-void
-refreshAccountingScalars(Registry &registry)
-{
-    const std::string suffix = ".pe_slot_cycles";
-    for (const std::string &path : registry.paths()) {
-        if (path.compare(0, 5, "acct.") != 0 ||
-            path.size() <= suffix.size() ||
-            path.compare(path.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        const std::string base =
-            path.substr(0, path.size() - suffix.size() + 1);
-        const std::uint64_t useful =
-            registry.counter(base + slotClassName(SlotClass::Useful));
-        const std::uint64_t squashed = registry.counter(
-            base + slotClassName(SlotClass::SquashedSpec));
-        const std::uint64_t denom = registry.counter(path);
-        registry.scalar(base + "waste_fraction") =
-            useful + squashed == 0
-                ? 0.0
-                : static_cast<double>(squashed) /
-                      static_cast<double>(useful + squashed);
-        registry.scalar(base + "useful_fraction") =
-            denom == 0 ? 0.0
-                       : static_cast<double>(useful) /
-                             static_cast<double>(denom);
-    }
-}
-
-Json
-CycleAccount::toJson() const
-{
-    Json out = Json::object();
-    for (std::size_t i = 0; i < kNumSlotClasses; ++i) {
-        out[slotClassName(static_cast<SlotClass>(i))] =
-            Json(slots_[i]);
-    }
-    Json buckets = Json::object();
-    for (std::size_t i = 0; i < kNumConfidenceBuckets; ++i)
-        buckets[confidenceBucketName(i)] = Json(squashedByBucket_[i]);
-    out["squashed_conf"] = std::move(buckets);
-    out["pes"] = Json(pes_);
-    out["cycles"] = Json(cycles_);
-    out["pe_slot_cycles"] = Json(peSlotCycles_);
-    out["waste_fraction"] = Json(wasteFraction());
-    out["useful_fraction"] = Json(usefulFraction());
-    return out;
 }
 
 namespace

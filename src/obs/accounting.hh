@@ -31,10 +31,11 @@
  *
  * which SlotLedger::finalize() checks fatally at end-of-run (and
  * CycleAccount::identityHolds() re-checks in tests). Accounts are
- * published into the stats registry under "acct.<machine>.*", emitted
- * as Perfetto counter tracks ('C'-phase events) through the existing
- * tracer, and exported in dee.run.v2 manifests, where tools/dee_report
- * diffs them across runs.
+ * published into the stats registry as "acct.<machine>.*" counters,
+ * which a manifest carries under stats.acct and tools/dee_report diffs
+ * across runs, and emitted as Perfetto counter tracks ('C'-phase
+ * events) through the existing tracer. Ratios such as the waste
+ * fraction are computed by whoever displays them.
  *
  * Attribution discipline (documented, deliberately simple): while an
  * eventually-mispredicted branch is unresolved, the machine's spare
@@ -53,8 +54,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/json.hh"
 
 namespace dee::obs
 {
@@ -86,17 +85,6 @@ constexpr std::size_t kNumSlotClasses = 7;
 
 /** Registry/manifest spelling, e.g. "squashed_spec". */
 const char *slotClassName(SlotClass cls);
-
-/**
- * Recomputes every "acct.<scope>.waste_fraction" /
- * "acct.<scope>.useful_fraction" scalar in @p registry from the
- * accumulated counters, exactly as the last CycleAccount::publish()
- * of each scope would have. Registry::merge() leaves these derived
- * scalars holding the last merged cell's snapshot; the parallel
- * runner calls this once after all cells merged so the scalars equal
- * the serial run's bit for bit (same integer operands, same division).
- */
-void refreshAccountingScalars(Registry &registry);
 
 /**
  * Branch-confidence buckets for squashed-work attribution. A branch
@@ -177,14 +165,11 @@ class CycleAccount
 
     /**
      * Accumulates into @p registry under "acct.<prefix>.*": one
-     * counter per class, per-bucket squash counters, the denominator,
-     * and derived fraction scalars recomputed from the accumulated
-     * counters (so they stay exact across any number of runs).
+     * counter per class, per-bucket squash counters and the
+     * denominator. The fractions above are not published; a reader
+     * divides the counters with the same formulas.
      */
     void publish(Registry &registry, const std::string &prefix) const;
-
-    /** Flat object: classes, buckets, denominator, fractions. */
-    Json toJson() const;
 
   private:
     std::uint64_t slots_[kNumSlotClasses] = {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,7 +12,6 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
-#include "obs/registry.hh"
 
 #if defined(__linux__) && defined(__GLIBC__)
 #define DEE_HOTSPOT_PLATFORM 1
@@ -262,8 +262,10 @@ armThreadTimer(ThreadState *state, double interval_ms)
     state->timerLive = true;
     state->armed.store(true, std::memory_order_relaxed);
 
+    // Clamped before the cast: past ~11 days the period would
+    // overflow a long count of nanoseconds.
     const long interval_ns =
-        std::max(100000L, static_cast<long>(interval_ms * 1e6));
+        static_cast<long>(std::clamp(interval_ms * 1e6, 1e5, 1e15));
     struct itimerspec its = {};
     its.it_value.tv_sec = interval_ns / 1000000000L;
     its.it_value.tv_nsec = interval_ns % 1000000000L;
@@ -759,6 +761,11 @@ Sampler::liveSamples() const
 bool
 Sampler::start(const Options &options)
 {
+    if (!std::isfinite(options.intervalMs) || options.intervalMs <= 0.0) {
+        dee_warn("hotspot interval must be a finite number > 0 ms (got ",
+                 options.intervalMs, "); --hotspots ignored");
+        return false;
+    }
     if (!compiledIn()) {
         dee_inform("hotspot sampler compiled out "
                    "(DEE_OBS_HOTSPOT_ENABLED=0); --hotspots ignored");
@@ -906,23 +913,6 @@ Sampler::sectionJson() const
         return root;
     }
     return report().toJson();
-}
-
-void
-Sampler::publish(Registry &registry) const
-{
-    const Report &rep = report();
-    registry.counter("hot.samples") = rep.totalSamples;
-    registry.counter("hot.attributed") = rep.attributed;
-    registry.counter("hot.dropped") = rep.dropped;
-    registry.counter("hot.threads") = rep.threads;
-    registry.scalar("hot.attributed_pct") = rep.attributedPct();
-    for (const auto &[key, stat] : rep.phases) {
-        registry.counter("hot." + key + ".samples") = stat.total;
-        registry.counter("hot." + key + ".self") = stat.self;
-        registry.scalar("hot." + key + ".pct") = stat.pct;
-        registry.scalar("hot." + key + ".self_pct") = stat.selfPct;
-    }
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

@@ -59,12 +59,12 @@
  *     unspecified, so a late signal must still find valid memory (it
  *     sees armed == false and leaves).
  *
- * Exposure: Sampler::publish() mirrors the per-phase shares under
- * "hot.<scope>.<phase>.*" in the stats registry, the run manifest
- * carries a "hotspots" section (schema dee.run.v7), foldedStacks()
- * emits "host;<scope>.<phase>;sym;..;sym count" lines dee_prof
- * renders as a host-CPU flamegraph next to the speculation one, and
- * liveSelfCounts() feeds hot.* telemetry series for dee_top.
+ * Exposure: the run manifest's "hotspots" section is the one home of
+ * the per-phase counts and shares (the stats registry mirrors none of
+ * them), foldedStacks() emits "host;<scope>.<phase>;sym;..;sym count"
+ * lines dee_prof renders as a host-CPU flamegraph next to the
+ * speculation one, and liveSelfCounts() feeds hot.* telemetry series
+ * for dee_top.
  */
 
 #ifndef DEE_OBS_HOTSPOT_HOTSPOT_HH
@@ -83,11 +83,6 @@
 #ifndef DEE_OBS_HOTSPOT_ENABLED
 #define DEE_OBS_HOTSPOT_ENABLED 1
 #endif
-
-namespace dee::obs
-{
-class Registry;
-}
 
 namespace dee::obs::hotspot
 {
@@ -251,8 +246,9 @@ class Sampler
     /**
      * Installs the SIGPROF handler, primes backtrace, registers the
      * calling thread and arms its timer. Returns false — with a
-     * warning, without side effects — when compiled out, unsupported,
-     * or already running.
+     * warning, without side effects — when the interval is not a
+     * finite number > 0, or when compiled out, unsupported, or already
+     * running.
      */
     bool start(const Options &options);
 
@@ -286,12 +282,6 @@ class Sampler
      * unknown section).
      */
     Json sectionJson() const;
-
-    /** Mirrors the report under "hot.*" in @p registry:
-     *  hot.samples/.attributed/.dropped/.threads counters,
-     *  hot.attributed_pct, and per-phase
-     *  hot.<scope>.<phase>.{samples,self,pct,self_pct}. */
-    void publish(Registry &registry) const;
 
     const Options &options() const { return options_; }
 

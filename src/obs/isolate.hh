@@ -42,9 +42,8 @@ class CellSink
 
     /**
      * Folds this cell's output into the process-wide instances (call
-     * on one thread, in grid order, after the cell finished). Derived
-     * scalars are NOT refreshed here — the sweep driver refreshes
-     * them once after the last cell merges.
+     * on one thread, in grid order, after the cell finished). Every
+     * fold is exact, so nothing needs re-deriving afterwards.
      */
     void
     mergeInto(Registry &reg, Tracer &tr, ProfileStore &stores) const

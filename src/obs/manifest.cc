@@ -46,25 +46,15 @@ Json
 Manifest::toJson(const Registry &registry) const
 {
     Json root = Json::object();
-    root["schema"] = Json("dee.run.v7");
+    root["schema"] = Json("dee.run.v8");
     root["tool"] = Json(tool_);
     root["config"] = config_;
     root["results"] = results_;
-
-    Json stats = registry.toJson();
-    // v2: the cycle-accounting subtree is what regression diffing cares
-    // about most, so surface it as a top-level section (empty object
-    // when no simulator published an account).
-    if (const Json *acct = stats.find("acct"))
-        root["accounting"] = *acct;
-    else
-        root["accounting"] = Json::object();
 
     // v2: tracer health, so consumers can tell a truncated trace (ring
     // wrapped, events dropped) from a complete one.
     const Tracer &tracer = Tracer::global();
     Json trace = Json::object();
-    trace["enabled"] = Json(tracer.enabled());
     trace["recorded"] = Json(tracer.recorded());
     trace["dropped"] = Json(tracer.dropped());
     trace["buffered"] = Json(static_cast<std::uint64_t>(tracer.size()));
@@ -91,7 +81,7 @@ Manifest::toJson(const Registry &registry) const
     // report (phases, shares, top folded host stacks) otherwise.
     root["hotspots"] = hotspot::Sampler::process().sectionJson();
 
-    root["stats"] = std::move(stats);
+    root["stats"] = registry.toJson();
     const auto now = std::chrono::steady_clock::now();
     root["wall_clock_ms"] = Json(
         std::chrono::duration<double, std::milli>(now - start_).count());

@@ -10,13 +10,11 @@
  * parsers can evolve.
  *
  *     {
- *       "schema": "dee.run.v7",
+ *       "schema": "dee.run.v8",
  *       "tool": "fig5_speedups",
  *       "config": { ... },
  *       "results": { ... },
- *       "accounting": { ... },     // the stats "acct" subtree, surfaced
- *       "trace": { "enabled": ..., "recorded": ..., "dropped": ...,
- *                  "buffered": ... },
+ *       "trace": { "recorded": ..., "dropped": ..., "buffered": ... },
  *       "profile": { ... },        // ProfileStore::toJson(); {} when off
  *       "telemetry": { "enabled": ..., "interval_ms": ...,
  *                      "samples": ..., "series": { ... } },
@@ -26,7 +24,9 @@
  *                     "samples": ..., "attributed": ...,
  *                     "attributed_pct": ..., "phases": { ... },
  *                     "top_stacks": [ ... ] },
- *       "stats": { ... },          // Registry::toJson(); host
+ *       "stats": { ... },          // Registry::toJson(): counters and
+ *                                  // running stats only; cycle
+ *                                  // accounts under stats.acct, host
  *                                  // throughput under stats.perf
  *       "wall_clock_ms": 123.4
  *     }
@@ -45,7 +45,11 @@
  * dee_lint --xcheck; v7 adds "hotspots" — the host hot-path sampler's
  * per-phase CPU attribution and top folded host stacks
  * (obs/hotspot/hotspot.hh), {"enabled": false} when the sampler never
- * ran. The reader (obs/manifest_diff.hh) accepts v7 only: regenerate
+ * ran; v8 keeps each number once: it drops the "accounting" section
+ * (a copy of stats.acct), trace.enabled, the registry's prof.*, hot.*,
+ * bounds.* and trace.* mirrors of other sections, and every stored
+ * ratio (acct.* fractions, prof.* latency percentiles, perf.* kips and
+ * mcps). The reader (obs/manifest_diff.hh) accepts v8 only: regenerate
  * an older document by rerunning the tool that wrote it.
  */
 

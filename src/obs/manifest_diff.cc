@@ -90,10 +90,10 @@ parseManifest(const std::string &text, const std::string &path,
             *err = path + ": missing \"schema\" string";
         return false;
     }
-    if (schema->asString() != "dee.run.v7") {
+    if (schema->asString() != "dee.run.v8") {
         if (err)
             *err = path + ": unsupported schema '" + schema->asString() +
-                   "' (expected dee.run.v7; rerun the tool to "
+                   "' (expected dee.run.v8; rerun the tool to "
                    "regenerate it)";
         return false;
     }
@@ -102,9 +102,8 @@ parseManifest(const std::string &text, const std::string &path,
     out->metrics.clear();
     // Flatten the sections that carry comparable numbers; "schema",
     // "tool" and "config" are identity, not metrics.
-    for (const char *section : {"results", "accounting", "trace",
-                                "profile", "static_bounds", "hotspots",
-                                "stats"}) {
+    for (const char *section : {"results", "trace", "profile",
+                                "static_bounds", "hotspots", "stats"}) {
         if (const Json *sub = doc.find(section))
             flattenNumeric(*sub, section, &out->metrics);
     }
@@ -162,8 +161,8 @@ withoutHostMeasured(const Json &doc)
     // Host timings, machine resources and sampler output: they differ
     // from run to run by nature, and nothing simulated lives under them.
     static const std::unordered_set<std::string> kHostMeasured = {
-        "run_ms",    "wall_clock_ms", "runner",    "jobs",     "perf",
-        "host_perf", "telemetry",     "heartbeat", "hotspots", "hot",
+        "run_ms", "wall_clock_ms", "runner",   "jobs",
+        "perf",   "telemetry",     "hotspots",
     };
     if (doc.isObject()) {
         Json out = Json::object();

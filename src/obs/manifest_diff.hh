@@ -2,9 +2,9 @@
  * @file
  * Manifest loading, flattening, diffing and the regression gate.
  *
- * The testable core of tools/dee_report: load dee.run.v7 manifests,
+ * The testable core of tools/dee_report: load dee.run.v8 manifests,
  * flatten every numeric leaf to a dotted metric path
- * ("results.benchmarks.cc1.DEE.3", "accounting.window.waste_fraction"),
+ * ("results.benchmarks.cc1.DEE.3", "stats.acct.window.squashed_spec"),
  * render an aligned side-by-side diff, and gate a candidate manifest
  * against a baseline.
  *
@@ -42,7 +42,7 @@ struct LoadedManifest
 };
 
 /**
- * Parses @p text as a dee.run.v7 manifest document; older schema
+ * Parses @p text as a dee.run.v8 manifest document; older schema
  * versions are rejected (regenerate them with the current tools).
  * @return true on success; false with *err describing the failure.
  */
@@ -67,11 +67,8 @@ bool globMatch(const std::string &pattern, const std::string &text);
 /**
  * @p doc without its host-measured values: every object member, at any
  * depth, whose key is run_ms, wall_clock_ms, runner, jobs, perf,
- * host_perf, telemetry, heartbeat, hotspots or hot. What remains is a
- * pure function of the simulated inputs, byte-identical across --jobs
- * values and engines. No tool writes host_perf or heartbeat any more;
- * they stay in the set because the committed baseline still carries
- * both sections, and a gate against it must skip them.
+ * telemetry or hotspots. What remains is a pure function of the
+ * simulated inputs, byte-identical across --jobs values and engines.
  */
 Json withoutHostMeasured(const Json &doc);
 

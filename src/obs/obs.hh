@@ -6,7 +6,7 @@
  *   trace_event.hh   cycle-level ring-buffer tracer (trace_event JSONL)
  *   accounting.hh    closed per-slot cycle accounting (acct.*)
  *   perf/perf.hh     host throughput meter, one per simulated run (perf.*)
- *   profile/profile.hh per-branch speculation profiler (prof.*)
+ *   profile/profile.hh per-branch speculation profiler ("profile")
  *   profile/report.hh  self-contained HTML profile report (dee_prof)
  *   heartbeat.hh     rate/ETA progress lines for long bench runs
  *   isolate.hh       per-cell obs isolation for parallel sweeps

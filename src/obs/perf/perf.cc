@@ -29,35 +29,6 @@ ThroughputMeter::~ThroughputMeter()
     publish();
 }
 
-namespace
-{
-
-/** perf.<scope>.kips et al. from the scope's accumulated state; the
- *  single formula both publish() and refreshPerfScalars() use, so a
- *  post-merge refresh reproduces publish-time values bit for bit. */
-void
-deriveScopeScalars(Registry &registry, const std::string &prefix)
-{
-    const std::uint64_t *instrs =
-        registry.findCounter(prefix + ".sim_instructions");
-    const std::uint64_t *cycles =
-        registry.findCounter(prefix + ".sim_cycles");
-    const RunningStat *wall = registry.findStat(prefix + ".run_ms");
-    const double ms = wall != nullptr ? wall->sum() : 0.0;
-    if (ms <= 0.0)
-        return;
-    // instructions per host millisecond == kilo-instructions per host
-    // second; same for cycles and mcps after the /1000.
-    if (instrs != nullptr)
-        registry.scalar(prefix + ".kips") = static_cast<double>(*instrs) / ms;
-    if (cycles != nullptr) {
-        registry.scalar(prefix + ".mcps") =
-            static_cast<double>(*cycles) / ms / 1000.0;
-    }
-}
-
-} // namespace
-
 void
 ThroughputMeter::publish()
 {
@@ -67,7 +38,6 @@ ThroughputMeter::publish()
     registry_.counter(prefix + ".sim_instructions") += instructions_;
     registry_.counter(prefix + ".sim_cycles") += cycles_;
     registry_.stat(prefix + ".run_ms").add(ms);
-    deriveScopeScalars(registry_, prefix);
 }
 
 void
@@ -93,23 +63,6 @@ publishHostResources(Registry &registry)
 #else
     (void)registry;
 #endif // DEE_PERF_HAVE_GETRUSAGE
-}
-
-void
-refreshPerfScalars(Registry &registry)
-{
-    static const std::string kPrefix = "perf.";
-    static const std::string kSuffix = ".sim_instructions";
-    for (const std::string &path : registry.paths()) {
-        if (path.compare(0, kPrefix.size(), kPrefix) != 0)
-            continue;
-        if (path.size() <= kPrefix.size() + kSuffix.size() ||
-            path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                         kSuffix) != 0)
-            continue;
-        deriveScopeScalars(registry,
-                           path.substr(0, path.size() - kSuffix.size()));
-    }
 }
 
 } // namespace dee::obs::perf

@@ -4,8 +4,8 @@
  *
  * Every observability layer before this one (stats registry, cycle
  * accounting, speculation profiler) measures the simulated machine.
- * This layer measures the host: simulated-instructions-per-second and
- * simulated-cycles-per-second per "<workload>.<model>" scope. It is
+ * This layer measures the host: the wall time each "<workload>.<model>"
+ * scope took to simulate how many instructions and cycles. It is
  * the instrumentation that makes "provably faster, bit-exact" hot-path
  * rewrites checkable: the simulated results are pinned by dee_report
  * --check baselines while perf.* says how fast each scope ran
@@ -21,15 +21,11 @@
  *   perf.<scope>.sim_instructions  counter  simulated instructions
  *   perf.<scope>.sim_cycles       counter  simulated machine cycles
  *   perf.<scope>.run_ms           stat     host wall ms per run
- *   perf.<scope>.kips             scalar   simulated kilo-instr / host s
- *   perf.<scope>.mcps             scalar   simulated mega-cycles / host s
  *
- * The derived scalars (kips/mcps) are recomputed from the accumulated
- * counters on every publish — and re-derived once more by
- * refreshPerfScalars() after a parallel sweep merges its cells — so
- * perf.* scopes merge correctly at any --jobs value: counters add
- * exactly, run_ms stats merge by sample replay, and the scalars are a
- * pure function of the merged state.
+ * Both kinds merge exactly at any --jobs value: counters add, and
+ * run_ms stats merge by sample replay. A throughput is a ratio of
+ * two of these, computed by whoever displays it: simulated KIPS is
+ * sim_instructions / run_ms.sum.
  *
  * Wall-clock values are nondeterministic by nature; consumers that
  * compare runs bit-for-bit must normalize the whole perf.* subtree
@@ -106,16 +102,6 @@ class ThroughputMeter
  * No-op where getrusage is unavailable.
  */
 void publishHostResources(Registry &registry);
-
-/**
- * Recomputes every perf.<scope>.kips / .mcps scalar in
- * @p registry from the accumulated counters and run_ms stats, exactly
- * as the last ThroughputMeter publish of each scope would have.
- * Registry::merge() leaves derived scalars holding the last merged
- * cell's snapshot; the parallel runner calls this once after all
- * cells merged (alongside refreshAccountingScalars()).
- */
-void refreshPerfScalars(Registry &registry);
 
 } // namespace dee::obs::perf
 

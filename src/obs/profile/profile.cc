@@ -1,12 +1,9 @@
 #include "obs/profile/profile.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
-#include "obs/registry.hh"
 
 namespace dee::obs
 {
@@ -60,13 +57,6 @@ latencyBucketName(std::size_t bucket)
     };
     dee_assert(bucket < kNumLatencyBuckets, "bad latency bucket");
     return kNames[bucket];
-}
-
-double
-latencyBucketRepresentative(std::size_t bucket)
-{
-    dee_assert(bucket < kNumLatencyBuckets, "bad latency bucket");
-    return static_cast<double>(1u << bucket);
 }
 
 double
@@ -292,42 +282,6 @@ SpeculationProfile::merge(const SpeculationProfile &other)
     unattributedSquashedSlots_ += other.unattributedSquashedSlots_;
 }
 
-void
-SpeculationProfile::publish(Registry &registry,
-                            const std::string &scope) const
-{
-    const std::string base = "prof." + scope + ".";
-    registry.counter(base + "sites") += sites_.size();
-    registry.counter(base + "executions") += totalExecutions();
-    registry.counter(base + "mispredicts") += totalMispredicts();
-    registry.counter(base + "squashed_slots") += totalSquashedSlots();
-    registry.counter(base + "unattributed_squashed_slots") +=
-        unattributedSquashedSlots_;
-    std::uint64_t mainline = 0;
-    std::uint64_t dee_slot = 0;
-    for (const auto &[pc, site] : sites_) {
-        mainline += site.mainlineCycles;
-        dee_slot += site.deeSlotCycles;
-    }
-    registry.counter(base + "mainline_cycles") += mainline;
-    registry.counter(base + "dee_slot_cycles") += dee_slot;
-
-    Histogram &latency =
-        registry.histogram(base + "resolve_latency", 0.0, 256.0, 32);
-    for (const auto &[pc, site] : sites_) {
-        for (std::size_t b = 0; b < kNumLatencyBuckets; ++b) {
-            latency.add(latencyBucketRepresentative(b),
-                        site.resolveLatency[b]);
-        }
-    }
-    if (latency.total() > 0) {
-        registry.scalar(base + "resolve_latency_p50") =
-            latency.percentile(0.50);
-        registry.scalar(base + "resolve_latency_p90") =
-            latency.percentile(0.90);
-    }
-}
-
 Json
 SpeculationProfile::toJson() const
 {
@@ -414,16 +368,24 @@ SpeculationProfile::toJson() const
     std::uint64_t other_exec = 0;
     std::uint64_t other_misp = 0;
     std::uint64_t other_squash = 0;
+    std::uint64_t other_lat[kNumLatencyBuckets] = {};
     for (std::size_t i = serialized; i < ranked.size(); ++i) {
-        other_exec += ranked[i]->second.executions;
-        other_misp += ranked[i]->second.mispredicts;
-        other_squash += ranked[i]->second.squashedSlots;
+        const BranchSiteProfile &site = ranked[i]->second;
+        other_exec += site.executions;
+        other_misp += site.mispredicts;
+        other_squash += site.squashedSlots;
+        for (std::size_t k = 0; k < kNumLatencyBuckets; ++k)
+            other_lat[k] += site.resolveLatency[k];
     }
     other["sites"] = Json(static_cast<std::uint64_t>(
         ranked.size() - serialized));
     other["executions"] = Json(other_exec);
     other["mispredicts"] = Json(other_misp);
     other["squashed_slots"] = Json(other_squash);
+    Json other_latency = Json::object();
+    for (std::size_t k = 0; k < kNumLatencyBuckets; ++k)
+        other_latency[latencyBucketName(k)] = Json(other_lat[k]);
+    other["resolve_latency"] = std::move(other_latency);
     out["branch_other"] = std::move(other);
 
     Json loops = Json::object();
@@ -548,24 +510,6 @@ ProfileStore::mergeFrom(const ProfileStore &other)
 {
     for (const auto &[scope, profile] : other.scopes_)
         scopes_[scope].merge(profile);
-}
-
-void
-refreshProfileScalars(Registry &registry)
-{
-    const std::string suffix = ".resolve_latency";
-    for (const std::string &path : registry.paths()) {
-        if (path.compare(0, 5, "prof.") != 0 ||
-            path.size() <= suffix.size() ||
-            path.compare(path.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        const Histogram *latency = registry.findHistogram(path);
-        if (latency == nullptr || latency->total() == 0)
-            continue;
-        registry.scalar(path + "_p50") = latency->percentile(0.50);
-        registry.scalar(path + "_p90") = latency->percentile(0.90);
-    }
 }
 
 void

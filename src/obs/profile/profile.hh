@@ -32,11 +32,11 @@
  * owner of the winning ledger mark, and it is asserted in-sim through
  * attributionMatches().
  *
- * Exposure: publish() mirrors scope aggregates under "prof.<scope>.*"
- * in the stats registry; ProfileStore::global() collects per-scope
- * profiles that the run manifest serializes as the "profile" section
- * of dee.run.v3; foldedStacks() emits standard flamegraph folded-stack
- * lines ("scope;loop_B<h>;..;branch_0x<pc> slots").
+ * Exposure: ProfileStore::global() collects per-scope profiles that
+ * the run manifest serializes as its "profile" section, the one home
+ * of every profiled number (the stats registry mirrors none of them);
+ * foldedStacks() emits standard flamegraph folded-stack lines
+ * ("scope;loop_B<h>;..;branch_0x<pc> slots").
  */
 
 #ifndef DEE_OBS_PROFILE_PROFILE_HH
@@ -54,8 +54,6 @@
 namespace dee::obs
 {
 
-class Registry;
-
 /**
  * Process-wide profiling request, set by Session when the user passes
  * --profile/--profile-out (same pattern as Tracer::global().enable()):
@@ -70,8 +68,6 @@ constexpr std::size_t kNumLatencyBuckets = 8;
 
 std::size_t latencyBucket(std::int64_t latency);
 const char *latencyBucketName(std::size_t bucket);
-/** Bucket midpoint-ish value used when replaying into a Histogram. */
-double latencyBucketRepresentative(std::size_t bucket);
 
 /** Everything attributed to one static branch PC. */
 struct BranchSiteProfile
@@ -130,7 +126,8 @@ class SpeculationProfile
     /** Hot-path table size retained in toJson(). */
     static constexpr std::size_t kTopPaths = 16;
     /** Branch sites serialized per scope; the rest aggregate into
-     *  "branch_other_*" so manifests stay bounded. */
+     *  "branch_other" (counts and resolve latency) so manifests stay
+     *  bounded. */
     static constexpr std::size_t kTopSites = 64;
 
     /** Records one dynamic execution of the branch at @p pc, feeding
@@ -194,10 +191,6 @@ class SpeculationProfile
     std::uint64_t totalMispredicts() const;
 
     void merge(const SpeculationProfile &other);
-
-    /** Mirrors scope aggregates under "prof.<scope>.*": counters,
-     *  a resolve-latency Histogram, and p50/p90 scalars. */
-    void publish(Registry &registry, const std::string &scope) const;
 
     /** Bounded object for the manifest "profile" section. */
     Json toJson() const;
@@ -268,15 +261,6 @@ class ProfileStore
   private:
     std::map<std::string, SpeculationProfile> scopes_;
 };
-
-/**
- * Recomputes every "prof.<scope>.resolve_latency_p50/_p90" scalar in
- * @p registry from its (merged) resolve-latency histogram, exactly as
- * the last SpeculationProfile::publish() of each scope would have.
- * Counterpart of refreshAccountingScalars() for the profiler family;
- * called by the parallel runner after cell registries merge.
- */
-void refreshProfileScalars(Registry &registry);
 
 } // namespace dee::obs
 

@@ -75,9 +75,7 @@ Registry::kindName(Entry::Kind kind)
 {
     switch (kind) {
       case Entry::Kind::Counter: return "counter";
-      case Entry::Kind::Scalar: return "scalar";
       case Entry::Kind::Stat: return "stat";
-      case Entry::Kind::Hist: return "histogram";
     }
     return "???";
 }
@@ -149,13 +147,6 @@ Registry::findCounter(const std::string &path) const
     return e != nullptr ? &e->counter : nullptr;
 }
 
-const double *
-Registry::findScalar(const std::string &path) const
-{
-    const Entry *e = findEntry(path, Entry::Kind::Scalar);
-    return e != nullptr ? &e->scalar : nullptr;
-}
-
 const RunningStat *
 Registry::findStat(const std::string &path) const
 {
@@ -163,35 +154,14 @@ Registry::findStat(const std::string &path) const
     return e != nullptr ? &e->stat : nullptr;
 }
 
-const Histogram *
-Registry::findHistogram(const std::string &path) const
-{
-    const Entry *e = findEntry(path, Entry::Kind::Hist);
-    return e != nullptr && e->hist ? e->hist.get() : nullptr;
-}
-
 void
 Registry::merge(const Registry &other)
 {
     for (const auto &[path, entry] : other.entries_) {
-        switch (entry.kind) {
-          case Entry::Kind::Counter:
+        if (entry.kind == Entry::Kind::Counter)
             counter(path) += entry.counter;
-            break;
-          case Entry::Kind::Scalar:
-            scalar(path) = entry.scalar;
-            break;
-          case Entry::Kind::Stat:
+        else
             stat(path).merge(entry.stat);
-            break;
-          case Entry::Kind::Hist:
-            if (entry.hist) {
-                histogram(path, entry.hist->lo(), entry.hist->hi(),
-                          entry.hist->numBuckets())
-                    .merge(*entry.hist);
-            }
-            break;
-        }
     }
 }
 
@@ -199,12 +169,6 @@ std::uint64_t &
 Registry::counter(const std::string &path)
 {
     return resolve(path, Entry::Kind::Counter).counter;
-}
-
-double &
-Registry::scalar(const std::string &path)
-{
-    return resolve(path, Entry::Kind::Scalar).scalar;
 }
 
 RunningStat &
@@ -217,16 +181,6 @@ Registry::stat(const std::string &path)
     return s;
 }
 
-Histogram &
-Registry::histogram(const std::string &path, double lo, double hi,
-                    std::size_t buckets)
-{
-    Entry &entry = resolve(path, Entry::Kind::Hist);
-    if (!entry.hist)
-        entry.hist = std::make_unique<Histogram>(lo, hi, buckets);
-    return *entry.hist;
-}
-
 bool
 Registry::contains(const std::string &path) const
 {
@@ -237,36 +191,19 @@ std::string
 Registry::renderText() const
 {
     Table table({"stat", "value"});
-    std::ostringstream hists;
     for (const auto &[path, entry] : entries_) {
-        switch (entry.kind) {
-          case Entry::Kind::Counter:
+        if (entry.kind == Entry::Kind::Counter) {
             table.addRow({path, std::to_string(entry.counter)});
-            break;
-          case Entry::Kind::Scalar:
-            table.addRow({path, Table::fmt(entry.scalar, 4)});
-            break;
-          case Entry::Kind::Stat: {
-            std::ostringstream cell;
-            cell << "n=" << entry.stat.count()
-                 << " mean=" << Table::fmt(entry.stat.mean(), 4)
-                 << " min=" << Table::fmt(entry.stat.min(), 4)
-                 << " max=" << Table::fmt(entry.stat.max(), 4);
-            table.addRow({path, cell.str()});
-            break;
-          }
-          case Entry::Kind::Hist:
-            hists << entry.hist->render(path);
-            break;
+            continue;
         }
+        std::ostringstream cell;
+        cell << "n=" << entry.stat.count()
+             << " mean=" << Table::fmt(entry.stat.mean(), 4)
+             << " min=" << Table::fmt(entry.stat.min(), 4)
+             << " max=" << Table::fmt(entry.stat.max(), 4);
+        table.addRow({path, cell.str()});
     }
-    std::string out = table.render();
-    const std::string tail = hists.str();
-    if (!tail.empty()) {
-        out += "\n";
-        out += tail;
-    }
-    return out;
+    return table.render();
 }
 
 namespace
@@ -282,21 +219,6 @@ statToJson(const RunningStat &s)
     j["max"] = Json(s.max());
     j["stddev"] = Json(s.stddev());
     j["sum"] = Json(s.sum());
-    return j;
-}
-
-Json
-histToJson(const Histogram &h)
-{
-    Json j = Json::object();
-    j["lo"] = Json(h.bucketLo(0));
-    j["total"] = Json(h.total());
-    j["underflow"] = Json(h.underflow());
-    j["overflow"] = Json(h.overflow());
-    Json buckets = Json::array();
-    for (std::size_t i = 0; i < h.numBuckets(); ++i)
-        buckets.push(Json(h.bucketCount(i)));
-    j["buckets"] = std::move(buckets);
     return j;
 }
 
@@ -321,20 +243,8 @@ Registry::toJson() const
             start = dot + 1;
         }
         Json &leaf = (*node)[path.substr(start)];
-        switch (entry.kind) {
-          case Entry::Kind::Counter:
-            leaf = Json(entry.counter);
-            break;
-          case Entry::Kind::Scalar:
-            leaf = Json(entry.scalar);
-            break;
-          case Entry::Kind::Stat:
-            leaf = statToJson(entry.stat);
-            break;
-          case Entry::Kind::Hist:
-            leaf = histToJson(*entry.hist);
-            break;
-        }
+        leaf = entry.kind == Entry::Kind::Counter ? Json(entry.counter)
+                                                  : statToJson(entry.stat);
     }
     return root;
 }

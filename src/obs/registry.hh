@@ -7,11 +7,13 @@
  * and the whole tree can be dumped as an aligned text table or as a
  * nested JSON document for run manifests.
  *
- * Four kinds of entry are supported:
- *   - counter:   monotonically growing std::uint64_t
- *   - scalar:    a plain double (set, not accumulated)
- *   - stat:      a RunningStat (count/mean/min/max/stddev)
- *   - histogram: a fixed-bucket Histogram
+ * Two kinds of entry are supported, both of which merge exactly:
+ *   - counter: a std::uint64_t (merges by addition)
+ *   - stat:    a RunningStat (count/mean/min/max/stddev; merges by
+ *              replaying its logged samples)
+ *
+ * A ratio of two entries (a waste fraction, a throughput) is not an
+ * entry: whatever displays it computes it from the entries it divides.
  *
  * The first access at a path creates the entry; later accesses return
  * the same object. Accessing a path as a different kind, or creating a
@@ -31,8 +33,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/stats.hh"
 #include "obs/json.hh"
@@ -67,19 +69,8 @@ class Registry
     /** Returns the counter at @p path, creating it at zero. */
     std::uint64_t &counter(const std::string &path);
 
-    /** Returns the scalar at @p path, creating it at zero. */
-    double &scalar(const std::string &path);
-
     /** Returns the RunningStat at @p path, creating it empty. */
     RunningStat &stat(const std::string &path);
-
-    /**
-     * Returns the Histogram at @p path, creating it with the given
-     * geometry; the geometry arguments are ignored (not rechecked) on
-     * later accesses.
-     */
-    Histogram &histogram(const std::string &path, double lo, double hi,
-                         std::size_t buckets);
 
     bool contains(const std::string &path) const;
     std::size_t size() const { return entries_.size(); }
@@ -96,27 +87,20 @@ class Registry
     void logStatSamples() { logStatSamples_ = true; }
 
     /**
-     * Folds @p other into this registry: counters add, stats merge
-     * (exact replay when @p other logs samples), histograms add their
-     * bucket counts, and plain scalars are overwritten by @p other's
-     * value. Derived scalars (acct.* fractions, prof.* percentiles)
-     * therefore hold the *last merged cell's* snapshot afterwards —
-     * callers must refresh them from the merged counters
-     * (refreshAccountingScalars() / refreshProfileScalars()) once all
-     * merging is done. Kind or tree-shape conflicts are fatal.
+     * Folds @p other into this registry: counters add, and stats
+     * merge (exact replay when @p other logs samples). Kind or
+     * tree-shape conflicts are fatal.
      */
     void merge(const Registry &other);
 
-    /** All leaf paths in sorted order (iteration for merge/refresh). */
+    /** All leaf paths in sorted order. */
     std::vector<std::string> paths() const;
 
     /** Read-only typed lookups; null when absent or of another kind. */
     const std::uint64_t *findCounter(const std::string &path) const;
-    const double *findScalar(const std::string &path) const;
     const RunningStat *findStat(const std::string &path) const;
-    const Histogram *findHistogram(const std::string &path) const;
 
-    /** Aligned "path  value" table, histograms appended below. */
+    /** Aligned "path  value" table. */
     std::string renderText() const;
 
     /** Nested-object dump: "a.b.c" becomes {"a":{"b":{"c":...}}}. */
@@ -128,17 +112,12 @@ class Registry
         enum class Kind
         {
             Counter,
-            Scalar,
             Stat,
-            Hist,
         };
 
         Kind kind;
         std::uint64_t counter = 0;
-        double scalar = 0.0;
         RunningStat stat;
-        // Histogram has no default geometry; boxed.
-        std::unique_ptr<Histogram> hist;
     };
 
     static const char *kindName(Entry::Kind kind);

@@ -1,5 +1,6 @@
 #include "obs/session.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -23,6 +24,17 @@ checkWritable(const std::string &path, const char *what)
     std::ofstream out(path, std::ios::trunc);
     if (!out)
         dee_fatal("cannot open ", what, " file '", path, "'");
+}
+
+/** A sampler period must be a finite number of milliseconds above 0:
+ *  NaN passes a plain "<= 0" test, and NaN or a huge value overflows
+ *  the samplers' integer timer conversions. */
+void
+checkInterval(double ms, const char *flag)
+{
+    if (!std::isfinite(ms) || ms <= 0.0)
+        dee_fatal("--", flag, " must be a finite number > 0 ms (got ", ms,
+                  ")");
 }
 
 } // namespace
@@ -54,7 +66,7 @@ declareFlags(Cli &cli)
              "telemetry sampler period in milliseconds");
     cli.flag("hotspots", "false",
              "start the host hot-path sampling profiler (adds the "
-             "manifest's \"hotspots\" section and hot.* stats)");
+             "manifest's \"hotspots\" section)");
     cli.flag("hotspot-out", "",
              "write host samples as folded stacks to this path "
              "(flamegraph input); implies --hotspots");
@@ -87,6 +99,11 @@ SessionOptions::fromCli(const Cli &cli)
 Session::Session(std::string tool, SessionOptions options)
     : options_(std::move(options)), manifest_(std::move(tool))
 {
+    // Flag values first: a bad one must not truncate any output file.
+    if (options_.telemetry)
+        checkInterval(options_.telemetryIntervalMs, "telemetry-interval");
+    if (options_.hotspots)
+        checkInterval(options_.hotspotIntervalMs, "hotspot-interval");
     if (!options_.jsonPath.empty())
         checkWritable(options_.jsonPath, "run manifest");
     if (!options_.traceOutPath.empty()) {
@@ -98,9 +115,6 @@ Session::Session(std::string tool, SessionOptions options)
     if (options_.profile)
         requestProfiling(true);
     if (options_.telemetry) {
-        if (options_.telemetryIntervalMs <= 0.0)
-            dee_fatal("--telemetry-interval must be > 0 ms (got ",
-                      options_.telemetryIntervalMs, ")");
         if (!options_.telemetryOutPath.empty())
             checkWritable(options_.telemetryOutPath, "telemetry output");
         telemetry::Options topts;
@@ -141,28 +155,13 @@ Session::~Session()
     telemetry::Hub::process().stop();
     // Then the hotspot sampler (the telemetry tick above still saw
     // live hot.* counts): stop folds every thread's samples into the
-    // report the manifest's "hotspots" section and the hot.* stats
-    // published below both read.
-    if (options_.hotspots && hotspot::compiledIn()) {
-        hotspot::Sampler &sampler = hotspot::Sampler::process();
-        sampler.stop();
-        sampler.publish(Registry::global());
-    }
+    // report the manifest's "hotspots" section reads.
+    if (options_.hotspots && hotspot::compiledIn())
+        hotspot::Sampler::process().stop();
     // Host memory pressure (peak RSS, page faults) is a whole-process
     // reading — take it once, at exit, into perf.host.* so manifests
     // and stats dumps carry it.
     perf::publishHostResources(Registry::global());
-    // Surface tracer health in the registry before any dump below
-    // snapshots it: a wrapped ring (dropped > 0) silently truncates the
-    // trace, which must be visible in stats and manifests.
-    {
-        const Tracer &tracer = Tracer::global();
-        if (tracer.recorded() > 0) {
-            Registry &reg = Registry::global();
-            reg.counter("trace.recorded") = tracer.recorded();
-            reg.counter("trace.dropped") = tracer.dropped();
-        }
-    }
     if (!options_.traceOutPath.empty()) {
         Tracer &tracer = Tracer::global();
         tracer.writeFile(options_.traceOutPath);

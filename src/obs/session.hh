@@ -33,8 +33,8 @@
  *   --telemetry-out PATH  stream telemetry samples as JSON-Lines
  *                     (schema dee.telemetry.v1) to PATH, rendered by
  *                     tools/dee_top --replay; implies --telemetry
- *   --telemetry-interval MS  sampler period in milliseconds (> 0
- *                     when telemetry is on)
+ *   --telemetry-interval MS  sampler period in milliseconds (a
+ *                     finite number > 0 when telemetry is on)
  *   --hotspots BOOL   start the host hot-path sampling profiler
  *                     (per-phase CPU attribution in the manifest's
  *                     "hotspots" section; see obs/hotspot/hotspot.hh)
@@ -42,7 +42,8 @@
  *                     ("host;scope.phase;sym;..;sym count" lines,
  *                     flamegraph.pl / dee_prof compatible) to PATH;
  *                     implies --hotspots
- *   --hotspot-interval MS  per-thread CPU-time sampling period
+ *   --hotspot-interval MS  per-thread CPU-time sampling period (a
+ *                     finite number > 0 when hotspots are on)
  */
 
 #ifndef DEE_OBS_SESSION_HH

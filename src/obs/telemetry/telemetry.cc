@@ -1,6 +1,7 @@
 #include "obs/telemetry/telemetry.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -79,8 +80,8 @@ Hub::start(const Options &options)
         dee_warn("telemetry already running; ignoring start()");
         return false;
     }
-    if (options.intervalMs <= 0.0) {
-        dee_warn("telemetry interval must be > 0 ms (got ",
+    if (!std::isfinite(options.intervalMs) || options.intervalMs <= 0.0) {
+        dee_warn("telemetry interval must be a finite number > 0 ms (got ",
                  options.intervalMs, "); telemetry stays off");
         return false;
     }
@@ -218,8 +219,10 @@ void
 Hub::samplerLoop()
 {
     std::unique_lock<std::mutex> lock(wakeMutex_);
+    // Capped at ~11 days, so that wait_for's conversion to integer
+    // clock ticks cannot overflow.
     const auto interval = std::chrono::duration<double, std::milli>(
-        options_.intervalMs);
+        std::min(options_.intervalMs, 1e9));
     while (!stopRequested_) {
         wake_.wait_for(lock, interval,
                        [this] { return stopRequested_; });

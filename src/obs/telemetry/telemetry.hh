@@ -103,7 +103,7 @@ class Hub
     /**
      * Spawns the sampler. Returns false — with a warning, without side
      * effects — when the hub is already running or the interval is not
-     * positive.
+     * a finite number > 0.
      */
     bool start(const Options &options);
 

@@ -8,11 +8,8 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "obs/accounting.hh"
 #include "obs/hotspot/hotspot.hh"
 #include "obs/isolate.hh"
-#include "obs/perf/perf.hh"
-#include "obs/profile/profile.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry/telemetry.hh"
 #include "obs/trace_event.hh"
@@ -155,12 +152,6 @@ runCells(std::size_t cells, const SweepOptions &options,
         sinks[i].reset();
     }
 
-    // Re-derive the publish-time scalars from the merged integers so
-    // they match what a serial run would have left behind.
-    obs::refreshAccountingScalars(registry);
-    obs::refreshProfileScalars(registry);
-    obs::perf::refreshPerfScalars(registry);
-
     // Per-worker execution observability: what each worker actually
     // did, how much it stole, how long it sat idle. Snapshotted while
     // the pool is still alive.
@@ -176,11 +167,10 @@ runCells(std::size_t cells, const SweepOptions &options,
     registry.stat("runner.merge_ms").add(merge_ms);
 
     registry.counter("runner.cells") += cells;
-    registry.scalar("runner.jobs") = static_cast<double>(jobs);
-    registry.scalar("runner.wall_ms") =
-        std::chrono::duration<double, std::milli>(clock::now() -
-                                                  sweep_start)
-            .count();
+    registry.stat("runner.wall_ms")
+        .add(std::chrono::duration<double, std::milli>(clock::now() -
+                                                       sweep_start)
+                 .count());
 
     // The worker-stats source captures the pool by reference; drop it
     // before the pool leaves scope.

@@ -10,16 +10,17 @@
  * of its registry/tracer/profile output lands in a private
  * obs::CellSink, and the main thread folds the sinks back into the
  * process-wide instances *in cell-index order* once each cell
- * finishes. Because every merge operation is exact (counter adds,
- * stat sample replay, histogram bucket adds) and the merge order is
- * the grid order, the merged state is bit-identical to the serial run
- * regardless of thread count or scheduling. Derived scalars (acct.*
- * fractions, prof.* percentiles) are re-derived once from the merged
- * integers after the last cell lands.
+ * finishes. Because every merge operation is exact (counter adds and
+ * stat sample replay, the registry's only two kinds) and the merge
+ * order is the grid order, the merged state is bit-identical to the
+ * serial run regardless of thread count or scheduling; nothing is
+ * re-derived after the merge.
  *
  * Wall-clock observability (parallel path only, since it is
- * nondeterministic by nature): runner.cells, runner.jobs,
- * runner.wall_ms and the per-cell runner.cell_wall_ms stat.
+ * nondeterministic by nature): the runner.cells counter, and the
+ * runner.wall_ms (one sample per sweep) and per-cell
+ * runner.cell_wall_ms stats. The worker count is the manifest's
+ * config.jobs, or the number of runner.worker.<i> subtrees.
  */
 
 #ifndef DEE_RUNNER_SWEEP_HH

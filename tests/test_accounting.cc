@@ -107,31 +107,14 @@ TEST(CycleAccount, PublishAccumulatesCountersAndDerivesRatios)
     EXPECT_EQ(reg.counter("acct.window.squashed_spec"), 4u);
     EXPECT_EQ(reg.counter("acct.window.squashed_conf.90to97"), 4u);
     EXPECT_EQ(reg.counter("acct.window.pe_slot_cycles"), 16u);
-    // Ratios recomputed from accumulated counters, not last-run values.
-    EXPECT_DOUBLE_EQ(reg.scalar("acct.window.waste_fraction"),
-                     4.0 / 12.0);
-    EXPECT_DOUBLE_EQ(reg.scalar("acct.window.useful_fraction"), 0.5);
-}
-
-TEST(CycleAccount, ToJsonCarriesEveryClassAndBucket)
-{
-    CycleAccount acct;
-    acct.setDenominator(1, 3);
-    acct.add(SlotClass::Useful, 2);
-    acct.addSquashed(1, 0);
-    const obs::Json doc = acct.toJson();
-    for (std::size_t i = 0; i < kNumSlotClasses; ++i) {
-        EXPECT_NE(
-            doc.find(obs::slotClassName(static_cast<SlotClass>(i))),
-            nullptr);
-    }
-    const obs::Json *buckets = doc.find("squashed_conf");
-    ASSERT_NE(buckets, nullptr);
-    for (std::size_t i = 0; i < kNumConfidenceBuckets; ++i) {
-        EXPECT_NE(buckets->find(obs::confidenceBucketName(i)), nullptr);
-    }
-    EXPECT_EQ(doc.find("pe_slot_cycles")->asInt(), 3);
-    EXPECT_DOUBLE_EQ(doc.find("waste_fraction")->asDouble(), 1.0 / 3.0);
+    // Ratios are not registry entries: a reader derives them from the
+    // accumulated counters, as CycleAccount does for merged runs.
+    EXPECT_FALSE(reg.contains("acct.window.waste_fraction"));
+    EXPECT_FALSE(reg.contains("acct.window.useful_fraction"));
+    CycleAccount both = acct;
+    both.merge(acct);
+    EXPECT_DOUBLE_EQ(both.wasteFraction(), 4.0 / 12.0);
+    EXPECT_DOUBLE_EQ(both.usefulFraction(), 0.5);
 }
 
 TEST(ConfidenceBuckets, BoundariesMatchTheDocumentedRanges)

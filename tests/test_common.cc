@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "common/bit_matrix.hh"
@@ -65,76 +64,6 @@ TEST(Means, HarmonicOfEqualValuesIsValue)
 TEST(Means, ArithmeticOfEmptyIsZero)
 {
     EXPECT_DOUBLE_EQ(arithmeticMean({}), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0);
-    h.add(0.0);
-    h.add(3.9);
-    h.add(9.99);
-    h.add(10.0);
-    h.add(25.0);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 1.0 / 6.0);
-}
-
-TEST(Histogram, WeightedAddMatchesRepeatedAdd)
-{
-    Histogram a(0.0, 10.0, 5);
-    Histogram b(0.0, 10.0, 5);
-    for (int i = 0; i < 7; ++i)
-        a.add(3.0);
-    b.add(3.0, 7);
-    b.add(5.0, 0); // zero weight is a no-op
-    EXPECT_EQ(a.total(), b.total());
-    for (std::size_t i = 0; i < a.numBuckets(); ++i)
-        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i));
-}
-
-TEST(Histogram, PercentileEmptyIsNaNSentinel)
-{
-    const Histogram empty(0.0, 10.0, 5);
-    EXPECT_TRUE(std::isnan(empty.percentile(0.5)));
-    EXPECT_TRUE(std::isnan(empty.percentile(0.0)));
-    EXPECT_TRUE(std::isnan(empty.percentile(1.0)));
-}
-
-TEST(Histogram, PercentileSingleBucketStaysInRange)
-{
-    // All mass in the one (and only) bucket: every percentile must
-    // interpolate inside [lo, hi], never index past the bucket array.
-    Histogram h(0.0, 4.0, 1);
-    h.add(1.0, 10);
-    for (const double p : {0.0, 0.25, 0.5, 0.9, 1.0}) {
-        const double v = h.percentile(p);
-        EXPECT_GE(v, 0.0) << "p=" << p;
-        EXPECT_LE(v, 4.0) << "p=" << p;
-    }
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 2.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-}
-
-TEST(Histogram, PercentileInterpolatesAndClampsTails)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(1.0, 50);  // bucket [0,2)
-    h.add(9.0, 50);  // bucket [8,10)
-    EXPECT_DOUBLE_EQ(h.percentile(0.25), 1.0);
-    EXPECT_DOUBLE_EQ(h.percentile(0.75), 9.0);
-
-    // Underflow mass reports lo; overflow mass reports hi.
-    Histogram tails(0.0, 10.0, 5);
-    tails.add(-5.0, 10);
-    tails.add(50.0, 10);
-    EXPECT_DOUBLE_EQ(tails.percentile(0.1), 0.0);
-    EXPECT_DOUBLE_EQ(tails.percentile(0.99), 10.0);
 }
 
 TEST(Rng, Deterministic)

@@ -35,7 +35,7 @@
  * the parallel runner (--jobs 8).
  *
  * The last tests pin the cell-sink merge-order contract the manifest
- * equality rests on: Histogram / RunningStat samples must be replayed
+ * equality rests on: RunningStat samples must be replayed
  * in grid order when parallel sinks fold back into the process
  * registry (order-sensitive floating-point accumulations would
  * otherwise drift bit-wise at --jobs 4/8).
@@ -125,9 +125,9 @@ expectSameResult(const SimResult &a, const SimResult &b,
 
 /**
  * Canonical text form of every deterministic registry leaf (the
- * test_runner idiom): counters and histogram buckets as integers,
- * scalars and stat moments as %a hex-floats so comparison is bitwise.
- * Wall-clock and host-dependent subtrees are skipped.
+ * test_runner idiom): counters as integers, stat moments as %a
+ * hex-floats so comparison is bitwise. Wall-clock and host-dependent
+ * subtrees are skipped.
  */
 std::string
 snapshotRegistry(const obs::Registry &reg)
@@ -136,8 +136,7 @@ snapshotRegistry(const obs::Registry &reg)
     char line[512];
     for (const std::string &path : reg.paths()) {
         if (path.compare(0, 7, "runner.") == 0 ||
-            path.compare(0, 5, "perf.") == 0 ||
-            path.compare(0, 4, "hot.") == 0)
+            path.compare(0, 5, "perf.") == 0)
             continue;
         if (path.size() >= 6 &&
             path.compare(path.size() - 6, 6, "run_ms") == 0)
@@ -146,27 +145,13 @@ snapshotRegistry(const obs::Registry &reg)
             std::snprintf(line, sizeof line, "%s c %llu\n",
                           path.c_str(),
                           static_cast<unsigned long long>(*c));
-        } else if (const double *s = reg.findScalar(path)) {
-            std::snprintf(line, sizeof line, "%s s %a\n", path.c_str(),
-                          *s);
-        } else if (const RunningStat *st = reg.findStat(path)) {
+        } else {
+            const RunningStat &st = *reg.findStat(path);
             std::snprintf(
                 line, sizeof line, "%s t %llu %a %a %a %a %a\n",
                 path.c_str(),
-                static_cast<unsigned long long>(st->count()),
-                st->mean(), st->min(), st->max(), st->stddev(),
-                st->sum());
-        } else if (const Histogram *h = reg.findHistogram(path)) {
-            std::string counts;
-            for (std::size_t i = 0; i < h->numBuckets(); ++i)
-                counts += " " + std::to_string(h->bucketCount(i));
-            std::snprintf(
-                line, sizeof line, "%s h %a %a%s u%llu o%llu\n",
-                path.c_str(), h->lo(), h->hi(), counts.c_str(),
-                static_cast<unsigned long long>(h->underflow()),
-                static_cast<unsigned long long>(h->overflow()));
-        } else {
-            continue;
+                static_cast<unsigned long long>(st.count()),
+                st.mean(), st.min(), st.max(), st.stddev(), st.sum());
         }
         out += line;
     }
@@ -217,10 +202,10 @@ TEST_P(EngineGrid, AllModelsAllScalesBitExact)
 
 TEST_P(EngineGrid, RegistryOutputBitExactAcrossEngines)
 {
-    // Everything the epilogue publishes (acct.*, sim.*, prof.*
-    // counters, stats and histograms) must be identical too, not just
-    // the returned SimResult — the manifests are rendered from the
-    // registry.
+    // Everything the epilogue publishes (acct.* and sim.* counters
+    // and stats, and the profile store) must be identical too, not
+    // just the returned SimResult — the manifests are rendered from
+    // both.
     const BenchmarkInstance inst =
         makeInstance(GetParam(), 1, kGridMaxInstrs);
     const auto grid_snapshot = [&inst](const Kernels &kernels) {
@@ -798,8 +783,6 @@ mergeOrderSnapshot(int jobs)
         reg.stat("diff.order.stat").add(x * 1e16);
         reg.stat("diff.order.stat").add(1.0 / x);
         reg.stat("diff.order.stat").add(-x * 1e16 + x);
-        reg.histogram("diff.order.hist", 0.0, 64.0, 16)
-            .add(static_cast<double>(i * 3 % 64));
         reg.counter("diff.order.cells") += 1;
     });
     std::string snap = snapshotRegistry(obs::Registry::process());

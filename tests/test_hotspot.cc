@@ -3,7 +3,7 @@
  * Tests for the host hot-path sampling profiler (obs/hotspot): the
  * pure buildReport() fold (per-phase self/total shares, attribution
  * identity, folded-stack golden), phase nesting invariants, the
- * dee.run.v7 manifest section, the regression gate's advisory
+ * manifest's hotspots section, the regression gate's advisory
  * per-phase share check (self-diff passes; an injected 2x phase-share
  * skew warns naming the phase and never fails), live sampling during a
  * --jobs 4 parallel sweep (the ASan/TSan signal-safety smoke), ring
@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -186,16 +187,16 @@ TEST(HotspotReport, RepeatedPhaseEntryCountsTotalOnce)
     EXPECT_EQ(report.phases.at("tw.fetch").self, 0u);
 }
 
-// ------------------------------------------- manifest v7 and diffs
+// ------------------------------------------- manifest section and diffs
 
-/** A minimal v7 manifest with one hotspots phase entry per (key,
+/** A minimal v8 manifest with one hotspots phase entry per (key,
  *  self, self_pct) triple. */
 std::string
 manifestWithPhases(
     const std::vector<std::tuple<std::string, double, double>> &phases)
 {
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v7");
+    doc["schema"] = Json("dee.run.v8");
     doc["tool"] = Json("test_hotspot");
     doc["config"] = Json::object();
     doc["results"] = Json::object();
@@ -224,7 +225,7 @@ TEST(HotspotManifest, V7SectionRoundTrip)
     std::string err;
     ASSERT_TRUE(Json::parse(manifest.toJson(reg).dump(2), &back, &err))
         << err;
-    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v8");
     ASSERT_NE(back.find("hotspots"), nullptr);
     ASSERT_NE(back.find("hotspots")->find("enabled"), nullptr);
 
@@ -371,17 +372,23 @@ TEST(HotspotSampler, ParallelSweepSignalSafetySmoke)
     EXPECT_EQ(self_sum, report.attributed);
     EXPECT_LE(report.attributed, report.totalSamples);
 
-    // publish() mirrors the report into the registry.
-    Registry reg;
-    sampler.publish(reg);
-    ASSERT_NE(reg.findCounter("hot.samples"), nullptr);
-    EXPECT_EQ(*reg.findCounter("hot.samples"), report.totalSamples);
-
     // The stopped section carries the phases and the interval.
     const Json section = sampler.sectionJson();
     EXPECT_TRUE(section.find("enabled")->asBool());
     EXPECT_DOUBLE_EQ(section.find("interval_ms")->asDouble(), 0.5);
     Registry::process().clear();
+}
+
+TEST(HotspotSampler, StartRefusesANonFiniteOrNonPositiveInterval)
+{
+    // Refused before any platform check, so on every build.
+    Sampler &sampler = Sampler::process();
+    for (const double ms : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
+        Options options;
+        options.intervalMs = ms;
+        EXPECT_FALSE(sampler.start(options)) << ms;
+        EXPECT_FALSE(sampler.active()) << ms;
+    }
 }
 
 TEST(HotspotSampler, RingOverflowIsDropCounted)
@@ -436,7 +443,6 @@ TEST(HotspotDeterminism, ManifestsMatchAcrossJobsWithSamplerOn)
             spinFor(std::chrono::milliseconds(2));
         });
         sampler.stop();
-        sampler.publish(Registry::process());
         const Json doc =
             Manifest("det_tool").toJson(Registry::process());
         Registry::process().clear();
@@ -462,8 +468,9 @@ TEST(HotspotDeterminism, ManifestsMatchAcrossJobsWithSamplerOn)
 
     // Sanity: normalization kept the deterministic payload.
     const Json norm = withoutHostMeasured(serial);
-    ASSERT_NE(norm.find("accounting"), nullptr);
-    EXPECT_NE(norm.find("accounting")->find("cell3"), nullptr);
+    const Json *acct = norm.find("stats")->find("acct");
+    ASSERT_NE(acct, nullptr);
+    EXPECT_NE(acct->find("cell3"), nullptr);
 }
 
 } // namespace

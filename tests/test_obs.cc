@@ -2,18 +2,26 @@
  * @file
  * Unit tests for the observability layer: stats registry naming rules,
  * tracer ring-buffer semantics, JSON emission round-tripped through the
- * built-in parser, run manifests, and the manifest regression gate
- * (against synthetic manifests and the committed Figure 5 baseline).
+ * built-in parser, run manifests and the one home of each of their
+ * numbers, and the manifest regression gate (against synthetic
+ * manifests and the committed Figure 5 baseline).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <random>
 #include <sstream>
 
+#include "analysis/absint/bounds.hh"
+#include "bpred/bpred.hh"
+#include "core/sim/models.hh"
+#include "obs/hotspot/hotspot.hh"
 #include "obs/obs.hh"
+#include "runner/sweep.hh"
+#include "workloads/suite.hh"
 
 namespace
 {
@@ -23,32 +31,21 @@ using dee::obs::Manifest;
 using dee::obs::Registry;
 using dee::obs::Tracer;
 
-TEST(Registry, CounterScalarStatHistogram)
+TEST(Registry, CounterAndStat)
 {
     Registry reg;
     reg.counter("sim.window.runs") += 3;
     reg.counter("sim.window.runs") += 2;
     EXPECT_EQ(reg.counter("sim.window.runs"), 5u);
 
-    reg.scalar("sim.window.speedup_last") = 31.9;
-    EXPECT_DOUBLE_EQ(reg.scalar("sim.window.speedup_last"), 31.9);
-
     reg.stat("sim.window.speedup").add(2.0);
     reg.stat("sim.window.speedup").add(4.0);
     EXPECT_EQ(reg.stat("sim.window.speedup").count(), 2u);
     EXPECT_DOUBLE_EQ(reg.stat("sim.window.speedup").mean(), 3.0);
 
-    auto &hist = reg.histogram("sim.window.occupancy", 0.0, 8.0, 4);
-    hist.add(1.0);
-    hist.add(5.0);
-    // Same object on re-access; geometry arguments ignored.
-    EXPECT_EQ(&reg.histogram("sim.window.occupancy", 0.0, 1.0, 1),
-              &hist);
-    EXPECT_EQ(hist.total(), 2u);
-
     EXPECT_TRUE(reg.contains("sim.window.runs"));
     EXPECT_FALSE(reg.contains("sim.window"));
-    EXPECT_EQ(reg.size(), 4u);
+    EXPECT_EQ(reg.size(), 2u);
     reg.clear();
     EXPECT_EQ(reg.size(), 0u);
 }
@@ -57,7 +54,7 @@ TEST(RegistryDeathTest, KindConflictIsFatal)
 {
     Registry reg;
     reg.counter("levo.copybacks");
-    EXPECT_EXIT(reg.scalar("levo.copybacks"),
+    EXPECT_EXIT(reg.stat("levo.copybacks"),
                 ::testing::ExitedWithCode(1), "registered as a counter");
 }
 
@@ -86,7 +83,6 @@ TEST(Registry, TextAndJsonDumps)
 {
     Registry reg;
     reg.counter("sim.window.mispredicts") = 7;
-    reg.scalar("levo.ipc_last") = 6.5;
     reg.stat("sim.window.speedup").add(12.0);
 
     const std::string text = reg.renderText();
@@ -305,7 +301,7 @@ TEST(Manifest, DocumentShapeAndRoundTrip)
     std::string err;
     ASSERT_TRUE(Json::parse(manifest.toJson(reg).dump(2), &back, &err))
         << err;
-    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v8");
     EXPECT_EQ(back.find("tool")->asString(), "test_tool");
     EXPECT_EQ(back.find("config")->find("scale")->asInt(), 4);
     EXPECT_DOUBLE_EQ(back.find("results")->find("speedup")->asDouble(),
@@ -319,15 +315,13 @@ TEST(Manifest, DocumentShapeAndRoundTrip)
     ASSERT_NE(back.find("wall_clock_ms"), nullptr);
     EXPECT_TRUE(back.find("wall_clock_ms")->isNumber());
 
-    // v2 sections: accounting mirrors the registry's acct subtree
-    // (empty here) and trace reports tracer health.
-    ASSERT_NE(back.find("accounting"), nullptr);
-    EXPECT_TRUE(back.find("accounting")->isObject());
+    // The trace section reports tracer health.
     const Json *trace = back.find("trace");
     ASSERT_NE(trace, nullptr);
     ASSERT_NE(trace->find("recorded"), nullptr);
     ASSERT_NE(trace->find("dropped"), nullptr);
     ASSERT_NE(trace->find("buffered"), nullptr);
+    EXPECT_EQ(trace->size(), 3u);
 
     // v3 section: the speculation profile, {} when nothing profiled.
     const Json *profile = back.find("profile");
@@ -341,22 +335,72 @@ TEST(Manifest, DocumentShapeAndRoundTrip)
     ASSERT_NE(telemetry->find("enabled"), nullptr);
 }
 
-TEST(Manifest, AccountingSectionMirrorsRegistrySubtree)
+TEST(Manifest, EveryNumberHasOneHome)
 {
-    Registry reg;
-    reg.counter("acct.window.useful") = 40;
-    reg.counter("acct.window.idle") = 8;
-    reg.scalar("acct.window.waste_fraction") = 0.25;
+    // Every publisher on: two profiled cells merged at --jobs 2, the
+    // hotspot sampler running and the static bounds installed.
+    Registry::process().clear();
+    dee::obs::ProfileStore::process().clear();
+    dee::obs::requestProfiling(true);
+    dee::obs::hotspot::Sampler &sampler =
+        dee::obs::hotspot::Sampler::process();
+    const bool sampling = sampler.start(dee::obs::hotspot::Options{});
+    const dee::BenchmarkInstance inst =
+        dee::makeInstance(dee::WorkloadId::Compress, 1);
+    const dee::ModelKind kinds[] = {dee::ModelKind::SP,
+                                    dee::ModelKind::DEE_CD_MF};
+    dee::runner::SweepOptions sweep;
+    sweep.jobs = 2;
+    dee::runner::runCells(2, sweep, [&inst, &kinds](std::size_t i) {
+        dee::TwoBitPredictor pred(inst.trace.numStatic);
+        dee::ModelRunOptions options;
+        options.profileWorkload = inst.name;
+        dee::runModel(kinds[i], inst.trace, &inst.cfg, pred, 8, options);
+    });
+    dee::analysis::absint::publishStaticBounds(
+        {dee::WorkloadId::Compress}, 1, 0);
+    if (sampling)
+        sampler.stop();
+    dee::obs::requestProfiling(false);
+    const Json doc = Manifest("test_tool").toJson(Registry::process());
+    Registry::process().clear();
+    dee::obs::ProfileStore::process().clear();
+    dee::obs::setStaticBoundsSection(Json::object());
 
-    Manifest manifest("test_tool");
-    const Json doc = manifest.toJson(reg);
-    const Json *acct = doc.find("accounting");
-    ASSERT_NE(acct, nullptr);
-    const Json *window = acct->find("window");
-    ASSERT_NE(window, nullptr);
-    EXPECT_EQ(window->find("useful")->asInt(), 40);
-    EXPECT_EQ(window->find("idle")->asInt(), 8);
-    EXPECT_DOUBLE_EQ(window->find("waste_fraction")->asDouble(), 0.25);
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : doc.members())
+        keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "schema", "tool", "config", "results", "trace",
+                        "profile", "telemetry", "static_bounds",
+                        "hotspots", "stats", "wall_clock_ms"}));
+    ASSERT_FALSE(doc.find("profile")->members().empty());
+    ASSERT_NE(doc.find("static_bounds")->find("workloads"), nullptr);
+
+    // No registry mirror of another section.
+    const Json *stats = doc.find("stats");
+    ASSERT_NE(stats->find("acct"), nullptr);
+    for (const char *mirror : {"prof", "hot", "bounds", "trace"})
+        EXPECT_EQ(stats->find(mirror), nullptr) << mirror;
+
+    // No stored ratio: whatever displays one computes it. (The static
+    // analyzer's own summary in static_bounds is not a registry
+    // number and keeps its value-locality fraction.)
+    Json simulated = doc;
+    simulated["static_bounds"] = Json::object();
+    std::vector<std::pair<std::string, double>> leaves;
+    dee::obs::flattenNumeric(simulated, "", &leaves);
+    ASSERT_GT(leaves.size(), 100u);
+    const auto ends_with = [](const std::string &path, const char *tail) {
+        const std::size_t n = std::char_traits<char>::length(tail);
+        return path.size() >= n &&
+               path.compare(path.size() - n, n, tail) == 0;
+    };
+    for (const auto &[path, value] : leaves) {
+        for (const char *ratio :
+             {"_fraction", "kips", "mcps", "_p50", "_p90"})
+            EXPECT_FALSE(ends_with(path, ratio)) << path;
+    }
 }
 
 // --- Manifest diffing and the regression gate (the dee_report core) ----
@@ -371,22 +415,24 @@ using dee::obs::parseManifest;
 using dee::obs::renderManifestDiff;
 using dee::obs::withoutHostMeasured;
 
-/** A tiny v7 manifest with one tweakable result/accounting metric. */
+/** A tiny v8 manifest with one tweakable result and one tweakable
+ *  cycle-accounting counter. */
 std::string
-manifestText(double speedup, double waste, bool with_extra = true)
+manifestText(double speedup, std::uint64_t squashed,
+             bool with_extra = true)
 {
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v7");
+    doc["schema"] = Json("dee.run.v8");
     doc["tool"] = Json("unit_test");
     doc["config"] = Json::object();
     doc["results"] = Json::object();
     doc["results"]["speedup"] = Json(speedup);
     if (with_extra)
         doc["results"]["extra"] = Json(7);
-    doc["accounting"] = Json::object();
-    doc["accounting"]["window"] = Json::object();
-    doc["accounting"]["window"]["waste_fraction"] = Json(waste);
     doc["stats"] = Json::object();
+    doc["stats"]["acct"] = Json::object();
+    doc["stats"]["acct"]["window"] = Json::object();
+    doc["stats"]["acct"]["window"]["squashed_spec"] = Json(squashed);
     doc["wall_clock_ms"] = Json(1.5);
     return doc.dump(2);
 }
@@ -417,9 +463,9 @@ TEST(ManifestDiff, GlobMatch)
     EXPECT_TRUE(globMatch("a.b.c", "a.b.c"));
     EXPECT_FALSE(globMatch("a.b.c", "a.b.d"));
     EXPECT_TRUE(globMatch("*", "anything.at.all"));
-    EXPECT_TRUE(globMatch("acct.*.waste_fraction",
-                          "acct.window.waste_fraction"));
-    EXPECT_FALSE(globMatch("acct.*.waste_fraction",
+    EXPECT_TRUE(globMatch("acct.*.squashed_spec",
+                          "acct.window.squashed_spec"));
+    EXPECT_FALSE(globMatch("acct.*.squashed_spec",
                            "acct.window.useful"));
     EXPECT_TRUE(globMatch("*speedup*", "results.DEE-CD-MF.speedup"));
     EXPECT_FALSE(globMatch("", "x"));
@@ -448,20 +494,20 @@ TEST(ManifestDiff, FlattenNumericWalksObjectsAndArrays)
     EXPECT_EQ(out[3].first, "d.1");
 }
 
-TEST(ManifestDiff, ParseAcceptsV7RejectsOthers)
+TEST(ManifestDiff, ParseAcceptsV8RejectsOthers)
 {
-    const LoadedManifest v7 = loaded(manifestText(30.0, 0.2), "a.json");
+    const LoadedManifest v8 = loaded(manifestText(30.0, 20), "a.json");
     double value = 0.0;
-    ASSERT_TRUE(v7.metric("results.speedup", &value));
+    ASSERT_TRUE(v8.metric("results.speedup", &value));
     EXPECT_DOUBLE_EQ(value, 30.0);
-    ASSERT_TRUE(v7.metric("accounting.window.waste_fraction", &value));
-    EXPECT_DOUBLE_EQ(value, 0.2);
-    ASSERT_TRUE(v7.metric("wall_clock_ms", &value));
+    ASSERT_TRUE(v8.metric("stats.acct.window.squashed_spec", &value));
+    EXPECT_DOUBLE_EQ(value, 20.0);
+    ASSERT_TRUE(v8.metric("wall_clock_ms", &value));
 
     // Every older schema is refused, naming the version it found.
     LoadedManifest old;
     std::string err;
-    for (int v = 1; v <= 6; ++v) {
+    for (int v = 1; v <= 7; ++v) {
         const std::string schema = "dee.run.v" + std::to_string(v);
         EXPECT_FALSE(parseManifest("{\"schema\":\"" + schema +
                                        "\",\"results\":{\"x\":1}}",
@@ -475,33 +521,59 @@ TEST(ManifestDiff, ParseAcceptsV7RejectsOthers)
     EXPECT_FALSE(parseManifest("[1,2]", "bad", &old, &err));
 }
 
+TEST(ManifestV8, V7DocumentsAreRejected)
+{
+    // A v7 document, accounting copy and all, is refused by its schema
+    // tag alone.
+    Json doc;
+    ASSERT_TRUE(Json::parse(manifestText(30.0, 20), &doc));
+    doc["schema"] = Json("dee.run.v7");
+    doc["accounting"] = Json::object();
+    doc["accounting"]["window"] = Json::object();
+    doc["accounting"]["window"]["waste_fraction"] = Json(0.2);
+
+    // A refused document leaves an already loaded manifest untouched.
+    LoadedManifest back = loaded(manifestText(33.0, 20), "new.json");
+    const std::size_t metrics = back.metrics.size();
+    std::string err;
+    EXPECT_FALSE(parseManifest(doc.dump(2), "old.json", &back, &err));
+    EXPECT_NE(err.find("dee.run.v7"), std::string::npos) << err;
+    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(back.path, "new.json");
+    EXPECT_EQ(back.metrics.size(), metrics);
+    double value = 0.0;
+    ASSERT_TRUE(back.metric("results.speedup", &value));
+    EXPECT_DOUBLE_EQ(value, 33.0);
+    EXPECT_FALSE(back.metric("accounting.window.waste_fraction", &value));
+}
+
 TEST(ManifestDiff, ExactGateTripsInEitherDirection)
 {
     // Simulated results are deterministic, so a drop, a rise and a
     // change in the fourth significant digit all fail alike.
-    const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
-    const std::vector<std::pair<double, double>> moved{
-        {27.0, 0.20}, {33.0, 0.20}, {29.99, 0.20}, {30.0, 0.30}};
-    for (const auto &[speedup, waste] : moved) {
-        const std::vector<GateItem> items =
-            checkManifest(base, loaded(manifestText(speedup, waste), "c"));
-        ASSERT_EQ(items.size(), 1u) << speedup << " " << waste;
+    const LoadedManifest base = loaded(manifestText(30.0, 20), "base");
+    const std::vector<std::pair<double, std::uint64_t>> moved{
+        {27.0, 20}, {33.0, 20}, {29.99, 20}, {30.0, 21}};
+    for (const auto &[speedup, squashed] : moved) {
+        const std::vector<GateItem> items = checkManifest(
+            base, loaded(manifestText(speedup, squashed), "c"));
+        ASSERT_EQ(items.size(), 1u) << speedup << " " << squashed;
         EXPECT_TRUE(items[0].fail);
         EXPECT_EQ(items[0].metric, speedup != 30.0
                                        ? "results.speedup"
-                                       : "accounting.window.waste_fraction");
+                                       : "stats.acct.window.squashed_spec");
     }
     EXPECT_TRUE(
-        checkManifest(base, loaded(manifestText(30.0, 0.20), "same"))
+        checkManifest(base, loaded(manifestText(30.0, 20), "same"))
             .empty());
 }
 
 TEST(ManifestDiff, MissingWatchedMetricCountsAsRegression)
 {
     // Every leaf outside the host-measured keys is watched.
-    const LoadedManifest base = loaded(manifestText(30.0, 0.2), "base");
+    const LoadedManifest base = loaded(manifestText(30.0, 20), "base");
     const LoadedManifest gone =
-        loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
+        loaded(manifestText(30.0, 20, /*with_extra=*/false), "cand");
     const std::vector<GateItem> items = checkManifest(base, gone);
     ASSERT_EQ(items.size(), 1u);
     EXPECT_TRUE(items[0].fail);
@@ -510,8 +582,8 @@ TEST(ManifestDiff, MissingWatchedMetricCountsAsRegression)
 
 TEST(ManifestDiff, FailureLinesNameTheMetricAndBothValues)
 {
-    const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
-    const LoadedManifest slower = loaded(manifestText(27.5, 0.20), "c1");
+    const LoadedManifest base = loaded(manifestText(30.0, 20), "base");
+    const LoadedManifest slower = loaded(manifestText(27.5, 20), "c1");
     // The offending leaf and both exact values, on one FAIL line;
     // unchanged leaves contribute nothing.
     EXPECT_EQ(failLines(checkManifest(base, slower)),
@@ -520,22 +592,22 @@ TEST(ManifestDiff, FailureLinesNameTheMetricAndBothValues)
 
 TEST(ManifestDiff, EveryRegressedMetricGetsItsOwnFailureLine)
 {
-    // Two leaves move at once (speedup down, waste up): both FAIL
+    // Two leaves move at once (speedup down, squash up): both FAIL
     // lines render — the gate never stops at the first failure, so a
     // CI log shows the full damage in one run.
-    const LoadedManifest base = loaded(manifestText(30.0, 0.20), "base");
-    const LoadedManifest worse = loaded(manifestText(20.0, 0.40), "c1");
+    const LoadedManifest base = loaded(manifestText(30.0, 20), "base");
+    const LoadedManifest worse = loaded(manifestText(20.0, 40), "c1");
     EXPECT_EQ(failLines(checkManifest(base, worse)),
               "FAIL results.speedup: baseline 30, candidate 20\n"
-              "FAIL accounting.window.waste_fraction: baseline 0.2, "
-              "candidate 0.4\n");
+              "FAIL stats.acct.window.squashed_spec: baseline 20, "
+              "candidate 40\n");
 }
 
 TEST(ManifestDiff, FailureLinesReportMissingMetrics)
 {
-    const LoadedManifest with = loaded(manifestText(30.0, 0.2), "base");
+    const LoadedManifest with = loaded(manifestText(30.0, 20), "base");
     const LoadedManifest without =
-        loaded(manifestText(30.0, 0.2, /*with_extra=*/false), "cand");
+        loaded(manifestText(30.0, 20, /*with_extra=*/false), "cand");
     EXPECT_EQ(failLines(checkManifest(with, without)),
               "FAIL results.extra: baseline 7, candidate missing\n");
     EXPECT_EQ(failLines(checkManifest(without, with)),
@@ -545,14 +617,14 @@ TEST(ManifestDiff, FailureLinesReportMissingMetrics)
 TEST(ManifestDiff, HostMeasuredKeysNeverGate)
 {
     Json base_doc;
-    ASSERT_TRUE(Json::parse(manifestText(30.0, 0.2), &base_doc));
+    ASSERT_TRUE(Json::parse(manifestText(30.0, 20), &base_doc));
     Json cand_doc = base_doc;
     cand_doc["wall_clock_ms"] = Json(99.0);
     cand_doc["config"]["jobs"] = Json("8");
     cand_doc["stats"]["sim"] = Json::object();
     cand_doc["stats"]["sim"]["run_ms"] = Json(3.0);
-    cand_doc["host_perf"] = Json::object();
-    cand_doc["host_perf"]["peak_rss_kb"] = Json(1234);
+    cand_doc["telemetry"] = Json::object();
+    cand_doc["telemetry"]["samples"] = Json(1234);
     EXPECT_TRUE(checkManifest(loaded(base_doc.dump(), "base"),
                               loaded(cand_doc.dump(), "cand"))
                     .empty());
@@ -560,7 +632,7 @@ TEST(ManifestDiff, HostMeasuredKeysNeverGate)
     // The keys go at any depth; everything else stays.
     const Json kept = withoutHostMeasured(cand_doc);
     EXPECT_EQ(kept.find("wall_clock_ms"), nullptr);
-    EXPECT_EQ(kept.find("host_perf"), nullptr);
+    EXPECT_EQ(kept.find("telemetry"), nullptr);
     EXPECT_EQ(kept.find("config")->find("jobs"), nullptr);
     EXPECT_EQ(kept.find("stats")->find("sim")->find("run_ms"), nullptr);
     EXPECT_NE(kept.find("results")->find("speedup"), nullptr);
@@ -569,8 +641,8 @@ TEST(ManifestDiff, HostMeasuredKeysNeverGate)
 TEST(ManifestDiff, SideBySideRenderIncludesDeltaForPairs)
 {
     const std::vector<LoadedManifest> pair{
-        loaded(manifestText(30.0, 0.2), "runs/base.json"),
-        loaded(manifestText(33.0, 0.2), "runs/cand.json")};
+        loaded(manifestText(30.0, 20), "runs/base.json"),
+        loaded(manifestText(33.0, 20), "runs/cand.json")};
     const std::string diff =
         renderManifestDiff(pair, "results.*");
     EXPECT_NE(diff.find("results.speedup"), std::string::npos);
@@ -578,7 +650,7 @@ TEST(ManifestDiff, SideBySideRenderIncludesDeltaForPairs)
     EXPECT_NE(diff.find("cand"), std::string::npos);
     EXPECT_NE(diff.find("10.00%"), std::string::npos);
     // Filter excludes accounting rows.
-    EXPECT_EQ(diff.find("waste_fraction"), std::string::npos);
+    EXPECT_EQ(diff.find("squashed_spec"), std::string::npos);
 }
 
 // --- The gate against the committed Figure 5 baseline -------------------
@@ -749,7 +821,7 @@ TEST(ManifestGate, SurvivesSeededMutations)
     EXPECT_GT(accepted, 0);
 }
 
-TEST(Session, SurfacesTracerDropCountsInRegistry)
+TEST(Session, SurfacesTracerDropCountsInManifest)
 {
     Tracer &tracer = Tracer::global();
     tracer.setCapacity(4);
@@ -758,16 +830,26 @@ TEST(Session, SurfacesTracerDropCountsInRegistry)
         tracer.record("tick", 'i', i);
     tracer.disable();
 
+    const std::string path = ::testing::TempDir() + "trace_drops.json";
     {
-        dee::obs::Session session("test_tool", dee::obs::SessionOptions{});
+        dee::obs::SessionOptions options;
+        options.jsonPath = path;
+        dee::obs::Session session("test_tool", options);
     }
-    Registry &reg = Registry::global();
-    ASSERT_TRUE(reg.contains("trace.recorded"));
-    ASSERT_TRUE(reg.contains("trace.dropped"));
-    EXPECT_EQ(reg.counter("trace.recorded"), 9u);
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    Json doc;
+    ASSERT_TRUE(Json::parse(text, &doc));
+    const Json *trace = doc.find("trace");
+    ASSERT_NE(trace, nullptr);
+    EXPECT_EQ(trace->find("recorded")->asInt(), 9);
     // Ring of 4 wrapped: 5 events silently discarded — the bug this
     // surfacing exists to expose.
-    EXPECT_EQ(reg.counter("trace.dropped"), 5u);
+    EXPECT_EQ(trace->find("dropped")->asInt(), 5);
+    // The section is the counts' one home: no registry copy.
+    EXPECT_EQ(doc.find("stats")->find("trace"), nullptr);
+    EXPECT_FALSE(Registry::global().contains("trace.recorded"));
 }
 
 TEST(SessionDeathTest, NonPositiveTelemetryIntervalIsFatal)
@@ -782,10 +864,45 @@ TEST(SessionDeathTest, NonPositiveTelemetryIntervalIsFatal)
     options.telemetryIntervalMs = 0.0;
     EXPECT_EXIT(dee::obs::Session("test_tool", options),
                 ::testing::ExitedWithCode(1),
-                "--telemetry-interval must be > 0 ms \\(got 0\\)");
+                "--telemetry-interval must be a finite number > 0 ms "
+                "\\(got 0\\)");
     options.telemetryIntervalMs = -5.0;
     EXPECT_EXIT(dee::obs::Session("test_tool", options),
                 ::testing::ExitedWithCode(1), "\\(got -5\\)");
+    // NaN passes a plain "<= 0" test; infinity never ticks.
+    options.telemetryIntervalMs = std::nan("");
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got nan\\)");
+    options.telemetryIntervalMs = HUGE_VAL;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got inf\\)");
+
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(line, "keep");
+}
+
+TEST(SessionDeathTest, NonPositiveHotspotIntervalIsFatal)
+{
+    // Checked before any output file is truncated, like the telemetry
+    // interval, whether or not the sampler is compiled in.
+    const std::string path = ::testing::TempDir() + "bad_hotspot.json";
+    std::ofstream(path) << "keep\n";
+    dee::obs::SessionOptions options;
+    options.jsonPath = path;
+    options.hotspots = true;
+    options.hotspotIntervalMs = -5.0;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1),
+                "--hotspot-interval must be a finite number > 0 ms "
+                "\\(got -5\\)");
+    options.hotspotIntervalMs = 0.0;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got 0\\)");
+    options.hotspotIntervalMs = std::nan("");
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got nan\\)");
 
     std::ifstream in(path);
     std::string line;

@@ -3,7 +3,7 @@
  * Unit tests for the host-performance observability layer
  * (obs/perf/): ThroughputMeter arithmetic and scope isolation at any
  * --jobs value, one meter per simulated run, and perf.* carried once
- * in the dee.run.v7 manifest, under stats.perf.
+ * in the dee.run.v8 manifest, under stats.perf.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@ using obs::LoadedManifest;
 using obs::Manifest;
 using obs::parseManifest;
 using obs::Registry;
-using obs::perf::refreshPerfScalars;
 using obs::perf::ThroughputMeter;
 
 // ------------------------------------------------- ThroughputMeter
@@ -70,13 +69,14 @@ TEST(ThroughputMeter, PublishesCountersStatsAndDerivedScalars)
     EXPECT_EQ(wall->count(), 1u);
     ASSERT_GT(wall->sum(), 0.0);
 
-    // kips is a pure function of the published counters and wall stat.
-    const double *kips = reg.findScalar("perf.compress.SP.kips");
-    ASSERT_NE(kips, nullptr);
-    EXPECT_DOUBLE_EQ(*kips, 1500.0 / wall->sum());
-    const double *mcps = reg.findScalar("perf.compress.SP.mcps");
-    ASSERT_NE(mcps, nullptr);
-    EXPECT_DOUBLE_EQ(*mcps, 300.0 / wall->sum() / 1000.0);
+    // Throughput is a ratio a reader derives (KIPS is
+    // sim_instructions / run_ms.sum); the meter stores no copy of it.
+    EXPECT_EQ(reg.paths(), (std::vector<std::string>{
+                               "perf.compress.SP.run_ms",
+                               "perf.compress.SP.runs",
+                               "perf.compress.SP.sim_cycles",
+                               "perf.compress.SP.sim_instructions",
+                           }));
 }
 
 TEST(ThroughputMeter, AccumulatesAcrossRunsOfTheSameScope)
@@ -94,9 +94,6 @@ TEST(ThroughputMeter, AccumulatesAcrossRunsOfTheSameScope)
     EXPECT_EQ(*reg.findCounter("perf.w.DEE.runs"), 3u);
     EXPECT_EQ(*reg.findCounter("perf.w.DEE.sim_instructions"), 300u);
     EXPECT_EQ(reg.findStat("perf.w.DEE.run_ms")->count(), 3u);
-    // The last publish re-derived kips over the full accumulation.
-    EXPECT_DOUBLE_EQ(*reg.findScalar("perf.w.DEE.kips"),
-                     300.0 / reg.findStat("perf.w.DEE.run_ms")->sum());
 }
 
 TEST(ThroughputMeter, ScopesDoNotBleedIntoEachOther)
@@ -119,38 +116,6 @@ TEST(ThroughputMeter, ScopesDoNotBleedIntoEachOther)
               222u);
     EXPECT_EQ(*sink.registry.findCounter("perf.a.SP.runs"), 1u);
     EXPECT_EQ(*sink.registry.findCounter("perf.b.DEE.runs"), 1u);
-}
-
-TEST(ThroughputMeter, RefreshPerfScalarsRederivesAfterMerge)
-{
-    // Two cells of the same scope, merged: counters and the run_ms
-    // stat add exactly, and the refresh recomputes kips from the
-    // merged totals — the invariant that makes perf.* correct at any
-    // --jobs value.
-    CellSink a, b;
-    {
-        IsolationScope scope(a);
-        ThroughputMeter meter("w.SP");
-        meter.addInstructions(1000);
-    }
-    {
-        IsolationScope scope(b);
-        ThroughputMeter meter("w.SP");
-        meter.addInstructions(3000);
-    }
-    Registry merged;
-    merged.merge(a.registry);
-    merged.merge(b.registry);
-    EXPECT_EQ(*merged.findCounter("perf.w.SP.sim_instructions"), 4000u);
-    EXPECT_EQ(*merged.findCounter("perf.w.SP.runs"), 2u);
-    EXPECT_EQ(merged.findStat("perf.w.SP.run_ms")->count(), 2u);
-
-    // merge() left kips holding the last cell's snapshot; the refresh
-    // must recompute it from the merged state.
-    refreshPerfScalars(merged);
-    EXPECT_DOUBLE_EQ(*merged.findScalar("perf.w.SP.kips"),
-                     4000.0 /
-                         merged.findStat("perf.w.SP.run_ms")->sum());
 }
 
 /** Runs a tiny metered sweep at @p jobs and returns the merged
@@ -253,7 +218,7 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     }
     Manifest manifest("test_tool");
     const Json doc = manifest.toJson(reg);
-    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v8");
     // perf.* lives once, under stats.perf: no host_perf copy.
     EXPECT_EQ(doc.find("host_perf"), nullptr);
 
@@ -286,7 +251,7 @@ TEST(ManifestPerf, V3DocumentsAreRejected)
     const std::size_t metrics = back.metrics.size();
     EXPECT_FALSE(parseManifest(doc.dump(2), "old.json", &back, &err));
     EXPECT_NE(err.find("dee.run.v3"), std::string::npos) << err;
-    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v8");
     EXPECT_EQ(back.path, "new.json");
     EXPECT_EQ(back.metrics.size(), metrics);
     double value = 0.0;

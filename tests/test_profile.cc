@@ -2,14 +2,13 @@
  * @file
  * Tests for the speculation profiler (src/obs/profile/): the per-branch
  * attribution identity on every ILP model and on Levo, loop roll-ups on
- * a handcrafted nested-loop program, folded-stack output, dee.run.v7
- * manifest round-trips, per-branch squashed slots under the regression
- * gate, lint profile annotation, and the bench heartbeat.
+ * a handcrafted nested-loop program, folded-stack output, the bounded
+ * branch table, dee.run.v8 manifest round-trips, per-branch squashed
+ * slots under the regression gate, lint profile annotation, and the
+ * bench heartbeat.
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "analysis/lint.hh"
 #include "bpred/bpred.hh"
@@ -286,6 +285,44 @@ TEST(FoldedStacks, GoldenOutput)
     EXPECT_EQ(none, "");
 }
 
+// --- The bounded branch table ------------------------------------------
+
+TEST(ProfileJson, BranchOtherKeepsTheTailsResolveLatency)
+{
+    // kTopSites + 1 sites: every site but the last squashes, so the
+    // quiet last one is the site folded into "branch_other".
+    constexpr std::uint32_t kSites = SpeculationProfile::kTopSites + 1;
+    SpeculationProfile prof;
+    for (std::uint32_t pc = 0; pc < kSites; ++pc) {
+        prof.recordExecution(pc, 0, /*mispredicted=*/false, 3);
+        prof.recordResolveLatency(pc, 1);
+        if (pc + 1 < kSites)
+            prof.attributeSquash({{pc, 10u}});
+    }
+    prof.recordResolveLatency(kSites - 1, 3);
+    prof.recordResolveLatency(kSites - 1, 100);
+
+    const Json doc = prof.toJson();
+    EXPECT_EQ(doc.find("sites_serialized")->asInt(),
+              static_cast<std::int64_t>(SpeculationProfile::kTopSites));
+    const Json *other = doc.find("branch_other");
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->find("sites")->asInt(), 1);
+    const Json *latency = other->find("resolve_latency");
+    ASSERT_NE(latency, nullptr);
+    // Only the folded site's three resolutions, bucket by bucket.
+    std::int64_t total = 0;
+    for (std::size_t k = 0; k < obs::kNumLatencyBuckets; ++k) {
+        const Json *bucket = latency->find(obs::latencyBucketName(k));
+        ASSERT_NE(bucket, nullptr) << obs::latencyBucketName(k);
+        total += bucket->asInt();
+    }
+    EXPECT_EQ(total, 3);
+    EXPECT_EQ(latency->find("le1")->asInt(), 1);
+    EXPECT_EQ(latency->find("le4")->asInt(), 1);
+    EXPECT_EQ(latency->find("gt64")->asInt(), 1);
+}
+
 // --- Manifest round-trip -----------------------------------------------
 
 TEST(ManifestV3, ProfileSectionRoundTrips)
@@ -300,7 +337,7 @@ TEST(ManifestV3, ProfileSectionRoundTrips)
     obs::Registry reg;
     obs::Manifest manifest("test_tool");
     const Json doc = manifest.toJson(reg);
-    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v7");
+    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v8");
 
     LoadedManifest back;
     std::string err;
@@ -365,7 +402,7 @@ profileManifestText(std::uint64_t hot_slots, bool with_new_site)
     Json prof = Json::object();
     prof["compress.DEE"] = std::move(scope);
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v7");
+    doc["schema"] = Json("dee.run.v8");
     doc["tool"] = Json("unit_test");
     doc["profile"] = std::move(prof);
     return doc.dump(2);
@@ -493,26 +530,6 @@ TEST(Heartbeat, StatusLineReportsProgressAndTotals)
     const std::string line = hb.statusLine();
     EXPECT_EQ(line.rfind("bench: 5/10", 0), 0u) << line;
     EXPECT_NE(line.find("/s"), std::string::npos) << line;
-}
-
-// --- Registry exposure --------------------------------------------------
-
-TEST(ProfilePublish, RegistrySubtreeCarriesAggregates)
-{
-    SpeculationProfile prof;
-    prof.recordExecution(4, 1, true, 1);
-    prof.recordExecution(4, 1, false, 1);
-    prof.recordResolveLatency(4, 3);
-    prof.attributeSquash({{4u, 16u}});
-
-    obs::Registry reg;
-    prof.publish(reg, "compress.DEE");
-    EXPECT_EQ(reg.counter("prof.compress.DEE.sites"), 1u);
-    EXPECT_EQ(reg.counter("prof.compress.DEE.executions"), 2u);
-    EXPECT_EQ(reg.counter("prof.compress.DEE.mispredicts"), 1u);
-    EXPECT_EQ(reg.counter("prof.compress.DEE.squashed_slots"), 16u);
-    EXPECT_FALSE(std::isnan(
-        reg.scalar("prof.compress.DEE.resolve_latency_p50")));
 }
 
 } // namespace

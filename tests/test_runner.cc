@@ -164,30 +164,17 @@ TEST(CellSeed, PerturbedWorkloadsDiffer)
 
 // --------------------------------------------------------------- merge
 
-TEST(RegistryMerge, CountersScalarsAndHistogramsAreExact)
+TEST(RegistryMerge, CountersAreExact)
 {
     obs::Registry a;
     obs::Registry b;
     a.counter("x.count") = 3;
     b.counter("x.count") = 39;
     b.counter("x.only_b") = 7;
-    a.scalar("x.derived") = 0.25;
-    b.scalar("x.derived") = 0.75;
-    a.histogram("x.hist", 0.0, 8.0, 4).add(1.0);
-    b.histogram("x.hist", 0.0, 8.0, 4).add(1.0);
-    b.histogram("x.hist", 0.0, 8.0, 4).add(100.0); // overflow
 
     a.merge(b);
     EXPECT_EQ(*a.findCounter("x.count"), 42u);
     EXPECT_EQ(*a.findCounter("x.only_b"), 7u);
-    // Scalars are overwritten by the merged-in value (the runner
-    // re-derives them afterwards).
-    EXPECT_EQ(*a.findScalar("x.derived"), 0.75);
-    const Histogram *h = a.findHistogram("x.hist");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->bucketCount(0), 2u);
-    EXPECT_EQ(h->overflow(), 1u);
-    EXPECT_EQ(h->total(), 3u);
 }
 
 TEST(RegistryMerge, SampleLoggedStatsReplayBitExactly)
@@ -221,22 +208,6 @@ TEST(RegistryMerge, SampleLoggedStatsReplayBitExactly)
     EXPECT_EQ(merged.sum(), serial.sum());
 }
 
-TEST(RegistryMerge, RefreshRecomputesAccountingFractions)
-{
-    obs::Registry reg;
-    reg.counter("acct.window.useful") = 60;
-    reg.counter("acct.window.squashed_spec") = 20;
-    reg.counter("acct.window.idle") = 20;
-    reg.counter("acct.window.pe_slot_cycles") = 100;
-    reg.scalar("acct.window.waste_fraction") = -1.0; // stale
-    reg.scalar("acct.window.useful_fraction") = -1.0;
-    obs::refreshAccountingScalars(reg);
-    EXPECT_EQ(*reg.findScalar("acct.window.waste_fraction"),
-              20.0 / 80.0);
-    EXPECT_EQ(*reg.findScalar("acct.window.useful_fraction"),
-              60.0 / 100.0);
-}
-
 // -------------------------------------------------- runCells semantics
 
 TEST(RunCells, SerialPathRunsInIndexOrderWithoutRunnerStats)
@@ -259,19 +230,26 @@ TEST(RunCells, ParallelPathRunsEveryCellOnceAndPublishesRunnerStats)
     std::vector<int> hits(64, 0);
     runner::SweepOptions par;
     par.jobs = 4;
-    runner::runCells(hits.size(), par, [&hits](std::size_t i) {
-        ++hits[i];
-    });
+    // Two sweeps, as a tool that builds its suite and then its grid
+    // runs: every runner.* entry must cover both.
+    for (int sweep = 0; sweep < 2; ++sweep) {
+        runner::runCells(hits.size(), par, [&hits](std::size_t i) {
+            ++hits[i];
+        });
+    }
     for (int h : hits)
-        EXPECT_EQ(h, 1);
-    const auto *cells =
-        obs::Registry::process().findCounter("runner.cells");
+        EXPECT_EQ(h, 2);
+    const obs::Registry &reg = obs::Registry::process();
+    const auto *cells = reg.findCounter("runner.cells");
     ASSERT_NE(cells, nullptr);
-    EXPECT_EQ(*cells, 64u);
-    const auto *wall =
-        obs::Registry::process().findStat("runner.cell_wall_ms");
+    EXPECT_EQ(*cells, 128u);
+    const auto *cell_wall = reg.findStat("runner.cell_wall_ms");
+    ASSERT_NE(cell_wall, nullptr);
+    EXPECT_EQ(cell_wall->count(), 128u);
+    // One wall-clock sample per sweep, not the last sweep's alone.
+    const auto *wall = reg.findStat("runner.wall_ms");
     ASSERT_NE(wall, nullptr);
-    EXPECT_EQ(wall->count(), 64u);
+    EXPECT_EQ(wall->count(), 2u);
     obs::Registry::process().clear();
 }
 
@@ -303,8 +281,8 @@ TEST(RunCellsDeathTest, NegativeJobsNamesTheValue)
 /**
  * Renders every deterministic registry entry with bit-exact formatting
  * (%a hexfloats). Skips the paths that are nondeterministic by nature:
- * the runner.* wall-clock subtree, the perf.* host-throughput
- * subtree, the hot.* host-sampling subtree and *run_ms timing stats — exactly the set a manifest diff must
+ * the runner.* wall-clock subtree, the perf.* host-throughput subtree
+ * and *run_ms timing stats — exactly the set a manifest diff must
  * normalize away.
  */
 std::string
@@ -317,8 +295,6 @@ snapshotRegistry(const obs::Registry &reg)
             continue;
         if (path.compare(0, 5, "perf.") == 0)
             continue;
-        if (path.compare(0, 4, "hot.") == 0)
-            continue;
         if (path.size() >= 6 &&
             path.compare(path.size() - 6, 6, "run_ms") == 0)
             continue;
@@ -326,28 +302,13 @@ snapshotRegistry(const obs::Registry &reg)
             std::snprintf(line, sizeof line, "%s c %llu\n",
                           path.c_str(),
                           static_cast<unsigned long long>(*c));
-        } else if (const double *s = reg.findScalar(path)) {
-            std::snprintf(line, sizeof line, "%s s %a\n", path.c_str(),
-                          *s);
-        } else if (const RunningStat *st = reg.findStat(path)) {
+        } else {
+            const RunningStat &st = *reg.findStat(path);
             std::snprintf(
                 line, sizeof line, "%s t %llu %a %a %a %a %a\n",
                 path.c_str(),
-                static_cast<unsigned long long>(st->count()),
-                st->mean(), st->min(), st->max(), st->stddev(),
-                st->sum());
-        } else if (const Histogram *h = reg.findHistogram(path)) {
-            std::string counts;
-            for (std::size_t i = 0; i < h->numBuckets(); ++i)
-                counts +=
-                    " " + std::to_string(h->bucketCount(i));
-            std::snprintf(
-                line, sizeof line, "%s h %a %a%s u%llu o%llu\n",
-                path.c_str(), h->lo(), h->hi(), counts.c_str(),
-                static_cast<unsigned long long>(h->underflow()),
-                static_cast<unsigned long long>(h->overflow()));
-        } else {
-            continue;
+                static_cast<unsigned long long>(st.count()),
+                st.mean(), st.min(), st.max(), st.stddev(), st.sum());
         }
         out += line;
     }
@@ -461,8 +422,8 @@ TEST_F(Determinism, ParallelSweepIsBitIdenticalToSerial)
     const SweepSnapshot serial = runSweep(1);
     for (int jobs : {2, 4, 8}) {
         const SweepSnapshot parallel = runSweep(jobs);
-        // Bitwise: results, every counter/stat/histogram, and every
-        // re-derived scalar must match the serial run exactly.
+        // Bitwise: results and every counter and stat must match the
+        // serial run exactly.
         EXPECT_EQ(serial.results, parallel.results)
             << "results differ at jobs=" << jobs;
         EXPECT_EQ(serial.registry, parallel.registry)

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -170,10 +171,13 @@ TEST(TelemetryHub, StartSampleStopRestart)
 
 TEST(TelemetryHub, RejectsNonPositiveInterval)
 {
-    Options opts;
-    opts.intervalMs = 0.0;
-    EXPECT_FALSE(Hub::process().start(opts));
-    EXPECT_FALSE(Hub::process().active());
+    // NaN passes a plain "<= 0" test; it must be refused all the same.
+    for (const double ms : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
+        Options opts;
+        opts.intervalMs = ms;
+        EXPECT_FALSE(Hub::process().start(opts)) << ms;
+        EXPECT_FALSE(Hub::process().active()) << ms;
+    }
 }
 
 TEST(TelemetryHub, HooksDropWhenStopped)
