@@ -25,10 +25,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bpred/bpred.hh"
+#include "common/logging.hh"
 #include "core/sim/models.hh"
 #include "core/tree/spec_tree.hh"
 #include "exec/interp.hh"
@@ -136,7 +138,9 @@ BENCHMARK(BM_TreeConstruction)->Arg(32)->Arg(256)->Arg(2048);
 
 /**
  * Pulls the obs flags out of argv (google-benchmark aborts on flags
- * it does not know). Accepts both "--flag value" and "--flag=value".
+ * it does not know). Accepts both "--flag value" and "--flag=value";
+ * a missing value, a malformed interval or a malformed boolean is
+ * fatal, by Cli's rules and in Cli's words.
  */
 dee::obs::SessionOptions
 extractObsFlags(int &argc, char **argv)
@@ -147,8 +151,9 @@ extractObsFlags(int &argc, char **argv)
                      std::string &value) -> bool {
         const std::string arg = argv[i];
         if (arg == name) {
-            if (i + 1 < argc)
-                value = argv[++i];
+            if (i + 1 >= argc)
+                dee_fatal("flag ", name, " is missing a value");
+            value = argv[++i];
             return true;
         }
         const std::string prefix = std::string(name) + "=";
@@ -157,6 +162,15 @@ extractObsFlags(int &argc, char **argv)
             return true;
         }
         return false;
+    };
+    // Cli::boolean's rule for "--name=VALUE".
+    auto boolean = [](const char *name, const std::string &value) {
+        if (value == "true" || value == "1" || value == "yes")
+            return true;
+        if (value == "false" || value == "0" || value == "no")
+            return false;
+        dee_fatal("flag ", name, " expects true/false, got '", value,
+                  "'");
     };
     std::vector<char *> kept;
     kept.push_back(argv[0]);
@@ -168,7 +182,12 @@ extractObsFlags(int &argc, char **argv)
             continue;
         }
         if (match(i, "--hotspot-interval", interval)) {
-            options.hotspotIntervalMs = std::stod(interval);
+            // Cli::real's rule: the whole value must be the number.
+            char *end = nullptr;
+            options.hotspotIntervalMs = std::strtod(interval.c_str(), &end);
+            if (end == interval.c_str() || *end != '\0')
+                dee_fatal("flag --hotspot-interval expects a number, got '",
+                          interval, "'");
             continue;
         }
         // "--stats" and "--hotspots" are bare switches here (or
@@ -176,15 +195,13 @@ extractObsFlags(int &argc, char **argv)
         // swallow benchmark flags.
         const std::string arg = argv[i];
         if (arg == "--stats" || arg.rfind("--stats=", 0) == 0) {
-            const std::string v =
-                arg == "--stats" ? "true" : arg.substr(8);
-            options.dumpStats = v == "true" || v == "1";
+            options.dumpStats =
+                arg == "--stats" || boolean("--stats", arg.substr(8));
             continue;
         }
         if (arg == "--hotspots" || arg.rfind("--hotspots=", 0) == 0) {
-            const std::string v =
-                arg == "--hotspots" ? "true" : arg.substr(11);
-            options.hotspots = v == "true" || v == "1";
+            options.hotspots = arg == "--hotspots" ||
+                               boolean("--hotspots", arg.substr(11));
             continue;
         }
         kept.push_back(argv[i]);

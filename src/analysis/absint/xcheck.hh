@@ -2,7 +2,7 @@
  * @file
  * Static <-> dynamic cross-check over a run manifest.
  *
- * crossCheckManifest() loads the measured side from a dee.run.v8
+ * crossCheckManifest() loads the measured side from a dee.run.v9
  * manifest document and checks it against freshly computed static
  * bounds (bounds.hh) for the same (workload, scale, seed):
  *

@@ -251,8 +251,7 @@ sim_detail::runWindowWith(const WindowSim &sim,
     const SimConfig &config = sim.config();
     const Cfg *cfg = sim.cfg();
     obs::Tracer &tracer = obs::Tracer::global();
-    const bool tracing =
-        DEE_OBS_TRACE_ENABLED != 0 && tracer.enabled();
+    const bool tracing = tracer.enabled();
     // Host hot-path attribution: one hoisted flag (the tracing idiom)
     // guards every per-path marker below; the outer catch-all makes
     // run() glue land on window.other instead of unattributed.

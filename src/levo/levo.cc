@@ -80,8 +80,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
     obs::perf::ThroughputMeter perf_meter(
         config_.profileScope.empty() ? "Levo" : config_.profileScope);
     obs::Tracer &tracer = obs::Tracer::global();
-    const bool tracing =
-        DEE_OBS_TRACE_ENABLED != 0 && tracer.enabled();
+    const bool tracing = tracer.enabled();
     // Host hot-path attribution: one hoisted flag (the tracing idiom)
     // guards the phase markers below; the outer catch-all makes run()
     // glue land on levo.other instead of unattributed.

@@ -271,11 +271,7 @@ SlotLedger::finalize(
         pes_ != 0 ? pes_ : std::max<std::uint64_t>(peakIssue(), 1);
     account.setDenominator(pes, cycles);
 
-#if DEE_OBS_TRACE_ENABLED
     const bool tracing = tracer != nullptr && tracer->enabled();
-#else
-    const bool tracing = false;
-#endif
     // Previous per-class slot value, for change-point counter tracks.
     std::uint64_t prev[kNumSlotClasses];
     std::fill(prev, prev + kNumSlotClasses,

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/telemetry/telemetry.hh"
-
 namespace dee::obs
 {
 
@@ -25,8 +23,6 @@ Heartbeat::tick(std::uint64_t units)
 void
 Heartbeat::tick(std::uint64_t units, std::uint64_t instructions)
 {
-    if (instructions > 0)
-        telemetry::Hub::process().addInstructions(instructions);
     std::lock_guard<std::mutex> lock(mutex_);
     done_ += units;
     instructions_ += instructions;

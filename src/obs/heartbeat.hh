@@ -9,9 +9,10 @@
  * --json (machine consumers must see only the manifest on stdout, and
  * quiet CI logs stay diffable).
  *
- * tick() prints a line when one is due, and feeds instruction
- * progress to the telemetry hub (obs/telemetry/telemetry.hh) whenever
- * the hub runs, so the sim.kips series exists even under --json.
+ * Heartbeat is the run's only progress instrument, with its own
+ * clock. Nothing records its line: the totals behind it (simulated
+ * instructions, host time per run, cells) are reported once at the
+ * end of the run under stats.perf and stats.runner.
  */
 
 #ifndef DEE_OBS_HEARTBEAT_HH
@@ -36,7 +37,7 @@ class Heartbeat
     /**
      * @param label prefix of every line, e.g. "fig5_speedups".
      * @param enabled when false, tick() never prints (the --json
-     *        case); counters and telemetry feeding stay live.
+     *        case); the counters stay live.
      * @param min_interval_s minimum seconds between emitted lines.
      */
     explicit Heartbeat(std::string label, bool enabled = true,

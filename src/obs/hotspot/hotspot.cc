@@ -54,33 +54,6 @@ const char *const kPhaseNames[kNumPhases] = {
  * never allocation). */
 std::atomic<const char *> g_scope_names[kMaxScopes] = {};
 
-/* ---- live per-phase counters ------------------------------------- */
-
-/* Maintained by the signal handler with relaxed fetch_adds; read by
- * telemetry ticks and the live sectionJson(). Counts every capture
- * attempt, including ones dropped by a full buffer, so live shares
- * stay meaningful even when a buffer wraps out. */
-struct LiveCounts
-{
-    std::atomic<std::uint64_t> self[kMaxScopes][kNumPhases] = {};
-    std::atomic<std::uint64_t> unattributed{0};
-    std::atomic<std::uint64_t> total{0};
-    std::atomic<std::uint64_t> deepPushes{0};
-};
-
-LiveCounts g_live;
-
-void
-resetLiveCounts()
-{
-    for (auto &per_scope : g_live.self)
-        for (auto &count : per_scope)
-            count.store(0, std::memory_order_relaxed);
-    g_live.unattributed.store(0, std::memory_order_relaxed);
-    g_live.total.store(0, std::memory_order_relaxed);
-    g_live.deepPushes.store(0, std::memory_order_relaxed);
-}
-
 /* ---- per-thread state -------------------------------------------- */
 
 /**
@@ -120,7 +93,6 @@ struct ThreadState
     bool timerLive = false; ///< guarded by g_mutex
 };
 
-std::atomic<bool> g_capture_frames{true};
 std::atomic<std::uint64_t> g_generation{0};
 
 /** Registration / lifecycle lock — never taken by the handler. */
@@ -199,18 +171,6 @@ deeHotspotHandler(int, siginfo_t *info, void *)
                     stk->entries[i].load(std::memory_order_relaxed);
         }
 
-        if (depth > 0) {
-            const std::uint16_t top = stack_copy[depth - 1];
-            g_live
-                .self[entryScope(top)][static_cast<std::size_t>(
-                    entryPhase(top))]
-                .fetch_add(1, std::memory_order_relaxed);
-        } else {
-            g_live.unattributed.fetch_add(1,
-                                          std::memory_order_relaxed);
-        }
-        g_live.total.fetch_add(1, std::memory_order_relaxed);
-
         const std::uint32_t idx =
             state->head.fetch_add(1, std::memory_order_relaxed);
         if (idx < state->ring.size()) {
@@ -218,20 +178,17 @@ deeHotspotHandler(int, siginfo_t *info, void *)
             out.depth = static_cast<std::uint8_t>(depth);
             for (std::uint32_t i = 0; i < depth; ++i)
                 out.phaseStack[i] = stack_copy[i];
-            out.numFrames = 0;
-            if (g_capture_frames.load(std::memory_order_relaxed)) {
-                /* backtrace sees [0]=this handler, [1]=the kernel
-                 * trampoline — skip both so frames start at the
-                 * interrupted function. */
-                constexpr int kSkip = 2;
-                void *buf[kMaxFrames + kSkip];
-                const int n = backtrace(
-                    buf, static_cast<int>(kMaxFrames + kSkip));
-                const int kept = n > kSkip ? n - kSkip : 0;
-                for (int i = 0; i < kept; ++i)
-                    out.frames[i] = buf[i + kSkip];
-                out.numFrames = static_cast<std::uint8_t>(kept);
-            }
+            /* backtrace sees [0]=this handler, [1]=the kernel
+             * trampoline — skip both so frames start at the
+             * interrupted function. */
+            constexpr int kSkip = 2;
+            void *buf[kMaxFrames + kSkip];
+            const int n =
+                backtrace(buf, static_cast<int>(kMaxFrames + kSkip));
+            const int kept = n > kSkip ? n - kSkip : 0;
+            for (int i = 0; i < kept; ++i)
+                out.frames[i] = buf[i + kSkip];
+            out.numFrames = static_cast<std::uint8_t>(kept);
         }
     }
     state->inHandler.fetch_sub(1, std::memory_order_release);
@@ -530,8 +487,6 @@ pushPhase(const char *scope, Phase phase)
                                  std::memory_order_relaxed);
         /* entry before depth, for the same-thread signal handler */
         std::atomic_signal_fence(std::memory_order_release);
-    } else {
-        g_live.deepPushes.fetch_add(1, std::memory_order_relaxed);
     }
     stk.depth.store(depth + 1, std::memory_order_relaxed);
 }
@@ -752,23 +707,12 @@ Sampler::everStarted() const
     return g_ever_started;
 }
 
-std::uint64_t
-Sampler::liveSamples() const
-{
-    return g_live.total.load(std::memory_order_relaxed);
-}
-
 bool
 Sampler::start(const Options &options)
 {
     if (!std::isfinite(options.intervalMs) || options.intervalMs <= 0.0) {
         dee_warn("hotspot interval must be a finite number > 0 ms (got ",
                  options.intervalMs, "); --hotspots ignored");
-        return false;
-    }
-    if (!compiledIn()) {
-        dee_inform("hotspot sampler compiled out "
-                   "(DEE_OBS_HOTSPOT_ENABLED=0); --hotspots ignored");
         return false;
     }
     if (!supported()) {
@@ -787,9 +731,6 @@ Sampler::start(const Options &options)
         g_options = options;
         g_ever_started = true;
         g_generation.fetch_add(1, std::memory_order_relaxed);
-        g_capture_frames.store(options.captureFrames,
-                               std::memory_order_relaxed);
-        resetLiveCounts();
 
         /* backtrace's first call may dlopen (allocates) — get that
          * out of the way before any handler runs */
@@ -863,7 +804,7 @@ Sampler::stop()
 
     Report report = buildReport(collected, dropped, threads,
                                 options_.intervalMs,
-                                options_.captureFrames);
+                                /*symbolize=*/true);
     {
         const std::lock_guard<std::mutex> report_lock(g_report_mutex);
         g_report = std::move(report);
@@ -891,54 +832,7 @@ Sampler::sectionJson() const
             return root;
         }
     }
-    if (active()) {
-        /* Live summary from the lock-free counters (no rings): a
-         * manifest written mid-run still sees meaningful shares. */
-        Json root = Json::object();
-        root["enabled"] = Json(true);
-        root["interval_ms"] = Json(options_.intervalMs);
-        const std::uint64_t total =
-            g_live.total.load(std::memory_order_relaxed);
-        root["samples"] = Json(total);
-        const std::uint64_t unattributed =
-            g_live.unattributed.load(std::memory_order_relaxed);
-        root["attributed"] = Json(total - unattributed);
-        Json phase_obj = Json::object();
-        for (const auto &[key, self] : liveSelfCounts()) {
-            Json entry = Json::object();
-            entry["self"] = Json(self);
-            phase_obj[key] = std::move(entry);
-        }
-        root["phases"] = std::move(phase_obj);
-        return root;
-    }
     return report().toJson();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-liveSelfCounts()
-{
-    std::vector<std::pair<std::string, std::uint64_t>> counts;
-    for (std::size_t s = 0; s < kMaxScopes; ++s) {
-        const char *scope =
-            g_scope_names[s].load(std::memory_order_acquire);
-        if (scope == nullptr)
-            continue;
-        for (std::size_t p = 0; p < kNumPhases; ++p) {
-            const std::uint64_t n =
-                g_live.self[s][p].load(std::memory_order_relaxed);
-            if (n == 0)
-                continue;
-            counts.emplace_back(std::string(scope) + "." +
-                                    kPhaseNames[p],
-                                n);
-        }
-    }
-    const std::uint64_t unattributed =
-        g_live.unattributed.load(std::memory_order_relaxed);
-    if (unattributed > 0)
-        counts.emplace_back("unattributed", unattributed);
-    return counts;
 }
 
 } // namespace dee::obs::hotspot

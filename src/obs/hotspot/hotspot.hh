@@ -34,22 +34,19 @@
  * invariant  sum(self over all phases) + unattributed == samples  and
  * sum(child self) <= parent total for every nesting.
  *
- * Overhead discipline (the tracer's and telemetry's, applied again):
- * compile out with -DDEE_OBS_HOTSPOT_ENABLED=0 and every HotspotPhase
- * folds to nothing; at run time the sampler is off until a Session
- * --hotspot* flag starts it and every marker guards on one relaxed
- * atomic load (hot loops may hoist even that into a bool and use the
- * pre-checked constructor). With the sampler on, the marker cost is a
- * couple of relaxed stores and the handler costs ~1-2us per sample at
- * the default 2ms CPU-time interval — well under the documented <=3%
- * wall-clock budget.
+ * Overhead discipline (the tracer's, applied again): the sampler is
+ * off until a Session --hotspot* flag starts it and every marker
+ * guards on one relaxed atomic load (hot loops may hoist even that
+ * into a bool and use the pre-checked constructor). With the sampler
+ * on, the marker cost is a couple of relaxed stores and the handler
+ * costs ~1-2us per sample at the default 2ms CPU-time interval — well
+ * under the documented <=3% wall-clock budget.
  *
  * Signal-safety rules the implementation must keep (tested under
  * ASan/TSan in tests/test_hotspot.cc):
  *   - the handler touches only the ThreadState it is handed via
- *     sigev_value (lock-free atomics + its preallocated buffer) and
- *     the global live-count table (relaxed fetch_add) — no locks, no
- *     allocation, no streams;
+ *     sigev_value (lock-free atomics + its preallocated buffer) — no
+ *     locks, no allocation, no streams;
  *   - backtrace(3) is primed once at start() (its first call may
  *     dlopen libgcc, which allocates);
  *   - phase-stack entries are lock-free atomics, so even a stale
@@ -61,10 +58,10 @@
  *
  * Exposure: the run manifest's "hotspots" section is the one home of
  * the per-phase counts and shares (the stats registry mirrors none of
- * them), foldedStacks() emits "host;<scope>.<phase>;sym;..;sym count"
- * lines dee_prof renders as a host-CPU flamegraph next to the
- * speculation one, and liveSelfCounts() feeds hot.* telemetry series
- * for dee_top.
+ * them), and foldedStacks() emits "host;<scope>.<phase>;sym;..;sym
+ * count" lines dee_prof renders as a host-CPU flamegraph next to the
+ * speculation one. Both are read once the sampler has stopped: no
+ * count is kept while it runs beyond each thread's sample buffer.
  */
 
 #ifndef DEE_OBS_HOTSPOT_HOTSPOT_HH
@@ -79,20 +76,8 @@
 
 #include "obs/json.hh"
 
-/** Compile-time master switch; on by default. */
-#ifndef DEE_OBS_HOTSPOT_ENABLED
-#define DEE_OBS_HOTSPOT_ENABLED 1
-#endif
-
 namespace dee::obs::hotspot
 {
-
-/** True when the layer is compiled in (DEE_OBS_HOTSPOT_ENABLED). */
-constexpr bool
-compiledIn()
-{
-    return DEE_OBS_HOTSPOT_ENABLED != 0;
-}
 
 /**
  * The simulator-phase taxonomy. Scopes (the machine: "window",
@@ -222,12 +207,11 @@ struct Options
 {
     double intervalMs = 2.0;      ///< CPU-time sampling period
     std::size_t ringCapacity = 16384; ///< samples kept per thread
-    bool captureFrames = true;    ///< false: phase attribution only
 };
 
 /**
  * The process-wide sampling profiler. One per process (like
- * telemetry::Hub::process()); tools start it through Session, threads
+ * Tracer::process()); tools start it through Session, threads
  * self-register the first time they open a HotspotPhase while it is
  * active, stop() folds every thread's samples into a cached Report.
  */
@@ -247,8 +231,7 @@ class Sampler
      * Installs the SIGPROF handler, primes backtrace, registers the
      * calling thread and arms its timer. Returns false — with a
      * warning, without side effects — when the interval is not a
-     * finite number > 0, or when compiled out, unsupported, or already
-     * running.
+     * finite number > 0, or when unsupported or already running.
      */
     bool start(const Options &options);
 
@@ -265,9 +248,6 @@ class Sampler
     /** True if start() ever succeeded in this process. */
     bool everStarted() const;
 
-    /** Samples captured so far (live counter; includes dropped). */
-    std::uint64_t liveSamples() const;
-
     /**
      * The folded report of the most recent start()/stop() cycle.
      * Empty (all zeros) before the first stop().
@@ -275,11 +255,9 @@ class Sampler
     const Report &report() const;
 
     /**
-     * The manifest "hotspots" section: the stopped report's
-     * Report::toJson() plus the configured interval; while running, a
-     * live summary from the lock-free counters; {"enabled": false}
-     * when the sampler never ran (v1–v6 era consumers simply see an
-     * unknown section).
+     * The manifest "hotspots" section: the last stopped report's
+     * Report::toJson(), or {"enabled": false} when the sampler never
+     * ran. Written after stop(), like report().
      */
     Json sectionJson() const;
 
@@ -288,14 +266,6 @@ class Sampler
   private:
     Options options_;
 };
-
-/**
- * Live per-phase self-sample counts ("scope.phase" -> samples since
- * start()), read from the lock-free table the handler maintains —
- * safe from any thread, any time; the telemetry Hub turns these into
- * hot.<scope>.<phase> share series.
- */
-std::vector<std::pair<std::string, std::uint64_t>> liveSelfCounts();
 
 namespace detail
 {
@@ -324,32 +294,21 @@ class HotspotPhase
   public:
     HotspotPhase(const char *scope, Phase phase)
     {
-#if DEE_OBS_HOTSPOT_ENABLED
         if (detail::g_active.load(std::memory_order_relaxed)) {
             detail::pushPhase(scope, phase);
             pushed_ = true;
         }
-#else
-        (void)scope;
-        (void)phase;
-#endif
     }
 
     /** Hot-loop variant: @p enabled is the caller's hoisted
      *  Sampler::process().active() snapshot. */
     HotspotPhase(bool enabled, const char *scope, Phase phase)
     {
-#if DEE_OBS_HOTSPOT_ENABLED
         if (enabled &&
             detail::g_active.load(std::memory_order_relaxed)) {
             detail::pushPhase(scope, phase);
             pushed_ = true;
         }
-#else
-        (void)enabled;
-        (void)scope;
-        (void)phase;
-#endif
     }
 
     HotspotPhase(const HotspotPhase &) = delete;
@@ -357,16 +316,12 @@ class HotspotPhase
 
     ~HotspotPhase()
     {
-#if DEE_OBS_HOTSPOT_ENABLED
         if (pushed_)
             detail::popPhase();
-#endif
     }
 
   private:
-#if DEE_OBS_HOTSPOT_ENABLED
     bool pushed_ = false;
-#endif
 };
 
 } // namespace dee::obs::hotspot

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "obs/hotspot/hotspot.hh"
 #include "obs/profile/profile.hh"
-#include "obs/telemetry/telemetry.hh"
 #include "obs/trace_event.hh"
 
 namespace dee::obs
@@ -46,7 +45,7 @@ Json
 Manifest::toJson(const Registry &registry) const
 {
     Json root = Json::object();
-    root["schema"] = Json("dee.run.v8");
+    root["schema"] = Json("dee.run.v9");
     root["tool"] = Json(tool_);
     root["config"] = config_;
     root["results"] = results_;
@@ -66,10 +65,6 @@ Manifest::toJson(const Registry &registry) const
     const ProfileStore &profiles = ProfileStore::global();
     root["profile"] = profiles.empty() ? Json::object()
                                        : profiles.toJson();
-
-    // v5: the live sampler's summary — per-series sample counts and
-    // min/max/last, {"enabled": false} when telemetry never ran.
-    root["telemetry"] = telemetry::Hub::process().summaryJson();
 
     // v6: the abstract interpreter's static bounds, installed by
     // analysis::absint::publishStaticBounds(); empty object when the

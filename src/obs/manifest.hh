@@ -10,14 +10,12 @@
  * parsers can evolve.
  *
  *     {
- *       "schema": "dee.run.v8",
+ *       "schema": "dee.run.v9",
  *       "tool": "fig5_speedups",
  *       "config": { ... },
  *       "results": { ... },
  *       "trace": { "recorded": ..., "dropped": ..., "buffered": ... },
  *       "profile": { ... },        // ProfileStore::toJson(); {} when off
- *       "telemetry": { "enabled": ..., "interval_ms": ...,
- *                      "samples": ..., "series": { ... } },
  *       "static_bounds": { ... },  // analysis/absint section; {} when
  *                                  // the tool published none
  *       "hotspots": { "enabled": ..., "interval_ms": ...,
@@ -49,8 +47,11 @@
  * (a copy of stats.acct), trace.enabled, the registry's prof.*, hot.*,
  * bounds.* and trace.* mirrors of other sections, and every stored
  * ratio (acct.* fractions, prof.* latency percentiles, perf.* kips and
- * mcps). The reader (obs/manifest_diff.hh) accepts v8 only: regenerate
- * an older document by rerunning the tool that wrote it.
+ * mcps); v9 drops the "telemetry" section with the sampler that wrote
+ * it (every series it summarized is reported once elsewhere: cells in
+ * stats.runner, instructions and peak RSS in stats.perf, phase shares
+ * in "hotspots"). The reader (obs/manifest_diff.hh) accepts v9 only:
+ * regenerate an older document by rerunning the tool that wrote it.
  */
 
 #ifndef DEE_OBS_MANIFEST_HH

@@ -90,10 +90,10 @@ parseManifest(const std::string &text, const std::string &path,
             *err = path + ": missing \"schema\" string";
         return false;
     }
-    if (schema->asString() != "dee.run.v8") {
+    if (schema->asString() != "dee.run.v9") {
         if (err)
             *err = path + ": unsupported schema '" + schema->asString() +
-                   "' (expected dee.run.v8; rerun the tool to "
+                   "' (expected dee.run.v9; rerun the tool to "
                    "regenerate it)";
         return false;
     }
@@ -161,8 +161,7 @@ withoutHostMeasured(const Json &doc)
     // Host timings, machine resources and sampler output: they differ
     // from run to run by nature, and nothing simulated lives under them.
     static const std::unordered_set<std::string> kHostMeasured = {
-        "run_ms", "wall_clock_ms", "runner",   "jobs",
-        "perf",   "telemetry",     "hotspots",
+        "run_ms", "wall_clock_ms", "runner", "jobs", "perf", "hotspots",
     };
     if (doc.isObject()) {
         Json out = Json::object();

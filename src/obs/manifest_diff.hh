@@ -2,7 +2,7 @@
  * @file
  * Manifest loading, flattening, diffing and the regression gate.
  *
- * The testable core of tools/dee_report: load dee.run.v8 manifests,
+ * The testable core of tools/dee_report: load dee.run.v9 manifests,
  * flatten every numeric leaf to a dotted metric path
  * ("results.benchmarks.cc1.DEE.3", "stats.acct.window.squashed_spec"),
  * render an aligned side-by-side diff, and gate a candidate manifest
@@ -42,7 +42,7 @@ struct LoadedManifest
 };
 
 /**
- * Parses @p text as a dee.run.v8 manifest document; older schema
+ * Parses @p text as a dee.run.v9 manifest document; older schema
  * versions are rejected (regenerate them with the current tools).
  * @return true on success; false with *err describing the failure.
  */
@@ -66,8 +66,8 @@ bool globMatch(const std::string &pattern, const std::string &text);
 
 /**
  * @p doc without its host-measured values: every object member, at any
- * depth, whose key is run_ms, wall_clock_ms, runner, jobs, perf,
- * telemetry or hotspots. What remains is a pure function of the
+ * depth, whose key is run_ms, wall_clock_ms, runner, jobs, perf or
+ * hotspots. What remains is a pure function of the
  * simulated inputs, byte-identical across --jobs values and engines.
  */
 Json withoutHostMeasured(const Json &doc);

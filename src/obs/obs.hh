@@ -10,7 +10,6 @@
  *   profile/report.hh  self-contained HTML profile report (dee_prof)
  *   heartbeat.hh     rate/ETA progress lines for long bench runs
  *   isolate.hh       per-cell obs isolation for parallel sweeps
- *   telemetry/telemetry.hh  sampled time series (JSONL, dee_top --replay)
  *   manifest.hh      machine-readable run manifests
  *   manifest_diff.hh manifest loading/flattening/diffing (dee_report)
  *   session.hh       --json/--trace-out/--stats wiring for binaries
@@ -31,7 +30,6 @@
 #include "obs/profile/report.hh"
 #include "obs/registry.hh"
 #include "obs/session.hh"
-#include "obs/telemetry/telemetry.hh"
 #include "obs/trace_event.hh"
 
 #endif // DEE_OBS_OBS_HH

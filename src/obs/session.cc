@@ -8,7 +8,6 @@
 #include "obs/hotspot/hotspot.hh"
 #include "obs/perf/perf.hh"
 #include "obs/profile/profile.hh"
-#include "obs/telemetry/telemetry.hh"
 
 namespace dee::obs
 {
@@ -26,15 +25,15 @@ checkWritable(const std::string &path, const char *what)
         dee_fatal("cannot open ", what, " file '", path, "'");
 }
 
-/** A sampler period must be a finite number of milliseconds above 0:
- *  NaN passes a plain "<= 0" test, and NaN or a huge value overflows
- *  the samplers' integer timer conversions. */
+/** The hotspot period must be a finite number of milliseconds above
+ *  0: NaN passes a plain "<= 0" test, and NaN or a huge value
+ *  overflows the sampler's integer timer conversion. */
 void
-checkInterval(double ms, const char *flag)
+checkInterval(double ms)
 {
     if (!std::isfinite(ms) || ms <= 0.0)
-        dee_fatal("--", flag, " must be a finite number > 0 ms (got ", ms,
-                  ")");
+        dee_fatal("--hotspot-interval must be a finite number > 0 ms "
+                  "(got ", ms, ")");
 }
 
 } // namespace
@@ -56,14 +55,6 @@ declareFlags(Cli &cli)
     cli.flag("profile-out", "",
              "write the collected speculation profile as folded stacks "
              "to this path (flamegraph input); implies --profile");
-    cli.flag("telemetry", "false",
-             "start the telemetry sampler (adds the manifest's "
-             "\"telemetry\" section)");
-    cli.flag("telemetry-out", "",
-             "stream telemetry samples as JSON-Lines (schema "
-             "dee.telemetry.v1) to this path; implies --telemetry");
-    cli.flag("telemetry-interval", "250",
-             "telemetry sampler period in milliseconds");
     cli.flag("hotspots", "false",
              "start the host hot-path sampling profiler (adds the "
              "manifest's \"hotspots\" section)");
@@ -85,10 +76,6 @@ SessionOptions::fromCli(const Cli &cli)
     options.profileOutPath = cli.str("profile-out");
     options.profile =
         cli.boolean("profile") || !options.profileOutPath.empty();
-    options.telemetryOutPath = cli.str("telemetry-out");
-    options.telemetry =
-        cli.boolean("telemetry") || !options.telemetryOutPath.empty();
-    options.telemetryIntervalMs = cli.real("telemetry-interval");
     options.hotspotOutPath = cli.str("hotspot-out");
     options.hotspots =
         cli.boolean("hotspots") || !options.hotspotOutPath.empty();
@@ -100,10 +87,8 @@ Session::Session(std::string tool, SessionOptions options)
     : options_(std::move(options)), manifest_(std::move(tool))
 {
     // Flag values first: a bad one must not truncate any output file.
-    if (options_.telemetry)
-        checkInterval(options_.telemetryIntervalMs, "telemetry-interval");
     if (options_.hotspots)
-        checkInterval(options_.hotspotIntervalMs, "hotspot-interval");
+        checkInterval(options_.hotspotIntervalMs);
     if (!options_.jsonPath.empty())
         checkWritable(options_.jsonPath, "run manifest");
     if (!options_.traceOutPath.empty()) {
@@ -114,16 +99,7 @@ Session::Session(std::string tool, SessionOptions options)
         checkWritable(options_.profileOutPath, "profile output");
     if (options_.profile)
         requestProfiling(true);
-    if (options_.telemetry) {
-        if (!options_.telemetryOutPath.empty())
-            checkWritable(options_.telemetryOutPath, "telemetry output");
-        telemetry::Options topts;
-        topts.intervalMs = options_.telemetryIntervalMs;
-        topts.jsonlPath = options_.telemetryOutPath;
-        topts.tool = manifest_.tool();
-        telemetry::Hub::process().start(topts);
-    }
-    if (options_.hotspots && hotspot::compiledIn()) {
+    if (options_.hotspots) {
         if (!options_.hotspotOutPath.empty())
             checkWritable(options_.hotspotOutPath, "hotspot output");
         hotspot::Options hopts;
@@ -139,9 +115,8 @@ Session::Session(std::string tool, const Cli &cli)
         // The observability flags themselves are not configuration.
         if (name == "json" || name == "trace-out" || name == "stats" ||
             name == "profile" || name == "profile-out" ||
-            name == "telemetry" || name == "telemetry-out" ||
-            name == "telemetry-interval" || name == "hotspots" ||
-            name == "hotspot-out" || name == "hotspot-interval")
+            name == "hotspots" || name == "hotspot-out" ||
+            name == "hotspot-interval")
             continue;
         manifest_.setConfig(name, value);
     }
@@ -149,14 +124,9 @@ Session::Session(std::string tool, const Cli &cli)
 
 Session::~Session()
 {
-    // Stop the telemetry sampler first: the manifest's "telemetry"
-    // section reads the stopped hub's summary, which ends on the final
-    // tick's settled progress.
-    telemetry::Hub::process().stop();
-    // Then the hotspot sampler (the telemetry tick above still saw
-    // live hot.* counts): stop folds every thread's samples into the
-    // report the manifest's "hotspots" section reads.
-    if (options_.hotspots && hotspot::compiledIn())
+    // Stop the hotspot sampler first: stop folds every thread's
+    // samples into the report the manifest's "hotspots" section reads.
+    if (options_.hotspots)
         hotspot::Sampler::process().stop();
     // Host memory pressure (peak RSS, page faults) is a whole-process
     // reading — take it once, at exit, into perf.host.* so manifests
@@ -189,7 +159,7 @@ Session::~Session()
     }
     if (options_.profile)
         requestProfiling(false);
-    if (!options_.hotspotOutPath.empty() && hotspot::compiledIn()) {
+    if (!options_.hotspotOutPath.empty()) {
         const std::string stacks =
             hotspot::Sampler::process().report().foldedStacks();
         std::ofstream out(options_.hotspotOutPath, std::ios::trunc);

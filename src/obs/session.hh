@@ -27,14 +27,6 @@
  *   --profile-out PATH  write the collected profile as folded stacks
  *                     ("frame;frame count" lines, flamegraph.pl /
  *                     speedscope compatible) to PATH; implies --profile
- *   --telemetry BOOL  start the telemetry sampler (series summaries in
- *                     the manifest's "telemetry" section; see
- *                     obs/telemetry/telemetry.hh)
- *   --telemetry-out PATH  stream telemetry samples as JSON-Lines
- *                     (schema dee.telemetry.v1) to PATH, rendered by
- *                     tools/dee_top --replay; implies --telemetry
- *   --telemetry-interval MS  sampler period in milliseconds (a
- *                     finite number > 0 when telemetry is on)
  *   --hotspots BOOL   start the host hot-path sampling profiler
  *                     (per-phase CPU attribution in the manifest's
  *                     "hotspots" section; see obs/hotspot/hotspot.hh)
@@ -58,8 +50,8 @@
 namespace dee::obs
 {
 
-/** Declares --json, --trace-out, --stats, --profile, --profile-out,
- *  the --telemetry* flags and the --hotspot* flags on @p cli. */
+/** Declares --json, --trace-out, --stats, --profile, --profile-out
+ *  and the --hotspot* flags on @p cli. */
 void declareFlags(Cli &cli);
 
 /** Parsed values of the standard observability flags. */
@@ -70,9 +62,6 @@ struct SessionOptions
     bool dumpStats = false;   ///< text registry dump to stderr at exit
     bool profile = false;     ///< collect speculation profiles
     std::string profileOutPath; ///< folded-stack output; implies profile
-    bool telemetry = false;   ///< start the telemetry sampler
-    std::string telemetryOutPath; ///< JSONL stream; implies telemetry
-    double telemetryIntervalMs = 250.0; ///< sampler period
     bool hotspots = false;    ///< start the host hotspot sampler
     std::string hotspotOutPath; ///< folded stacks; implies hotspots
     double hotspotIntervalMs = 2.0; ///< CPU-time sampling period

@@ -9,13 +9,11 @@
  * in "[...]"/commas, or use `--trace-out` which emits the array form's
  * newline-delimited equivalent accepted by Perfetto's JSON importer).
  *
- * Overhead discipline: tracing must cost nothing when off.
- *   - Compile time: build with -DDEE_OBS_TRACE_ENABLED=0 and the
- *     dee_trace_event() macro compiles to nothing.
- *   - Run time: the macro guards on Tracer::enabled(), a single
- *     predictable branch on a bool; no arguments are evaluated when
- *     disabled. Hoist `obs::Tracer &tr = obs::Tracer::global();` out
- *     of hot loops.
+ * Overhead discipline: tracing must cost nothing when off. The
+ * dee_trace_event() macro guards on Tracer::enabled(), a single
+ * predictable branch on a bool; no arguments are evaluated when
+ * disabled. Hoist `obs::Tracer &tr = obs::Tracer::global();` out of
+ * hot loops.
  *
  * Event name and argument-name strings are NOT copied: pass string
  * literals (or strings that outlive the tracer).
@@ -149,12 +147,6 @@ class Tracer
 
 } // namespace dee::obs
 
-/** Compile-time master switch; on by default. */
-#ifndef DEE_OBS_TRACE_ENABLED
-#define DEE_OBS_TRACE_ENABLED 1
-#endif
-
-#if DEE_OBS_TRACE_ENABLED
 /**
  * Records an event iff @p tracer is enabled; arguments after the tracer
  * are forwarded to Tracer::record and not evaluated when disabled.
@@ -176,9 +168,5 @@ class Tracer
         if (flag) \
             (tracer).record(__VA_ARGS__); \
     } while (0)
-#else
-#define dee_trace_event(tracer, ...) ((void)0)
-#define dee_trace_event_if(flag, tracer, ...) ((void)0)
-#endif
 
 #endif // DEE_OBS_TRACE_EVENT_HH

@@ -1,8 +1,6 @@
 #include "runner/sweep.hh"
 
 #include <chrono>
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,7 +9,6 @@
 #include "obs/hotspot/hotspot.hh"
 #include "obs/isolate.hh"
 #include "obs/registry.hh"
-#include "obs/telemetry/telemetry.hh"
 #include "obs/trace_event.hh"
 #include "runner/thread_pool.hh"
 
@@ -49,20 +46,12 @@ runCells(std::size_t cells, const SweepOptions &options,
          const std::function<void(std::size_t)> &run)
 {
     const unsigned jobs = effectiveJobs(options);
-    // The telemetry hub only counts cells here; its sampler reads no
-    // registry (obs/telemetry/telemetry.hh). active() is stable across
-    // a sweep — the hub starts/stops in the Session ctor/dtor.
-    obs::telemetry::Hub &hub = obs::telemetry::Hub::process();
-    const bool live = hub.active();
-    hub.addCells(cells);
     if (jobs == 1 || cells <= 1) {
         // Serial path: identical to the pre-runner loops, including
         // the absence of runner.* bookkeeping, so --jobs 1 output is
         // byte-for-byte what the tools always produced.
-        for (std::size_t i = 0; i < cells; ++i) {
+        for (std::size_t i = 0; i < cells; ++i)
             run(i);
-            hub.cellDone();
-        }
         return;
     }
 
@@ -75,46 +64,6 @@ runCells(std::size_t cells, const SweepOptions &options,
     futures.reserve(cells);
 
     ThreadPool pool(jobs);
-
-    // Live per-worker utilization for the telemetry sampler: between
-    // consecutive ticks, util = 1 - idle/wall from the pool's
-    // atomics-backed stats. Registered for the pool's lifetime only.
-    std::uint64_t source_id = 0;
-    if (live) {
-        auto prev_time = clock::now();
-        std::vector<double> prev_idle(jobs, 0.0);
-        source_id = hub.addSource(
-            [&pool, prev_time, prev_idle](
-                std::map<std::string, double> &out) mutable {
-                const auto now = clock::now();
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        now - prev_time)
-                        .count();
-                const std::vector<WorkerStats> stats =
-                    pool.workerStats();
-                for (std::size_t w = 0; w < stats.size(); ++w) {
-                    const std::string prefix =
-                        "runner.worker." + std::to_string(w) + ".";
-                    const double idle_ms =
-                        stats[w].idleMs - prev_idle[w];
-                    if (wall_ms > 0.0) {
-                        double util = 1.0 - idle_ms / wall_ms;
-                        if (util < 0.0)
-                            util = 0.0;
-                        if (util > 1.0)
-                            util = 1.0;
-                        out[prefix + "util"] = util;
-                    }
-                    out[prefix + "tasks"] =
-                        static_cast<double>(stats[w].tasks);
-                    out[prefix + "steals"] =
-                        static_cast<double>(stats[w].steals);
-                    prev_idle[w] = stats[w].idleMs;
-                }
-                prev_time = now;
-            });
-    }
 
     for (std::size_t i = 0; i < cells; ++i) {
         sinks[i] = std::make_unique<obs::CellSink>();
@@ -148,7 +97,6 @@ runCells(std::size_t cells, const SweepOptions &options,
         merge_ms += std::chrono::duration<double, std::milli>(
                         clock::now() - merge_start)
                         .count();
-        hub.cellDone();
         sinks[i].reset();
     }
 
@@ -171,11 +119,6 @@ runCells(std::size_t cells, const SweepOptions &options,
         .add(std::chrono::duration<double, std::milli>(clock::now() -
                                                        sweep_start)
                  .count());
-
-    // The worker-stats source captures the pool by reference; drop it
-    // before the pool leaves scope.
-    if (source_id != 0)
-        hub.removeSource(source_id);
 }
 
 } // namespace dee::runner

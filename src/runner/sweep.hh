@@ -17,10 +17,13 @@
  * re-derived after the merge.
  *
  * Wall-clock observability (parallel path only, since it is
- * nondeterministic by nature): the runner.cells counter, and the
- * runner.wall_ms (one sample per sweep) and per-cell
- * runner.cell_wall_ms stats. The worker count is the manifest's
- * config.jobs, or the number of runner.worker.<i> subtrees.
+ * nondeterministic by nature), published once the sweep ends: the
+ * runner.cells counter, the runner.wall_ms (one sample per sweep),
+ * per-cell runner.cell_wall_ms and runner.merge_ms stats, and each
+ * worker's runner.worker.<i>.{tasks, steals, idle_ms}. The worker
+ * count is the manifest's config.jobs, or the number of
+ * runner.worker.<i> subtrees. A sweep reports nothing while it runs;
+ * progress is the tools' obs::Heartbeat line.
  */
 
 #ifndef DEE_RUNNER_SWEEP_HH

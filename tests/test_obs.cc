@@ -301,7 +301,7 @@ TEST(Manifest, DocumentShapeAndRoundTrip)
     std::string err;
     ASSERT_TRUE(Json::parse(manifest.toJson(reg).dump(2), &back, &err))
         << err;
-    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(back.find("schema")->asString(), "dee.run.v9");
     EXPECT_EQ(back.find("tool")->asString(), "test_tool");
     EXPECT_EQ(back.find("config")->find("scale")->asInt(), 4);
     EXPECT_DOUBLE_EQ(back.find("results")->find("speedup")->asDouble(),
@@ -328,11 +328,12 @@ TEST(Manifest, DocumentShapeAndRoundTrip)
     ASSERT_NE(profile, nullptr);
     EXPECT_TRUE(profile->isObject());
 
-    // v5 section: telemetry summary, {"enabled": false} when the
-    // sampler never ran (as in this process).
-    const Json *telemetry = back.find("telemetry");
-    ASSERT_NE(telemetry, nullptr);
-    ASSERT_NE(telemetry->find("enabled"), nullptr);
+    // v7 section: the hotspot report, {"enabled": false} when the
+    // sampler never ran. v9 has no telemetry section.
+    const Json *hotspots = back.find("hotspots");
+    ASSERT_NE(hotspots, nullptr);
+    ASSERT_NE(hotspots->find("enabled"), nullptr);
+    EXPECT_EQ(back.find("telemetry"), nullptr);
 }
 
 TEST(Manifest, EveryNumberHasOneHome)
@@ -372,8 +373,8 @@ TEST(Manifest, EveryNumberHasOneHome)
         keys.push_back(key);
     EXPECT_EQ(keys, (std::vector<std::string>{
                         "schema", "tool", "config", "results", "trace",
-                        "profile", "telemetry", "static_bounds",
-                        "hotspots", "stats", "wall_clock_ms"}));
+                        "profile", "static_bounds", "hotspots", "stats",
+                        "wall_clock_ms"}));
     ASSERT_FALSE(doc.find("profile")->members().empty());
     ASSERT_NE(doc.find("static_bounds")->find("workloads"), nullptr);
 
@@ -415,14 +416,14 @@ using dee::obs::parseManifest;
 using dee::obs::renderManifestDiff;
 using dee::obs::withoutHostMeasured;
 
-/** A tiny v8 manifest with one tweakable result and one tweakable
+/** A tiny v9 manifest with one tweakable result and one tweakable
  *  cycle-accounting counter. */
 std::string
 manifestText(double speedup, std::uint64_t squashed,
              bool with_extra = true)
 {
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v8");
+    doc["schema"] = Json("dee.run.v9");
     doc["tool"] = Json("unit_test");
     doc["config"] = Json::object();
     doc["results"] = Json::object();
@@ -494,20 +495,20 @@ TEST(ManifestDiff, FlattenNumericWalksObjectsAndArrays)
     EXPECT_EQ(out[3].first, "d.1");
 }
 
-TEST(ManifestDiff, ParseAcceptsV8RejectsOthers)
+TEST(ManifestDiff, ParseAcceptsV9RejectsOthers)
 {
-    const LoadedManifest v8 = loaded(manifestText(30.0, 20), "a.json");
+    const LoadedManifest v9 = loaded(manifestText(30.0, 20), "a.json");
     double value = 0.0;
-    ASSERT_TRUE(v8.metric("results.speedup", &value));
+    ASSERT_TRUE(v9.metric("results.speedup", &value));
     EXPECT_DOUBLE_EQ(value, 30.0);
-    ASSERT_TRUE(v8.metric("stats.acct.window.squashed_spec", &value));
+    ASSERT_TRUE(v9.metric("stats.acct.window.squashed_spec", &value));
     EXPECT_DOUBLE_EQ(value, 20.0);
-    ASSERT_TRUE(v8.metric("wall_clock_ms", &value));
+    ASSERT_TRUE(v9.metric("wall_clock_ms", &value));
 
     // Every older schema is refused, naming the version it found.
     LoadedManifest old;
     std::string err;
-    for (int v = 1; v <= 7; ++v) {
+    for (int v = 1; v <= 8; ++v) {
         const std::string schema = "dee.run.v" + std::to_string(v);
         EXPECT_FALSE(parseManifest("{\"schema\":\"" + schema +
                                        "\",\"results\":{\"x\":1}}",
@@ -538,7 +539,7 @@ TEST(ManifestV8, V7DocumentsAreRejected)
     std::string err;
     EXPECT_FALSE(parseManifest(doc.dump(2), "old.json", &back, &err));
     EXPECT_NE(err.find("dee.run.v7"), std::string::npos) << err;
-    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v9");
     EXPECT_EQ(back.path, "new.json");
     EXPECT_EQ(back.metrics.size(), metrics);
     double value = 0.0;
@@ -623,8 +624,8 @@ TEST(ManifestDiff, HostMeasuredKeysNeverGate)
     cand_doc["config"]["jobs"] = Json("8");
     cand_doc["stats"]["sim"] = Json::object();
     cand_doc["stats"]["sim"]["run_ms"] = Json(3.0);
-    cand_doc["telemetry"] = Json::object();
-    cand_doc["telemetry"]["samples"] = Json(1234);
+    cand_doc["hotspots"] = Json::object();
+    cand_doc["hotspots"]["samples"] = Json(1234);
     EXPECT_TRUE(checkManifest(loaded(base_doc.dump(), "base"),
                               loaded(cand_doc.dump(), "cand"))
                     .empty());
@@ -632,7 +633,7 @@ TEST(ManifestDiff, HostMeasuredKeysNeverGate)
     // The keys go at any depth; everything else stays.
     const Json kept = withoutHostMeasured(cand_doc);
     EXPECT_EQ(kept.find("wall_clock_ms"), nullptr);
-    EXPECT_EQ(kept.find("telemetry"), nullptr);
+    EXPECT_EQ(kept.find("hotspots"), nullptr);
     EXPECT_EQ(kept.find("config")->find("jobs"), nullptr);
     EXPECT_EQ(kept.find("stats")->find("sim")->find("run_ms"), nullptr);
     EXPECT_NE(kept.find("results")->find("speedup"), nullptr);
@@ -852,41 +853,34 @@ TEST(Session, SurfacesTracerDropCountsInManifest)
     EXPECT_FALSE(Registry::global().contains("trace.recorded"));
 }
 
-TEST(SessionDeathTest, NonPositiveTelemetryIntervalIsFatal)
+TEST(Session, DeclaresEightFlags)
 {
-    // A run that asked for telemetry must not go on without it, and
-    // must fail before it truncates the stream it was asked to write.
-    const std::string path = ::testing::TempDir() + "bad_interval.jsonl";
-    std::ofstream(path) << "keep\n";
-    dee::obs::SessionOptions options;
-    options.telemetry = true;
-    options.telemetryOutPath = path;
-    options.telemetryIntervalMs = 0.0;
-    EXPECT_EXIT(dee::obs::Session("test_tool", options),
-                ::testing::ExitedWithCode(1),
-                "--telemetry-interval must be a finite number > 0 ms "
-                "\\(got 0\\)");
-    options.telemetryIntervalMs = -5.0;
-    EXPECT_EXIT(dee::obs::Session("test_tool", options),
-                ::testing::ExitedWithCode(1), "\\(got -5\\)");
-    // NaN passes a plain "<= 0" test; infinity never ticks.
-    options.telemetryIntervalMs = std::nan("");
-    EXPECT_EXIT(dee::obs::Session("test_tool", options),
-                ::testing::ExitedWithCode(1), "\\(got nan\\)");
-    options.telemetryIntervalMs = HUGE_VAL;
-    EXPECT_EXIT(dee::obs::Session("test_tool", options),
-                ::testing::ExitedWithCode(1), "\\(got inf\\)");
+    // Progress is Heartbeat's stderr line, not a recorded stream: no
+    // --telemetry* flag is left.
+    dee::Cli cli("test");
+    dee::obs::declareFlags(cli);
+    std::vector<std::string> names;
+    for (const auto &[name, value] : cli.values())
+        names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "json", "trace-out", "stats", "profile",
+                         "profile-out", "hotspots", "hotspot-out",
+                         "hotspot-interval"}));
+}
 
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "keep");
+TEST(SessionDeathTest, TelemetryFlagIsUnknown)
+{
+    dee::Cli cli("test");
+    dee::obs::declareFlags(cli);
+    const char *argv[] = {"tool", "--telemetry", "true"};
+    EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(1),
+                "unknown flag --telemetry");
 }
 
 TEST(SessionDeathTest, NonPositiveHotspotIntervalIsFatal)
 {
-    // Checked before any output file is truncated, like the telemetry
-    // interval, whether or not the sampler is compiled in.
+    // A run that asked for hotspots must not go on without them, and
+    // must fail before it truncates any output it was asked to write.
     const std::string path = ::testing::TempDir() + "bad_hotspot.json";
     std::ofstream(path) << "keep\n";
     dee::obs::SessionOptions options;
@@ -900,9 +894,13 @@ TEST(SessionDeathTest, NonPositiveHotspotIntervalIsFatal)
     options.hotspotIntervalMs = 0.0;
     EXPECT_EXIT(dee::obs::Session("test_tool", options),
                 ::testing::ExitedWithCode(1), "\\(got 0\\)");
+    // NaN passes a plain "<= 0" test; infinity never ticks.
     options.hotspotIntervalMs = std::nan("");
     EXPECT_EXIT(dee::obs::Session("test_tool", options),
                 ::testing::ExitedWithCode(1), "\\(got nan\\)");
+    options.hotspotIntervalMs = HUGE_VAL;
+    EXPECT_EXIT(dee::obs::Session("test_tool", options),
+                ::testing::ExitedWithCode(1), "\\(got inf\\)");
 
     std::ifstream in(path);
     std::string line;

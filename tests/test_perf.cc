@@ -3,7 +3,7 @@
  * Unit tests for the host-performance observability layer
  * (obs/perf/): ThroughputMeter arithmetic and scope isolation at any
  * --jobs value, one meter per simulated run, and perf.* carried once
- * in the dee.run.v8 manifest, under stats.perf.
+ * in the dee.run.v9 manifest, under stats.perf.
  */
 
 #include <gtest/gtest.h>
@@ -218,7 +218,7 @@ TEST(ManifestPerf, V4CarriesHostPerfSection)
     }
     Manifest manifest("test_tool");
     const Json doc = manifest.toJson(reg);
-    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v9");
     // perf.* lives once, under stats.perf: no host_perf copy.
     EXPECT_EQ(doc.find("host_perf"), nullptr);
 
@@ -251,7 +251,7 @@ TEST(ManifestPerf, V3DocumentsAreRejected)
     const std::size_t metrics = back.metrics.size();
     EXPECT_FALSE(parseManifest(doc.dump(2), "old.json", &back, &err));
     EXPECT_NE(err.find("dee.run.v3"), std::string::npos) << err;
-    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(back.doc.find("schema")->asString(), "dee.run.v9");
     EXPECT_EQ(back.path, "new.json");
     EXPECT_EQ(back.metrics.size(), metrics);
     double value = 0.0;

@@ -3,7 +3,7 @@
  * Tests for the speculation profiler (src/obs/profile/): the per-branch
  * attribution identity on every ILP model and on Levo, loop roll-ups on
  * a handcrafted nested-loop program, folded-stack output, the bounded
- * branch table, dee.run.v8 manifest round-trips, per-branch squashed
+ * branch table, dee.run.v9 manifest round-trips, per-branch squashed
  * slots under the regression gate, lint profile annotation, and the
  * bench heartbeat.
  */
@@ -337,7 +337,7 @@ TEST(ManifestV3, ProfileSectionRoundTrips)
     obs::Registry reg;
     obs::Manifest manifest("test_tool");
     const Json doc = manifest.toJson(reg);
-    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v8");
+    EXPECT_EQ(doc.find("schema")->asString(), "dee.run.v9");
 
     LoadedManifest back;
     std::string err;
@@ -402,7 +402,7 @@ profileManifestText(std::uint64_t hot_slots, bool with_new_site)
     Json prof = Json::object();
     prof["compress.DEE"] = std::move(scope);
     Json doc = Json::object();
-    doc["schema"] = Json("dee.run.v8");
+    doc["schema"] = Json("dee.run.v9");
     doc["tool"] = Json("unit_test");
     doc["profile"] = std::move(prof);
     return doc.dump(2);

@@ -1,6 +1,6 @@
 /**
  * @file
- * dee_report: diff dee.run.v8 manifests and gate on regressions.
+ * dee_report: diff dee.run.v9 manifests and gate on regressions.
  *
  * Usage:
  *   dee_report MANIFEST...                    side-by-side metric diff
@@ -43,7 +43,7 @@ usage(std::FILE *to)
     std::fputs(
         "usage: dee_report [options] MANIFEST.json [MANIFEST.json...]\n"
         "\n"
-        "Diffs dee.run.v8 manifests metric by metric; with --check,\n"
+        "Diffs dee.run.v9 manifests metric by metric; with --check,\n"
         "fails unless every simulated leaf of one candidate equals the\n"
         "baseline exactly (host-measured timings are skipped; host\n"
         "hotspot shares that grew print advisory WARN lines).\n"
