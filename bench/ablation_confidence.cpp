@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -64,7 +65,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_confidence", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     const std::vector<int> ets{16, 32, 64, 100};
     dee::Table table({"variant", "ET=16", "ET=32", "ET=64", "ET=100"});

@@ -9,6 +9,7 @@
  * framework: speedups shrink, but DEE's relative advantage survives.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -25,7 +26,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_latency", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     dee::Table table({"latency model", "SP", "EE", "DEE", "SP-CD-MF",
                       "DEE-CD-MF", "Oracle"});

@@ -9,6 +9,7 @@
  * default L1/L2, and a stressed tiny-L1 configuration.
  */
 
+#include <climits>
 #include <cstdio>
 #include <iterator>
 
@@ -27,7 +28,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_memory", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     struct Point
     {

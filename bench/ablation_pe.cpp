@@ -10,6 +10,7 @@
  * answering: how many PEs does DEE-CD-MF actually need?
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -26,7 +27,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_pe", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     const std::vector<int> widths{4, 8, 16, 32, 64, 128, 0};
     std::vector<std::string> headers{"model"};

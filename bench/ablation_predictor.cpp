@@ -10,6 +10,7 @@
  * the DEE benefit should persist for every realizable predictor.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -26,7 +27,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_predictor", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     dee::obs::Json &out = (session.manifest().results()["predictors"] =
                                dee::obs::Json::object());

@@ -10,6 +10,7 @@
  *   3. misprediction penalty 0 / 1 / 2 cycles (Levo hopes for 0).
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -51,7 +52,7 @@ main(int argc, char **argv)
     dee::obs::Session session("ablation_tree", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
     const std::vector<int> ets{32, 64, 100, 256};
 
     dee::obs::Json ets_json = dee::obs::Json::array();

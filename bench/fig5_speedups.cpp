@@ -13,6 +13,7 @@
  * standard observability flags (--json/--trace-out/--stats).
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -33,7 +34,7 @@ main(int argc, char **argv)
     const std::vector<int> ets{8, 16, 32, 64, 128, 256};
     dee::ModelRunOptions options;
     options.mispredictPenalty =
-        static_cast<int>(cli.integer("penalty"));
+        static_cast<int>(cli.integer("penalty", 0, INT_MAX));
 
     const double paper_oracle[] = {23.22, 25.86, 2810.48, 815.62,
                                    104.35};
@@ -47,7 +48,7 @@ main(int argc, char **argv)
              dee::obs::Json::object());
 
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
     // One global cell list (benchmark-major, then model-major) rather
     // than a per-benchmark sweep, so every (benchmark, model, E_T)
     // point is a schedulable cell and --jobs N keeps all workers busy

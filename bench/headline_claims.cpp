@@ -11,6 +11,7 @@
  *   - DEE-CD-MF achieves ~59% of Oracle performance
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -28,7 +29,7 @@ main(int argc, char **argv)
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
 
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     // 7 harmonic-mean points + 2 PE-estimate sims per benchmark;
     // progress to stderr unless the run is scripted (--json).

@@ -11,6 +11,7 @@
  * potential a finite tree window keeps.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -28,7 +29,7 @@ main(int argc, char **argv)
     dee::obs::Session session("lam_wilson", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     dee::Table table({"workload", "LW-SP", "SP@256", "LW-SP-CD",
                       "SP-CD@256", "LW-SP-CD-MF", "SP-CD-MF@256",

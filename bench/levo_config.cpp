@@ -10,6 +10,7 @@
  * 32" claim.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "common/cli.hh"
@@ -36,7 +37,7 @@ main(int argc, char **argv)
     cli.flag("scale", "2", "workload scale factor");
     cli.flag("max-instrs", "2000000", "per-run instruction cap");
     cli.parse(argc, argv);
-    const int scale = static_cast<int>(cli.integer("scale"));
+    const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
     const auto cap =
         static_cast<std::uint64_t>(cli.integer("max-instrs"));
 

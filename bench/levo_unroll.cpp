@@ -11,6 +11,7 @@
  * pressure.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "common/cli.hh"
@@ -60,7 +61,7 @@ main(int argc, char **argv)
     cli.flag("scale", "2", "workload scale factor");
     cli.flag("rows", "32", "IQ rows");
     cli.parse(argc, argv);
-    const int scale = static_cast<int>(cli.integer("scale"));
+    const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
     const int rows = static_cast<int>(cli.integer("rows"));
 
     dee::LevoConfig config;

@@ -9,6 +9,7 @@
  * prediction as the realizable Levo alternative (Section 4.3).
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -20,8 +21,8 @@ main(int argc, char **argv)
     dee::Cli cli("Predictor accuracy per workload (heuristic step 1)");
     cli.flag("scale", "4", "workload scale factor");
     cli.parse(argc, argv);
-    const auto suite =
-        dee::makeSuite(static_cast<int>(cli.integer("scale")));
+    const auto suite = dee::makeSuite(
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)));
 
     const std::vector<std::string> predictors{"taken", "btfnt", "1bit",
                                               "2bit", "pap", "gshare", "tournament"};

@@ -11,6 +11,7 @@
  * in the tree.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -68,7 +69,7 @@ main(int argc, char **argv)
     cli.flag("scale", "4", "workload scale factor");
     cli.parse(argc, argv);
     const auto suite =
-        dee::makeSuite(static_cast<int>(cli.integer("scale")));
+        dee::makeSuite(static_cast<int>(cli.integer("scale", 1, INT_MAX)));
 
     report("DEE-CD (branches resolve serially)", dee::ModelKind::DEE_CD,
            suite);

@@ -10,6 +10,7 @@
  * unlimited column equals the Oracle of the Figure 5 simulations.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -31,7 +32,7 @@ main(int argc, char **argv)
     dee::obs::Session session("riseman_foster", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     const std::vector<std::optional<int>> points{
         0, 1, 2, 4, 8, 16, 32, 128, std::nullopt};

@@ -10,6 +10,7 @@
  * per Section 2), which would have flattered every model equally.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -22,7 +23,7 @@ main(int argc, char **argv)
     dee::Cli cli("The excluded sc benchmark");
     cli.flag("scale", "2", "workload scale factor");
     cli.parse(argc, argv);
-    const int scale = static_cast<int>(cli.integer("scale"));
+    const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
 
     // Build the sc instance by hand (it is deliberately not in the
     // suite factory).

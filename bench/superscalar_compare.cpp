@@ -11,6 +11,7 @@
  * machine, and on the DEE-CD-MF windowed model at E_T = 100.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bench_util.hh"
@@ -29,7 +30,7 @@ main(int argc, char **argv)
     dee::obs::Session session("superscalar_compare", cli);
     const dee::runner::SweepOptions sweep = dee::runner::fromCli(cli);
     const auto suite = dee::bench::makeSuiteParallel(
-        static_cast<int>(cli.integer("scale")), sweep);
+        static_cast<int>(cli.integer("scale", 1, INT_MAX)), sweep);
 
     dee::SuperscalarConfig four_wide;
     dee::SuperscalarConfig six_wide;

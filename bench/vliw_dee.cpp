@@ -12,6 +12,7 @@
  * widths.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bpred/bpred.hh"
@@ -53,7 +54,7 @@ main(int argc, char **argv)
     cli.flag("scale", "2", "workload scale factor");
     cli.parse(argc, argv);
     const auto suite =
-        dee::makeSuite(static_cast<int>(cli.integer("scale")));
+        dee::makeSuite(static_cast<int>(cli.integer("scale", 1, INT_MAX)));
 
     for (int width : {2, 4, 8}) {
         dee::Table table({"policy", "HM speedup", "hoisted instrs"});

@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 
 #include "bpred/bpred.hh"
@@ -39,7 +40,7 @@ main(int argc, char **argv)
     const std::string predictor = cli.str("predictor");
     const int e_t = static_cast<int>(cli.integer("et"));
     const auto suite =
-        dee::makeSuite(static_cast<int>(cli.integer("scale")));
+        dee::makeSuite(static_cast<int>(cli.integer("scale", 1, INT_MAX)));
 
     // Step 1: measure p on the representative benchmark group.
     dee::Table acc({"workload", "accuracy"});

@@ -7,6 +7,7 @@
  *                   [--resources 8,16,32,64,128,256] [--penalty 1]
  */
 
+#include <climits>
 #include <cstdio>
 #include <sstream>
 
@@ -44,7 +45,7 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     const std::string which = cli.str("workload");
-    const int scale = static_cast<int>(cli.integer("scale"));
+    const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
     const std::vector<int> budgets =
         parseResourceList(cli.str("resources"));
 
@@ -58,7 +59,7 @@ main(int argc, char **argv)
 
     dee::ModelRunOptions options;
     options.mispredictPenalty =
-        static_cast<int>(cli.integer("penalty"));
+        static_cast<int>(cli.integer("penalty", 0, INT_MAX));
 
     std::vector<std::string> headers{"model"};
     for (int e_t : budgets)

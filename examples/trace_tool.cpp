@@ -16,6 +16,7 @@
  *   trace_tool --mode replay --file t.dee --et 100
  */
 
+#include <climits>
 #include <cstdio>
 #include <string>
 
@@ -37,8 +38,8 @@ doCapture(const dee::Cli &cli)
 {
     const dee::WorkloadId id =
         dee::workloadByName(cli.str("workload"));
-    dee::Program program =
-        dee::makeWorkload(id, static_cast<int>(cli.integer("scale")));
+    dee::Program program = dee::makeWorkload(
+        id, static_cast<int>(cli.integer("scale", 1, INT_MAX)));
     dee::Interpreter interp(program);
     const dee::ExecResult run = interp.run(100'000'000);
     dee::writeTrace(run.trace, cli.str("file"));

@@ -9,6 +9,7 @@
  * documented in DESIGN.md.
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bpred/bpred.hh"
@@ -24,7 +25,7 @@ main(int argc, char **argv)
     dee::Cli cli("Workload characteristics report");
     cli.flag("scale", "4", "workload scale factor");
     cli.parse(argc, argv);
-    const int scale = static_cast<int>(cli.integer("scale"));
+    const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
 
     dee::Table table({"workload", "instrs", "branches", "density",
                       "path-len", "2bit-acc", "oracle-speedup"});

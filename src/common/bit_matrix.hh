@@ -1,11 +1,7 @@
 /**
  * @file
- * Dense 2-D bit matrix.
- *
- * Models the CONDEL-2 / Levo bookkeeping matrices: the Really Executed
- * (RE) and Virtually Executed (VE) n x m bit matrices of Figure 3, where
- * row i is the i-th static instruction of the Instruction Queue and column
- * j is the j-th in-flight instance (loop iteration).
+ * Packed bit vector (BitVec64), the fast simulation engine's per-path
+ * set representation.
  */
 
 #ifndef DEE_COMMON_BIT_MATRIX_HH
@@ -22,10 +18,10 @@ namespace dee
 {
 
 /**
- * Packed bit vector over uint64 words with popcount/ctz scans — the
- * literal-bitset form of Levo's RE/VE row sets, and the per-path set
- * representation of the fast simulation engine (ends-in-branch,
- * prediction-correctness and mispredict sets over branch paths).
+ * Packed bit vector over uint64 words with popcount/ctz scans: the
+ * per-path set representation of the fast simulation engine
+ * (ends-in-branch, prediction-correctness and mispredict sets over
+ * branch paths).
  *
  * Element order is LSB-first within each word, so forEachSet() visits
  * indices in ascending order — the property the engines rely on for
@@ -158,84 +154,6 @@ class BitVec64
   private:
     std::size_t size_;
     std::vector<std::uint64_t> words_;
-};
-
-/** Row-major matrix of bits with row/column clear operations. */
-class BitMatrix
-{
-  public:
-    BitMatrix(std::size_t rows, std::size_t cols)
-        : rows_(rows), cols_(cols), bits_(rows * cols, false)
-    {
-        dee_assert(rows > 0 && cols > 0, "BitMatrix must be non-empty");
-    }
-
-    std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
-
-    bool
-    get(std::size_t r, std::size_t c) const
-    {
-        return bits_[index(r, c)];
-    }
-
-    void
-    set(std::size_t r, std::size_t c, bool v = true)
-    {
-        bits_[index(r, c)] = v;
-    }
-
-    void
-    clear(std::size_t r, std::size_t c)
-    {
-        bits_[index(r, c)] = false;
-    }
-
-    /** Clears every bit. */
-    void
-    reset()
-    {
-        bits_.assign(bits_.size(), false);
-    }
-
-    /** Clears an entire column (used when an iteration retires). */
-    void
-    clearColumn(std::size_t c)
-    {
-        for (std::size_t r = 0; r < rows_; ++r)
-            clear(r, c);
-    }
-
-    /** Clears an entire row. */
-    void
-    clearRow(std::size_t r)
-    {
-        for (std::size_t c = 0; c < cols_; ++c)
-            clear(r, c);
-    }
-
-    /** Number of set bits. */
-    std::size_t
-    popcount() const
-    {
-        std::size_t n = 0;
-        for (bool b : bits_)
-            n += b ? 1 : 0;
-        return n;
-    }
-
-  private:
-    std::size_t
-    index(std::size_t r, std::size_t c) const
-    {
-        dee_assert(r < rows_ && c < cols_, "BitMatrix index (", r, ",", c,
-                   ") out of ", rows_, "x", cols_);
-        return r * cols_ + c;
-    }
-
-    std::size_t rows_;
-    std::size_t cols_;
-    std::vector<bool> bits_;
 };
 
 } // namespace dee

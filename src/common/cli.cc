@@ -1,7 +1,9 @@
 #include "common/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -95,11 +97,26 @@ Cli::str(const std::string &name) const
 std::int64_t
 Cli::integer(const std::string &name) const
 {
+    return integer(name, std::numeric_limits<std::int64_t>::min(),
+                   std::numeric_limits<std::int64_t>::max());
+}
+
+std::int64_t
+Cli::integer(const std::string &name, std::int64_t min,
+             std::int64_t max) const
+{
     const std::string &v = lookup(name).value;
     char *end = nullptr;
+    errno = 0;
     const long long parsed = std::strtoll(v.c_str(), &end, 10);
     if (end == v.c_str() || *end != '\0')
         dee_fatal("flag --", name, " expects an integer, got '", v, "'");
+    // strtoll saturates on overflow and says so only through errno.
+    if (errno == ERANGE)
+        dee_fatal("flag --", name, " is out of range, got '", v, "'");
+    if (parsed < min || parsed > max)
+        dee_fatal("flag --", name, " must be in [", min, ", ", max,
+                  "], got ", parsed);
     return parsed;
 }
 

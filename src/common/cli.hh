@@ -36,7 +36,12 @@ class Cli
     void parse(int argc, const char *const *argv);
 
     std::string str(const std::string &name) const;
+    /** Fatal unless the value is a whole decimal that fits 64 bits. */
     std::int64_t integer(const std::string &name) const;
+    /** As integer(name), and fatal unless the value lies in
+     *  [@p min, @p max]: the one range check of a numeric flag. */
+    std::int64_t integer(const std::string &name, std::int64_t min,
+                         std::int64_t max) const;
     double real(const std::string &name) const;
     bool boolean(const std::string &name) const;
 

@@ -6,21 +6,6 @@ namespace dee
 {
 
 std::int64_t
-MachineState::readReg(RegId r) const
-{
-    dee_assert(r < kNumRegs, "register ", int{r}, " out of range");
-    return r == kZeroReg ? 0 : regs[r];
-}
-
-void
-MachineState::writeReg(RegId r, std::int64_t v)
-{
-    dee_assert(r < kNumRegs, "register ", int{r}, " out of range");
-    if (r != kZeroReg)
-        regs[r] = v;
-}
-
-std::int64_t
 MachineState::readMem(std::uint64_t addr) const
 {
     auto it = memory.find(addr);
@@ -96,25 +81,24 @@ branchTaken(Opcode op, std::int64_t a, std::int64_t b)
 
 } // namespace semantics
 
-Interpreter::Interpreter(Program program) : program_(std::move(program))
+std::vector<DecodedStep>
+decodeProgram(const Program &program)
 {
-    program_.validate();
+    program.validate();
 
-    // Static ids number instructions in block order, so the fallthrough
-    // successor is always sid + 1 (empty blocks hold no ids), and a
-    // control transfer lands on its target block's first id.
-    std::vector<StaticId> block_start(program_.numBlocks() + 1, 0);
-    for (BlockId b = 0; b < program_.numBlocks(); ++b) {
+    std::vector<StaticId> block_start(program.numBlocks() + 1, 0);
+    for (BlockId b = 0; b < program.numBlocks(); ++b) {
         block_start[b + 1] =
             block_start[b] +
-            static_cast<StaticId>(program_.block(b).instrs.size());
+            static_cast<StaticId>(program.block(b).instrs.size());
     }
-    steps_.reserve(program_.numInstrs());
-    for (BlockId b = 0; b < program_.numBlocks(); ++b) {
-        for (const Instruction &inst : program_.block(b).instrs) {
-            Step s;
+    std::vector<DecodedStep> steps;
+    steps.reserve(program.numInstrs());
+    for (BlockId b = 0; b < program.numBlocks(); ++b) {
+        for (const Instruction &inst : program.block(b).instrs) {
+            DecodedStep s;
             s.imm = inst.imm;
-            s.next = static_cast<StaticId>(steps_.size() + 1);
+            s.next = static_cast<StaticId>(steps.size() + 1);
             s.block = b;
             s.op = inst.op;
             s.cls = opClass(inst.op);
@@ -125,9 +109,16 @@ Interpreter::Interpreter(Program program) : program_(std::move(program))
             if (s.cls == OpClass::CondBranch || s.cls == OpClass::Jump)
                 s.target = block_start[inst.target];
             s.backward = s.cls == OpClass::CondBranch && inst.target <= b;
-            steps_.push_back(s);
+            s.blockStart = steps.size() == block_start[b];
+            steps.push_back(s);
         }
     }
+    return steps;
+}
+
+Interpreter::Interpreter(const Program &program)
+    : steps_(decodeProgram(program))
+{
 }
 
 ExecResult
@@ -146,7 +137,7 @@ Interpreter::run(std::uint64_t max_instrs, bool capture_trace) const
     while (result.steps < max_instrs) {
         dee_assert(sid < steps_.size(),
                    "fell off program end (validate missed it)");
-        const Step &s = steps_[sid];
+        const DecodedStep &s = steps_[sid];
         ++result.steps;
 
         StaticId next = s.next;

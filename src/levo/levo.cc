@@ -59,12 +59,11 @@ LevoResult::render() const
     return oss.str();
 }
 
-LevoMachine::LevoMachine(Program program, Cfg cfg,
+LevoMachine::LevoMachine(const Program &program, Cfg cfg,
                          const LevoConfig &config)
-    : program_(std::move(program)), cfg_(std::move(cfg)),
+    : steps_(decodeProgram(program)), cfg_(std::move(cfg)),
       config_(config)
 {
-    program_.validate();
     if (config_.iqRows < 1 || config_.columns < 1)
         dee_fatal("Levo IQ must be at least 1x1");
     if (config_.deePaths < 0 || config_.deeColumns < 1)
@@ -90,21 +89,12 @@ LevoMachine::run(std::uint64_t max_instrs) const
 
     const int n = config_.iqRows;
     const int m = config_.columns;
+    const auto num_instrs = static_cast<std::uint32_t>(steps_.size());
 
     LevoResult result;
     MachineState &st = result.finalState;
 
-    // --- Machine bookkeeping state -------------------------------------
-    BitMatrix re(n, m);
-    BitMatrix ve(n, m);
-    std::vector<std::vector<std::int64_t>> ssi(
-        n, std::vector<std::int64_t>(m, 0));
-    std::vector<std::vector<std::int64_t>> isaMat(
-        n, std::vector<std::int64_t>(m, -1));
-
-    auto predictor = makePredictor(
-        config_.predictor, static_cast<std::uint32_t>(program_.numInstrs()));
-    const std::vector<bool> backward = backwardTable(program_);
+    auto predictor = makePredictor(config_.predictor, num_instrs);
 
     // Cycle accounting over the machine's n per-row PEs; the cycle
     // count is unknown until the walk ends, so the ledger grows.
@@ -116,9 +106,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
     obs::SpeculationProfile profile;
     obs::SlotLedger ledger(static_cast<std::uint64_t>(n), 0,
                            /*attribute_sites=*/profiling);
-    ConfidenceEstimator confidence_meter(
-        accounting ? static_cast<std::uint32_t>(program_.numInstrs())
-                   : 0);
+    ConfidenceEstimator confidence_meter(accounting ? num_instrs : 0);
 
     // --- Timing state ----------------------------------------------------
     std::array<std::int64_t, kNumRegs> reg_ready;
@@ -152,22 +140,13 @@ LevoMachine::run(std::uint64_t max_instrs) const
     const std::int64_t dee_capacity =
         static_cast<std::int64_t>(config_.deeColumns) * config_.iqRows;
 
-    std::uint32_t iq_base =
-        static_cast<std::uint32_t>(program_.staticId(0, 0));
+    std::uint32_t iq_base = 0;
     int cur_col = 0;
 
-    auto clear_column = [&](int col) {
-        re.clearColumn(static_cast<std::size_t>(col));
-        ve.clearColumn(static_cast<std::size_t>(col));
-        for (int r = 0; r < n; ++r) {
-            ssi[r][col] = 0;
-            isaMat[r][col] = -1;
-        }
-    };
-
     // --- Dynamic walk ------------------------------------------------------
-    BlockId block = 0;
-    std::size_t idx = 0;
+    // Static id to static id through the decoded program, as the
+    // interpreter steps.
+    StaticId sid = 0;
 
     {
         // The whole walk samples as issue — one marker outside the
@@ -176,14 +155,8 @@ LevoMachine::run(std::uint64_t max_instrs) const
         const obs::hotspot::HotspotPhase hot_issue(
             hot, "levo", obs::hotspot::Phase::Issue);
         while (result.instructions < max_instrs) {
-            while (idx >= program_.block(block).instrs.size()) {
-                dee_assert(block + 1 < program_.numBlocks(),
-                           "fell off program end");
-                ++block;
-                idx = 0;
-            }
-            const Instruction &inst = program_.block(block).instrs[idx];
-            const StaticId sid = program_.staticId(block, idx);
+            dee_assert(sid < num_instrs, "fell off program end");
+            const DecodedStep &inst = steps_[sid];
 
             // Window residence: refill (linear-code mode) when the dynamic
             // stream leaves the IQ's static range.
@@ -203,13 +176,11 @@ LevoMachine::run(std::uint64_t max_instrs) const
                                 fetch_ready - config_.refillPenalty,
                                 fetch_ready);
                 }
-                for (int c = 0; c < m; ++c)
-                    clear_column(c);
                 cur_col = 0;
             }
             const int row = static_cast<int>(sid - iq_base);
-            // The refill check above guarantees residence; every matrix
-            // access below indexes [row][cur_col].
+            // The refill check above guarantees residence; the row's PE
+            // and the active column are indexed below.
             DEE_INVARIANT(row >= 0 && row < n, "IQ row ", row,
                           " outside the ", n, "-row window");
             DEE_INVARIANT(cur_col >= 0 && cur_col < m, "active column ",
@@ -224,7 +195,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
                     start = std::max(start, reg_ready[r]);
             };
             need_reg(inst.rs1);
-            if (opClass(inst.op) != OpClass::Load)
+            if (inst.cls != OpClass::Load)
                 need_reg(inst.rs2);
 
             // Memory operand readiness handled below once the address is
@@ -234,9 +205,9 @@ LevoMachine::run(std::uint64_t max_instrs) const
             // then pay any still-open covered-mispredict stalls. Once a DEE
             // path's capacity is exhausted the stall hardens into a full
             // wait-for-resolution for everything after.
-            if (idx == 0) {
+            if (inst.blockStart) {
                 std::erase_if(cd_stalls, [&](const CdStall &s) {
-                    return s.joinBlock == block;
+                    return s.joinBlock == inst.block;
                 });
             }
             for (CdStall &s : cd_stalls) {
@@ -247,12 +218,11 @@ LevoMachine::run(std::uint64_t max_instrs) const
 
             // --- Functional execution + per-class timing ----------------------
             ++result.instructions;
-            BlockId next_block = block;
-            std::size_t next_idx = idx + 1;
+            StaticId next = inst.next;
             bool is_control_transfer = false;
             bool done = false;
 
-            switch (opClass(inst.op)) {
+            switch (inst.cls) {
               case OpClass::IntAlu: {
                 std::int64_t value;
                 if (inst.op == Opcode::LoadImm) {
@@ -265,8 +235,6 @@ LevoMachine::run(std::uint64_t max_instrs) const
                                            inst.imm);
                 }
                 st.writeReg(inst.rd, value);
-                ssi[row][cur_col] = value;
-                isaMat[row][cur_col] = inst.rd;
                 if (inst.rd != kNoReg && inst.rd != kZeroReg)
                     reg_ready[inst.rd] = start + 1;
                 break;
@@ -279,8 +247,6 @@ LevoMachine::run(std::uint64_t max_instrs) const
                     start = std::max(start, it->second);
                 const std::int64_t value = st.readMem(addr);
                 st.writeReg(inst.rd, value);
-                ssi[row][cur_col] = value;
-                isaMat[row][cur_col] = inst.rd;
                 if (inst.rd != kNoReg && inst.rd != kZeroReg)
                     reg_ready[inst.rd] = start + 1;
                 break;
@@ -291,10 +257,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
                 auto it = mem_ready.find(addr);
                 if (it != mem_ready.end())
                     start = std::max(start, it->second);
-                const std::int64_t value = st.readReg(inst.rs2);
-                st.writeMem(addr, value);
-                ssi[row][cur_col] = value;
-                isaMat[row][cur_col] = static_cast<std::int64_t>(addr);
+                st.writeMem(addr, st.readReg(inst.rs2));
                 mem_ready[addr] = start + 1;
                 break;
               }
@@ -308,13 +271,13 @@ LevoMachine::run(std::uint64_t max_instrs) const
 
                 BranchQuery q;
                 q.sid = sid;
-                q.backward = backward[sid];
+                q.backward = inst.backward;
                 q.actual = taken;
                 const bool predicted = predictor->predict(q);
                 predictor->update(q, taken);
                 if (profiling) {
                     profile.recordExecution(
-                        sid, static_cast<std::int64_t>(block),
+                        sid, static_cast<std::int64_t>(inst.block),
                         predicted != taken,
                         obs::confidenceBucket(
                             confidence_meter.estimate(sid)));
@@ -340,44 +303,27 @@ LevoMachine::run(std::uint64_t max_instrs) const
                     profile.recordResolveLatency(sid, resolve_time - start);
 
                 if (taken) {
-                    next_block = inst.target;
-                    next_idx = 0;
-                    if (backward[sid]) {
+                    next = inst.target;
+                    if (inst.backward) {
                         ++result.backwardTakenBranches;
-                        const StaticId tgt_sid =
-                            program_.staticId(inst.target, 0);
-                        if (tgt_sid >= iq_base)
+                        if (inst.target >= iq_base)
                             ++result.capturedLoopBranches;
-                    } else {
-                        // Forward taken: virtually execute skipped rows of
-                        // this column (the VE predicate mechanism).
-                        const StaticId tgt_sid =
-                            program_.staticId(inst.target, 0);
-                        if (tgt_sid > sid &&
-                            tgt_sid < iq_base + static_cast<std::uint32_t>(n)) {
-                            for (StaticId s2 = sid + 1; s2 < tgt_sid; ++s2) {
-                                ve.set(s2 - iq_base,
-                                       static_cast<std::size_t>(cur_col));
-                                ++result.vePredications;
-                            }
-                        }
+                    } else if (inst.target > sid &&
+                               inst.target <
+                                   iq_base + static_cast<std::uint32_t>(n)) {
+                        // Forward taken: the skipped rows of this column
+                        // are virtually executed (the VE predicate
+                        // mechanism); count the VE bits the hardware
+                        // would set.
+                        result.vePredications += inst.target - sid - 1;
                     }
-                } else {
-                    next_block = block + 1;
-                    next_idx = 0;
                 }
 
                 if (predicted != taken) {
                     ++result.mispredicted;
-                    const StaticId next_sid =
-                        program_.staticId(next_block,
-                                          next_idx < program_.block(next_block)
-                                                         .instrs.size()
-                                              ? next_idx
-                                              : 0);
                     const bool in_window =
-                        next_sid >= iq_base &&
-                        next_sid < iq_base + static_cast<std::uint32_t>(n);
+                        next >= iq_base &&
+                        next < iq_base + static_cast<std::uint32_t>(n);
                     const bool covered = config_.deePaths > 0 &&
                                          pending_before < config_.deePaths &&
                                          in_window;
@@ -407,7 +353,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
                                 /*dee_side=*/true);
                         }
                         cd_stalls.push_back(CdStall{
-                            cfg_.ipostdom(block),
+                            cfg_.ipostdom(inst.block),
                             resolve_time + config_.mispredictPenalty,
                             dee_capacity});
                         if (cd_stalls.size() > 64)
@@ -455,8 +401,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
                 break;
               }
               case OpClass::Jump:
-                next_block = inst.target;
-                next_idx = 0;
+                next = inst.target;
                 is_control_transfer = true;
                 break;
               case OpClass::Halt:
@@ -467,11 +412,15 @@ LevoMachine::run(std::uint64_t max_instrs) const
                 break;
             }
 
-            // Record execution in the bookkeeping matrices and retire the
-            // PE/row for one cycle.
-            re.set(row, static_cast<std::size_t>(cur_col));
-            if (accounting)
-                ledger.issue(start);
+            // Retire the PE/row for one cycle. The ledger's issue counts
+            // grow in steps; issue() checks the rare cycle past them.
+            if (accounting) {
+                if (std::uint32_t *const counts =
+                        ledger.issueCounts(start + 1))
+                    ++counts[start];
+                else
+                    ledger.issue(start);
+            }
             row_free[row] = start + 1;
             col_last_complete[cur_col] =
                 std::max(col_last_complete[cur_col], start + 1);
@@ -486,9 +435,10 @@ LevoMachine::run(std::uint64_t max_instrs) const
 
             // Captured-loop iteration: a backward in-window transfer starts
             // a new instance column; wait for the column being recycled.
-            if (is_control_transfer && next_block <= block) {
-                const StaticId tgt_sid = program_.staticId(next_block, 0);
-                if (tgt_sid >= iq_base) {
+            // Only a taken transfer to this block or an earlier one lands
+            // at or before sid.
+            if (is_control_transfer && next <= sid) {
+                if (next >= iq_base) {
                     cur_col = (cur_col + 1) % m;
                     if (col_last_complete[cur_col] > start + 1) {
                         ++result.columnStalls;
@@ -515,13 +465,11 @@ LevoMachine::run(std::uint64_t max_instrs) const
                                           col_last_complete[cur_col],
                                   "column ", cur_col,
                                   " recycled before completion");
-                    clear_column(cur_col);
                     col_last_complete[cur_col] = 0;
                 }
             }
 
-            block = next_block;
-            idx = next_idx;
+            sid = next;
         }
     }
 

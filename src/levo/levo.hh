@@ -4,15 +4,20 @@
  *
  * Levo is a *static instruction window* machine: the Instruction Queue
  * (IQ) holds n static instructions in static program order with m
- * instance columns (in-flight loop iterations). Bookkeeping uses the
- * Really Executed (RE) and Virtually Executed (VE) n x m bit matrices;
- * results live in Shadow Sink (SSI) renaming registers with their
- * architectural addresses in the ISA matrix. One PE per IQ row executes
- * instances of that static instruction; one branch predictor per row
- * predicts its branch. Minimal data dependencies (flow-only, via the
- * shadow sinks) and minimal control dependencies (instances execute as
- * soon as operands are available; only *totally control dependent*
- * instances are penalized by a misprediction) are realized.
+ * instance columns (in-flight loop iterations). The hardware keeps the
+ * Really Executed (RE) and Virtually Executed (VE) n x m bit matrices,
+ * and results live in Shadow Sink (SSI) renaming registers with their
+ * architectural addresses in the ISA matrix. The model does not
+ * materialise these: no timing rule reads them. What times the machine
+ * is per-row PE occupancy (one PE per IQ row executes the instances of
+ * that static instruction), column recycling (a captured loop
+ * iteration waits for its column's previous generation), window
+ * refills and DEE coverage; vePredications counts the VE bits the
+ * hardware would set. One branch predictor per row predicts its
+ * branch. Minimal data dependencies (flow-only, via the shadow sinks)
+ * and minimal control dependencies (instances execute as soon as
+ * operands are available; only *totally control dependent* instances
+ * are penalized by a misprediction) are realized.
  *
  * DEE is implemented by alternate-path state columns: the machine keeps
  * `deePaths` DEE path copies attached to the oldest pending branches.
@@ -24,11 +29,12 @@
  * leaves the IQ (uncaptured loops, long forward jumps) triggers a
  * linear-mode window refill with a refill penalty.
  *
- * The model is execution-driven: it runs the Program functionally
- * (matching the sequential interpreter exactly — tests verify final
- * architectural state) while timing each dynamic instruction under the
- * machine's structural constraints (per-row PE serialization, column
- * reuse, window refills, misprediction penalties).
+ * The model is execution-driven: it steps the interpreter's decoded
+ * program (decodeProgram()) functionally, matching the sequential
+ * interpreter exactly (tests verify final architectural state), while
+ * timing each dynamic instruction under the machine's structural
+ * constraints (per-row PE serialization, column reuse, window refills,
+ * misprediction penalties).
  */
 
 #ifndef DEE_LEVO_LEVO_HH
@@ -36,10 +42,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bpred/bpred.hh"
 #include "cfg/cfg.hh"
-#include "common/bit_matrix.hh"
 #include "exec/interp.hh"
 #include "isa/isa.hh"
 #include "obs/accounting.hh"
@@ -128,16 +134,17 @@ class LevoMachine
 {
   public:
     /**
-     * The program must validate(); the Cfg must belong to it. Both are
-     * copied, so temporaries are safe to pass.
+     * The program must validate(); the Cfg must belong to it. The
+     * machine keeps the program's decode and a copy of the Cfg, so
+     * temporaries are safe to pass.
      */
-    LevoMachine(Program program, Cfg cfg, const LevoConfig &config);
+    LevoMachine(const Program &program, Cfg cfg, const LevoConfig &config);
 
     /** Runs from block 0 until Halt or the instruction cap. */
     LevoResult run(std::uint64_t max_instrs = 10'000'000) const;
 
   private:
-    Program program_;
+    std::vector<DecodedStep> steps_; ///< indexed by static id
     Cfg cfg_;
     LevoConfig config_;
 };

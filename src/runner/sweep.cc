@@ -20,14 +20,14 @@ declareFlags(Cli &cli)
 {
     cli.flag("jobs", "1",
              "worker threads for the sweep grid (0 = all hardware "
-             "threads, 1 = serial)");
+             "threads, 1 = serial, at most 1024)");
 }
 
 SweepOptions
 fromCli(const Cli &cli)
 {
     SweepOptions options;
-    options.jobs = static_cast<int>(cli.integer("jobs"));
+    options.jobs = static_cast<int>(cli.integer("jobs", 0, kMaxJobs));
     return options;
 }
 
@@ -36,6 +36,9 @@ effectiveJobs(const SweepOptions &options)
 {
     if (options.jobs < 0)
         dee_fatal("--jobs must be >= 0 (got ", options.jobs, ")");
+    if (options.jobs > kMaxJobs)
+        dee_fatal("--jobs must be <= ", kMaxJobs, " (got ", options.jobs,
+                  ")");
     if (options.jobs == 0)
         return ThreadPool::hardwareConcurrency();
     return static_cast<unsigned>(options.jobs);

@@ -37,6 +37,9 @@
 namespace dee::runner
 {
 
+/** Most worker threads a sweep may ask for. */
+constexpr int kMaxJobs = 1024;
+
 /** How a sweep distributes its cells. */
 struct SweepOptions
 {
@@ -47,11 +50,12 @@ struct SweepOptions
 /** Declares --jobs on @p cli (default 0 = hardware concurrency). */
 void declareFlags(Cli &cli);
 
-/** Reads the flags declared by declareFlags(). */
+/** Reads the flags declared by declareFlags(); a --jobs outside
+ *  [0, kMaxJobs] is a fatal user error. */
 SweepOptions fromCli(const Cli &cli);
 
 /** Resolves options.jobs: 0 becomes ThreadPool::hardwareConcurrency(),
- *  negatives are a fatal user error. */
+ *  a value outside [0, kMaxJobs] is a fatal user error. */
 unsigned effectiveJobs(const SweepOptions &options);
 
 /**

@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for src/common: statistics, RNG, tables, bit matrix, CLI.
+ * Unit tests for src/common: statistics, RNG, tables, CLI.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
-#include "common/bit_matrix.hh"
 #include "common/cli.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -168,35 +169,6 @@ TEST(Table, FmtPrecision)
     EXPECT_EQ(Table::fmt(2.0, 0), "2");
 }
 
-TEST(BitMatrix, SetClearPopcount)
-{
-    BitMatrix bm(4, 3);
-    EXPECT_EQ(bm.popcount(), 0u);
-    bm.set(0, 0);
-    bm.set(3, 2);
-    bm.set(1, 1);
-    EXPECT_TRUE(bm.get(0, 0));
-    EXPECT_TRUE(bm.get(3, 2));
-    EXPECT_EQ(bm.popcount(), 3u);
-    bm.clear(0, 0);
-    EXPECT_FALSE(bm.get(0, 0));
-    EXPECT_EQ(bm.popcount(), 2u);
-}
-
-TEST(BitMatrix, ClearColumnAndRow)
-{
-    BitMatrix bm(3, 3);
-    for (std::size_t r = 0; r < 3; ++r)
-        for (std::size_t c = 0; c < 3; ++c)
-            bm.set(r, c);
-    bm.clearColumn(1);
-    EXPECT_EQ(bm.popcount(), 6u);
-    bm.clearRow(0);
-    EXPECT_EQ(bm.popcount(), 4u);
-    bm.reset();
-    EXPECT_EQ(bm.popcount(), 0u);
-}
-
 TEST(Cli, ParsesFlagsBothForms)
 {
     Cli cli("test");
@@ -246,6 +218,53 @@ TEST(Cli, DefaultsSurviveParse)
     const char *argv[] = {"prog"};
     cli.parse(1, argv);
     EXPECT_EQ(cli.integer("x"), 7);
+}
+
+/** A Cli with one integer flag --n parsed from @p value. */
+Cli
+parsedInt(const char *value)
+{
+    Cli cli("test");
+    cli.flag("n", "0", "an int");
+    const char *argv[] = {"prog", "--n", value};
+    cli.parse(3, argv);
+    return cli;
+}
+
+TEST(Cli, IntegerRangeKeepsItsBounds)
+{
+    EXPECT_EQ(parsedInt("1").integer("n", 1, 4), 1);
+    EXPECT_EQ(parsedInt("4").integer("n", 1, 4), 4);
+    EXPECT_EQ(parsedInt("-9223372036854775808").integer("n"),
+              std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(CliDeathTest, IntegerOutsideItsRangeIsFatal)
+{
+    EXPECT_EXIT(parsedInt("0").integer("n", 1, 4),
+                ::testing::ExitedWithCode(1),
+                "flag --n must be in \\[1, 4\\], got 0");
+    EXPECT_EXIT(parsedInt("-5").integer("n", 0, 4),
+                ::testing::ExitedWithCode(1),
+                "flag --n must be in \\[0, 4\\], got -5");
+    EXPECT_EXIT(parsedInt("4294967297").integer("n", 0, 1024),
+                ::testing::ExitedWithCode(1),
+                "flag --n must be in \\[0, 1024\\], got 4294967297");
+}
+
+TEST(CliDeathTest, IntegerOverflowIsFatal)
+{
+    // strtoll saturates to LLONG_MAX / LLONG_MIN; neither may pass as
+    // a value.
+    EXPECT_EXIT(parsedInt("99999999999999999999").integer("n"),
+                ::testing::ExitedWithCode(1),
+                "flag --n is out of range, got '99999999999999999999'");
+    EXPECT_EXIT(parsedInt("-99999999999999999999").integer("n", -1, 1),
+                ::testing::ExitedWithCode(1),
+                "flag --n is out of range, got '-99999999999999999999'");
+    EXPECT_EXIT(parsedInt("12x").integer("n", 0, 100),
+                ::testing::ExitedWithCode(1),
+                "flag --n expects an integer, got '12x'");
 }
 
 } // namespace

@@ -15,11 +15,10 @@
  *     holding on the production path, which never links the
  *     reference kernels.
  *
- *   - The word-parallel BitVec64 / BitMatrix operations the engine's
- *     per-path sets are built on (the RE/VE bookkeeping form of
- *     CONDEL-2 / Levo), cross-checked against a naive std::set oracle
- *     on randomized masks: and/or/andNot, popcount, ascending
- *     forEachSet scans, and row/column clears.
+ *   - The word-parallel BitVec64 operations the engine's per-path
+ *     sets are built on, cross-checked against a naive std::set
+ *     oracle on randomized masks: and/or/andNot, popcount and
+ *     ascending forEachSet scans.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include <random>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bpred/bpred.hh"
@@ -226,56 +224,6 @@ TEST(BitVecProperties, ClearEmptiesAndKeepsSize)
     v.clear();
     EXPECT_EQ(v.size(), 300u);
     EXPECT_EQ(v.popcount(), 0u);
-}
-
-TEST(BitMatrixProperties, RowColumnOpsMatchSetOracle)
-{
-    // The RE/VE matrix form: row = static instruction, column =
-    // in-flight instance. Oracle is a set of (row, col) pairs.
-    std::mt19937_64 rng(0x5E7C1EA2u);
-    const std::size_t rows = 37;
-    const std::size_t cols = 19;
-    BitMatrix m(rows, cols);
-    std::set<std::pair<std::size_t, std::size_t>> oracle;
-
-    std::uniform_int_distribution<std::size_t> rpick(0, rows - 1);
-    std::uniform_int_distribution<std::size_t> cpick(0, cols - 1);
-    for (int k = 0; k < 400; ++k) {
-        const std::size_t r = rpick(rng);
-        const std::size_t c = cpick(rng);
-        switch (k % 4) {
-          case 0:
-          case 1:
-            m.set(r, c);
-            oracle.insert({r, c});
-            break;
-          case 2:
-            m.clear(r, c);
-            oracle.erase({r, c});
-            break;
-          case 3:
-            if (k % 8 == 3) {
-                // Retire an iteration: the engine's column clear.
-                m.clearColumn(c);
-                for (std::size_t rr = 0; rr < rows; ++rr)
-                    oracle.erase({rr, c});
-            } else {
-                m.clearRow(r);
-                for (std::size_t cc = 0; cc < cols; ++cc)
-                    oracle.erase({r, cc});
-            }
-            break;
-        }
-        EXPECT_EQ(m.popcount(), oracle.size()) << "step " << k;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            EXPECT_EQ(m.get(r, c), oracle.count({r, c}) != 0)
-                << r << "," << c;
-        }
-    }
-    m.reset();
-    EXPECT_EQ(m.popcount(), 0u);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "exec/interp.hh"
 #include "isa/builder.hh"
 #include "levo/levo.hh"
@@ -73,6 +75,29 @@ TEST(LevoFunctional, TinyIqStillCorrect)
     config.columns = 2;
     config.deePaths = 0;
     expectStateMatch(sumLoop(50), config);
+}
+
+TEST(LevoFunctional, EmptyTargetBlockMatchesInterpreter)
+{
+    // b0: li r1,3; j b1 / b1: (empty) / b2: addi r1,r1,-1;
+    // bne r1,r0,b1 / b3: halt. Every transfer lands on the empty b1
+    // and falls through to b2, as in the interpreter.
+    ProgramBuilder pb;
+    const BlockId b0 = pb.newBlock();
+    const BlockId b1 = pb.newBlock();
+    const BlockId b2 = pb.newBlock();
+    const BlockId b3 = pb.newBlock();
+    pb.switchTo(b0);
+    pb.loadImm(1, 3);
+    pb.jump(b1);
+    pb.switchTo(b2);
+    pb.aluImm(Opcode::AddI, 1, 1, -1);
+    pb.branch(Opcode::BranchNe, 1, kZeroReg, b1);
+    pb.switchTo(b3);
+    pb.halt();
+    const Program p = pb.build();
+    EXPECT_EQ(Interpreter(p).run().steps, 9u);
+    expectStateMatch(p, LevoConfig{});
 }
 
 class LevoWorkloads : public ::testing::TestWithParam<WorkloadId>
@@ -332,6 +357,220 @@ TEST(LevoPredictors, OracleBeatsTwoBit)
     const LevoResult a = LevoMachine(p, cfg, two_bit).run(500'000);
     const LevoResult b = LevoMachine(p, cfg, oracle).run(500'000);
     EXPECT_LE(b.cycles, a.cycles);
+}
+
+// --- Golden pin ---------------------------------------------------------
+
+/** One pinned run: every LevoResult field render() prints, the exact
+ *  loop-capture counts behind its fraction, and the account's slots
+ *  per class (SlotClass order). */
+struct GoldenRun
+{
+    const char *render;
+    std::uint64_t captured;
+    std::uint64_t backward;
+    std::array<std::uint64_t, obs::kNumSlotClasses> slots;
+};
+
+/** The 32x8 machine with 0, 3 one-column and 11 two-column DEE paths
+ *  (perfbench's levo_sweep design points). */
+std::vector<LevoConfig>
+goldenPoints()
+{
+    LevoConfig none;
+    none.deePaths = 0;
+    LevoConfig three;
+    three.deePaths = 3;
+    three.deeColumns = 1;
+    LevoConfig eleven;
+    eleven.deePaths = 11;
+    eleven.deeColumns = 2;
+    return {none, three, eleven};
+}
+
+/** FNV-1a, 64-bit. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Runs @p config on @p p, checks it against the interpreter and
+ *  @p want, and returns the result. */
+LevoResult
+expectGolden(const Program &p, const LevoConfig &config,
+             const GoldenRun &want, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const LevoResult r = LevoMachine(p, Cfg(p), config).run();
+    const ExecResult ref = Interpreter(p).run(10'000'000, false);
+    EXPECT_EQ(r.halted, ref.halted);
+    EXPECT_EQ(r.instructions, ref.steps);
+    EXPECT_EQ(r.finalState.regs, ref.state.regs);
+    EXPECT_EQ(r.finalState.memory, ref.state.memory);
+
+    EXPECT_EQ(r.render(), want.render);
+    EXPECT_EQ(r.capturedLoopBranches, want.captured);
+    EXPECT_EQ(r.backwardTakenBranches, want.backward);
+    for (std::size_t c = 0; c < obs::kNumSlotClasses; ++c) {
+        const auto cls = static_cast<obs::SlotClass>(c);
+        EXPECT_EQ(r.account.slots(cls), want.slots[c])
+            << obs::slotClassName(cls);
+    }
+    return r;
+}
+
+TEST(LevoGolden, EveryFieldMatchesParent)
+{
+    // Scale-1 workloads (allWorkloads() order) x goldenPoints(). A
+    // change to Levo's timing rules must re-pin these on purpose;
+    // a refactor must leave every one of them as it is.
+    const GoldenRun kRuns[5][3] = {
+        {
+            {"instructions=36636 cycles=17107 ipc=2.14158 "
+             "branches=4506 mispredicted=551 deeCovered=0 "
+             "refills=1800 columnStalls=0 vePredications=6873 "
+             "loopCapture=0.0654886 peakPending=2 "
+             "rowUtil=0.0669244 waste=0.485948 useful=0.0669244 "
+             "halted",
+             63, 962,
+             {36636, 34633, 0, 0, 111183, 0, 364972}},
+            {"instructions=36636 cycles=15471 ipc=2.36804 "
+             "branches=4506 mispredicted=551 deeCovered=551 "
+             "refills=1800 columnStalls=0 vePredications=6873 "
+             "loopCapture=0.0654886 peakPending=3 "
+             "rowUtil=0.0740014 waste=0 useful=0.0740014 halted",
+             63, 962,
+             {36636, 0, 0, 0, 103959, 16870, 337607}},
+            {"instructions=36636 cycles=15471 ipc=2.36804 "
+             "branches=4506 mispredicted=551 deeCovered=551 "
+             "refills=1800 columnStalls=0 vePredications=6873 "
+             "loopCapture=0.0654886 peakPending=3 "
+             "rowUtil=0.0740014 waste=0 useful=0.0740014 halted",
+             63, 962,
+             {36636, 0, 0, 0, 103959, 16870, 337607}},
+        },
+        {
+            {"instructions=75167 cycles=17660 ipc=4.25634 "
+             "branches=9600 mispredicted=1355 deeCovered=0 "
+             "refills=2 columnStalls=78 vePredications=9142 "
+             "loopCapture=0.999687 peakPending=3 rowUtil=0.133011 "
+             "waste=0.527362 useful=0.133011 halted",
+             3198, 3199,
+             {75167, 83870, 0, 4446, 128, 0, 401509}},
+            {"instructions=75167 cycles=5746 ipc=13.0816 "
+             "branches=9600 mispredicted=1355 deeCovered=1355 "
+             "refills=2 columnStalls=585 vePredications=9142 "
+             "loopCapture=0.999687 peakPending=3 rowUtil=0.408801 "
+             "waste=0 useful=0.408801 halted",
+             3198, 3199,
+             {75167, 0, 0, 31244, 126, 19565, 57770}},
+            {"instructions=75167 cycles=5746 ipc=13.0816 "
+             "branches=9600 mispredicted=1355 deeCovered=1355 "
+             "refills=2 columnStalls=585 vePredications=9142 "
+             "loopCapture=0.999687 peakPending=3 rowUtil=0.408801 "
+             "waste=0 useful=0.408801 halted",
+             3198, 3199,
+             {75167, 0, 0, 31244, 126, 19565, 57770}},
+        },
+        {
+            {"instructions=128752 cycles=43504 ipc=2.95954 "
+             "branches=11443 mispredicted=503 deeCovered=0 "
+             "refills=4863 columnStalls=0 vePredications=13426 "
+             "loopCapture=0 peakPending=3 rowUtil=0.0924857 "
+             "waste=0.188371 useful=0.0924857 halted",
+             0, 2251,
+             {128752, 29882, 0, 0, 290710, 0, 942784}},
+            {"instructions=128752 cycles=42225 ipc=3.04919 "
+             "branches=11443 mispredicted=503 deeCovered=281 "
+             "refills=4863 columnStalls=0 vePredications=13426 "
+             "loopCapture=0 peakPending=3 rowUtil=0.0952872 "
+             "waste=0.0920681 useful=0.0952872 halted",
+             0, 2251,
+             {128752, 13056, 0, 0, 284070, 8296, 917026}},
+            {"instructions=128752 cycles=42225 ipc=3.04919 "
+             "branches=11443 mispredicted=503 deeCovered=281 "
+             "refills=4863 columnStalls=0 vePredications=13426 "
+             "loopCapture=0 peakPending=3 rowUtil=0.0952872 "
+             "waste=0.0920681 useful=0.0952872 halted",
+             0, 2251,
+             {128752, 13056, 0, 0, 284070, 8296, 917026}},
+        },
+        {
+            {"instructions=109993 cycles=33443 ipc=3.28897 "
+             "branches=8103 mispredicted=754 deeCovered=0 "
+             "refills=5105 columnStalls=0 vePredications=9313 "
+             "loopCapture=0 peakPending=3 rowUtil=0.10278 "
+             "waste=0.291574 useful=0.10278 halted",
+             0, 2552,
+             {109993, 45271, 0, 0, 298568, 0, 616344}},
+            {"instructions=109993 cycles=30866 ipc=3.56357 "
+             "branches=8103 mispredicted=754 deeCovered=750 "
+             "refills=5105 columnStalls=0 vePredications=9313 "
+             "loopCapture=0 peakPending=4 rowUtil=0.111361 "
+             "waste=0.00221341 useful=0.111361 halted",
+             0, 2552,
+             {109993, 244, 0, 0, 288650, 22028, 566797}},
+            {"instructions=109993 cycles=30854 ipc=3.56495 "
+             "branches=8103 mispredicted=754 deeCovered=754 "
+             "refills=5105 columnStalls=0 vePredications=9313 "
+             "loopCapture=0 peakPending=5 rowUtil=0.111405 waste=0 "
+             "useful=0.111405 halted",
+             0, 2552,
+             {109993, 0, 0, 0, 288554, 22152, 566629}},
+        },
+        {
+            {"instructions=339243 cycles=83925 ipc=4.04222 "
+             "branches=53570 mispredicted=5888 deeCovered=0 "
+             "refills=3399 columnStalls=99 vePredications=77472 "
+             "loopCapture=0.871083 peakPending=4 rowUtil=0.126319 "
+             "waste=0.516266 useful=0.126319 halted",
+             11480, 13179,
+             {339243, 362058, 0, 1287, 208060, 0, 1774952}},
+            {"instructions=339243 cycles=60323 ipc=5.62378 "
+             "branches=53570 mispredicted=5888 deeCovered=3802 "
+             "refills=3399 columnStalls=348 vePredications=77472 "
+             "loopCapture=0.871083 peakPending=4 rowUtil=0.175743 "
+             "waste=0.273784 useful=0.175743 halted",
+             11480, 13179,
+             {339243, 127895, 0, 7337, 203845, 72030, 1179986}},
+            {"instructions=339243 cycles=43877 ipc=7.73168 "
+             "branches=53570 mispredicted=5888 deeCovered=5873 "
+             "refills=3399 columnStalls=1609 vePredications=77472 "
+             "loopCapture=0.871083 peakPending=4 rowUtil=0.241615 "
+             "waste=0.00277788 useful=0.241615 halted",
+             11480, 13179,
+             {339243, 945, 0, 27661, 203277, 104609, 728329}},
+        },
+    };
+    const std::vector<WorkloadId> ids = allWorkloads();
+    ASSERT_EQ(ids.size(), 5u);
+    const std::vector<LevoConfig> points = goldenPoints();
+    for (std::size_t w = 0; w < ids.size(); ++w) {
+        const Program p = makeWorkload(ids[w], 1);
+        for (std::size_t c = 0; c < points.size(); ++c) {
+            expectGolden(p, points[c], kRuns[w][c],
+                         std::string(workloadName(ids[w])) + " point " +
+                             std::to_string(c));
+        }
+    }
+
+    // The speculation profile, through a 64-bit hash of its JSON.
+    // Profiling changes no timing, so the run matches its unprofiled
+    // pin (compress, 3 one-column DEE paths).
+    ASSERT_EQ(ids[1], WorkloadId::Compress);
+    LevoConfig profiled = points[1];
+    profiled.gatherProfile = true;
+    const LevoResult r =
+        expectGolden(makeWorkload(WorkloadId::Compress, 1), profiled,
+                     kRuns[1][1], "compress profiled");
+    EXPECT_FALSE(r.profile.empty());
+    EXPECT_EQ(fnv1a(r.profile.toJson().dump()), 3679797326643712614ull);
 }
 
 } // namespace

@@ -276,6 +276,38 @@ TEST(RunCellsDeathTest, NegativeJobsNamesTheValue)
                 "--jobs must be >= 0 \\(got -1\\)");
 }
 
+TEST(RunCellsDeathTest, TooManyJobsNamesTheValue)
+{
+    runner::SweepOptions bad;
+    bad.jobs = runner::kMaxJobs + 1;
+    EXPECT_EXIT(runner::runCells(2, bad, [](std::size_t) {}),
+                ::testing::ExitedWithCode(1),
+                "--jobs must be <= 1024 \\(got 1025\\)");
+}
+
+TEST(RunCellsDeathTest, JobsFlagOutsideItsRangeIsFatal)
+{
+    // The flag path. 2^32 + 1 narrows to 1 as an int, and 10^11 would
+    // ask the pool for 1.2 billion workers: each value is rejected
+    // while the flag is read, before any pool exists.
+    for (const char *value : {"4294967297", "100000000000", "-1", "1025"}) {
+        Cli cli("test");
+        runner::declareFlags(cli);
+        const char *argv[] = {"prog", "--jobs", value};
+        cli.parse(3, argv);
+        EXPECT_EXIT(runner::fromCli(cli), ::testing::ExitedWithCode(1),
+                    std::string("flag --jobs must be in \\[0, 1024\\], "
+                                "got ") +
+                        value)
+            << value;
+    }
+    Cli cli("test");
+    runner::declareFlags(cli);
+    const char *argv[] = {"prog", "--jobs", "1024"};
+    cli.parse(3, argv);
+    EXPECT_EQ(runner::fromCli(cli).jobs, 1024);
+}
+
 // ------------------------------------------- differential determinism
 
 /**
