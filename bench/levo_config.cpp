@@ -12,6 +12,7 @@
 
 #include <climits>
 #include <cstdio>
+#include <limits>
 
 #include "common/cli.hh"
 #include "common/stats.hh"
@@ -38,8 +39,8 @@ main(int argc, char **argv)
     cli.flag("max-instrs", "2000000", "per-run instruction cap");
     cli.parse(argc, argv);
     const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
-    const auto cap =
-        static_cast<std::uint64_t>(cli.integer("max-instrs"));
+    const auto cap = static_cast<std::uint64_t>(cli.integer(
+        "max-instrs", 1, std::numeric_limits<std::int64_t>::max()));
 
     std::vector<DesignPoint> points;
     {

@@ -12,6 +12,7 @@
  */
 
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/cli.hh"
@@ -62,14 +63,15 @@ main(int argc, char **argv)
     cli.flag("rows", "32", "IQ rows");
     cli.parse(argc, argv);
     const int scale = static_cast<int>(cli.integer("scale", 1, INT_MAX));
-    const int rows = static_cast<int>(cli.integer("rows"));
+    const int rows = static_cast<int>(cli.integer("rows", 1, INT_MAX));
 
     dee::LevoConfig config;
     config.iqRows = rows;
 
     dee::UnrollOptions unroll;
     unroll.factor = 8;
-    unroll.maxBodyInstrs = rows * 3 / 4; // the paper's sizing rule
+    // The paper's sizing rule, in 64 bits so that no --rows overflows.
+    unroll.maxBodyInstrs = static_cast<int>(std::int64_t{rows} * 3 / 4);
 
     dee::Table table({"workload", "ipc plain", "ipc unrolled", "gain",
                       "loops unrolled", "capture plain",

@@ -7,6 +7,7 @@
  * Usage: asm_runner [--file prog.s] [--et 100]
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "bpred/bpred.hh"
@@ -69,7 +70,7 @@ main(int argc, char **argv)
     std::printf("executed %llu dynamic instructions\n\n",
                 static_cast<unsigned long long>(run.steps));
 
-    const int e_t = static_cast<int>(cli.integer("et"));
+    const int e_t = static_cast<int>(cli.integer("et", 0, INT_MAX));
     dee::Table table({"engine", "speedup/ipc", "cycles"});
     for (dee::ModelKind kind :
          {dee::ModelKind::SP, dee::ModelKind::EE, dee::ModelKind::DEE,

@@ -9,6 +9,7 @@
  * Usage: levo_demo [--rows 32] [--cols 8] [--dee 3] [--workload ""]
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "analysis/absint/bounds.hh"
@@ -85,9 +86,9 @@ main(int argc, char **argv)
 
     dee::Cfg cfg(program);
     dee::LevoConfig config;
-    config.iqRows = static_cast<int>(cli.integer("rows"));
-    config.columns = static_cast<int>(cli.integer("cols"));
-    config.deePaths = static_cast<int>(cli.integer("dee"));
+    config.iqRows = static_cast<int>(cli.integer("rows", 1, INT_MAX));
+    config.columns = static_cast<int>(cli.integer("cols", 1, INT_MAX));
+    config.deePaths = static_cast<int>(cli.integer("dee", 0, INT_MAX));
     if (!cli.str("workload").empty()) {
         // Scope the perf meter as "<workload>.Levo" and publish the
         // static bounds, so dee_lint --xcheck can hold this run's

@@ -38,7 +38,7 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     const std::string predictor = cli.str("predictor");
-    const int e_t = static_cast<int>(cli.integer("et"));
+    const int e_t = static_cast<int>(cli.integer("et", 0, INT_MAX));
     const auto suite =
         dee::makeSuite(static_cast<int>(cli.integer("scale", 1, INT_MAX)));
 

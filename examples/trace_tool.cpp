@@ -83,7 +83,7 @@ int
 doReplay(const dee::Cli &cli)
 {
     const dee::Trace trace = loadTrace(cli);
-    const int e_t = static_cast<int>(cli.integer("et"));
+    const int e_t = static_cast<int>(cli.integer("et", 0, INT_MAX));
 
     // No Program is available for a bare trace file, so the CD models
     // are skipped (they need the CFG); the plain models + Oracle run.

@@ -6,6 +6,7 @@
  * Usage: tree_explorer [--p 0.9] [--et 34] [--strategy dee|sp|ee|greedy]
  */
 
+#include <climits>
 #include <cstdio>
 
 #include "common/cli.hh"
@@ -23,7 +24,7 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
 
     const double p = cli.real("p");
-    const int e_t = static_cast<int>(cli.integer("et"));
+    const int e_t = static_cast<int>(cli.integer("et", 0, INT_MAX));
     const std::string strategy = cli.str("strategy");
 
     const dee::TreeGeometry g = dee::computeGeometry(p, e_t);

@@ -392,19 +392,4 @@ ConfidenceEstimator::estimate(StaticId sid) const
            (static_cast<double>(seen_[sid]) + 1.0);
 }
 
-std::vector<bool>
-backwardTable(const Program &program)
-{
-    std::vector<bool> backward(program.numInstrs(), false);
-    for (BlockId b = 0; b < program.numBlocks(); ++b) {
-        const auto &blk = program.block(b);
-        for (std::size_t i = 0; i < blk.instrs.size(); ++i) {
-            const Instruction &inst = blk.instrs[i];
-            if (isCondBranch(inst.op) && inst.target <= b)
-                backward[program.staticId(b, i)] = true;
-        }
-    }
-    return backward;
-}
-
 } // namespace dee

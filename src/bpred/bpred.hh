@@ -294,9 +294,6 @@ AccuracyReport measureAccuracy(const Trace &trace, BranchPredictor &pred);
  */
 void publishAccuracy(const std::string &name, const AccuracyReport &report);
 
-/** Computes the per-sid "branch is backward" table from a program. */
-std::vector<bool> backwardTable(const Program &program);
-
 } // namespace dee
 
 #endif // DEE_BPRED_BPRED_HH

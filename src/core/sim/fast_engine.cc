@@ -37,11 +37,16 @@
  *    the window can still touch, so a cell's state does not grow with
  *    the trace. Each path's accounting is retired as the root leaves
  *    it (PathRetirer).
- *  - Route-B mispredict stalls via a per-path sorted suffix-max over
- *    pending join points with a monotone cursor, replacing the
- *    per-instruction scan of the whole pending deque.
- *  - Scratch (rings, walk plan, stall and last-store tables) is kept
- *    per thread and reused across runs and tree moves.
+ *  - Route B (the reconvergent window of the CD models) folds into the
+ *    one fetch bound the issue loop takes: an instruction issues at
+ *    min(max(fetch_a, d), max(fetch_b, d, s)) =
+ *    max(min(fetch_a, max(fetch_b, s)), d) for data-ready cycle d and
+ *    mispredict stall s, and s changes only where a pending mispredict's
+ *    join falls inside the path. One scan of the pending FIFO gives s
+ *    and that next join; it is cached across runs and tree moves while
+ *    the FIFO and the root's bypass filter stay the same.
+ *  - Scratch (rings, walk plan and last-store table) is kept per thread
+ *    and reused across runs and tree moves.
  *
  * Both are declared in forward_pass.hh. The seed kernels in
  * tests/reference_engine.cc hold them to bit-exact results
@@ -54,7 +59,6 @@
 #include <array>
 #include <bit>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "common/invariant.hh"
@@ -140,8 +144,10 @@ struct IssueInputs
  * The out-of-line path of an issue: claims a PE slot when the run is
  * PE-limited and records the cycle through the ledger's checked
  * SlotLedger::issue(). Returns the cycle the instruction issues at.
+ * Kept out of line: inlined into the issue loop, which it rarely runs
+ * in, it slowed EE, SP and DEE cells by ~10%.
  */
-std::int64_t
+[[gnu::noinline]] std::int64_t
 checkedIssue(const IssueInputs &in, std::int64_t t)
 {
     if (in.slots != nullptr)
@@ -152,45 +158,27 @@ checkedIssue(const IssueInputs &in, std::int64_t t)
 }
 
 /**
- * Route B's stalls for one path, both arrays ended by a sentinel:
- * join[j] is the j-th pending non-divergent mispredict's join point in
- * sorted order (the sentinel is past every record), and stall[j] is the
- * latest (resolve + penalty) over the divergent mispredicts and the
- * non-divergent ones from j on. An instruction at record i stalls until
- * stall[j] for the first j with join[j] > i.
- */
-struct RouteBStalls
-{
-    const DynIndex *join;
-    const std::int64_t *stall;
-};
-
-/** RouteBStalls' sentinel join point, past every record. */
-constexpr DynIndex kNoJoin = std::numeric_limits<DynIndex>::max();
-
-/**
  * Issues records [@p begin, @p end) in trace order: the one issue loop
- * of the window pass (one call per path) and the oracle sweep (one call
- * per block of records). Each instruction issues once its operands are
- * ready and its code was fetched at @p fetch_a (route A, speculation
- * tree coverage) or, with @p kRouteB, at @p fetch_b behind the stalls
- * of @p stalls (route B, the reconvergent window), whichever is
- * earlier. When @p counts is non-null, every issue cycle is known to
- * lie inside it (SlotLedger::issueCounts()) and is counted there
- * directly; otherwise checkedIssue() runs. @p done (the latest
- * completion, raised here) and @p mem_id (the cursor into
- * PreparedTrace::memIds()) carry over between calls. Returns the issue
- * cycle of the last record, or @p last_issue when the range is empty.
+ * of the window pass (one call per run of a path's records that share
+ * a fetch bound) and the oracle sweep (one call per block of records).
+ * Each instruction issues once its operands are ready and not before
+ * @p fetch, the cycle its code is available at (route A's tree coverage
+ * combined with route B's reconvergent window by the caller). When
+ * @p counts is non-null, every issue cycle is known to lie inside it
+ * (SlotLedger::issueCounts()) and is counted there directly; otherwise
+ * checkedIssue() runs. @p done (the latest completion, raised here) and
+ * @p mem_id (the cursor into PreparedTrace::memIds()) carry over
+ * between calls. Returns the issue cycle of the last record, or
+ * @p last_issue when the range is empty.
  *
  * Kept out of line so that the loop's registers are its own: inlined
  * into fastForward(), the loop-carried values end up in stack slots
- * that every instruction reloads.
+ * that every instruction reloads. Aligned to a cache line, so that
+ * where the linker places the loop does not move with unrelated code.
  */
-template <bool kRouteB>
-[[gnu::noinline]] std::int64_t
+[[gnu::noinline, gnu::aligned(64)]] std::int64_t
 issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
-             std::int64_t fetch_a, std::int64_t fetch_b,
-             RouteBStalls stalls, std::uint32_t *const counts,
+             std::int64_t fetch, std::uint32_t *const counts,
              std::int64_t last_issue, std::int64_t &done,
              const std::uint32_t *&mem_id)
 {
@@ -204,8 +192,6 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
     std::int64_t *const mem_avail = in.memAvail;
     std::int64_t last_done = done;
     const std::uint32_t *mem_cursor = mem_id;
-    const DynIndex *stall_join = stalls.join;
-    const std::int64_t *stall = stalls.stall;
     for (DynIndex i = begin; i < end;) {
         const std::uint32_t *const ids =
             in.idChunks[i / RecordStore::kChunkRecords];
@@ -228,28 +214,7 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
             const std::int64_t am = mem_avail[mid];
             if (am > data_ready)
                 data_ready = am;
-
-            // Route A: speculation-tree coverage.
-            std::int64_t t = fetch_a > data_ready ? fetch_a : data_ready;
-            if constexpr (kRouteB) {
-                // Route B: reconvergent-window CD execution. Stall on
-                // a mispredicted branch if this instruction is inside
-                // its dynamic control scope (decided by the branch) or
-                // the branch diverges (loop latch: actual-path code was
-                // never fetched) — unless an EE/DEE alternate path
-                // holds the code, which the stall tables already left
-                // out.
-                while (*stall_join <= i) {
-                    ++stall_join;
-                    ++stall;
-                }
-                std::int64_t t_b =
-                    fetch_b > data_ready ? fetch_b : data_ready;
-                if (*stall > t_b)
-                    t_b = *stall;
-                if (t_b < t)
-                    t = t_b;
-            }
+            std::int64_t t = fetch > data_ready ? fetch : data_ready;
 
             if (counts != nullptr)
                 ++counts[t];
@@ -384,6 +349,28 @@ struct FetchedPath
     std::uint64_t bypassFrom;
 };
 
+/** StallScan's join when no pending join lies ahead: past every
+ *  record. */
+constexpr DynIndex kNoJoin = std::numeric_limits<DynIndex>::max();
+
+/**
+ * One scan of route B's pending mispredicts from record position
+ * `from` on. Of the FIFO's entries [head, tail) whose path is below
+ * @c prefix (the ones the root's bypass set leaves in), @c stall is the
+ * latest (resolve + penalty) over the divergent ones and the
+ * non-divergent ones whose join lies past `from`, and @c join is the
+ * nearest such join: the stall holds for every record from `from` up
+ * to it, and may drop there.
+ */
+struct StallScan
+{
+    std::uint64_t head = 0;
+    std::uint64_t tail = 0;
+    std::uint64_t prefix = 0;
+    DynIndex join = 0; ///< 0 until the first scan: holds for no record
+    std::int64_t stall = 0;
+};
+
 /**
  * Per-thread kernel scratch, recycled across runs: repeated cells
  * (benchmark repetitions, figure sweeps) reuse warmed-up capacity
@@ -395,9 +382,6 @@ struct FastScratch
     Ring<FetchedPath> fetched;          ///< paths [root, last fetched]
     Ring<std::int64_t> rootTime;        ///< root arrival per path
     Ring<PendingMispredict> pending;    ///< by push count
-    std::vector<std::pair<DynIndex, std::int64_t>> nd;
-    std::vector<DynIndex> ndJoin;   ///< RouteBStalls::join
-    std::vector<std::int64_t> ndStall; ///< RouteBStalls::stall
     std::vector<std::int64_t> memAvail; ///< last-store time per mem id
     WalkPlan plan;
 };
@@ -472,16 +456,35 @@ fastForward(ForwardCtx &ctx)
                      accounting && pe_limited ? &ctx.starvedCycles
                                               : nullptr);
 
-    // Per-tree-move scratch arenas, hoisted out of the root loop.
-    std::vector<std::pair<DynIndex, std::int64_t>> &nd = scratch.nd;
-    std::vector<DynIndex> &nd_join = scratch.ndJoin;
-    std::vector<std::int64_t> &nd_stall = scratch.ndStall;
-
-    // Route-B stall tables, cached across tree moves: the pending set
-    // only changes on retirement or a new mispredict, and the bypass
-    // filter only bites on the rare side-path-covered root, so most
-    // paths reuse the previous tables verbatim.
-    bool stall_valid = false;
+    // Route B's stall for the records from `at` on, under the bypass
+    // filter that keeps the pending mispredicts of paths below
+    // `prefix`. The FIFO is in path order, so the filter keeps a
+    // prefix of it and the scan stops at the first entry it drops.
+    // The last scan is kept: record positions only grow over a run, so
+    // it holds until its join, or until the FIFO or the filter changes.
+    StallScan stall_scan;
+    const auto route_b_stall = [&](DynIndex at, std::uint64_t prefix)
+        -> const StallScan & {
+        if (at < stall_scan.join && stall_scan.head == pending_head &&
+            stall_scan.tail == pending_tail && stall_scan.prefix == prefix)
+            return stall_scan;
+        std::int64_t stall = 0;
+        DynIndex join = kNoJoin;
+        for (std::uint64_t q = pending_head; q < pending_tail; ++q) {
+            const PendingMispredict &m = pending[q];
+            if (m.pathIdx >= prefix)
+                break; // this one on is held by a side path / EE subtree
+            if (!m.divergent) {
+                if (m.joinIdx <= at)
+                    continue; // its control scope ended before `at`
+                join = std::min(join, m.joinIdx);
+            }
+            stall = std::max(stall, m.resolveTime + penalty);
+        }
+        stall_scan = StallScan{pending_head, pending_tail, prefix, join,
+                               stall};
+        return stall_scan;
+    };
 
     const IssueInputs issue_in{
         .idChunks = prep.idChunks().data(),
@@ -652,6 +655,7 @@ fastForward(ForwardCtx &ctx)
         const FetchedPath here = fetched[r];
         DEE_INVARIANT(here.time <= now, "path ", r,
                       " fetched after its root time");
+        const bool side = here.bypassFrom < r;
 
         // Retire mispredicts whose window reach or control scope ended
         // (divergent ones stall until resolution wherever they are, so
@@ -663,50 +667,6 @@ fastForward(ForwardCtx &ctx)
                 (!pending[pending_head].divergent &&
                  pending[pending_head].joinIdx <= path.begin))) {
             ++pending_head;
-            stall_valid = false;
-        }
-
-        // Route-B stall precomputation for this path: divergent
-        // mispredicts stall every instruction; non-divergent ones only
-        // instructions before their join, so sort them by join point
-        // and keep a suffix max of (resolve + penalty). The issue loop
-        // then reads the stall in O(1) with a monotone cursor instead
-        // of rescanning the pending set per instruction.
-        const bool side = here.bypassFrom < r;
-        const bool has_bypass = use_cd && side;
-        if (use_cd && (!stall_valid || has_bypass)) {
-            std::int64_t stall_div = 0;
-            nd.clear();
-            for (std::uint64_t q = pending_head; q < pending_tail; ++q) {
-                const PendingMispredict &m = pending[q];
-                // Every pending path is a mispredict before r, so it
-                // is in r's bypass set iff it is at or past the set's
-                // first path.
-                if (m.pathIdx >= here.bypassFrom)
-                    continue; // held by a side path / EE subtree
-                if (m.divergent) {
-                    stall_div =
-                        std::max(stall_div, m.resolveTime + penalty);
-                } else {
-                    nd.emplace_back(m.joinIdx, m.resolveTime + penalty);
-                }
-            }
-            std::sort(nd.begin(), nd.end());
-            // The divergent stall seeds the suffix max; the sentinel
-            // entry, past every record, holds it alone.
-            nd_join.resize(nd.size() + 1);
-            nd_stall.resize(nd.size() + 1);
-            nd_join[nd.size()] = kNoJoin;
-            std::int64_t running = stall_div;
-            nd_stall[nd.size()] = running;
-            for (std::size_t j = nd.size(); j-- > 0;) {
-                running = std::max(running, nd[j].second);
-                nd_join[j] = nd[j].first;
-                nd_stall[j] = running;
-            }
-            // A bypass-filtered build is specific to this path; an
-            // unfiltered one keeps serving until the set changes.
-            stall_valid = !has_bypass;
         }
 
         // Execute this path's instructions (trace order; dependencies
@@ -730,17 +690,30 @@ fastForward(ForwardCtx &ctx)
                     ? ledger->issueCounts(
                           issueBound(now, path.size(), lat.max))
                     : nullptr;
-            // The non-CD models (EE / SP / DEE) pay nothing for the
-            // reconvergent-window machinery.
-            if (use_cd) {
-                last_issue = issueRecords<true>(
-                    issue_in, path.begin, path.end, fetch_a, fetch_b,
-                    RouteBStalls{nd_join.data(), nd_stall.data()},
-                    counts, last_issue, done, mem_id);
+            // An instruction ready at d issues at the earlier of route
+            // A, max(fetch_a, d), and route B, max(fetch_b, d, stall):
+            // at max(min(fetch_a, max(fetch_b, stall)), d). Route B
+            // stalls on a pending mispredict whose dynamic control scope
+            // holds the instruction, or that diverges (loop latch:
+            // actual-path code was never fetched), unless the root's
+            // bypass set holds its code. The non-CD models (EE / SP /
+            // DEE) have no route B.
+            if (!use_cd) {
+                last_issue =
+                    issueRecords(issue_in, path.begin, path.end, fetch_a,
+                                 counts, last_issue, done, mem_id);
             } else {
-                last_issue = issueRecords<false>(
-                    issue_in, path.begin, path.end, fetch_a, fetch_b,
-                    RouteBStalls{}, counts, last_issue, done, mem_id);
+                const std::uint64_t prefix =
+                    side ? here.bypassFrom : num_paths;
+                for (DynIndex at = path.begin; at < path.end;) {
+                    const StallScan &b = route_b_stall(at, prefix);
+                    const DynIndex run_end = std::min(b.join, path.end);
+                    last_issue = issueRecords(
+                        issue_in, at, run_end,
+                        std::min(fetch_a, std::max(fetch_b, b.stall)),
+                        counts, last_issue, done, mem_id);
+                    at = run_end;
+                }
             }
         }
 
@@ -758,7 +731,6 @@ fastForward(ForwardCtx &ctx)
                 (prep.exit(r).backward || join_idx[r] > path.end)) {
                 pending[pending_tail++] = PendingMispredict{
                     r, join_idx[r], res, prep.exit(r).backward};
-                stall_valid = false;
             }
         }
 
@@ -824,8 +796,8 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
             ledger != nullptr && lat.nonNegative
                 ? ledger->issueCounts(issueBound(last, end - begin, lat.max))
                 : nullptr;
-        issueRecords<false>(issue_in, begin, end, kNoFetch, kNoFetch,
-                            RouteBStalls{}, counts, 0, last, mem_id);
+        issueRecords(issue_in, begin, end, kNoFetch, counts, 0, last,
+                     mem_id);
     }
     return last;
 }

@@ -10,6 +10,7 @@
 
 #include "bpred/bpred.hh"
 #include "common/random.hh"
+#include "exec/interp.hh"
 #include "isa/builder.hh"
 
 namespace dee
@@ -317,9 +318,11 @@ TEST(BackwardTable, MarksLoopBranches)
     pb2.switchTo(c2);
     pb2.halt();
     Program p2 = pb2.build();
-    const auto table = backwardTable(p2);
-    EXPECT_FALSE(table[p2.staticId(c0, 1)]);
-    EXPECT_TRUE(table[p2.staticId(c1, 0)]);
+    // The decode the interpreter and Levo step through marks each
+    // conditional branch to its own block or an earlier one.
+    const std::vector<DecodedStep> steps = decodeProgram(p2);
+    EXPECT_FALSE(steps[p2.staticId(c0, 1)].backward);
+    EXPECT_TRUE(steps[p2.staticId(c1, 0)].backward);
 }
 
 } // namespace

@@ -21,6 +21,9 @@
  *     side paths longer than the tree, route-B reaches of 1, 3 and 999
  *     paths, a zero mispredict penalty, and a trace with fewer paths
  *     than the tree,
+ *   - route B's cached stall scans: the CD models at E_T 64 to 256 on
+ *     100k-instruction traces, and a hand-built loop whose mispredicts'
+ *     joins fall inside the next path,
  *   - one traced cell per control-dependence regime, plus one with
  *     issue stats on,
  *   - a trace that spans several of the record store's id chunks, and
@@ -51,12 +54,15 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bpred/bpred.hh"
 #include "core/sim/forward_pass.hh"
 #include "core/sim/models.hh"
 #include "core/sim/window_sim.hh"
+#include "exec/interp.hh"
+#include "isa/assembler.hh"
 #include "obs/manifest.hh"
 #include "obs/obs.hh"
 #include "reference_engine.hh"
@@ -499,6 +505,122 @@ TEST(EngineDifferential, LedgerLimitFallbackBitExact)
         EXPECT_GT(fast.cycles, obs::SlotLedger::kMaxCycles) << ctx;
         EXPECT_FALSE(fast.account.valid()) << ctx;
         EXPECT_EQ(fast.peakIssue, 0u) << ctx;
+    }
+}
+
+/** The four models that take route B, the reconvergent window. */
+constexpr ModelKind kCdModels[] = {ModelKind::SP_CD, ModelKind::DEE_CD,
+                                   ModelKind::SP_CD_MF,
+                                   ModelKind::DEE_CD_MF};
+
+TEST(EngineDifferential, DeepCdWindowsBitExact)
+{
+    // The grid above runs E_T 32 on short traces. At E_T 256 on these,
+    // xlisp and espresso keep ~20 mispredicts pending and DEE-CD
+    // fetches most roots through a side path, so route B's stall
+    // changes with the bypass filter from root to root while its
+    // cached scans are reused across long stretches of paths.
+    constexpr std::uint64_t kDeepMaxInstrs = 100'000;
+    for (WorkloadId id : allWorkloads()) {
+        const BenchmarkInstance inst =
+            makeInstance(id, 4, kDeepMaxInstrs);
+        ASSERT_EQ(inst.trace.size(), kDeepMaxInstrs) << inst.name;
+        for (ModelKind kind : kCdModels) {
+            for (int e_t : {64, 100, 128, 256}) {
+                const std::string ctx = inst.name + "/" +
+                                        modelName(kind) + "/et" +
+                                        std::to_string(e_t);
+                const SimResult fast = runCell(kFast, kind, inst, e_t);
+                const SimResult ref = runCell(kReference, kind, inst, e_t);
+                expectSameResult(fast, ref, ctx);
+            }
+        }
+    }
+}
+
+TEST(EngineDifferential, StallDropsInsideAPathBitExact)
+{
+    // A loop whose forward branch (B1) goes either way at random and
+    // rejoins at B4 behind a jump or a one-instruction arm, so its join
+    // point lies strictly inside the next path. A mispredict of it
+    // stalls only that path's records before B4: route B's stall drops
+    // in the middle of the path. The inner loop's latch (B5) diverges
+    // each time it exits, and the always-taken branches after it add
+    // paths that push no mispredict, so that stall leaves the window
+    // by its reach while the rest of the pending set stays as it was.
+    const char *src = R"(
+B0:
+    li r1, 0
+    li r2, 600
+    li r5, 7
+    li r6, 1103515245
+    li r13, 3
+B1:
+    mul r5, r5, r6
+    addi r5, r5, 12345
+    shri r7, r5, 16
+    andi r7, r7, 1
+    beq r7, r0, B3
+B2:
+    addi r3, r3, 1
+    j B4
+B3:
+    addi r4, r4, 1
+B4:
+    addi r8, r8, 3
+    addi r9, r9, 5
+    add r10, r8, r9
+    li r11, 0
+B5:
+    addi r11, r11, 1
+    mul r12, r12, r6
+    blt r11, r13, B5
+B6:
+    addi r14, r14, 1
+    beq r0, r0, B7
+B7:
+    addi r15, r15, 1
+    beq r0, r0, B8
+B8:
+    addi r16, r16, 1
+    beq r0, r0, B9
+B9:
+    addi r1, r1, 1
+    blt r1, r2, B1
+B10:
+    halt
+)";
+    Program program = parseAssembly(src);
+    Cfg cfg(program);
+    ExecResult run = Interpreter(program).run(100'000, true);
+    ASSERT_TRUE(run.halted);
+    const BenchmarkInstance inst{WorkloadId::Compress, "stall_drop",
+                                 std::move(program), std::move(cfg),
+                                 std::move(run.trace)};
+
+    // The trace does what the test is for: mispredicted forward
+    // branches whose joins lie strictly inside the path after theirs.
+    const PreparedTrace &prep = inst.trace.prepared();
+    const std::vector<DynIndex> &join = prep.joinIndex(inst.cfg);
+    TwoBitPredictor probe(inst.trace.numStatic);
+    const PathPredictions predictions = predictPaths(inst.trace, probe);
+    std::uint64_t drops = 0;
+    for (std::uint64_t k = 0; k + 1 < prep.numPaths(); ++k) {
+        const BranchPath next = prep.path(k + 1);
+        if (predictions.mispredicts.test(k) && !prep.exit(k).backward &&
+            join[k] > next.begin && join[k] < next.end)
+            ++drops;
+    }
+    EXPECT_GE(drops, 100u);
+
+    for (ModelKind kind : kCdModels) {
+        for (int e_t : {2, 4, 8, 32}) {
+            const std::string ctx = std::string(modelName(kind)) +
+                                    "/et" + std::to_string(e_t);
+            const SimResult fast = runCell(kFast, kind, inst, e_t);
+            const SimResult ref = runCell(kReference, kind, inst, e_t);
+            expectSameResult(fast, ref, ctx);
+        }
     }
 }
 
