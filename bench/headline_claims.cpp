@@ -86,8 +86,9 @@ main(int argc, char **argv)
     // paths), with the average being much lower."
     std::vector<std::uint64_t> peaks(suite.size(), 0);
     std::vector<double> means(suite.size(), 0.0);
-    // Both sims of a benchmark stay in one cell: the issue-stats sim
-    // derives its accuracy from the predictor the first sim trained.
+    // The issue-stats sim sizes its tree from a fresh clone of the
+    // predictor (characteristicAccuracy), not from the state runModel()
+    // leaves it in.
     dee::runner::runCells(suite.size(), sweep, [&](std::size_t i) {
         const auto &inst = suite[i];
         dee::TwoBitPredictor pred(inst.trace.numStatic);

@@ -75,6 +75,9 @@ class TwoBitPredictor : public BranchPredictor
     std::unique_ptr<BranchPredictor> clone() const override;
     std::string name() const override { return "2bit"; }
 
+    /** Static ids the counter table covers. */
+    std::uint32_t numStatic() const { return numStatic_; }
+
     /**
      * Fused predict-then-train for one resolved instance, inlined for
      * the simulator's devirtualized predictor pass. Identical state

@@ -16,17 +16,22 @@
  * Inputs split by lifetime. Per trace, shared read-only by every cell:
  * the PreparedTrace (trace/prepared.hh) — branch-path bounds, exit
  * branches, the decode of each record-store entry, the dense memory ids
- * of loads and stores, and the route-B join points cached per Cfg. Per
- * cell: the window tree, the SimConfig (latencies included), the
- * predictor outcomes (PathPredictions' mispredict bits, one per path)
- * and what the cell writes: the slot ledger, the speculation profile
- * and the resolve-depth histogram. A kernel keeps a path's fetch, root
- * and resolve times only while the path is inside the window, and no
- * state that grows with the trace.
+ * of loads and stores, and the route-B join points cached per Cfg —
+ * and the SimTraceCache attached to it: a power-on 2-bit predictor's
+ * outcomes (PathPredictions' mispredict bits, one per path), the
+ * branch confidence replayed over them, and the memo of the runs made
+ * on them. Per cell: the window tree, the SimConfig (latencies
+ * included), the outcomes of any other predictor, and what the cell
+ * writes: the slot ledger, the speculation profile and the
+ * resolve-depth histogram (and, when profiling, its own confidence
+ * replay). A kernel keeps a path's fetch, root and resolve times only
+ * while the path is inside the window, and no state that grows with
+ * the trace.
  *
- * runWindowWith() owns the shared prologue (confidence replay of the
- * predictor outcomes) and epilogue (totals, issue stats, starved-cycle
- * marks, cycle accounting, loop roll-ups, registry publishing). A
+ * runWindowWith() owns the shared prologue (the memo lookup, confidence
+ * replay of the predictor outcomes) and epilogue (totals, issue stats,
+ * starved-cycle marks, cycle accounting, loop roll-ups, registry
+ * publishing). A
  * forward kernel owns the per-path forward loop: coverage walks,
  * instruction issue, branch resolution and tree movement, after which
  * it hands the path to PathRetirer::retire() for its per-path
@@ -40,6 +45,9 @@
 #define DEE_CORE_SIM_FORWARD_PASS_HH
 
 #include <cstdint>
+#include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -141,8 +149,11 @@ class PathRetirer
      *        maxDepth + 1; null without resolve stats.
      * @param ledger the ledger to mark squashes into; null without
      *        accounting.
-     * @param meter each branch's confidence, replayed over the whole
-     *        run before the pass; read only with @p ledger.
+     * @param meter each branch's confidence after a replay of the
+     *        whole run's outcomes, made before the pass (by the cell
+     *        when profiling, else taken from the trace's
+     *        SimTraceCache for the 2-bit outcomes); read only with
+     *        @p ledger.
      * @param profile null unless profiling.
      */
     PathRetirer(const PreparedTrace &prep, const BitVec64 &mispredicts,
@@ -253,11 +264,78 @@ std::int64_t fastOracle(const Trace &trace, const LatencyModel &latency,
 /** The kernels every public entry point runs. */
 inline constexpr Kernels kFastKernels{&fastForward, &fastOracle};
 
-/** WindowSim::run(predictions) without its meter, with the forward
- *  pass passed in. */
+/**
+ * The window simulator's per-trace state, attached to the trace's
+ * PreparedTrace: built on first use under the view's lock and freed
+ * with it, so it never outlives the records it describes. It holds
+ *
+ *  - the outcomes of a power-on TwoBitPredictor over every branch of
+ *    the trace. The pass is a function of the trace alone, so
+ *    runModelWith() reads it for every 2-bit cell instead of replaying
+ *    the predictor per cell;
+ *  - each branch's ConfidenceEstimator replayed over those outcomes,
+ *    which unprofiled accounting runs read instead of replaying it per
+ *    cell (a profiled run replays it itself: the profile records the
+ *    confidence bucket each instance met online);
+ *  - the memo: the SimResult of each distinct run made on those
+ *    outcomes, under its runKey(). runWindowWith() serves a run from
+ *    it only on the fast kernel, without tracing or profiling, and
+ *    without per-record load latencies or confidence gating.
+ */
+class SimTraceCache final : public PreparedTrace::Attachment
+{
+  public:
+    /** The cache of @p trace; the first call replays a fresh clone of
+     *  @p twobit over the trace. */
+    static SimTraceCache &of(const Trace &trace,
+                             const TwoBitPredictor &twobit);
+
+    SimTraceCache(const Trace &trace, const TwoBitPredictor &twobit);
+
+    const PathPredictions &twoBit() const { return twoBit_; }
+    const ConfidenceEstimator &confidence() const { return confidence_; }
+
+    /** A copy of the result remembered under @p key, if any. */
+    std::optional<SimResult> find(const std::string &key) const;
+
+    /** Remembers @p result under @p key, unless a run already did. */
+    void remember(std::string key, const SimResult &result);
+
+    /** Runs find() has served so far. */
+    std::uint64_t hits() const;
+
+  private:
+    PathPredictions twoBit_;
+    ConfidenceEstimator confidence_;
+    mutable std::mutex mutex_;
+    std::unordered_map<std::string, SimResult> runs_;
+    mutable std::uint64_t hits_ = 0;
+};
+
+/**
+ * The memo key of a window run on a trace's 2-bit outcomes: the tree's
+ * shape (each node's two child links), every SimConfig field but the
+ * three profile names, and the identity of the route-B join table
+ * @p join_idx the run reads. Two runs with equal keys read equal
+ * inputs, so they compute equal SimResults: the kernel reads a tree's
+ * cumulative probabilities and ranks only when profiling, and a Cfg
+ * only through its join table.
+ */
+std::string runKey(const SpecTree &tree, const SimConfig &config,
+                   const std::vector<DynIndex> &join_idx);
+
+/**
+ * WindowSim::run(predictions) without its meter, with the forward pass
+ * passed in.
+ *
+ * @param cache the trace's SimTraceCache when @p predictions are its
+ *        2-bit outcomes (null otherwise): the run then reads its
+ *        confidence replay and, when eligible, its memo.
+ */
 SimResult runWindowWith(const WindowSim &sim,
                         const PathPredictions &predictions,
-                        ForwardKernel forward);
+                        ForwardKernel forward,
+                        SimTraceCache *cache = nullptr);
 
 /** oracleSim() without its meter, with the sweep passed in. */
 SimResult oracleSimWith(const Trace &trace, LatencyModel latency,

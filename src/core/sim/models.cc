@@ -1,6 +1,7 @@
 #include "core/sim/models.hh"
 
 #include <algorithm>
+#include <typeinfo>
 
 #include "common/logging.hh"
 #include "core/sim/forward_pass.hh"
@@ -8,6 +9,26 @@
 
 namespace dee
 {
+
+namespace
+{
+
+/**
+ * @p predictor when its pass over @p trace is the trace's cached 2-bit
+ * pass: a TwoBitPredictor itself, not a subclass, whose table covers
+ * every static id of the trace (a power-on table's outcomes do not
+ * depend on its size then); null otherwise.
+ */
+const TwoBitPredictor *
+cacheableTwoBit(const BranchPredictor &predictor, const Trace &trace)
+{
+    if (typeid(predictor) != typeid(TwoBitPredictor))
+        return nullptr;
+    const auto &twobit = static_cast<const TwoBitPredictor &>(predictor);
+    return twobit.numStatic() >= trace.numStatic ? &twobit : nullptr;
+}
+
+} // namespace
 
 const char *
 modelName(ModelKind kind)
@@ -116,10 +137,22 @@ sim_detail::runModelWith(ModelKind kind, const Trace &trace,
         return result;
     }
 
-    // Heuristic step 1 rides the cell's own predictor pass: the same
-    // power-on predictor over the same branches as a fresh clone's
-    // replay, so p is the same double characteristicAccuracy() gives.
-    const PathPredictions predictions = predictPaths(trace, predictor);
+    // A power-on 2-bit predictor's pass is a function of the trace, so
+    // its outcomes come from the trace's cache, made once; any other
+    // predictor makes its own pass. Heuristic step 1 rides the pass:
+    // the same power-on predictor over the same branches as a fresh
+    // clone's replay, so p is the same double characteristicAccuracy()
+    // gives.
+    SimTraceCache *cache = nullptr;
+    PathPredictions own;
+    if (const TwoBitPredictor *twobit = cacheableTwoBit(predictor, trace)) {
+        cache = &SimTraceCache::of(trace, *twobit);
+        predictor.reset();
+    } else {
+        own = predictPaths(trace, predictor);
+    }
+    const PathPredictions &predictions =
+        cache != nullptr ? cache->twoBit() : own;
     double p = options.characteristicP;
     if (p <= 0.0) {
         AccuracyReport report;
@@ -147,7 +180,8 @@ sim_detail::runModelWith(ModelKind kind, const Trace &trace,
     config.loadLatencies = options.loadLatencies;
 
     const WindowSim sim(trace, tree, config, cfg);
-    SimResult result = runWindowWith(sim, predictions, kernels.forward);
+    SimResult result =
+        runWindowWith(sim, predictions, kernels.forward, cache);
     meter.addInstructions(result.instructions);
     meter.addCycles(result.cycles);
     return result;

@@ -76,7 +76,7 @@ struct ModelRunOptions
     std::string profileWorkload;
     /**
      * Characteristic accuracy for tree sizing; <= 0 means "measure it
-     * from the cell's own predictor pass" (heuristic step 1, the same
+     * from the cell's predictor pass" (heuristic step 1, the same
      * value characteristicAccuracy() returns).
      */
     double characteristicP = -1.0;
@@ -96,6 +96,13 @@ double characteristicAccuracy(const Trace &trace,
 
 /**
  * Runs one model at one resource level.
+ *
+ * A window model runs on @p predictor's outcomes over the trace from
+ * power-on. For a TwoBitPredictor whose table covers the trace's
+ * static ids they come from the trace's cached 2-bit pass, and
+ * @p predictor is left reset; any other predictor is reset, then
+ * predicts and trains on every branch of the trace, and is left
+ * trained. Oracle leaves @p predictor as it was.
  *
  * @param cfg required for the CD / CD-MF models; may be null otherwise.
  * @param e_t branch-path resource budget (ignored by Oracle).

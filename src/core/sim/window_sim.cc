@@ -241,10 +241,45 @@ sim_detail::PathRetirer::retirePath(std::uint64_t r, std::int64_t fetch,
     }
 }
 
+namespace
+{
+
+/**
+ * Publishes a window run's totals: the sim.window.* counters and stats,
+ * and, when @p accounting, its account (acct.window.*, or
+ * acct.skipped_runs for a run the ledger could not hold). A function of
+ * the result alone, so a memo hit publishes exactly what its donor run
+ * did. A handful of map lookups per run, negligible against the
+ * simulation itself.
+ */
+void
+publishWindowRun(const SimResult &result, bool accounting)
+{
+    obs::Registry &reg = obs::Registry::global();
+    ++reg.counter("sim.window.runs");
+    reg.counter("sim.window.instructions") += result.instructions;
+    reg.counter("sim.window.cycles") += result.cycles;
+    reg.counter("sim.window.branches") += result.branches;
+    reg.counter("sim.window.mispredicts") += result.mispredicted;
+    reg.counter("sim.window.side_path_fetches") +=
+        result.sidePathFetches;
+    reg.stat("sim.window.speedup").add(result.speedup);
+    // peakIssue is set, and at least 1 on a non-empty run, exactly
+    // when issue stats were gathered and every issue fit the ledger.
+    if (result.peakIssue > 0) {
+        reg.stat("sim.window.peak_issue")
+            .add(static_cast<double>(result.peakIssue));
+    }
+    if (accounting)
+        result.account.publish(reg, "window");
+}
+
+} // namespace
+
 SimResult
 sim_detail::runWindowWith(const WindowSim &sim,
                           const PathPredictions &predictions,
-                          ForwardKernel forward)
+                          ForwardKernel forward, SimTraceCache *cache)
 {
     const Trace &trace = sim.trace();
     const SpecTree &tree = sim.tree();
@@ -271,6 +306,8 @@ sim_detail::runWindowWith(const WindowSim &sim,
     dee_assert(mispredicts.size() == prep.numPaths(),
                "predictions cover ", mispredicts.size(),
                " paths of a ", prep.numPaths(), "-path trace");
+    dee_assert(cache == nullptr || &predictions == &cache->twoBit(),
+               "a cached run must read its cache's predictions");
 
     // Static-window reach for route B: the machine holds E_T branch
     // paths of static code regardless of how the tree allocates them
@@ -283,22 +320,48 @@ sim_detail::runWindowWith(const WindowSim &sim,
             : std::max(tree.numPaths(), 1);
     const bool use_cd = config.cd != CdModel::Restrictive;
 
+    // Profiling rides the accounting ledger, so it forces accounting on.
+    const bool profiling =
+        config.gatherProfile || obs::profilingRequested();
+    const bool accounting = config.gatherAccounting || profiling;
+
+    // --- Dynamic control-dependence scopes for route B -------------------
+    // join_idx[k] is the dynamic index at which the branch ending path
+    // k stops controlling execution (see PreparedTrace::joinIndex()).
+    static const std::vector<DynIndex> kNoJoins;
+    const std::vector<DynIndex> &join_idx =
+        use_cd ? prep.joinIndex(*cfg) : kNoJoins;
+
+    // --- A run the trace has made already ---------------------------------
+    // Same tree shape, config and join table on the same 2-bit
+    // outcomes: the donor's result, published the same way (see
+    // trace_cache.cc). Reference-kernel runs neither read nor fill it.
+    const bool memo = cache != nullptr && forward == &fastForward &&
+                      !tracing && !profiling &&
+                      config.loadLatencies == nullptr &&
+                      config.confidence.accuracy == nullptr;
+    std::string key;
+    if (memo) {
+        key = runKey(tree, config, join_idx);
+        if (std::optional<SimResult> hit = cache->find(key)) {
+            publishWindowRun(*hit, accounting);
+            return std::move(*hit);
+        }
+    }
+
     result.branches = predictions.branches;
     result.mispredicted = predictions.mispredicted;
     result.predictionAccuracy = predictions.accuracy();
 
     // --- Per-branch confidence, replayed from the predictor pass ----------
     // It attributes squashed speculative work to accuracy buckets, and
-    // feeds the speculation profiler's per-site execution counts
-    // (profiling rides the accounting ledger, so it forces accounting
-    // on).
-    const bool profiling =
-        config.gatherProfile || obs::profilingRequested();
-    const bool accounting = config.gatherAccounting || profiling;
+    // feeds the speculation profiler's per-site execution counts. The
+    // trace's cache holds the replay of its 2-bit outcomes; a profiled
+    // run replays them itself, to record each instance's online bucket.
     obs::SpeculationProfile profile;
-    ConfidenceEstimator confidence_meter(
-        accounting ? trace.numStatic : 0);
-    if (accounting) {
+    const bool replay = accounting && (cache == nullptr || profiling);
+    ConfidenceEstimator replayed(replay ? trace.numStatic : 0);
+    if (replay) {
         const obs::hotspot::HotspotPhase hot_predict(
             hot, "window", obs::hotspot::Phase::Fetch);
         for (std::uint64_t k = 0; k < prep.numBranches(); ++k) {
@@ -311,19 +374,13 @@ sim_detail::runWindowWith(const WindowSim &sim,
                 profile.recordExecution(
                     b.sid, static_cast<std::int64_t>(b.block),
                     mispredicted,
-                    obs::confidenceBucket(
-                        confidence_meter.estimate(b.sid)));
+                    obs::confidenceBucket(replayed.estimate(b.sid)));
             }
-            confidence_meter.record(b.sid, !mispredicted);
+            replayed.record(b.sid, !mispredicted);
         }
     }
-
-    // --- Dynamic control-dependence scopes for route B -------------------
-    // join_idx[k] is the dynamic index at which the branch ending path
-    // k stops controlling execution (see PreparedTrace::joinIndex()).
-    static const std::vector<DynIndex> kNoJoins;
-    const std::vector<DynIndex> &join_idx =
-        use_cd ? prep.joinIndex(*cfg) : kNoJoins;
+    const ConfidenceEstimator &confidence_meter =
+        cache != nullptr && !replay ? cache->confidence() : replayed;
 
     // --- Forward pass over branch paths ----------------------------------
     // The slot ledger outlives the kernel: the kernel records each
@@ -433,23 +490,7 @@ sim_detail::runWindowWith(const WindowSim &sim,
             "speculation-profile attribution identity violated: ", why);
     }
 
-    // Publish run totals into the global registry: a handful of map
-    // lookups per run, negligible against the simulation itself.
-    obs::Registry &reg = obs::Registry::global();
-    ++reg.counter("sim.window.runs");
-    reg.counter("sim.window.instructions") += result.instructions;
-    reg.counter("sim.window.cycles") += result.cycles;
-    reg.counter("sim.window.branches") += result.branches;
-    reg.counter("sim.window.mispredicts") += result.mispredicted;
-    reg.counter("sim.window.side_path_fetches") +=
-        result.sidePathFetches;
-    reg.stat("sim.window.speedup").add(result.speedup);
-    if (issue_stats) {
-        reg.stat("sim.window.peak_issue")
-            .add(static_cast<double>(result.peakIssue));
-    }
-    if (result.account.valid())
-        result.account.publish(reg, "window");
+    publishWindowRun(result, accounting);
     if (profiling && !profile.empty()) {
         const std::string scope = config.profileScope.empty()
                                       ? "window"
@@ -461,7 +502,8 @@ sim_detail::runWindowWith(const WindowSim &sim,
         obs::ProfileStore::global().merge(scope, profile);
         result.profile = std::move(profile);
     }
-
+    if (memo)
+        cache->remember(std::move(key), result);
     return result;
 }
 
@@ -551,8 +593,7 @@ sim_detail::oracleSimWith(const Trace &trace, LatencyModel latency,
     reg.stat("sim.oracle.speedup").add(result.speedup);
     if (gather_accounting) {
         result.account = ledger.finalize(result.cycles);
-        if (result.account.valid())
-            result.account.publish(reg, "oracle");
+        result.account.publish(reg, "oracle");
     }
     return result;
 }

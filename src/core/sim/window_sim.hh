@@ -186,10 +186,11 @@ std::vector<double> profileBranchAccuracy(const Trace &trace,
                                           const BranchPredictor &pred);
 
 /**
- * One cell's predictor outcomes on a trace's branch paths: the
- * predictor pass that precedes every windowed simulation. runModel()
- * reads the characteristic accuracy p from it before sizing the tree,
- * so measuring p costs no second replay of the trace.
+ * A predictor's outcomes on a trace's branch paths: the predictor pass
+ * that precedes every windowed simulation. runModel() reads the
+ * characteristic accuracy p from it before sizing the tree, so
+ * measuring p costs no second replay of the trace; a power-on 2-bit
+ * predictor's pass is made once per trace and shared by its cells.
  */
 struct PathPredictions
 {

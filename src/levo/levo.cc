@@ -526,7 +526,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
     reg.counter("levo.column_stalls") += result.columnStalls;
     reg.counter("levo.ve_predications") += result.vePredications;
     reg.stat("levo.ipc").add(result.ipc);
-    if (result.account.valid())
+    if (accounting)
         result.account.publish(reg, "levo");
     if (profiling && !profile.empty()) {
         const std::string scope = config_.profileScope.empty()

@@ -125,8 +125,10 @@ CycleAccount::merge(const CycleAccount &other)
 void
 CycleAccount::publish(Registry &registry, const std::string &prefix) const
 {
-    if (!valid())
+    if (!valid()) {
+        ++registry.counter("acct.skipped_runs");
         return;
+    }
     const std::string base = "acct." + prefix + ".";
     for (std::size_t i = 0; i < kNumSlotClasses; ++i) {
         const auto cls = static_cast<SlotClass>(i);
@@ -256,10 +258,8 @@ SlotLedger::finalize(
     dee_assert(squash_by_site == nullptr || attributeSites_,
                "squash attribution from a ledger built without sites");
     CycleAccount account;
-    if (!active_ || cycles > kMaxCycles) {
-        ++Registry::global().counter("acct.skipped_runs");
+    if (!active_ || cycles > kMaxCycles)
         return account; // invalid: run too long to ledger
-    }
     issued_.resize(cycles, 0);
     marks_.resize(cycles, 0);
     if (attributeSites_)

@@ -167,7 +167,10 @@ class CycleAccount
      * Accumulates into @p registry under "acct.<prefix>.*": one
      * counter per class, per-bucket squash counters and the
      * denominator. The fractions above are not published; a reader
-     * divides the counters with the same formulas.
+     * divides the counters with the same formulas. An invalid account,
+     * the one finalize() returns for a run the ledger could not hold,
+     * bumps "acct.skipped_runs" instead; so publish a run's account
+     * only when the run gathered accounting.
      */
     void publish(Registry &registry, const std::string &prefix) const;
 
@@ -187,9 +190,9 @@ class CycleAccount
  *
  * Cycle indices are 0-based and must stay below kMaxCycles; a run
  * longer than that deactivates the ledger (finalize() then returns an
- * invalid account and bumps "acct.skipped_runs") rather than burning
- * unbounded memory. Interval marks may overlap; class priority decides
- * (see file comment).
+ * invalid account, which CycleAccount::publish() counts under
+ * "acct.skipped_runs") rather than burning unbounded memory. Interval
+ * marks may overlap; class priority decides (see file comment).
  */
 class SlotLedger
 {

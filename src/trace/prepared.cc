@@ -201,6 +201,18 @@ PreparedTrace::joinIndex(const Cfg &cfg) const
     return joins_.back()->joinIdx;
 }
 
+PreparedTrace::Attachment::~Attachment() = default;
+
+PreparedTrace::Attachment &
+PreparedTrace::attachment(
+    const std::function<std::unique_ptr<Attachment>()> &make) const
+{
+    const std::lock_guard<std::mutex> lock(attachMutex_);
+    if (attachment_ == nullptr)
+        attachment_ = make();
+    return *attachment_;
+}
+
 namespace detail
 {
 

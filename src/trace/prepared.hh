@@ -17,7 +17,10 @@
  *    order, indexing a flat last-store table (ids are per trace, so no
  *    hashing per cell);
  *  - the dynamic control-dependence join points of route B, cached per
- *    Cfg and keyed by the contents of its ipostdom table.
+ *    Cfg and keyed by the contents of its ipostdom table;
+ *  - one attachment: per-trace state that a layer above the trace
+ *    derives and keeps here, so that it lives exactly as long as the
+ *    view (the window simulator's SimTraceCache, core/sim).
  *
  * It reads the trace's RecordStore in its compact form: the op class,
  * register slots, branch flags and block of each of the store's table
@@ -39,6 +42,7 @@
 #define DEE_TRACE_PREPARED_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -161,7 +165,8 @@ class PreparedTrace
     std::uint32_t numMemIds() const { return numMemIds_; }
 
     /** Heap bytes the view holds, counting allocated capacity; the
-     *  join cache, which grows per Cfg, is left out. */
+     *  join cache, which grows per Cfg, and the attachment are left
+     *  out. */
     std::size_t bytes() const;
 
     /**
@@ -176,6 +181,28 @@ class PreparedTrace
     /** True while @p trace still holds the id buffer (same chunks at
      *  the same addresses, same length) this view was built from. */
     bool describes(const Trace &trace) const;
+
+    /** Base of the per-trace state a higher layer attaches to a view;
+     *  it stays at one address for the view's lifetime. */
+    class Attachment
+    {
+      public:
+        Attachment() = default;
+        Attachment(const Attachment &) = delete;
+        Attachment &operator=(const Attachment &) = delete;
+        virtual ~Attachment();
+    };
+
+    /**
+     * The view's attachment, made by @p make on first use under this
+     * view's lock (other callers wait for it) and freed with the view;
+     * thread-safe, and every later caller gets the same object. A view
+     * holds one attachment: the first @p make wins, so callers downcast
+     * with a check.
+     */
+    Attachment &
+    attachment(const std::function<std::unique_ptr<Attachment>()> &make)
+        const;
 
   private:
     struct JoinEntry
@@ -195,6 +222,8 @@ class PreparedTrace
     std::uint32_t numMemIds_ = 1;
     mutable std::mutex joinMutex_;
     mutable std::vector<std::unique_ptr<JoinEntry>> joins_;
+    mutable std::mutex attachMutex_;
+    mutable std::unique_ptr<Attachment> attachment_;
 };
 
 } // namespace dee

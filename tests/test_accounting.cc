@@ -260,8 +260,8 @@ TEST(SlotLedger, NegativeAndEmptyMarksAreClampedOrDropped)
 
 TEST(SlotLedger, RunsPastTheCycleCapSkipGracefully)
 {
-    obs::Registry &reg = obs::Registry::global();
-    const std::uint64_t skipped_before = reg.counter("acct.skipped_runs");
+    obs::Registry &global = obs::Registry::global();
+    const std::uint64_t global_before = global.counter("acct.skipped_runs");
 
     SlotLedger ledger(1);
     ledger.issue(0);
@@ -270,7 +270,13 @@ TEST(SlotLedger, RunsPastTheCycleCapSkipGracefully)
     const CycleAccount acct =
         ledger.finalize(SlotLedger::kMaxCycles + 8);
     EXPECT_FALSE(acct.valid());
-    EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped_before + 1);
+    // Finalizing publishes nothing; publishing the skipped run's
+    // account counts the skip and nothing else.
+    EXPECT_EQ(global.counter("acct.skipped_runs"), global_before);
+    obs::Registry reg;
+    acct.publish(reg, "window");
+    EXPECT_EQ(reg.counter("acct.skipped_runs"), 1u);
+    EXPECT_EQ(reg.size(), 1u);
 }
 
 TEST(SlotLedger, IssueCountsCoverTheBoundOrFallBack)

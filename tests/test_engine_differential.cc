@@ -24,6 +24,12 @@
  *   - route B's cached stall scans: the CD models at E_T 64 to 256 on
  *     100k-instruction traces, and a hand-built loop whose mispredicts'
  *     joins fall inside the next path,
+ *   - the per-trace run memo: every Figure-5 cell at scales 1 and 4,
+ *     run forward and in reverse so donors and hits swap, 100 seeded
+ *     random cells with penalty, latency, PE-limit and stats overrides,
+ *     each against the reference kernel on an unprepared copy of the
+ *     trace with its registry delta, and a gshare cell after 2-bit
+ *     cells of the same trace,
  *   - one traced cell per control-dependence regime, plus one with
  *     issue stats on,
  *   - a trace that spans several of the record store's id chunks, and
@@ -49,10 +55,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -624,6 +633,275 @@ B10:
     }
 }
 
+// ------------------------------------------------- the run memo
+
+/** One cell of a sweep over one trace, and what running it left. */
+struct MemoCell
+{
+    ModelKind kind;
+    int et;
+    ModelRunOptions options;
+    SimResult result;
+    std::string registry; ///< the cell's registry delta
+    std::uint64_t hits = 0; ///< runs its trace's memo served it
+};
+
+/** Memo hits on @p trace so far (the trace's cache, built if need
+ *  be: building it publishes nothing). */
+std::uint64_t
+memoHits(const Trace &trace)
+{
+    const TwoBitPredictor probe(std::max(trace.numStatic, 1u));
+    return sim_detail::SimTraceCache::of(trace, probe).hits();
+}
+
+/** Runs @p cells in order on @p trace, each with a 2-bit predictor
+ *  and in a CellSink of its own, through @p kernels. */
+void
+runMemoCells(const Kernels &kernels, const Trace &trace, const Cfg &cfg,
+             std::vector<MemoCell> &cells)
+{
+    for (MemoCell &cell : cells) {
+        const std::uint64_t before = memoHits(trace);
+        obs::CellSink sink;
+        {
+            const obs::IsolationScope scope(sink);
+            TwoBitPredictor pred(trace.numStatic);
+            cell.result = sim_detail::runModelWith(cell.kind, trace, &cfg,
+                                                   pred, cell.et,
+                                                   cell.options, kernels);
+        }
+        cell.hits = memoHits(trace) - before;
+        cell.registry = snapshotRegistry(sink.registry);
+    }
+}
+
+/** The same model on the other tree: SP-family <-> DEE-family. */
+ModelKind
+treePartner(ModelKind kind)
+{
+    switch (kind) {
+      case ModelKind::SP: return ModelKind::DEE;
+      case ModelKind::DEE: return ModelKind::SP;
+      case ModelKind::SP_CD: return ModelKind::DEE_CD;
+      case ModelKind::DEE_CD: return ModelKind::SP_CD;
+      case ModelKind::SP_CD_MF: return ModelKind::DEE_CD_MF;
+      case ModelKind::DEE_CD_MF: return ModelKind::SP_CD_MF;
+      default: return kind;
+    }
+}
+
+/** Compares @p got with @p want cell by cell: result and registry. */
+void
+expectSameCells(const std::vector<MemoCell> &got,
+                const std::vector<MemoCell> &want, const std::string &ctx)
+{
+    ASSERT_EQ(got.size(), want.size()) << ctx;
+    for (std::size_t c = 0; c < got.size(); ++c) {
+        const std::string cell = ctx + " cell " + std::to_string(c) +
+                                 " " + modelName(got[c].kind) + "@" +
+                                 std::to_string(got[c].et);
+        expectSameResult(got[c].result, want[c].result, cell);
+        EXPECT_EQ(got[c].registry, want[c].registry) << cell;
+    }
+}
+
+/** One instance per (workload, scale), built on first use. */
+const BenchmarkInstance &
+cachedInstance(WorkloadId id, int scale)
+{
+    static std::map<std::pair<WorkloadId, int>,
+                    std::unique_ptr<BenchmarkInstance>>
+        cache;
+    auto &slot = cache[{id, scale}];
+    if (!slot)
+        slot = std::make_unique<BenchmarkInstance>(makeInstance(id, scale));
+    return *slot;
+}
+
+/** (workload, scale, E_T): one column of one trace's Figure-5 grid. */
+using MemoColumn = std::tuple<WorkloadId, int, int>;
+
+class MemoGrid : public ::testing::TestWithParam<MemoColumn>
+{
+};
+
+TEST_P(MemoGrid, Fig5CellsMatchTheReferenceInEitherOrder)
+{
+    // fig5_speedups' cells of one trace at one E_T (the Oracle's one
+    // point rides E_T 8), run forward (SP-family cells donate to
+    // DEE-family ones) and in reverse (the other way round), each on a
+    // fresh copy of the trace, against the reference kernel on a third
+    // copy: every SimResult field and every cell's registry delta. A
+    // memo key holds the tree's shape, so only cells of one E_T can
+    // share a run; the six columns of a trace are six tests.
+    const auto [id, scale, e_t] = GetParam();
+    const BenchmarkInstance &inst = cachedInstance(id, scale);
+    ModelRunOptions options;
+    options.profileWorkload = inst.name;
+    std::vector<MemoCell> ref;
+    for (ModelKind kind : allModels()) {
+        if (kind != ModelKind::Oracle || e_t == 8)
+            ref.push_back(MemoCell{kind, e_t, options, {}, {}, 0});
+    }
+    std::vector<MemoCell> forward = ref;
+    std::vector<MemoCell> reverse(ref.rbegin(), ref.rend());
+    {
+        const Trace copy = inst.trace;
+        runMemoCells(kReference, copy, inst.cfg, ref);
+    }
+    {
+        const Trace copy = inst.trace;
+        runMemoCells(kFast, copy, inst.cfg, forward);
+    }
+    {
+        const Trace copy = inst.trace;
+        runMemoCells(kFast, copy, inst.cfg, reverse);
+    }
+    std::reverse(reverse.begin(), reverse.end());
+    expectSameCells(forward, ref, inst.name + " forward");
+    expectSameCells(reverse, ref, inst.name + " reverse");
+
+    // The memo serves exactly the cells whose static DEE tree is SP's
+    // chain (h_DEE == 0): the DEE-family cell going forward, its SP
+    // partner in reverse. Reference runs never read it.
+    TwoBitPredictor probe(inst.trace.numStatic);
+    const double p = characteristicAccuracy(inst.trace, probe);
+    const bool chain = computeGeometry(p, e_t).deeHeight == 0;
+    if (scale == 4) {
+        // 30 of the 210 window cells at scale 4: E_T 8 on cc1 and
+        // compress, 8-16 on espresso and xlisp, 8-64 on eqntott.
+        const std::map<WorkloadId, int> kChainUpTo = {
+            {WorkloadId::Cc1, 8},       {WorkloadId::Compress, 8},
+            {WorkloadId::Espresso, 16}, {WorkloadId::Xlisp, 16},
+            {WorkloadId::Eqntott, 64},
+        };
+        EXPECT_EQ(chain, e_t <= kChainUpTo.at(id)) << inst.name;
+    }
+    for (std::size_t c = 0; c < ref.size(); ++c) {
+        const ModelKind kind = ref[c].kind;
+        const bool paired = chain && kind != ModelKind::Oracle &&
+                            kind != ModelKind::EE;
+        const std::string cell = inst.name + " " + modelName(kind) +
+                                 "@" + std::to_string(e_t);
+        EXPECT_EQ(ref[c].hits, 0u) << cell;
+        EXPECT_EQ(forward[c].hits, paired && usesDeeTree(kind) ? 1u : 0u)
+            << cell;
+        EXPECT_EQ(reverse[c].hits, paired && !usesDeeTree(kind) ? 1u : 0u)
+            << cell;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scales1And4, MemoGrid,
+    ::testing::Combine(::testing::ValuesIn(allWorkloads()),
+                       ::testing::Values(1, 4),
+                       ::testing::Values(8, 16, 32, 64, 128, 256)),
+    [](const ::testing::TestParamInfo<MemoColumn> &info) {
+        return std::string(workloadName(std::get<0>(info.param))) +
+               "_scale" + std::to_string(std::get<1>(info.param)) +
+               "_et" + std::to_string(std::get<2>(info.param));
+    });
+
+TEST(EngineDifferential, HundredRandomMemoCellsBitExact)
+{
+    // Ten fresh traces with ten cells each, so a trace's cells share
+    // its memo: a third of the cells repeat an earlier cell of the
+    // trace and a third take an earlier cell's model onto the other
+    // tree, so the memo serves cells under every override.
+    std::mt19937_64 rng(0x3E30CE11u);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::vector<ModelKind> kinds = allModels();
+    const std::array kEts{2, 4, 8, 16, 32, 64, 100, 128, 256};
+    const std::vector<WorkloadId> ids = allWorkloads();
+    std::uint64_t repeats = 0;
+    std::uint64_t served = 0;
+    for (int t = 0; t < 10; ++t) {
+        const BenchmarkInstance inst = makeInstance(
+            ids[static_cast<std::size_t>(t) % ids.size()], 1 + t / 5,
+            20'000);
+        std::vector<MemoCell> cells;
+        for (int c = 0; c < 10; ++c) {
+            if (c % 3 != 0) {
+                MemoCell again = cells[pick(cells.size())];
+                if (c % 3 == 2)
+                    again.kind = treePartner(again.kind);
+                else if (again.kind != ModelKind::Oracle)
+                    ++repeats;
+                cells.push_back(again);
+                continue;
+            }
+            ModelRunOptions options;
+            options.mispredictPenalty = std::array{0, 1, 2, 5}[pick(4)];
+            switch (pick(3)) {
+              case 0: break;
+              case 1: options.latency = LatencyModel::realistic(); break;
+              default:
+                options.latency.intAlu = 1 + static_cast<int>(pick(3));
+                options.latency.load = 1 + static_cast<int>(pick(4));
+                options.latency.store = 1 + static_cast<int>(pick(2));
+                options.latency.branch = 1 + static_cast<int>(pick(2));
+                options.latency.other = 1 + static_cast<int>(pick(3));
+            }
+            options.peLimit = std::array{0, 0, 1, 4, 16}[pick(5)];
+            options.gatherResolveStats = pick(2) == 0;
+            options.gatherIssueStats = pick(2) == 0;
+            options.gatherAccounting = pick(4) != 0;
+            cells.push_back(MemoCell{kinds[pick(kinds.size())],
+                                     kEts[pick(kEts.size())], options,
+                                     {}, {}, 0});
+        }
+        std::vector<MemoCell> ref = cells;
+        {
+            const Trace copy = inst.trace;
+            runMemoCells(kReference, copy, inst.cfg, ref);
+        }
+        {
+            const Trace copy = inst.trace;
+            runMemoCells(kFast, copy, inst.cfg, cells);
+        }
+        expectSameCells(cells, ref, "trace " + std::to_string(t));
+        for (const MemoCell &cell : cells)
+            served += cell.hits;
+    }
+    EXPECT_GE(served, repeats);
+    EXPECT_GT(repeats, 0u);
+}
+
+TEST(EngineDifferential, GshareAfterTwoBitCellsGetsItsOwnPredictions)
+{
+    // 2-bit cells fill the trace's cached pass and memo; a gshare cell
+    // of the same model and E_T must still run on gshare's outcomes.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Xlisp, 1, 20'000);
+    const Trace trace = inst.trace;
+    for (ModelKind kind : {ModelKind::SP, ModelKind::DEE}) {
+        TwoBitPredictor pred(trace.numStatic);
+        (void)sim_detail::runModelWith(kind, trace, &inst.cfg, pred, 8,
+                                       {}, kFast);
+    }
+    const std::uint64_t hits = memoHits(trace);
+    const auto gshare = makePredictor("gshare", trace.numStatic);
+    const SimResult got = sim_detail::runModelWith(
+        ModelKind::SP, trace, &inst.cfg, *gshare, 8, {}, kFast);
+    EXPECT_EQ(memoHits(trace), hits);
+
+    const Trace copy = inst.trace;
+    const auto gshare_ref = makePredictor("gshare", copy.numStatic);
+    const SimResult want = sim_detail::runModelWith(
+        ModelKind::SP, copy, &inst.cfg, *gshare_ref, 8, {}, kReference);
+    expectSameResult(got, want, "gshare SP@8");
+
+    const auto probe = makePredictor("gshare", trace.numStatic);
+    EXPECT_EQ(got.mispredicted,
+              predictPaths(trace, *probe).mispredicted);
+    TwoBitPredictor twobit(trace.numStatic);
+    EXPECT_NE(got.mispredicted,
+              predictPaths(trace, twobit).mispredicted);
+}
+
 // ------------------------------------------------- the retire step
 
 TEST(PathRetirer, MatchesTheWholeRunEpilogueOnRandomRuns)
@@ -879,6 +1157,66 @@ TEST(EngineDifferential, ManifestsByteEqualAcrossEnginesAndJobs)
     // ...and the engines must agree with each other byte for byte.
     EXPECT_EQ(fast1.manifest, ref1.manifest);
     EXPECT_EQ(fast1.registry, ref1.registry);
+}
+
+TEST(EngineDifferential, MemoManifestsByteEqualAtJobs1And8)
+{
+    // Unprofiled cells go through the memo. Each sweep below but the
+    // last runs on fresh copies of the traces, so at --jobs 8 a DEE
+    // cell may run before, beside or after its SP donor; the last one
+    // reruns the warm copies, where the memo serves every window cell.
+    // The manifest must not tell them apart.
+    const std::vector<BenchmarkInstance> insts = [] {
+        std::vector<BenchmarkInstance> v;
+        v.push_back(makeInstance(WorkloadId::Compress, 1, kGridMaxInstrs));
+        v.push_back(makeInstance(WorkloadId::Eqntott, 1, kGridMaxInstrs));
+        return v;
+    }();
+    const std::vector<ModelKind> kinds = allModels();
+    const auto sweep = [&](const std::vector<Trace> &traces, int jobs) {
+        obs::Registry::process().clear();
+        runner::SweepOptions options;
+        options.jobs = jobs;
+        runner::runCells(insts.size() * kinds.size(), options,
+                         [&](std::size_t c) {
+            const std::size_t w = c / kinds.size();
+            TwoBitPredictor pred(traces[w].numStatic);
+            ModelRunOptions run;
+            run.profileWorkload = insts[w].name;
+            (void)sim_detail::runModelWith(kinds[c % kinds.size()],
+                                           traces[w], &insts[w].cfg,
+                                           pred, 8, run, kFast);
+        });
+        std::string manifest =
+            obs::withoutHostMeasured(obs::Manifest("engine_differential")
+                                         .toJson(obs::Registry::process()))
+                .dump(2);
+        obs::Registry::process().clear();
+        return manifest;
+    };
+    const auto fresh = [&] {
+        std::vector<Trace> traces;
+        for (const BenchmarkInstance &inst : insts)
+            traces.push_back(inst.trace);
+        return traces;
+    };
+    const std::vector<Trace> serial = fresh();
+    const std::vector<Trace> parallel = fresh();
+    const std::string jobs1 = sweep(serial, 1);
+    std::uint64_t served = 0;
+    for (const Trace &trace : serial)
+        served += memoHits(trace);
+    EXPECT_GT(served, 0u) << "no DEE cell at E_T 8 took SP's run";
+    EXPECT_EQ(sweep(parallel, 8), jobs1);
+
+    std::uint64_t before = 0;
+    for (const Trace &trace : parallel)
+        before += memoHits(trace);
+    EXPECT_EQ(sweep(parallel, 8), jobs1);
+    std::uint64_t after = 0;
+    for (const Trace &trace : parallel)
+        after += memoHits(trace);
+    EXPECT_EQ(after - before, insts.size() * (kinds.size() - 1));
 }
 
 // --------------------------------- cell-sink merge-order contract

@@ -183,9 +183,11 @@ TEST(Interpreter, ForwardBranchSkipsThen)
     ExecResult r = interp.run();
     EXPECT_EQ(r.state.regs[2], 0);
     // Forward branch: backward flag must be false.
-    for (const auto &rec : r.trace.records)
-        if (rec.isBranch)
+    for (const auto &rec : r.trace.records) {
+        if (rec.isBranch) {
             EXPECT_FALSE(rec.backward);
+        }
+    }
 }
 
 TEST(Interpreter, JumpTransfersControl)

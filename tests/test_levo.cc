@@ -342,8 +342,9 @@ TEST(LevoPredictors, AlternativePredictorsWork)
         LevoMachine machine(p, cfg, config);
         const LevoResult r = machine.run(200'000);
         EXPECT_GT(r.ipc, 0.5) << name;
-        if (std::string(name) == "oracle")
+        if (std::string(name) == "oracle") {
             EXPECT_EQ(r.mispredicted, 0u);
+        }
     }
 }
 
