@@ -8,8 +8,9 @@
  *
  *  - One issue loop, issueRecords(), serves the window pass (per path,
  *    both control-dependence regimes) and the oracle (per block). It
- *    reads each record's entry id straight from the trace's id chunks
- *    and that entry's shared 4-byte decode (PreparedTrace: register
+ *    reads each record's entry id straight from the trace's id chunks,
+ *    at the id width it picks once per run, and that entry's shared
+ *    4-byte decode (PreparedTrace: register
  *    slots and op class), takes memory ids for loads and stores with a
  *    running cursor, and maps the op class to a latency through a
  *    per-cell table (plus the optional per-record load latencies),
@@ -130,8 +131,8 @@ issueBound(std::int64_t floor, std::uint64_t count, std::int64_t max_lat)
  */
 struct IssueInputs
 {
-    const std::uint32_t *const *idChunks; ///< PreparedTrace::idChunks()
-    const DecodedInstr *decode;           ///< by entry id
+    const std::uint8_t *const *idChunks; ///< PreparedTrace::idChunks()
+    const DecodedInstr *decode;          ///< by entry id
     const std::int32_t *lat;              ///< by op class
     const int *loadLat;                   ///< by record, or null
     std::int64_t *regAvail;               ///< kNumRegSlots entries
@@ -161,6 +162,8 @@ checkedIssue(const IssueInputs &in, std::int64_t t)
  * Issues records [@p begin, @p end) in trace order: the one issue loop
  * of the window pass (one call per run of a path's records that share
  * a fetch bound) and the oracle sweep (one call per block of records).
+ * @p Id is the type of the trace's entry ids (PreparedTrace::idWidth()),
+ * picked once per run through issueRecordsFor().
  * Each instruction issues once its operands are ready and not before
  * @p fetch, the cycle its code is available at (route A's tree coverage
  * combined with route B's reconvergent window by the caller). When
@@ -176,6 +179,7 @@ checkedIssue(const IssueInputs &in, std::int64_t t)
  * that every instruction reloads. Aligned to a cache line, so that
  * where the linker places the loop does not move with unrelated code.
  */
+template <typename Id>
 [[gnu::noinline, gnu::aligned(64)]] std::int64_t
 issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
              std::int64_t fetch, std::uint32_t *const counts,
@@ -193,14 +197,14 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
     std::int64_t last_done = done;
     const std::uint32_t *mem_cursor = mem_id;
     for (DynIndex i = begin; i < end;) {
-        const std::uint32_t *const ids =
+        const std::uint8_t *const ids =
             in.idChunks[i / RecordStore::kChunkRecords];
         const DynIndex chunk_end = std::min<DynIndex>(
             end, (i / RecordStore::kChunkRecords + 1) *
                      RecordStore::kChunkRecords);
         for (; i < chunk_end; ++i) {
             const DecodedInstr d =
-                decode[ids[i % RecordStore::kChunkRecords]];
+                decode[readId<Id>(ids, i % RecordStore::kChunkRecords)];
             // Branch-free memory id: the cursor's entry when the record
             // takes one (and advances), slot 0 otherwise.
             const std::uint32_t takes_mem = takesMemId(d.cls) ? 1 : 0;
@@ -238,6 +242,17 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
     done = last_done;
     mem_id = mem_cursor;
     return last_issue;
+}
+
+using IssueFn = decltype(&issueRecords<std::uint32_t>);
+
+/** The issue loop for entry ids @p width bytes wide. */
+IssueFn
+issueRecordsFor(unsigned width)
+{
+    return withIdType(width, [](auto type) -> IssueFn {
+        return &issueRecords<decltype(type)>;
+    });
 }
 
 /**
@@ -408,7 +423,7 @@ fastForward(ForwardCtx &ctx)
     obs::Tracer &tracer = ctx.tracer;
     obs::SpeculationProfile &profile = ctx.profile;
     const BitVec64 &mispredicts = ctx.mispredicts;
-    const std::vector<DynIndex> &join_idx = ctx.joinIdx;
+    const std::vector<std::uint32_t> &join_idx = ctx.joinIdx;
     obs::SlotLedger *const ledger = ctx.ledger;
     const int branch_lat = config.latency.of(OpClass::CondBranch);
     const Latencies lat(config.latency, config.loadLatencies);
@@ -496,6 +511,7 @@ fastForward(ForwardCtx &ctx)
         .slots = pe_limited ? &slots : nullptr,
         .ledger = ledger,
     };
+    const IssueFn issue_records = issueRecordsFor(prep.idWidth());
     const std::uint32_t *mem_id = prep.memIds().data();
 
     // Closed-form walk tables (chain / DEE-static shapes only).
@@ -700,15 +716,15 @@ fastForward(ForwardCtx &ctx)
             // DEE) have no route B.
             if (!use_cd) {
                 last_issue =
-                    issueRecords(issue_in, path.begin, path.end, fetch_a,
-                                 counts, last_issue, done, mem_id);
+                    issue_records(issue_in, path.begin, path.end, fetch_a,
+                                  counts, last_issue, done, mem_id);
             } else {
                 const std::uint64_t prefix =
                     side ? here.bypassFrom : num_paths;
                 for (DynIndex at = path.begin; at < path.end;) {
                     const StallScan &b = route_b_stall(at, prefix);
                     const DynIndex run_end = std::min(b.join, path.end);
-                    last_issue = issueRecords(
+                    last_issue = issue_records(
                         issue_in, at, run_end,
                         std::min(fetch_a, std::max(fetch_b, b.stall)),
                         counts, last_issue, done, mem_id);
@@ -727,10 +743,12 @@ fastForward(ForwardCtx &ctx)
             if (serial_branches)
                 res = std::max(res, last_resolve + 1);
             last_resolve = res;
-            if (use_cd && mispredicted &&
-                (prep.exit(r).backward || join_idx[r] > path.end)) {
-                pending[pending_tail++] = PendingMispredict{
-                    r, join_idx[r], res, prep.exit(r).backward};
+            if (use_cd && mispredicted) {
+                const bool backward = prep.exit(r).backward;
+                if (backward || join_idx[r] > path.end) {
+                    pending[pending_tail++] = PendingMispredict{
+                        r, join_idx[r], res, backward};
+                }
             }
         }
 
@@ -781,6 +799,7 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
         .slots = nullptr,
         .ledger = ledger,
     };
+    const IssueFn issue_records = issueRecordsFor(prep.idWidth());
     const std::uint32_t *mem_id = prep.memIds().data();
     // No fetch constraint: each instruction issues when its operands
     // are ready. A ready cycle is at most the latest completion so far,
@@ -796,8 +815,8 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
             ledger != nullptr && lat.nonNegative
                 ? ledger->issueCounts(issueBound(last, end - begin, lat.max))
                 : nullptr;
-        issueRecords(issue_in, begin, end, kNoFetch, counts, 0, last,
-                     mem_id);
+        issue_records(issue_in, begin, end, kNoFetch, counts, 0, last,
+                      mem_id);
     }
     return last;
 }

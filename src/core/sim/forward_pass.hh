@@ -203,7 +203,7 @@ struct ForwardCtx
     // --- Per-trace inputs (shared by every cell of the trace) ------------
     const Trace &trace; ///< the records, for kernels that read them
     const PreparedTrace &prepared;
-    const std::vector<DynIndex> &joinIdx; ///< empty unless CD
+    const std::vector<std::uint32_t> &joinIdx; ///< empty unless CD
 
     // --- Per-cell inputs --------------------------------------------------
     const SpecTree &tree;
@@ -277,6 +277,8 @@ inline constexpr Kernels kFastKernels{&fastForward, &fastOracle};
  *    which unprofiled accounting runs read instead of replaying it per
  *    cell (a profiled run replays it itself: the profile records the
  *    confidence bucket each instance met online);
+ *  - the trace's longest walk under those outcomes (trace_cache.cc):
+ *    a plain run on a longer chain is the run on a chain that long;
  *  - the memo: the SimResult of each distinct run made on those
  *    outcomes, under its runKey(). runWindowWith() serves a run from
  *    it only on the fast kernel, without tracing or profiling, and
@@ -295,6 +297,10 @@ class SimTraceCache final : public PreparedTrace::Attachment
     const PathPredictions &twoBit() const { return twoBit_; }
     const ConfidenceEstimator &confidence() const { return confidence_; }
 
+    /** The most paths a coverage walk from any root steps across
+     *  before the first path no walk crosses, under twoBit(). */
+    std::uint64_t longestWalk() const { return longestWalk_; }
+
     /** A copy of the result remembered under @p key, if any. */
     std::optional<SimResult> find(const std::string &key) const;
 
@@ -307,6 +313,7 @@ class SimTraceCache final : public PreparedTrace::Attachment
   private:
     PathPredictions twoBit_;
     ConfidenceEstimator confidence_;
+    std::uint64_t longestWalk_ = 0;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, SimResult> runs_;
     mutable std::uint64_t hits_ = 0;
@@ -314,15 +321,29 @@ class SimTraceCache final : public PreparedTrace::Attachment
 
 /**
  * The memo key of a window run on a trace's 2-bit outcomes: the tree's
- * shape (each node's two child links), every SimConfig field but the
- * three profile names, and the identity of the route-B join table
- * @p join_idx the run reads. Two runs with equal keys read equal
- * inputs, so they compute equal SimResults: the kernel reads a tree's
- * cumulative probabilities and ranks only when profiling, and a Cfg
- * only through its join table.
+ * shape (a chain's length, else each node's two child links), every
+ * SimConfig field but the three profile names, and the identity of the
+ * route-B join table @p join_idx the run reads. Two runs with equal
+ * keys compute equal SimResults: the kernel reads a tree's cumulative
+ * probabilities and ranks only when profiling, and a Cfg only through
+ * its join table. A plain (CdModel::Restrictive) run without resolve
+ * stats or confidence gating on a chain longer than the trace's
+ * @p longest_walk
+ * (SimTraceCache::longestWalk()) is keyed as the chain of that length,
+ * the run it repeats (trace_cache.cc).
  */
 std::string runKey(const SpecTree &tree, const SimConfig &config,
-                   const std::vector<DynIndex> &join_idx);
+                   const std::vector<std::uint32_t> &join_idx,
+                   std::uint64_t longest_walk);
+
+/**
+ * @p predictor when its pass over @p trace is the trace's cached 2-bit
+ * pass: a TwoBitPredictor itself, not a subclass, whose table covers
+ * every static id of the trace (a power-on table's outcomes do not
+ * depend on its size then); null otherwise.
+ */
+const TwoBitPredictor *cacheableTwoBit(const BranchPredictor &predictor,
+                                       const Trace &trace);
 
 /**
  * WindowSim::run(predictions) without its meter, with the forward pass

@@ -1,7 +1,6 @@
 #include "core/sim/models.hh"
 
 #include <algorithm>
-#include <typeinfo>
 
 #include "common/logging.hh"
 #include "core/sim/forward_pass.hh"
@@ -9,26 +8,6 @@
 
 namespace dee
 {
-
-namespace
-{
-
-/**
- * @p predictor when its pass over @p trace is the trace's cached 2-bit
- * pass: a TwoBitPredictor itself, not a subclass, whose table covers
- * every static id of the trace (a power-on table's outcomes do not
- * depend on its size then); null otherwise.
- */
-const TwoBitPredictor *
-cacheableTwoBit(const BranchPredictor &predictor, const Trace &trace)
-{
-    if (typeid(predictor) != typeid(TwoBitPredictor))
-        return nullptr;
-    const auto &twobit = static_cast<const TwoBitPredictor &>(predictor);
-    return twobit.numStatic() >= trace.numStatic ? &twobit : nullptr;
-}
-
-} // namespace
 
 const char *
 modelName(ModelKind kind)
@@ -145,7 +124,8 @@ sim_detail::runModelWith(ModelKind kind, const Trace &trace,
     // gives.
     SimTraceCache *cache = nullptr;
     PathPredictions own;
-    if (const TwoBitPredictor *twobit = cacheableTwoBit(predictor, trace)) {
+    if (const TwoBitPredictor *twobit =
+            sim_detail::cacheableTwoBit(predictor, trace)) {
         cache = &SimTraceCache::of(trace, *twobit);
         predictor.reset();
     } else {

@@ -146,25 +146,46 @@ predictPaths(const Trace &trace, BranchPredictor &predictor)
     return out;
 }
 
+namespace
+{
+
+/**
+ * A direct run of @p sim under its one host clock, with the profile's
+ * scope convention; runModel() meters its own runs and calls
+ * runWindowWith() itself.
+ */
+SimResult
+meteredRun(const WindowSim &sim, const PathPredictions &predictions,
+           sim_detail::SimTraceCache *cache)
+{
+    const std::string &scope = sim.config().profileScope;
+    obs::perf::ThroughputMeter meter(scope.empty() ? "window" : scope);
+    SimResult result = sim_detail::runWindowWith(
+        sim, predictions, &sim_detail::fastForward, cache);
+    meter.addInstructions(result.instructions);
+    meter.addCycles(result.cycles);
+    return result;
+}
+
+} // namespace
+
 SimResult
 WindowSim::run(BranchPredictor &predictor) const
 {
-    return run(predictPaths(trace_, predictor));
+    if (const TwoBitPredictor *twobit =
+            sim_detail::cacheableTwoBit(predictor, trace_)) {
+        sim_detail::SimTraceCache &cache =
+            sim_detail::SimTraceCache::of(trace_, *twobit);
+        predictor.reset();
+        return meteredRun(*this, cache.twoBit(), &cache);
+    }
+    return meteredRun(*this, predictPaths(trace_, predictor), nullptr);
 }
 
 SimResult
 WindowSim::run(const PathPredictions &predictions) const
 {
-    // A direct run's one host clock, under the profile's scope
-    // convention; runModel() meters its own runs and calls
-    // runWindowWith() itself.
-    obs::perf::ThroughputMeter meter(
-        config_.profileScope.empty() ? "window" : config_.profileScope);
-    SimResult result = sim_detail::runWindowWith(
-        *this, predictions, &sim_detail::fastForward);
-    meter.addInstructions(result.instructions);
-    meter.addCycles(result.cycles);
-    return result;
+    return meteredRun(*this, predictions, nullptr);
 }
 
 sim_detail::PathRetirer::PathRetirer(
@@ -328,8 +349,8 @@ sim_detail::runWindowWith(const WindowSim &sim,
     // --- Dynamic control-dependence scopes for route B -------------------
     // join_idx[k] is the dynamic index at which the branch ending path
     // k stops controlling execution (see PreparedTrace::joinIndex()).
-    static const std::vector<DynIndex> kNoJoins;
-    const std::vector<DynIndex> &join_idx =
+    static const std::vector<std::uint32_t> kNoJoins;
+    const std::vector<std::uint32_t> &join_idx =
         use_cd ? prep.joinIndex(*cfg) : kNoJoins;
 
     // --- A run the trace has made already ---------------------------------
@@ -342,7 +363,7 @@ sim_detail::runWindowWith(const WindowSim &sim,
                       config.confidence.accuracy == nullptr;
     std::string key;
     if (memo) {
-        key = runKey(tree, config, join_idx);
+        key = runKey(tree, config, join_idx, cache->longestWalk());
         if (std::optional<SimResult> hit = cache->find(key)) {
             publishWindowRun(*hit, accounting);
             return std::move(*hit);

@@ -266,7 +266,13 @@ class WindowSim
     WindowSim(Trace &&, SpecTree, const SimConfig &,
               const Cfg *cfg = nullptr) = delete;
 
-    /** Runs the model; the predictor is reset() first. */
+    /**
+     * Runs the model; the predictor is reset() first. A power-on
+     * TwoBitPredictor that covers the trace's static ids takes the
+     * trace's cached 2-bit pass instead of making its own, as
+     * runModel() does, and is left reset; any other predictor makes
+     * its own pass and is left trained.
+     */
     SimResult run(BranchPredictor &predictor) const;
 
     /** Runs the model on a predictor pass already made over this

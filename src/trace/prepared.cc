@@ -33,32 +33,26 @@ mixAddr(std::uint64_t x)
 
 /**
  * Dense address ids in first-touch order, from an open-addressing
- * linear-probe table (id 0 marks an empty slot) sized to a load factor
- * of at most 1/2. Lives only while a trace is being prepared.
+ * linear-probe table (id 0 marks an empty slot) that doubles as it
+ * hands out ids, keeping its load factor at most 1/2. Lives only while
+ * a trace is being prepared.
  */
 class AddressIds
 {
   public:
-    explicit AddressIds(std::uint64_t mem_ops)
-    {
-        std::uint64_t cap = 16;
-        while (cap < 2 * mem_ops)
-            cap <<= 1;
-        mask_ = cap - 1;
-        keys_.assign(cap, 0);
-        ids_.assign(cap, 0);
-    }
+    AddressIds() { rehash(16); }
 
     std::uint32_t
     idOf(std::uint64_t addr)
     {
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (ids_[h] != 0) {
-            if (keys_[h] == addr)
-                return ids_[h];
-            h = (h + 1) & mask_;
-        }
+        std::uint64_t h = slotOf(addr);
+        if (ids_[h] != 0)
+            return ids_[h];
         dee_assert(next_ != 0, "more than 2^32 - 1 distinct addresses");
+        if (2 * std::uint64_t{next_} > mask_ + 1) {
+            rehash(2 * (mask_ + 1));
+            h = slotOf(addr);
+        }
         keys_[h] = addr;
         ids_[h] = next_;
         return next_++;
@@ -68,6 +62,35 @@ class AddressIds
     std::uint32_t count() const { return next_; }
 
   private:
+    /** The slot of @p addr: its own, or the empty one ending its probe
+     *  sequence. */
+    std::uint64_t
+    slotOf(std::uint64_t addr) const
+    {
+        std::uint64_t h = mixAddr(addr) & mask_;
+        while (ids_[h] != 0 && keys_[h] != addr)
+            h = (h + 1) & mask_;
+        return h;
+    }
+
+    /** Moves every id into a table of @p cap slots. */
+    void
+    rehash(std::uint64_t cap)
+    {
+        std::vector<std::uint64_t> keys(cap, 0);
+        std::vector<std::uint32_t> ids(cap, 0);
+        keys.swap(keys_);
+        ids.swap(ids_);
+        mask_ = cap - 1;
+        for (std::size_t s = 0; s < ids.size(); ++s) {
+            if (ids[s] != 0) {
+                const std::uint64_t h = slotOf(keys[s]);
+                keys_[h] = keys[s];
+                ids_[h] = ids[s];
+            }
+        }
+    }
+
     std::vector<std::uint64_t> keys_;
     std::vector<std::uint32_t> ids_;
     std::uint64_t mask_ = 0;
@@ -76,17 +99,29 @@ class AddressIds
 
 } // namespace
 
+void
+checkPreparable(std::uint64_t records)
+{
+    if (records > UINT32_MAX) {
+        dee_fatal("a trace of ", records, " records cannot be prepared: ",
+                  "the prepared view holds record indices in 32 bits, so "
+                  "a trace must have fewer than 2^32 (4294967296) records");
+    }
+}
+
 PreparedTrace::PreparedTrace(const Trace &trace)
 {
     const RecordStore &store = trace.records;
+    checkPreparable(store.size());
     const std::vector<TraceRecord> &entries = store.entries();
     size_ = store.size();
-    for (const std::vector<std::uint32_t> &chunk : store.idChunks())
+    for (const std::vector<std::uint8_t> &chunk : store.idChunks())
         idChunks_.push_back(chunk.data());
+    idWidth_ = store.idWidth();
 
     // Everything but the memory id is a fact of the record's entry.
     entryDecode_.resize(entries.size());
-    blockOf_.resize(entries.size());
+    entryExit_.resize(entries.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
         const TraceRecord &t = entries[e];
         DecodedInstr &d = entryDecode_[e];
@@ -94,40 +129,36 @@ PreparedTrace::PreparedTrace(const Trace &trace)
         d.src2 = srcSlot(t.rs2);
         d.dst = dstSlot(t.rd);
         d.cls = opClass(t.op);
-        blockOf_[e] = t.block;
+        entryExit_[e] = PathExit{t.sid, t.block, t.taken, t.backward};
     }
-    std::vector<std::uint64_t> uses(entries.size(), 0);
-    for (const std::vector<std::uint32_t> &chunk : store.idChunks()) {
-        for (const std::uint32_t e : chunk)
-            ++uses[e];
-    }
-    std::uint64_t mem_ops = 0;
-    std::uint64_t branches = 0;
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-        if (takesMemId(entryDecode_[e].cls))
-            mem_ops += uses[e];
-        if (entries[e].isBranch)
-            branches += uses[e];
-    }
-
-    AddressIds addr_ids(mem_ops);
-    memIds_.reserve(mem_ops + 1);
-    exits_.reserve(branches);
-    bounds_.reserve(branches + 2);
-    bounds_.push_back(0);
-    for (std::uint64_t i = 0; i < size_; ++i) {
-        const std::uint32_t e = store.id(i);
-        if (takesMemId(entryDecode_[e].cls))
-            memIds_.push_back(addr_ids.idOf(store.memAddr(i)));
-        const TraceRecord &t = entries[e];
-        if (t.isBranch) {
-            bounds_.push_back(i + 1);
-            exits_.push_back(PathExit{t.sid, t.block, t.taken, t.backward});
+    AddressIds addr_ids;
+    withIdType(idWidth_, [&](auto type) {
+        using Id = decltype(type);
+        std::vector<std::uint64_t> uses(entries.size(), 0);
+        for (std::uint64_t i = 0; i < size_; ++i)
+            ++uses[entryIdAs<Id>(i)];
+        std::uint64_t mem_ops = 0;
+        for (std::size_t e = 0; e < entries.size(); ++e) {
+            if (takesMemId(entryDecode_[e].cls))
+                mem_ops += uses[e];
+            if (entries[e].isBranch)
+                numBranches_ += uses[e];
         }
-    }
+
+        memIds_.reserve(mem_ops + 1);
+        bounds_.reserve(numBranches_ + 2);
+        bounds_.push_back(0);
+        for (std::uint64_t i = 0; i < size_; ++i) {
+            const std::uint32_t e = entryIdAs<Id>(i);
+            if (takesMemId(entryDecode_[e].cls))
+                memIds_.push_back(addr_ids.idOf(store.memAddr(i)));
+            if (entries[e].isBranch)
+                bounds_.push_back(static_cast<std::uint32_t>(i + 1));
+        }
+    });
     memIds_.push_back(0);
     if (bounds_.back() < size_)
-        bounds_.push_back(size_);
+        bounds_.push_back(static_cast<std::uint32_t>(size_));
     numMemIds_ = addr_ids.count();
 }
 
@@ -138,9 +169,8 @@ PreparedTrace::bytes() const
 {
     return idChunks_.capacity() * sizeof(idChunks_[0]) +
            entryDecode_.capacity() * sizeof(DecodedInstr) +
-           blockOf_.capacity() * sizeof(BlockId) +
-           bounds_.capacity() * sizeof(DynIndex) +
-           exits_.capacity() * sizeof(PathExit) +
+           entryExit_.capacity() * sizeof(PathExit) +
+           bounds_.capacity() * sizeof(std::uint32_t) +
            memIds_.capacity() * sizeof(std::uint32_t);
 }
 
@@ -149,6 +179,7 @@ PreparedTrace::describes(const Trace &trace) const
 {
     const auto &chunks = trace.records.idChunks();
     if (trace.records.size() != size_ ||
+        trace.records.idWidth() != idWidth_ ||
         chunks.size() != idChunks_.size())
         return false;
     for (std::size_t k = 0; k < chunks.size(); ++k) {
@@ -158,7 +189,7 @@ PreparedTrace::describes(const Trace &trace) const
     return true;
 }
 
-const std::vector<DynIndex> &
+const std::vector<std::uint32_t> &
 PreparedTrace::joinIndex(const Cfg &cfg) const
 {
     const std::vector<BlockId> &ipostdoms = cfg.ipostdoms();
@@ -177,26 +208,31 @@ PreparedTrace::joinIndex(const Cfg &cfg) const
     // block never joins at itself.
     auto entry = std::make_unique<JoinEntry>();
     entry->ipostdoms = ipostdoms;
-    const std::uint64_t n = size();
+    const auto n = static_cast<std::uint32_t>(size());
     const std::uint64_t num_paths = numPaths();
     const std::size_t num_blocks = cfg.numBlocks();
-    std::vector<DynIndex> &join_idx = entry->joinIdx;
+    std::vector<std::uint32_t> &join_idx = entry->joinIdx;
     join_idx.assign(num_paths, n);
-    std::vector<DynIndex> next_occ(num_blocks + 1, n);
-    for (std::uint64_t k = num_paths; k-- > 0;) {
-        const BranchPath p = path(k);
-        if (p.endsInBranch) {
-            const BlockId ipdom = cfg.ipostdom(exits_[k].block);
-            if (ipdom < num_blocks)
-                join_idx[k] = next_occ[ipdom];
+    std::vector<std::uint32_t> next_occ(num_blocks + 1, n);
+    withIdType(idWidth_, [&](auto type) {
+        using Id = decltype(type);
+        for (std::uint64_t k = num_paths; k-- > 0;) {
+            const BranchPath p = path(k);
+            if (p.endsInBranch) {
+                const BlockId ipdom = cfg.ipostdom(
+                    entryExit_[entryIdAs<Id>(p.branchIndex())].block);
+                if (ipdom < num_blocks)
+                    join_idx[k] = next_occ[ipdom];
+            }
+            for (DynIndex i = p.end; i-- > p.begin;) {
+                const BlockId block = entryExit_[entryIdAs<Id>(i)].block;
+                dee_assert(block <= num_blocks, "record ", i,
+                           " runs block ", block, " of a ", num_blocks,
+                           "-block Cfg");
+                next_occ[block] = static_cast<std::uint32_t>(i);
+            }
         }
-        for (DynIndex i = p.end; i-- > p.begin;) {
-            const BlockId block = blockOf_[entryId(i)];
-            dee_assert(block <= num_blocks, "record ", i, " runs block ",
-                       block, " of a ", num_blocks, "-block Cfg");
-            next_occ[block] = i;
-        }
-    }
+    });
     joins_.push_back(std::move(entry));
     return joins_.back()->joinIdx;
 }

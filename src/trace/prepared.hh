@@ -8,11 +8,12 @@
  * tree and predictor outcomes, every input a cell needs is a property
  * of the trace alone:
  *
- *  - the branch-path bounds (segmentPaths()) and each path's exit
- *    branch (static id, block, outcome, direction);
- *  - one 4-byte decode per RecordStore entry: register availability
- *    slots and op class. A record's entry id, which the store already
- *    holds, names its decode, so nothing is copied per record;
+ *  - the branch-path bounds (segmentPaths()), 4 bytes per path;
+ *  - per RecordStore entry, a 4-byte decode (register availability
+ *    slots and op class) and the PathExit it makes when it ends a path
+ *    (static id, block, outcome, direction). A record's entry id,
+ *    which the store already holds, names both, so nothing is copied
+ *    per record, and a path's exit branch is its last record's entry;
  *  - one dense memory-address id per load or store record, in trace
  *    order, indexing a flat last-store table (ids are per trace, so no
  *    hashing per cell);
@@ -27,8 +28,11 @@
  * entries are worked out once per entry, not once per record, and only
  * a load or store adds anything per record: its memory id. The issue
  * loops read each record's entry id straight from the store's id
- * chunks and take memory ids with a running cursor, which works
- * because every pass visits the records in trace order.
+ * chunks, at the store's id width picked once per run, and take memory
+ * ids with a running cursor, which works because every pass visits the
+ * records in trace order. Record indices are kept in 32 bits, so a
+ * trace of 2^32 records or more is refused at preparation
+ * (checkPreparable()).
  *
  * Trace::prepared() builds the view on first use, thread-safely, and
  * every later caller gets the same object. The view describes the
@@ -97,11 +101,20 @@ struct PathExit
     bool backward = false;
 };
 
+/**
+ * Ends the process with a message naming the limit when a trace of
+ * @p records records cannot be prepared: the view keeps record indices
+ * (path bounds and join points, size() included) in 32 bits, so a
+ * trace must hold fewer than 2^32 records.
+ */
+void checkPreparable(std::uint64_t records);
+
 /** Immutable per-trace view shared by every cell (see file comment). */
 class PreparedTrace
 {
   public:
-    /** Builds the view of @p trace; Trace::prepared() is the caller. */
+    /** Builds the view of @p trace (checkPreparable() first);
+     *  Trace::prepared() is the caller. */
     explicit PreparedTrace(const Trace &trace);
     ~PreparedTrace();
 
@@ -118,31 +131,41 @@ class PreparedTrace
      * Paths ending in a conditional branch. Only the last path can lack
      * one, so path k ends in a branch iff k < numBranches().
      */
-    std::uint64_t numBranches() const { return exits_.size(); }
+    std::uint64_t numBranches() const { return numBranches_; }
 
     BranchPath
     path(std::uint64_t k) const
     {
-        return BranchPath{bounds_[k], bounds_[k + 1], k < exits_.size()};
+        return BranchPath{bounds_[k], bounds_[k + 1], k < numBranches_};
     }
 
-    /** Exit branch of path @p k; valid iff k < numBranches(). */
-    const PathExit &exit(std::uint64_t k) const { return exits_[k]; }
+    /** Exit branch of path @p k, its last record's entry's; valid iff
+     *  k < numBranches(). */
+    const PathExit &
+    exit(std::uint64_t k) const
+    {
+        return entryExit_[entryId(bounds_[k + 1] - 1)];
+    }
 
     /** The store's id buffer: chunk k holds the entry ids of records
-     *  from k * RecordStore::kChunkRecords on. */
-    const std::vector<const std::uint32_t *> &
+     *  from k * RecordStore::kChunkRecords on, idWidth() bytes each
+     *  (read them with readId()). */
+    const std::vector<const std::uint8_t *> &
     idChunks() const
     {
         return idChunks_;
     }
 
+    /** Bytes per entry id (RecordStore::idWidth()). */
+    unsigned idWidth() const { return idWidth_; }
+
     /** Entry id of record @p i. */
     std::uint32_t
     entryId(DynIndex i) const
     {
-        return idChunks_[i / RecordStore::kChunkRecords]
-                        [i % RecordStore::kChunkRecords];
+        return withIdType(idWidth_, [&](auto type) {
+            return entryIdAs<decltype(type)>(i);
+        });
     }
 
     /** The decode of each RecordStore entry, indexed by entry id. */
@@ -176,10 +199,11 @@ class PreparedTrace
      * no branch). Computed on first use per distinct ipostdom table and
      * cached; thread-safe. The result lives as long as this view.
      */
-    const std::vector<DynIndex> &joinIndex(const Cfg &cfg) const;
+    const std::vector<std::uint32_t> &joinIndex(const Cfg &cfg) const;
 
     /** True while @p trace still holds the id buffer (same chunks at
-     *  the same addresses, same length) this view was built from. */
+     *  the same addresses, same width, same length) this view was built
+     *  from. */
     bool describes(const Trace &trace) const;
 
     /** Base of the per-trace state a higher layer attaches to a view;
@@ -205,19 +229,30 @@ class PreparedTrace
         const;
 
   private:
+    /** Entry id of record @p i, read at a width the caller picked. */
+    template <typename Id>
+    std::uint32_t
+    entryIdAs(DynIndex i) const
+    {
+        return readId<Id>(idChunks_[i / RecordStore::kChunkRecords],
+                          i % RecordStore::kChunkRecords);
+    }
+
     struct JoinEntry
     {
         std::vector<BlockId> ipostdoms; ///< the cache key
-        std::vector<DynIndex> joinIdx;
+        std::vector<std::uint32_t> joinIdx;
     };
 
     std::uint64_t size_ = 0;
     /** The id buffer's chunks, as RecordStore::idChunks() held them. */
-    std::vector<const std::uint32_t *> idChunks_;
+    std::vector<const std::uint8_t *> idChunks_;
+    unsigned idWidth_ = 1;
     std::vector<DecodedInstr> entryDecode_; ///< one per store entry
-    std::vector<BlockId> blockOf_;        ///< block of each store entry
-    std::vector<DynIndex> bounds_;        ///< numPaths() + 1 path bounds
-    std::vector<PathExit> exits_;         ///< one per branch path
+    /** Per store entry: its sid, block and branch fields. */
+    std::vector<PathExit> entryExit_;
+    std::vector<std::uint32_t> bounds_;   ///< numPaths() + 1 path bounds
+    std::uint64_t numBranches_ = 0;
     std::vector<std::uint32_t> memIds_;   ///< one per load/store, then 0
     std::uint32_t numMemIds_ = 1;
     mutable std::mutex joinMutex_;

@@ -58,7 +58,41 @@ RecordStore::addEntry(const TraceRecord &tuple)
     dee_assert(entries_.size() < UINT32_MAX, "entry table is full");
     entries_.push_back(tuple);
     entries_.back().memAddr = 0;
-    return static_cast<std::uint32_t>(entries_.size() - 1);
+    const auto id = static_cast<std::uint32_t>(entries_.size() - 1);
+    if (idWidth_ < 4 && id >> (8 * idWidth_) != 0)
+        widen();
+    return id;
+}
+
+void
+RecordStore::widen()
+{
+    const unsigned from = idWidth_;
+    const unsigned to = 2 * from;
+    for (std::vector<std::uint8_t> &chunk : idChunks_) {
+        std::vector<std::uint8_t> wide;
+        wide.reserve(chunk.capacity() / from * to);
+        withIdType(from, [&](auto narrow) {
+            withIdType(to, [&](auto wider) {
+                for (std::size_t j = 0; j < chunk.size() / from; ++j) {
+                    pushId(wide, static_cast<decltype(wider)>(
+                                     readId<decltype(narrow)>(
+                                         chunk.data(), j)));
+                }
+            });
+        });
+        chunk = std::move(wide);
+    }
+    idWidth_ = to;
+}
+
+void
+RecordStore::pushWideId(std::vector<std::uint8_t> &chunk, std::uint32_t id)
+{
+    if (idWidth_ == 2)
+        pushId(chunk, static_cast<std::uint16_t>(id));
+    else
+        pushId(chunk, id);
 }
 
 std::uint32_t
@@ -108,7 +142,7 @@ void
 RecordStore::addChunk()
 {
     idChunks_.emplace_back();
-    idChunks_.back().reserve(kChunkRecords);
+    idChunks_.back().reserve(kChunkRecords * idWidth_);
 }
 
 void
@@ -117,7 +151,8 @@ RecordStore::reserve(std::size_t n)
     for (std::size_t k = 0; k * kChunkRecords < n; ++k) {
         if (k == idChunks_.size())
             idChunks_.emplace_back();
-        idChunks_[k].reserve(std::min(kChunkRecords, n - k * kChunkRecords));
+        idChunks_[k].reserve(
+            std::min(kChunkRecords, n - k * kChunkRecords) * idWidth_);
     }
     addrWords_.reserve((n + 63) / 64);
 }
@@ -128,7 +163,7 @@ RecordStore::shrink_to_fit()
     // Chunks past the last record hold none; a full chunk moves only if
     // reserve() let it grow past kChunkRecords.
     idChunks_.resize((size_ + kChunkRecords - 1) / kChunkRecords);
-    for (std::vector<std::uint32_t> &chunk : idChunks_)
+    for (std::vector<std::uint8_t> &chunk : idChunks_)
         chunk.shrink_to_fit();
     idChunks_.shrink_to_fit();
     entries_.shrink_to_fit();
@@ -140,8 +175,8 @@ std::size_t
 RecordStore::capacity() const
 {
     std::size_t records = 0;
-    for (const std::vector<std::uint32_t> &chunk : idChunks_)
-        records += chunk.capacity();
+    for (const std::vector<std::uint8_t> &chunk : idChunks_)
+        records += chunk.capacity() / idWidth_;
     return records;
 }
 
@@ -150,6 +185,7 @@ RecordStore::clear()
 {
     entries_.clear();
     idChunks_.clear();
+    idWidth_ = 1;
     size_ = 0;
     addrWords_.clear();
     addrs_.clear();
@@ -161,7 +197,7 @@ std::size_t
 RecordStore::bytes() const
 {
     return entries_.capacity() * sizeof(TraceRecord) +
-           capacity() * sizeof(std::uint32_t) +
+           capacity() * idWidth_ +
            idChunks_.capacity() * sizeof(idChunks_[0]) +
            addrWords_.capacity() * sizeof(AddrWord) +
            addrs_.capacity() * sizeof(std::uint64_t) +

@@ -11,10 +11,12 @@
  *
  * A trace holds its records in a RecordStore, not as TraceRecords: every
  * field but the branch outcome and the address is a function of the
- * static instruction, so each record is a 4-byte id into a per-trace
- * table of the distinct static tuples it has seen, plus its address when
- * that is non-zero — ~5 bytes per record instead of 32. Reads rebuild a
- * TraceRecord by value; the encoding is lossless for any record sequence.
+ * static instruction, so each record is an id into a per-trace table of
+ * the distinct static tuples it has seen, plus its address when that is
+ * non-zero. An id takes the fewest of 1, 2 or 4 bytes that hold the
+ * table's size; a benchmark trace has under 256 entries, so its records
+ * take ~2 bytes each instead of 32. Reads rebuild a TraceRecord by
+ * value; the encoding is lossless for any record sequence.
  *
  * A branch path — the unit in which the paper counts resources — is "the
  * dynamic code between branches, including the exit branch"
@@ -33,6 +35,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
 #include <iterator>
 #include <mutex>
@@ -64,15 +67,50 @@ struct TraceRecord
 using DynIndex = std::uint64_t;
 
 /**
+ * Entry id @p j of an id chunk (RecordStore::idChunks()) whose ids are
+ * of type @p Id: std::uint8_t, std::uint16_t or std::uint32_t. A fixed
+ * width, so a loop over a chunk compiles to one plain load per id.
+ */
+template <typename Id>
+inline std::uint32_t
+readId(const std::uint8_t *chunk, std::size_t j)
+{
+    Id id;
+    std::memcpy(&id, chunk + j * sizeof(Id), sizeof(Id));
+    return id;
+}
+
+/**
+ * Calls @p f with a value of the entry-id type @p width bytes wide (1,
+ * 2 or 4; see RecordStore::idWidth()) and returns its result: a reader
+ * picks the width once per chunk or per run with it, then reads every
+ * id of the chunk or run at that fixed type through readId().
+ */
+template <typename F>
+decltype(auto)
+withIdType(unsigned width, F &&f)
+{
+    switch (width) {
+      case 1: return f(std::uint8_t{});
+      case 2: return f(std::uint16_t{});
+      default: return f(std::uint32_t{});
+    }
+}
+
+/**
  * The records of one trace in compact, lossless form (see the file
  * comment), behind the read-mostly part of the std::vector API.
  *
  *  - entries(): the distinct (sid, block, op, rd, rs1, rs2, isBranch,
  *    taken, backward) tuples, in first-seen order; memAddr is 0 in
  *    every entry. Entry ids index it.
- *  - the id buffer: one entry id per record, in chunks of kChunkRecords
- *    (idChunks()). It grows a chunk at a time, so appending never
- *    copies it and touches each page once.
+ *  - the id buffer: one entry id per record, idWidth() bytes each, in
+ *    chunks of kChunkRecords (idChunks()). It grows a chunk at a time,
+ *    so appending never copies it and touches each page once. Every id
+ *    of a store has one width, the narrowest of 1, 2 and 4 bytes that
+ *    holds every entry id: the first entry that does not fit the width
+ *    re-encodes every chunk at twice the width, which moves them all
+ *    (at most twice per store, at entries 256 and 65,536).
  *  - addresses: the non-zero memAddrs in record order, found in O(1)
  *    through one presence bit per record and a running count per 64.
  *
@@ -118,7 +156,7 @@ class RecordStore
 
     RecordStore &operator=(std::initializer_list<TraceRecord> records);
 
-    /** Records per chunk of the id buffer (256 KB of ids). */
+    /** Records per chunk of the id buffer (64 KB of 1-byte ids). */
     static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
 
     std::size_t size() const { return size_; }
@@ -141,7 +179,7 @@ class RecordStore
     void push_back(const TraceRecord &rec);
 
     /** Room for @p n records without moving any chunk of the id
-     *  buffer. */
+     *  buffer until the id width grows. */
     void reserve(std::size_t n);
     /** Releases unused capacity; a chunk with slack moves. */
     void shrink_to_fit();
@@ -153,17 +191,25 @@ class RecordStore
     /** The distinct static tuples, indexed by entry id. */
     const std::vector<TraceRecord> &entries() const { return entries_; }
 
+    /** Bytes per entry id: 1, 2 or 4 (see the class comment). */
+    unsigned idWidth() const { return idWidth_; }
+
     /** Entry id of record @p i. */
     std::uint32_t
     id(std::size_t i) const
     {
-        return idChunks_[i / kChunkRecords][i % kChunkRecords];
+        const std::uint8_t *const chunk =
+            idChunks_[i / kChunkRecords].data();
+        return withIdType(idWidth_, [&](auto type) {
+            return readId<decltype(type)>(chunk, i % kChunkRecords);
+        });
     }
 
     /** The id buffer: chunk k holds the ids of records from
-     *  k * kChunkRecords on (reserve() may leave empty chunks past the
-     *  last record). */
-    const std::vector<std::vector<std::uint32_t>> &
+     *  k * kChunkRecords on, idWidth() bytes each (read them with
+     *  readId()); reserve() may leave empty chunks past the last
+     *  record. */
+    const std::vector<std::vector<std::uint8_t>> &
     idChunks() const
     {
         return idChunks_;
@@ -194,7 +240,11 @@ class RecordStore
         const std::size_t i = size_++;
         if (i / kChunkRecords == idChunks_.size())
             addChunk();
-        idChunks_[i / kChunkRecords].push_back(id);
+        std::vector<std::uint8_t> &chunk = idChunks_[i / kChunkRecords];
+        if (idWidth_ == 1)
+            chunk.push_back(static_cast<std::uint8_t>(id));
+        else
+            pushWideId(chunk, id);
         if (i % 64 == 0)
             addrWords_.push_back(AddrWord{0, addrs_.size()});
         if (addr != 0) {
@@ -214,11 +264,31 @@ class RecordStore
         std::uint64_t before = 0;
     };
 
+    /** Appends @p id to @p chunk as readId() reads it back. */
+    template <typename Id>
+    static void
+    pushId(std::vector<std::uint8_t> &chunk, Id id)
+    {
+        if constexpr (sizeof(Id) == 1) {
+            chunk.push_back(id);
+        } else {
+            std::uint8_t bytes[sizeof(Id)];
+            std::memcpy(bytes, &id, sizeof(Id));
+            chunk.insert(chunk.end(), bytes, bytes + sizeof(Id));
+        }
+    }
+
+    /** append()'s push of @p id at a width of 2 or 4 bytes, kept out
+     *  of line so that capture's 1-byte push stays small. */
+    void pushWideId(std::vector<std::uint8_t> &chunk, std::uint32_t id);
     std::uint32_t internEntry(const TraceRecord &tuple);
     void addChunk();
+    /** Re-encodes every chunk at twice the id width. */
+    void widen();
 
     std::vector<TraceRecord> entries_;
-    std::vector<std::vector<std::uint32_t>> idChunks_;
+    std::vector<std::vector<std::uint8_t>> idChunks_;
+    unsigned idWidth_ = 1;
     std::size_t size_ = 0;
     std::vector<AddrWord> addrWords_;
     std::vector<std::uint64_t> addrs_;

@@ -44,7 +44,7 @@ referenceForward(ForwardCtx &ctx)
     // has none, else 0.
     std::vector<std::uint8_t> correct(num_paths, 1);
     ctx.mispredicts.forEachSet([&correct](std::size_t k) { correct[k] = 0; });
-    const std::vector<DynIndex> &join_idx = ctx.joinIdx;
+    const std::vector<std::uint32_t> &join_idx = ctx.joinIdx;
 
     // Issue cycle per instruction: a dependence may name any earlier
     // one, so the whole trace's cycles stay live for the run. Fetch

@@ -610,7 +610,7 @@ B10:
     // The trace does what the test is for: mispredicted forward
     // branches whose joins lie strictly inside the path after theirs.
     const PreparedTrace &prep = inst.trace.prepared();
-    const std::vector<DynIndex> &join = prep.joinIndex(inst.cfg);
+    const std::vector<std::uint32_t> &join = prep.joinIndex(inst.cfg);
     TwoBitPredictor probe(inst.trace.numStatic);
     const PathPredictions predictions = predictPaths(inst.trace, probe);
     std::uint64_t drops = 0;
@@ -706,6 +706,29 @@ expectSameCells(const std::vector<MemoCell> &got,
     }
 }
 
+/**
+ * The most paths a coverage walk from any root of @p trace steps
+ * across under a power-on 2-bit predictor, walk by walk: from root r it
+ * crosses each branch predicted right and stops at the first
+ * mispredicted one or at the last path.
+ */
+std::uint64_t
+longestWalk(const Trace &trace)
+{
+    TwoBitPredictor pred(trace.numStatic);
+    const PathPredictions predictions = predictPaths(trace, pred);
+    const PreparedTrace &prep = trace.prepared();
+    std::uint64_t longest = 0;
+    for (std::uint64_t r = 0; r < prep.numPaths(); ++r) {
+        std::uint64_t x = r;
+        while (x + 1 < prep.numPaths() && x < prep.numBranches() &&
+               !predictions.mispredicts.test(x))
+            ++x;
+        longest = std::max(longest, x - r);
+    }
+    return longest;
+}
+
 /** One instance per (workload, scale), built on first use. */
 const BenchmarkInstance &
 cachedInstance(WorkloadId id, int scale)
@@ -733,13 +756,24 @@ TEST_P(MemoGrid, Fig5CellsMatchTheReferenceInEitherOrder)
     // DEE-family ones) and in reverse (the other way round), each on a
     // fresh copy of the trace, against the reference kernel on a third
     // copy: every SimResult field and every cell's registry delta. A
-    // memo key holds the tree's shape, so only cells of one E_T can
-    // share a run; the six columns of a trace are six tests.
+    // memo key holds the tree's shape, so cells of one E_T share runs,
+    // and across E_T only plain SP chains past the trace's longest walk
+    // do: past E_T 8, the column's cells come after the SP-family cells
+    // of the column before, as in fig5's model-major sweep, and of
+    // those only plain SP may give or take a run. The six columns of a
+    // trace are six tests.
     const auto [id, scale, e_t] = GetParam();
     const BenchmarkInstance &inst = cachedInstance(id, scale);
     ModelRunOptions options;
     options.profileWorkload = inst.name;
     std::vector<MemoCell> ref;
+    const bool column_before = e_t > 8;
+    if (column_before) {
+        for (ModelKind kind :
+             {ModelKind::SP, ModelKind::SP_CD, ModelKind::SP_CD_MF})
+            ref.push_back(MemoCell{kind, e_t / 2, options, {}, {}, 0});
+    }
+    const std::size_t before_cells = ref.size();
     for (ModelKind kind : allModels()) {
         if (kind != ModelKind::Oracle || e_t == 8)
             ref.push_back(MemoCell{kind, e_t, options, {}, {}, 0});
@@ -764,10 +798,18 @@ TEST_P(MemoGrid, Fig5CellsMatchTheReferenceInEitherOrder)
 
     // The memo serves exactly the cells whose static DEE tree is SP's
     // chain (h_DEE == 0): the DEE-family cell going forward, its SP
-    // partner in reverse. Reference runs never read it.
+    // partner in reverse. And a plain SP chain at least as long as the
+    // trace's longest walk repeats the run on the chain that long: when
+    // the column before's SP chain already is (E_T / 2 >= the walk),
+    // the column's SP cell takes its run going forward, and gives it
+    // in reverse. The CD chains never share across E_T. Reference runs
+    // never read the memo.
     TwoBitPredictor probe(inst.trace.numStatic);
     const double p = characteristicAccuracy(inst.trace, probe);
     const bool chain = computeGeometry(p, e_t).deeHeight == 0;
+    const std::uint64_t walk = longestWalk(inst.trace);
+    const bool long_chains = column_before &&
+                             static_cast<std::uint64_t>(e_t / 2) >= walk;
     if (scale == 4) {
         // 30 of the 210 window cells at scale 4: E_T 8 on cc1 and
         // compress, 8-16 on espresso and xlisp, 8-64 on eqntott.
@@ -777,15 +819,34 @@ TEST_P(MemoGrid, Fig5CellsMatchTheReferenceInEitherOrder)
             {WorkloadId::Eqntott, 64},
         };
         EXPECT_EQ(chain, e_t <= kChainUpTo.at(id)) << inst.name;
+        // And 8 more: SP at 128 and 256 on cc1, espresso and xlisp, at
+        // 256 on compress and eqntott.
+        const std::map<WorkloadId, std::uint64_t> kLongestWalk = {
+            {WorkloadId::Cc1, 64},      {WorkloadId::Compress, 91},
+            {WorkloadId::Eqntott, 70},  {WorkloadId::Espresso, 39},
+            {WorkloadId::Xlisp, 63},
+        };
+        EXPECT_EQ(walk, kLongestWalk.at(id)) << inst.name;
     }
+    EXPECT_EQ(sim_detail::SimTraceCache::of(inst.trace, probe).longestWalk(),
+              walk)
+        << inst.name;
     for (std::size_t c = 0; c < ref.size(); ++c) {
         const ModelKind kind = ref[c].kind;
         const bool paired = chain && kind != ModelKind::Oracle &&
                             kind != ModelKind::EE;
         const std::string cell = inst.name + " " + modelName(kind) +
-                                 "@" + std::to_string(e_t);
+                                 "@" + std::to_string(ref[c].et);
+        const bool takes_long_chain = long_chains && kind == ModelKind::SP;
         EXPECT_EQ(ref[c].hits, 0u) << cell;
-        EXPECT_EQ(forward[c].hits, paired && usesDeeTree(kind) ? 1u : 0u)
+        if (c < before_cells) {
+            EXPECT_EQ(forward[c].hits, 0u) << cell;
+            EXPECT_EQ(reverse[c].hits, takes_long_chain ? 1u : 0u) << cell;
+            continue;
+        }
+        EXPECT_EQ(forward[c].hits,
+                  (paired && usesDeeTree(kind)) || takes_long_chain ? 1u
+                                                                    : 0u)
             << cell;
         EXPECT_EQ(reverse[c].hits, paired && !usesDeeTree(kind) ? 1u : 0u)
             << cell;

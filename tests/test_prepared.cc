@@ -4,13 +4,16 @@
  * every simulation cell of a trace shares:
  *
  *  - every prepared fact equals an independent recomputation from the
- *    records, on all five workloads at scales 1 and 4: path bounds
+ *    records, on all five workloads at scales 1 and 4 and on synthetic
+ *    stores with 1-, 2- and 4-byte entry ids: path bounds
  *    (segmentPaths), exit branches, the per-entry decode, memory ids
- *    (one per load or store in trace order, one-to-one onto the
- *    distinct addresses) and join points (the backward sweep
- *    WindowSim::run used to make per cell);
- *  - the view holds no per-record array: its bytes() stay within a
- *    budget of memory ops, paths and store entries;
+ *    (one per load or store in trace order, numbering the distinct
+ *    addresses in first-touch order, on few addresses and on many) and
+ *    join points (the backward sweep WindowSim::run used to make per
+ *    cell);
+ *  - the view holds no per-record array and 4 bytes per path: its
+ *    bytes() stay within a budget of memory ops, paths and store
+ *    entries; a trace of 2^32 records or more is refused;
  *  - the characteristic accuracy runModel() takes from its own
  *    predictor pass is bit-equal to characteristicAccuracy() for every
  *    predictor makePredictor() knows, and is published the same way;
@@ -27,6 +30,7 @@
 #include <latch>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -95,15 +99,21 @@ class PreparedFacts
 {
 };
 
-TEST_P(PreparedFacts, MatchIndependentRecomputation)
+/**
+ * Checks every fact of @p trace's view but the join points against
+ * the records, read one by one through RecordStore::operator[]: path
+ * bounds (segmentPaths), exit branches, each record's entry id and
+ * decode, and the memory ids (one per load or store in trace order,
+ * numbering the distinct addresses in first-touch order from 1).
+ */
+void
+expectViewMatchesRecords(const Trace &trace)
 {
-    const auto [id, scale] = GetParam();
-    const BenchmarkInstance &inst = instance(id, scale);
-    const Trace &trace = inst.trace;
     const auto &records = trace.records;
     const PreparedTrace &prep = trace.prepared();
     ASSERT_EQ(prep.size(), records.size());
     ASSERT_TRUE(prep.describes(trace));
+    EXPECT_EQ(prep.idWidth(), records.idWidth());
 
     // Path bounds and exit branches.
     const std::vector<BranchPath> paths = segmentPaths(trace);
@@ -119,22 +129,20 @@ TEST_P(PreparedFacts, MatchIndependentRecomputation)
         ++branches;
         const TraceRecord &b = records[paths[k].branchIndex()];
         const PathExit &e = prep.exit(k);
-        EXPECT_EQ(e.sid, b.sid) << "path " << k;
-        EXPECT_EQ(e.block, b.block) << "path " << k;
-        EXPECT_EQ(e.taken, b.taken) << "path " << k;
-        EXPECT_EQ(e.backward, b.backward) << "path " << k;
+        ASSERT_EQ(e.sid, b.sid) << "path " << k;
+        ASSERT_EQ(e.block, b.block) << "path " << k;
+        ASSERT_EQ(e.taken, b.taken) << "path " << k;
+        ASSERT_EQ(e.backward, b.backward) << "path " << k;
     }
     EXPECT_EQ(prep.numBranches(), branches);
 
     // The entry decode matches every record; each load or store takes
-    // exactly one memory id, in trace order, and other records none;
-    // ids map one-to-one onto distinct addresses.
+    // exactly one memory id, in trace order, and other records none.
     const std::vector<std::uint32_t> &mem_ids = prep.memIds();
     ASSERT_FALSE(mem_ids.empty());
     EXPECT_EQ(mem_ids.back(), 0u) << "no trailing 0 after the last id";
     std::size_t cursor = 0;
     std::unordered_map<std::uint64_t, std::uint32_t> id_of_addr;
-    std::unordered_map<std::uint32_t, std::uint64_t> addr_of_id;
     for (std::uint64_t i = 0; i < records.size(); ++i) {
         const TraceRecord &rec = records[i];
         ASSERT_EQ(prep.entryId(i), records.id(i)) << i;
@@ -147,24 +155,29 @@ TEST_P(PreparedFacts, MatchIndependentRecomputation)
         if (d.cls != OpClass::Load && d.cls != OpClass::Store)
             continue;
         ASSERT_LT(cursor + 1, mem_ids.size()) << "ids ran out at " << i;
-        const std::uint32_t mem_id = mem_ids[cursor++];
-        ASSERT_GE(mem_id, 1u) << i;
-        ASSERT_LT(mem_id, prep.numMemIds()) << i;
-        const auto [a, fresh_addr] = id_of_addr.emplace(rec.memAddr,
-                                                        mem_id);
-        ASSERT_EQ(a->second, mem_id) << "address reused another id";
-        const auto [b, fresh_id] = addr_of_id.emplace(mem_id,
-                                                      rec.memAddr);
-        ASSERT_EQ(b->second, rec.memAddr) << "id names two addresses";
-        ASSERT_EQ(fresh_addr, fresh_id) << i;
+        const auto next = static_cast<std::uint32_t>(id_of_addr.size() + 1);
+        const std::uint32_t first_touch =
+            id_of_addr.emplace(rec.memAddr, next).first->second;
+        ASSERT_EQ(mem_ids[cursor++], first_touch) << i;
     }
     EXPECT_EQ(cursor + 1, mem_ids.size()) << "ids left over";
     EXPECT_EQ(prep.numMemIds(), id_of_addr.size() + 1);
+}
+
+TEST_P(PreparedFacts, MatchIndependentRecomputation)
+{
+    const auto [id, scale] = GetParam();
+    const BenchmarkInstance &inst = instance(id, scale);
+    const Trace &trace = inst.trace;
+    expectViewMatchesRecords(trace);
 
     // Join points, and the cache keyed by ipostdom contents: a copy of
     // the Cfg at another address hits the same entry.
-    const std::vector<DynIndex> &join = prep.joinIndex(inst.cfg);
-    EXPECT_EQ(join, sweepJoinPoints(trace, inst.cfg));
+    const PreparedTrace &prep = trace.prepared();
+    const std::vector<std::uint32_t> &join = prep.joinIndex(inst.cfg);
+    const std::vector<DynIndex> swept = sweepJoinPoints(trace, inst.cfg);
+    EXPECT_TRUE(std::equal(join.begin(), join.end(), swept.begin(),
+                           swept.end()));
     const Cfg cfg_copy = inst.cfg;
     EXPECT_EQ(&prep.joinIndex(cfg_copy), &join);
     EXPECT_EQ(&trace.prepared(), &prep);
@@ -192,15 +205,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PreparedTrace, HoldsNoPerRecordArray)
 {
     // The view adds per record only a load or store's memory id; the
-    // rest is per path (bounds, exits), per store entry (decode, block)
-    // or fixed. An array with one entry per record breaks the budget.
+    // rest is per path (a 4-byte bound), per store entry (decode, exit)
+    // or fixed. An array with one entry per record, or a copy of each
+    // path's exit, breaks the budget.
     for (const auto &[id, scale] : factCases()) {
         const Trace &trace = instance(id, scale).trace;
         const PreparedTrace &prep = trace.prepared();
         const TraceStats stats = computeStats(trace);
         const std::uint64_t mem_ops = stats.loads + stats.stores;
         const std::uint64_t entries = trace.records.entries().size();
-        const std::uint64_t budget = 4 * mem_ops + 32 * prep.numPaths() +
+        const std::uint64_t budget = 4 * mem_ops + 8 * prep.numPaths() +
                                      16 * entries + 4096;
         EXPECT_LE(prep.bytes(), budget)
             << workloadName(id) << " scale " << scale << ": "
@@ -211,6 +225,112 @@ TEST(PreparedTrace, HoldsNoPerRecordArray)
             << workloadName(id) << " scale " << scale
             << ": bytes() leaves out memIds()";
     }
+}
+
+/**
+ * Appends to @p trace @p count records of tuples (one sid each)
+ * [@p first, @p last): each of [@p first, @p last) once in order, then
+ * random ones. Every fifth tuple is a branch (an entry per outcome),
+ * every fifth a load and every fifth a store, on @p addresses distinct
+ * addresses.
+ */
+void
+appendTuples(Trace &trace, std::uint32_t first, std::uint32_t last,
+             std::uint64_t count, std::uint64_t addresses,
+             std::mt19937_64 &rng)
+{
+    const auto reg = [](std::uint32_t v) {
+        return v % 9 == 0 ? kNoReg : static_cast<RegId>(v % kNumRegs);
+    };
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint32_t k =
+            first + static_cast<std::uint32_t>(
+                        i < last - first ? i : rng() % (last - first));
+        TraceRecord r;
+        r.sid = k;
+        r.block = k / 3;
+        r.rd = reg(k);
+        r.rs1 = reg(k / 7);
+        r.rs2 = reg(k / 11);
+        switch (k % 5) {
+          case 0:
+            r.op = Opcode::BranchEq;
+            r.rd = kNoReg;
+            r.isBranch = true;
+            r.taken = rng() % 2 == 0;
+            r.backward = k % 2 == 0;
+            break;
+          case 1:
+            r.op = Opcode::Load;
+            r.memAddr = 8 * (rng() % addresses);
+            break;
+          case 2:
+            r.op = Opcode::Store;
+            r.rd = kNoReg;
+            r.memAddr = 8 * (rng() % addresses);
+            break;
+          default:
+            r.op = Opcode::Add;
+        }
+        trace.records.push_back(r);
+    }
+    trace.numStatic = std::max(trace.numStatic, last);
+}
+
+TEST(PreparedTrace, AgreesWithTheRecordsAtEveryIdWidth)
+{
+    // One store grown past 256 and then 65,536 entries, each stage over
+    // more than one id chunk: a copy taken at each id width (a copy
+    // starts unprepared) gets its own view, read back against the
+    // records.
+    std::mt19937_64 rng(11);
+    Trace trace;
+    std::uint32_t tuples = 0;
+    for (const auto &[more, width] :
+         {std::pair{200u, 1u}, std::pair{3'000u, 2u},
+          std::pair{70'000u, 4u}}) {
+        appendTuples(trace, tuples, more,
+                     std::max<std::uint64_t>(more,
+                                             RecordStore::kChunkRecords) +
+                         17'000,
+                     5'000, rng);
+        tuples = more;
+        ASSERT_EQ(trace.records.idWidth(), width);
+        const Trace copy = trace;
+        SCOPED_TRACE("entry ids " + std::to_string(width) + " bytes wide");
+        expectViewMatchesRecords(copy);
+    }
+}
+
+TEST(PreparedTrace, MemoryIdsNumberAddressesInFirstTouchOrder)
+{
+    // Many loads and stores on few addresses, then on many, so the
+    // address table doubles over and over while ids are handed out:
+    // each id is still its address's rank in first-touch order.
+    std::mt19937_64 rng(5);
+    Trace few;
+    appendTuples(few, 0, 40, 400'000, 37, rng);
+    expectViewMatchesRecords(few);
+    EXPECT_EQ(few.prepared().numMemIds(), 38u);
+
+    Trace many;
+    appendTuples(many, 0, 40, 400'000, 100'000, rng);
+    expectViewMatchesRecords(many);
+    EXPECT_GT(many.prepared().numMemIds(), 50'000u);
+}
+
+TEST(PreparedTraceDeathTest, RefusesTracesOf2To32RecordsOrMore)
+{
+    // Path bounds and join points are 32-bit record indices; the check
+    // runs before anything is sized, on the record count alone.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    checkPreparable(0);
+    checkPreparable(UINT32_MAX);
+    EXPECT_EXIT(checkPreparable(std::uint64_t{1} << 32),
+                ::testing::ExitedWithCode(1),
+                "4294967296 records cannot be prepared.*fewer than 2\\^32");
+    EXPECT_EXIT(checkPreparable(UINT64_MAX), ::testing::ExitedWithCode(1),
+                "cannot be prepared");
 }
 
 /** What one call published under bpred.<predictor>.* in its own
@@ -333,7 +453,8 @@ TEST(PreparedTrace, ConcurrentJoinIndexSharesOneEntry)
     const BenchmarkInstance &inst = instance(WorkloadId::Xlisp, 1);
     const PreparedTrace &prep = inst.trace.prepared();
     constexpr int kThreads = 8;
-    std::vector<const std::vector<DynIndex> *> seen(kThreads, nullptr);
+    std::vector<const std::vector<std::uint32_t> *> seen(kThreads,
+                                                         nullptr);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {

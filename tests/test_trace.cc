@@ -5,8 +5,11 @@
  *
  *  - the store reads back 100k random records exactly through every
  *    read path, a copy, a move and a file round trip;
- *  - every record the interpreter captures agrees with its program, and
- *    the store holds at most 8 bytes per record;
+ *  - the store's entry ids widen from 1 to 2 to 4 bytes as its entries
+ *    pass 256 and 65,536, and every record reads back unchanged;
+ *  - every record the interpreter captures agrees with its program, at
+ *    1-byte ids (the benchmarks) and 2-byte ids, and a benchmark's
+ *    store holds at most 2.5 bytes per record;
  *  - eight threads reading one trace see the same records;
  *  - readTrace() turns hostile files (a huge record count, registers,
  *    opcodes and sids out of range, seeded byte flips and truncations)
@@ -32,6 +35,7 @@
 #include "bpred/bpred.hh"
 #include "core/sim/models.hh"
 #include "exec/interp.hh"
+#include "isa/assembler.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
 #include "workloads/suite.hh"
@@ -489,6 +493,64 @@ TEST(RecordStore, VectorStyleApi)
     EXPECT_TRUE(store.entries().empty());
 }
 
+TEST(RecordStore, WidensItsIdsAt256And65536Entries)
+{
+    // Records over a growing set of tuples, one sid each: under 256
+    // entries (1-byte ids) over several id chunks, then past 256 entries
+    // (2 bytes), then past 65,536 (4 bytes). A branch tuple makes an
+    // entry per outcome. Every record must read back unchanged after
+    // each re-encoding, and the widths change exactly at the edges.
+    const auto tuple = [](std::uint32_t k, std::uint64_t i) {
+        TraceRecord r = k % 5 == 4 ? branch(k, i % 3 == 0, k % 2 == 0)
+                                   : alu(k);
+        r.block = k / 7;
+        if (k % 5 == 1) {
+            r.op = Opcode::Load;
+            r.memAddr = 8 * (i % 1000);
+        }
+        return r;
+    };
+    RecordStore store;
+    std::vector<TraceRecord> expect;
+    const auto append = [&](std::uint32_t k) {
+        const TraceRecord r = tuple(k, expect.size());
+        store.push_back(r);
+        expect.push_back(r);
+    };
+    const auto expectAll = [&](unsigned width, const char *phase) {
+        EXPECT_EQ(store.idWidth(), width) << phase;
+        ASSERT_EQ(store.size(), expect.size()) << phase;
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+            ASSERT_TRUE(sameRecord(store[i], expect[i]))
+                << phase << " record " << i;
+            ASSERT_EQ(store.entries()[store.id(i)].sid, expect[i].sid)
+                << phase << " record " << i;
+        }
+    };
+
+    for (std::uint64_t i = 0; i < 150'000; ++i)
+        append(static_cast<std::uint32_t>(i % 200));
+    ASSERT_LE(store.entries().size(), 256u);
+    expectAll(1, "under 256 entries");
+    for (std::uint32_t k = 200; store.entries().size() < 256; ++k)
+        append(k);
+    EXPECT_EQ(store.idWidth(), 1u) << "256 entries fit a byte";
+    for (std::uint32_t k = 0; k < 1000; ++k)
+        append(k);
+    EXPECT_GT(store.entries().size(), 256u);
+    expectAll(2, "past 256 entries");
+
+    std::uint32_t k = 1000;
+    while (store.entries().size() < 65'536)
+        append(k++);
+    EXPECT_EQ(store.idWidth(), 2u) << "65,536 entries fit two bytes";
+    for (std::uint32_t n = 0; n < 4'000; ++n)
+        append(k++);
+    EXPECT_GT(store.entries().size(), 65'536u);
+    expectAll(4, "past 65,536 entries");
+    EXPECT_GE(store.capacity(), store.size());
+}
+
 TEST(RecordStore, ConcurrentReadersSeeTheSameRecords)
 {
     const BenchmarkInstance inst = makeInstance(WorkloadId::Xlisp, 1);
@@ -523,52 +585,90 @@ TEST(RecordStore, ConcurrentReadersSeeTheSameRecords)
     }
 }
 
+/**
+ * Checks that every record of @p trace, captured from @p program,
+ * agrees with its static instruction, and that capture changes nothing
+ * the program computes.
+ */
+void
+expectCaptureAgrees(const Program &program, const Trace &trace,
+                    const std::string &name)
+{
+    ASSERT_EQ(trace.numStatic, program.numInstrs());
+    std::uint64_t mem_ops = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord rec = trace[i];
+        const Instruction &ins = program.instr(rec.sid);
+        const BlockId block = program.locate(rec.sid).first;
+        const OpClass cls = opClass(ins.op);
+        ASSERT_EQ(rec.op, ins.op) << name << " " << i;
+        ASSERT_EQ(rec.rd, ins.dest()) << name << " " << i;
+        ASSERT_EQ(rec.rs1, ins.rs1) << name << " " << i;
+        ASSERT_EQ(rec.rs2, ins.rs2) << name << " " << i;
+        ASSERT_EQ(rec.block, block) << name << " " << i;
+        ASSERT_EQ(rec.isBranch, cls == OpClass::CondBranch)
+            << name << " " << i;
+        ASSERT_EQ(rec.backward, rec.isBranch && ins.target <= block)
+            << name << " " << i;
+        if (cls == OpClass::Load || cls == OpClass::Store)
+            ++mem_ops;
+        else
+            ASSERT_EQ(rec.memAddr, 0u) << name << " " << i;
+    }
+    EXPECT_GT(mem_ops, 0u) << name;
+
+    const Interpreter interp(program);
+    const ExecResult with = interp.run(50'000'000, true);
+    const ExecResult without = interp.run(50'000'000, false);
+    EXPECT_EQ(with.steps, trace.size()) << name;
+    EXPECT_EQ(without.steps, with.steps) << name;
+    EXPECT_EQ(without.halted, with.halted) << name;
+    EXPECT_EQ(without.state.regs, with.state.regs) << name;
+    EXPECT_EQ(without.state.memory, with.state.memory) << name;
+    EXPECT_TRUE(without.trace.empty()) << name;
+}
+
 TEST(CapturedRecords, AgreeWithTheirProgram)
 {
     for (const int scale : {1, 4}) {
         for (const WorkloadId id : allWorkloads()) {
             const BenchmarkInstance inst = makeInstance(id, scale);
-            const Program &program = inst.program;
-            ASSERT_EQ(inst.trace.numStatic, program.numInstrs());
-            std::uint64_t mem_ops = 0;
-            for (std::size_t i = 0; i < inst.trace.size(); ++i) {
-                const TraceRecord rec = inst.trace[i];
-                const Instruction &ins = program.instr(rec.sid);
-                const BlockId block = program.locate(rec.sid).first;
-                const OpClass cls = opClass(ins.op);
-                ASSERT_EQ(rec.op, ins.op) << inst.name << " " << i;
-                ASSERT_EQ(rec.rd, ins.dest()) << inst.name << " " << i;
-                ASSERT_EQ(rec.rs1, ins.rs1) << inst.name << " " << i;
-                ASSERT_EQ(rec.rs2, ins.rs2) << inst.name << " " << i;
-                ASSERT_EQ(rec.block, block) << inst.name << " " << i;
-                ASSERT_EQ(rec.isBranch, cls == OpClass::CondBranch)
-                    << inst.name << " " << i;
-                ASSERT_EQ(rec.backward,
-                          rec.isBranch && ins.target <= block)
-                    << inst.name << " " << i;
-                if (cls == OpClass::Load || cls == OpClass::Store)
-                    ++mem_ops;
-                else
-                    ASSERT_EQ(rec.memAddr, 0u) << inst.name << " " << i;
-            }
-            EXPECT_GT(mem_ops, 0u) << inst.name;
-
-            // Capture changes nothing the program computes.
-            const Interpreter interp(program);
-            const ExecResult with = interp.run(50'000'000, true);
-            const ExecResult without = interp.run(50'000'000, false);
-            EXPECT_EQ(with.steps, inst.trace.size()) << inst.name;
-            EXPECT_EQ(without.steps, with.steps) << inst.name;
-            EXPECT_EQ(without.halted, with.halted) << inst.name;
-            EXPECT_EQ(without.state.regs, with.state.regs) << inst.name;
-            EXPECT_EQ(without.state.memory, with.state.memory)
-                << inst.name;
-            EXPECT_TRUE(without.trace.empty()) << inst.name;
+            EXPECT_EQ(inst.trace.records.idWidth(), 1u) << inst.name;
+            expectCaptureAgrees(inst.program, inst.trace, inst.name);
         }
     }
 }
 
-TEST(CapturedRecords, StoreHoldsAtMostEightBytesPerRecord)
+TEST(CapturedRecords, TwoByteIdsAgreeWithTheirProgram)
+{
+    // 60 blocks of five instructions in a loop: 300 static
+    // instructions and 360 (instruction, outcome) entries, past what
+    // 1-byte ids hold, over several id chunks.
+    std::string src = "B0:\n    li r1, 0\n    li r2, 500\n"
+                      "    li r3, 4096\n";
+    constexpr int kBlocks = 60;
+    for (int k = 0; k < kBlocks; ++k) {
+        src += "B" + std::to_string(k + 1) + ":\n";
+        src += "    addi r4, r4, " + std::to_string(2 * k + 1) + "\n";
+        src += "    lw r5, " + std::to_string(8 * k) + "(r3)\n";
+        src += "    sw r4, " + std::to_string(8 * (k + 1)) + "(r3)\n";
+        src += "    andi r6, r4, " + std::to_string(1 << (k % 3)) + "\n";
+        src += "    beq r6, r0, B" + std::to_string(k + 2) + "\n";
+    }
+    src += "B" + std::to_string(kBlocks + 1) +
+           ":\n    addi r1, r1, 1\n    blt r1, r2, B1\n";
+    src += "B" + std::to_string(kBlocks + 2) + ":\n    halt\n";
+    const Program program = parseAssembly(src);
+    ASSERT_GT(program.numInstrs(), 256u);
+    const ExecResult run = Interpreter(program).run(50'000'000, true);
+    ASSERT_TRUE(run.halted);
+    EXPECT_EQ(run.trace.records.idWidth(), 2u);
+    EXPECT_GT(run.trace.records.entries().size(), 256u);
+    EXPECT_GT(run.trace.size(), 2 * RecordStore::kChunkRecords);
+    expectCaptureAgrees(program, run.trace, "300 static instructions");
+}
+
+TEST(CapturedRecords, StoreHoldsAtMostTwoAndAHalfBytesPerRecord)
 {
     for (const int scale : {4, 32}) {
         for (const WorkloadId id : allWorkloads()) {
@@ -578,7 +678,7 @@ TEST(CapturedRecords, StoreHoldsAtMostEightBytesPerRecord)
             const double per_record =
                 static_cast<double>(run.trace.records.bytes()) /
                 static_cast<double>(run.trace.size());
-            EXPECT_LE(per_record, 8.0)
+            EXPECT_LE(per_record, 2.5)
                 << workloadName(id) << " at scale " << scale;
         }
     }

@@ -6,14 +6,20 @@
  *
  *  - runKey() separates runs by every SimConfig field but the three
  *    profile names, by tree shape and by join table, and gives SP's
- *    chain and a static DEE tree without side paths one key;
+ *    chain and a static DEE tree without side paths one key, and every
+ *    plain chain at least as long as the trace's longest walk the key
+ *    of the chain that long, unless the run takes route B, gathers
+ *    resolve stats or gates side paths by confidence;
  *  - eight threads racing one SP/DEE pair on a fresh trace all get the
  *    same results and the same registry deltas, whichever of them made
  *    the run and whichever the memo served;
  *  - the cache lives with the trace's prepared view: a copy of the
  *    trace starts without one, a move keeps it;
  *  - runModel() leaves a 2-bit predictor reset and any other predictor
- *    trained.
+ *    trained;
+ *  - WindowSim::run(predictor) takes the cached pass and memo for a
+ *    2-bit predictor and gives what a run on the predictor's own pass
+ *    gives, for 2-bit and gshare alike.
  *
  * The bit-exactness of memo hits against the reference kernel is
  * tests/test_engine_differential.cc's job (MemoGrid and the random
@@ -42,6 +48,9 @@ namespace
 using sim_detail::runKey;
 using sim_detail::SimTraceCache;
 
+/** A longest walk no tree here reaches: every chain keeps its length. */
+constexpr std::uint64_t kLongWalks = UINT64_MAX;
+
 /** Every registry leaf of @p reg but the host-timed perf.* ones. */
 std::string
 registryText(const obs::Registry &reg)
@@ -68,9 +77,9 @@ registryText(const obs::Registry &reg)
 TEST(RunKey, EveryFieldButTheProfileNamesSeparatesRuns)
 {
     const SpecTree tree = SpecTree::singlePath(0.9, 8);
-    const std::vector<DynIndex> joins;
+    const std::vector<std::uint32_t> joins;
     const SimConfig base;
-    const std::string key = runKey(tree, base, joins);
+    const std::string key = runKey(tree, base, joins, kLongWalks);
     const std::vector<double> accuracy(4, 0.5);
     const std::vector<int> latencies(4, 2);
 
@@ -94,39 +103,96 @@ TEST(RunKey, EveryFieldButTheProfileNamesSeparatesRuns)
     changed[15].confidence.threshold = 0.75;
     changed[16].confidence.sideLen = 2;
     for (std::size_t i = 0; i < changed.size(); ++i)
-        EXPECT_NE(runKey(tree, changed[i], joins), key) << "field " << i;
+        EXPECT_NE(runKey(tree, changed[i], joins, kLongWalks), key)
+            << "field " << i;
 
     // The profile names label a profiled run's output only.
     SimConfig named = base;
     named.profileScope = "cc1.DEE";
     named.profileWorkload = "cc1";
     named.profileModel = "DEE";
-    EXPECT_EQ(runKey(tree, named, joins), key);
+    EXPECT_EQ(runKey(tree, named, joins, kLongWalks), key);
 
     // Another join table is another run.
-    const std::vector<DynIndex> other_joins;
-    EXPECT_NE(runKey(tree, base, other_joins), key);
+    const std::vector<std::uint32_t> other_joins;
+    EXPECT_NE(runKey(tree, base, other_joins, kLongWalks), key);
 }
 
 TEST(RunKey, TreeShapeDecidesAndChainsAgree)
 {
-    const std::vector<DynIndex> joins;
+    const std::vector<std::uint32_t> joins;
     const SimConfig config;
+    const auto key = [&](const SpecTree &tree) {
+        return runKey(tree, config, joins, kLongWalks);
+    };
     // p = 0.99: log_p(1-p) is ~458 paths, so the static DEE tree at
     // E_T 16 has no side path and is SP's chain.
     ASSERT_EQ(computeGeometry(0.99, 16).deeHeight, 0);
-    EXPECT_EQ(runKey(SpecTree::deeStatic(0.99, 16), config, joins),
-              runKey(SpecTree::singlePath(0.99, 16), config, joins));
+    EXPECT_EQ(key(SpecTree::deeStatic(0.99, 16)),
+              key(SpecTree::singlePath(0.99, 16)));
     // Cumulative probabilities are not part of the shape.
-    EXPECT_EQ(runKey(SpecTree::singlePath(0.7, 16), config, joins),
-              runKey(SpecTree::singlePath(0.99, 16), config, joins));
-    EXPECT_NE(runKey(SpecTree::singlePath(0.99, 17), config, joins),
-              runKey(SpecTree::singlePath(0.99, 16), config, joins));
-    EXPECT_NE(runKey(SpecTree::eager(0.99, 16), config, joins),
-              runKey(SpecTree::singlePath(0.99, 16), config, joins));
+    EXPECT_EQ(key(SpecTree::singlePath(0.7, 16)),
+              key(SpecTree::singlePath(0.99, 16)));
+    EXPECT_NE(key(SpecTree::singlePath(0.99, 17)),
+              key(SpecTree::singlePath(0.99, 16)));
+    EXPECT_NE(key(SpecTree::eager(0.99, 16)),
+              key(SpecTree::singlePath(0.99, 16)));
     ASSERT_GT(computeGeometry(0.7, 16).deeHeight, 0);
-    EXPECT_NE(runKey(SpecTree::deeStatic(0.7, 16), config, joins),
-              runKey(SpecTree::singlePath(0.7, 16), config, joins));
+    EXPECT_NE(key(SpecTree::deeStatic(0.7, 16)),
+              key(SpecTree::singlePath(0.7, 16)));
+}
+
+TEST(RunKey, PlainChainsFromTheLongestWalkOnShareOneKey)
+{
+    // A trace whose longest walk crosses 20 paths: every plain chain of
+    // 20 paths or more is the chain of 20, and shorter chains are not.
+    constexpr std::uint64_t kWalk = 20;
+    const std::vector<std::uint32_t> joins;
+    const auto key = [&](const SpecTree &tree, const SimConfig &config) {
+        return runKey(tree, config, joins, kWalk);
+    };
+    const SimConfig plain;
+    const std::string at_walk = key(SpecTree::singlePath(0.9, 20), plain);
+    for (const int e_t : {21, 32, 64, 256}) {
+        EXPECT_EQ(key(SpecTree::singlePath(0.9, e_t), plain), at_walk)
+            << e_t;
+    }
+    for (const int e_t : {8, 16, 19}) {
+        EXPECT_NE(key(SpecTree::singlePath(0.9, e_t), plain), at_walk)
+            << e_t;
+    }
+    EXPECT_NE(key(SpecTree::singlePath(0.9, 19), plain),
+              key(SpecTree::singlePath(0.9, 16), plain));
+    // A static DEE tree without side paths is a chain like any other.
+    ASSERT_EQ(computeGeometry(0.99, 64).deeHeight, 0);
+    EXPECT_EQ(key(SpecTree::deeStatic(0.99, 64), plain), at_walk);
+    // Trees with not-predicted edges keep their shape.
+    EXPECT_NE(key(SpecTree::eager(0.9, 64), plain),
+              key(SpecTree::eager(0.9, 32), plain));
+    ASSERT_GT(computeGeometry(0.7, 64).deeHeight, 0);
+    EXPECT_NE(key(SpecTree::deeStatic(0.7, 64), plain),
+              key(SpecTree::deeStatic(0.7, 32), plain));
+
+    // Route B reads E_T, the resolve-depth histogram is as long as the
+    // tree is deep, and a confidence-gated walk crosses mispredicts:
+    // such runs keep every chain's own length.
+    SimConfig cd = plain;
+    cd.cd = CdModel::Reduced;
+    SimConfig mf = plain;
+    mf.cd = CdModel::Minimal;
+    SimConfig resolve = plain;
+    resolve.gatherResolveStats = true;
+    const std::vector<double> accuracy(4, 0.5);
+    SimConfig gated = plain;
+    gated.confidence.accuracy = &accuracy;
+    for (const SimConfig &config : {cd, mf, resolve, gated}) {
+        const std::string at_32 = key(SpecTree::singlePath(0.9, 32), config);
+        EXPECT_NE(key(SpecTree::singlePath(0.9, 64), config), at_32);
+        EXPECT_NE(key(SpecTree::singlePath(0.9, 20), config), at_32);
+        EXPECT_EQ(runKey(SpecTree::singlePath(0.9, 32), config, joins,
+                         kLongWalks),
+                  at_32);
+    }
 }
 
 TEST(SimTraceCache, RacingSpDeePairsAgree)
@@ -218,6 +284,65 @@ TEST(SimTraceCache, LivesWithThePreparedView)
 
     const Trace moved = std::move(inst.trace);
     EXPECT_EQ(&SimTraceCache::of(moved, probe), &cache);
+}
+
+TEST(WindowSimRun, TwoBitRunsReadTheTraceCacheAndEqualTheirOwnPass)
+{
+    // run(predictor) equals run(predictPaths()) for a 2-bit predictor,
+    // which takes the trace's cached pass and memo, and for gshare,
+    // which makes its own; a repeated 2-bit run is a memo hit with the
+    // same registry writes.
+    const BenchmarkInstance inst =
+        makeInstance(WorkloadId::Espresso, 1, 100'000);
+    SimConfig config;
+    config.cd = CdModel::Minimal;
+    config.gatherIssueStats = true;
+    TwoBitPredictor probe(inst.trace.numStatic);
+    const SpecTree tree = SpecTree::deeStatic(
+        characteristicAccuracy(inst.trace, probe), 32);
+    for (const char *name : {"2bit", "gshare"}) {
+        SCOPED_TRACE(name);
+        const Trace trace = inst.trace;
+        const WindowSim sim(trace, tree, config, &inst.cfg);
+        const auto own = makePredictor(name, trace.numStatic);
+        const SimResult want = sim.run(predictPaths(trace, *own));
+
+        const auto run = [&](std::string &registry) {
+            obs::CellSink sink;
+            const obs::IsolationScope scope(sink);
+            const auto pred = makePredictor(name, trace.numStatic);
+            const SimResult result = sim.run(*pred);
+            registry = registryText(sink.registry);
+            return result;
+        };
+        std::string first_registry;
+        const std::uint64_t hits = SimTraceCache::of(trace, probe).hits();
+        const SimResult got = run(first_registry);
+        EXPECT_EQ(SimTraceCache::of(trace, probe).hits(), hits);
+        std::string again_registry;
+        const SimResult again = run(again_registry);
+        const bool twobit = std::string(name) == "2bit";
+        EXPECT_EQ(SimTraceCache::of(trace, probe).hits(),
+                  hits + (twobit ? 1 : 0));
+        EXPECT_EQ(again_registry, first_registry);
+
+        for (const SimResult *r : {&got, &again}) {
+            EXPECT_EQ(r->instructions, want.instructions);
+            EXPECT_EQ(r->cycles, want.cycles);
+            EXPECT_EQ(r->speedup, want.speedup);
+            EXPECT_EQ(r->branches, want.branches);
+            EXPECT_EQ(r->mispredicted, want.mispredicted);
+            EXPECT_EQ(r->predictionAccuracy, want.predictionAccuracy);
+            EXPECT_EQ(r->sidePathFetches, want.sidePathFetches);
+            EXPECT_EQ(r->peakIssue, want.peakIssue);
+            ASSERT_TRUE(r->account.valid());
+            for (std::size_t i = 0; i < obs::kNumSlotClasses; ++i) {
+                const auto cls = static_cast<obs::SlotClass>(i);
+                EXPECT_EQ(r->account.slots(cls), want.account.slots(cls));
+            }
+        }
+        EXPECT_GT(want.peakIssue, 0u);
+    }
 }
 
 TEST(RunModel, LeavesATwoBitPredictorResetAndOthersTrained)
