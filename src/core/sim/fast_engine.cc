@@ -73,6 +73,10 @@ namespace dee::sim_detail
 namespace
 {
 
+/** The last cycle a slot ledger's issue counts can hold. */
+constexpr auto kCycleLimit =
+    static_cast<std::int64_t>(obs::SlotLedger::kMaxCycles);
+
 /**
  * A cell's completion latencies: per op class (LatencyModel::of()), and
  * the optional per-record load latencies (SimConfig::loadLatencies'
@@ -85,6 +89,9 @@ struct Latencies
     /** The largest latency, at least 1: no instruction completes more
      *  than this many cycles after it issues. */
     std::int64_t max = 1;
+    /** kCycleLimit / max: from this many instructions on, issueBound()
+     *  saturates. */
+    std::uint64_t boundCount = 0;
     /** No latency is negative, so no ready cycle is either. */
     bool nonNegative = true;
 
@@ -104,25 +111,23 @@ struct Latencies
             for (const int l : *load_latencies)
                 note(l);
         }
+        boundCount = static_cast<std::uint64_t>(kCycleLimit / max);
     }
 };
 
 /**
  * An exclusive bound on the issue cycles of @p count instructions when
  * every cycle they wait on is at most @p floor: each completes at most
- * @p max_lat cycles after it issues, so the k-th (from 0) issues by
- * floor + k * max_lat. Saturates past SlotLedger::kMaxCycles, where
+ * @p lat.max cycles after it issues, so the k-th (from 0) issues by
+ * floor + k * lat.max. Saturates past SlotLedger::kMaxCycles, where
  * issue counts fall back to the checked SlotLedger::issue() anyway.
  */
 inline std::int64_t
-issueBound(std::int64_t floor, std::uint64_t count, std::int64_t max_lat)
+issueBound(std::int64_t floor, std::uint64_t count, const Latencies &lat)
 {
-    constexpr auto kLimit =
-        static_cast<std::int64_t>(obs::SlotLedger::kMaxCycles);
-    if (floor >= kLimit ||
-        count >= static_cast<std::uint64_t>(kLimit / max_lat))
-        return kLimit;
-    return floor + static_cast<std::int64_t>(count) * max_lat;
+    if (floor >= kCycleLimit || count >= lat.boundCount)
+        return kCycleLimit;
+    return floor + static_cast<std::int64_t>(count) * lat.max;
 }
 
 /**
@@ -136,7 +141,10 @@ struct IssueInputs
     const std::int32_t *lat;              ///< by op class
     const int *loadLat;                   ///< by record, or null
     std::int64_t *regAvail;               ///< kNumRegSlots entries
-    std::int64_t *memAvail;               ///< by memory id
+    /** By memory id, plus a sink slot past the last id that every
+     *  record but a store writes and none reads. */
+    std::int64_t *memAvail;
+    std::uint32_t memSink;                ///< PreparedTrace::numMemIds()
     IssueSlots *slots;                    ///< null unless PE-limited
     obs::SlotLedger *ledger;              ///< null unless gathering
 };
@@ -163,7 +171,11 @@ checkedIssue(const IssueInputs &in, std::int64_t t)
  * of the window pass (one call per run of a path's records that share
  * a fetch bound) and the oracle sweep (one call per block of records).
  * @p Id is the type of the trace's entry ids (PreparedTrace::idWidth()),
- * picked once per run through issueRecordsFor().
+ * and @p PerRecordLoads says whether loads take their latencies from
+ * IssueInputs::loadLat; both are picked once per run through
+ * issueRecordsFor(). No branch in the loop depends on the trace's op
+ * classes: memory ids, load latencies and last-store updates are
+ * selected, not branched on.
  * Each instruction issues once its operands are ready and not before
  * @p fetch, the cycle its code is available at (route A's tree coverage
  * combined with route B's reconvergent window by the caller). When
@@ -179,7 +191,7 @@ checkedIssue(const IssueInputs &in, std::int64_t t)
  * that every instruction reloads. Aligned to a cache line, so that
  * where the linker places the loop does not move with unrelated code.
  */
-template <typename Id>
+template <typename Id, bool PerRecordLoads>
 [[gnu::noinline, gnu::aligned(64)]] std::int64_t
 issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
              std::int64_t fetch, std::uint32_t *const counts,
@@ -194,6 +206,7 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
     const int *const load_lat = in.loadLat;
     std::int64_t *const reg_avail = in.regAvail;
     std::int64_t *const mem_avail = in.memAvail;
+    const std::uint32_t mem_sink = in.memSink;
     std::int64_t last_done = done;
     const std::uint32_t *mem_cursor = mem_id;
     for (DynIndex i = begin; i < end;) {
@@ -225,18 +238,23 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
             else
                 t = checkedIssue(in, t);
             last_issue = t;
-            const std::int64_t fin =
-                t + (d.cls == OpClass::Load && load_lat != nullptr
-                         ? load_lat[i]
-                         : lat[static_cast<std::size_t>(d.cls)]);
+            std::int64_t latency = lat[static_cast<std::size_t>(d.cls)];
+            if constexpr (PerRecordLoads) {
+                // Every record has an entry (WindowSim and oracleSim
+                // check), so the read needs no guard and the pick no
+                // branch.
+                const std::int64_t record_lat = load_lat[i];
+                latency = d.cls == OpClass::Load ? record_lat : latency;
+            }
+            const std::int64_t fin = t + latency;
             if (fin > last_done)
                 last_done = fin;
 
             // Availability updates (flow-only renaming; stores publish
-            // the last-store completion per address).
+            // the last-store completion per address, and every other
+            // record writes the sink).
             reg_avail[d.dst] = fin;
-            if (d.cls == OpClass::Store)
-                mem_avail[mid] = fin;
+            mem_avail[d.cls == OpClass::Store ? mid : mem_sink] = fin;
         }
     }
     done = last_done;
@@ -244,14 +262,17 @@ issueRecords(const IssueInputs &in, DynIndex begin, DynIndex end,
     return last_issue;
 }
 
-using IssueFn = decltype(&issueRecords<std::uint32_t>);
+using IssueFn = decltype(&issueRecords<std::uint32_t, false>);
 
-/** The issue loop for entry ids @p width bytes wide. */
+/** The issue loop for entry ids @p width bytes wide, with per-record
+ *  load latencies when @p lat has them. */
 IssueFn
-issueRecordsFor(unsigned width)
+issueRecordsFor(unsigned width, const Latencies &lat)
 {
-    return withIdType(width, [](auto type) -> IssueFn {
-        return &issueRecords<decltype(type)>;
+    return withIdType(width, [&lat](auto type) -> IssueFn {
+        using Id = decltype(type);
+        return lat.load != nullptr ? &issueRecords<Id, true>
+                                   : &issueRecords<Id, false>;
     });
 }
 
@@ -403,7 +424,9 @@ struct FastScratch
 
 } // namespace
 
-std::int64_t
+// Aligned to a cache line, so that where the linker places the loop
+// does not move with unrelated code.
+[[gnu::aligned(64)]] std::int64_t
 fastForward(ForwardCtx &ctx)
 {
     static thread_local FastScratch scratch;
@@ -463,7 +486,7 @@ fastForward(ForwardCtx &ctx)
 
     std::array<std::int64_t, kNumRegSlots> reg_avail{};
     std::vector<std::int64_t> &mem_avail = scratch.memAvail;
-    mem_avail.assign(prep.numMemIds(), 0);
+    mem_avail.assign(prep.numMemIds() + 1, 0);
 
     std::int64_t last_resolve = -1;
     const bool pe_limited = config.peLimit > 0;
@@ -508,10 +531,11 @@ fastForward(ForwardCtx &ctx)
         .loadLat = lat.load,
         .regAvail = reg_avail.data(),
         .memAvail = mem_avail.data(),
+        .memSink = prep.numMemIds(),
         .slots = pe_limited ? &slots : nullptr,
         .ledger = ledger,
     };
-    const IssueFn issue_records = issueRecordsFor(prep.idWidth());
+    const IssueFn issue_records = issueRecordsFor(prep.idWidth(), lat);
     const std::uint32_t *mem_id = prep.memIds().data();
 
     // Closed-form walk tables (chain / DEE-static shapes only).
@@ -704,7 +728,7 @@ fastForward(ForwardCtx &ctx)
             std::uint32_t *const counts =
                 ledger != nullptr && !pe_limited
                     ? ledger->issueCounts(
-                          issueBound(now, path.size(), lat.max))
+                          issueBound(now, path.size(), lat))
                     : nullptr;
             // An instruction ready at d issues at the earlier of route
             // A, max(fetch_a, d), and route B, max(fetch_b, d, stall):
@@ -788,7 +812,7 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
     const Latencies lat(latency, load_latencies);
 
     std::array<std::int64_t, kNumRegSlots> reg_avail{};
-    std::vector<std::int64_t> mem_avail(prep.numMemIds(), 0);
+    std::vector<std::int64_t> mem_avail(prep.numMemIds() + 1, 0);
     const IssueInputs issue_in{
         .idChunks = prep.idChunks().data(),
         .decode = prep.entryDecode().data(),
@@ -796,10 +820,11 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
         .loadLat = lat.load,
         .regAvail = reg_avail.data(),
         .memAvail = mem_avail.data(),
+        .memSink = prep.numMemIds(),
         .slots = nullptr,
         .ledger = ledger,
     };
-    const IssueFn issue_records = issueRecordsFor(prep.idWidth());
+    const IssueFn issue_records = issueRecordsFor(prep.idWidth(), lat);
     const std::uint32_t *mem_id = prep.memIds().data();
     // No fetch constraint: each instruction issues when its operands
     // are ready. A ready cycle is at most the latest completion so far,
@@ -813,7 +838,7 @@ fastOracle(const Trace &trace, const LatencyModel &latency,
         const DynIndex end = std::min<DynIndex>(n, begin + kBlock);
         std::uint32_t *const counts =
             ledger != nullptr && lat.nonNegative
-                ? ledger->issueCounts(issueBound(last, end - begin, lat.max))
+                ? ledger->issueCounts(issueBound(last, end - begin, lat))
                 : nullptr;
         issue_records(issue_in, begin, end, kNoFetch, counts, 0, last,
                       mem_id);

@@ -1,7 +1,6 @@
 #include "levo/levo.hh"
 
 #include <algorithm>
-#include <array>
 #include <deque>
 #include <sstream>
 #include <unordered_map>
@@ -70,7 +69,31 @@ LevoMachine::LevoMachine(const Program &program, Cfg cfg,
         dee_fatal("bad DEE path configuration");
 }
 
-LevoResult
+namespace
+{
+
+/**
+ * Closes a run's slot @p ledger at @p cycles cycles and, when
+ * @p profile is given, charges its squashed slots to their branch
+ * sites there.
+ */
+obs::CycleAccount
+closeLedger(obs::SlotLedger &ledger, std::uint64_t cycles,
+            obs::Tracer *tracer, obs::SpeculationProfile *profile)
+{
+    std::unordered_map<std::uint32_t, std::uint64_t> squash_by_site;
+    obs::CycleAccount account = ledger.finalize(
+        cycles, tracer, profile != nullptr ? &squash_by_site : nullptr);
+    if (profile != nullptr)
+        profile->attributeSquash(squash_by_site);
+    return account;
+}
+
+} // namespace
+
+// Aligned to a cache line, so that where the linker places the loop
+// does not move with unrelated code.
+[[gnu::aligned(64)]] LevoResult
 LevoMachine::run(std::uint64_t max_instrs) const
 {
     // The run's one host clock: throughput metering under the
@@ -92,7 +115,8 @@ LevoMachine::run(std::uint64_t max_instrs) const
     const auto num_instrs = static_cast<std::uint32_t>(steps_.size());
 
     LevoResult result;
-    MachineState &st = result.finalState;
+    RegFile regs{};
+    WordMemory mem;
 
     auto predictor = makePredictor(config_.predictor, num_instrs);
 
@@ -109,9 +133,12 @@ LevoMachine::run(std::uint64_t max_instrs) const
     ConfidenceEstimator confidence_meter(accounting ? num_instrs : 0);
 
     // --- Timing state ----------------------------------------------------
-    std::array<std::int64_t, kNumRegs> reg_ready;
-    reg_ready.fill(0);
-    std::unordered_map<std::uint64_t, std::int64_t> mem_ready;
+    // Ready cycles per register-file slot (slot 0 stays 0 and the
+    // write sink is never read) and per memory word id (id 0, which
+    // every step but a store or a load of a stored word reads, stays 0
+    // too).
+    RegFile reg_ready{};
+    std::vector<std::int64_t> mem_ready(1, 0);
     std::vector<std::int64_t> row_free(n, 0);
     std::vector<std::int64_t> col_last_complete(m, 0);
 
@@ -146,6 +173,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
     // --- Dynamic walk ------------------------------------------------------
     // Static id to static id through the decoded program, as the
     // interpreter steps.
+    const DecodedStep *const steps = steps_.data();
     StaticId sid = 0;
 
     {
@@ -156,7 +184,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
             hot, "levo", obs::hotspot::Phase::Issue);
         while (result.instructions < max_instrs) {
             dee_assert(sid < num_instrs, "fell off program end");
-            const DecodedStep &inst = steps_[sid];
+            const DecodedStep &inst = steps[sid];
 
             // Window residence: refill (linear-code mode) when the dynamic
             // stream leaves the IQ's static range.
@@ -190,13 +218,8 @@ LevoMachine::run(std::uint64_t max_instrs) const
             std::int64_t start =
                 std::max({fetch_ready, row_free[row], stall_all_until});
 
-            auto need_reg = [&](RegId r) {
-                if (r != kNoReg && r != kZeroReg)
-                    start = std::max(start, reg_ready[r]);
-            };
-            need_reg(inst.rs1);
-            if (inst.cls != OpClass::Load)
-                need_reg(inst.rs2);
+            start = std::max({start, reg_ready[inst.src1],
+                              reg_ready[inst.src2]});
 
             // Memory operand readiness handled below once the address is
             // computed (flow through memory, output-ordered per address).
@@ -218,56 +241,23 @@ LevoMachine::run(std::uint64_t max_instrs) const
 
             // --- Functional execution + per-class timing ----------------------
             ++result.instructions;
-            StaticId next = inst.next;
-            bool is_control_transfer = false;
-            bool done = false;
+            const StepOutcome out = executeStep(inst, regs, mem);
+            const StaticId next = out.next;
+            const bool is_control_transfer =
+                inst.cls == OpClass::CondBranch || inst.cls == OpClass::Jump;
 
-            switch (inst.cls) {
-              case OpClass::IntAlu: {
-                std::int64_t value;
-                if (inst.op == Opcode::LoadImm) {
-                    value = inst.imm;
-                } else if (inst.rs2 != kNoReg) {
-                    value = semantics::alu(inst.op, st.readReg(inst.rs1),
-                                           st.readReg(inst.rs2));
-                } else {
-                    value = semantics::alu(inst.op, st.readReg(inst.rs1),
-                                           inst.imm);
-                }
-                st.writeReg(inst.rd, value);
-                if (inst.rd != kNoReg && inst.rd != kZeroReg)
-                    reg_ready[inst.rd] = start + 1;
-                break;
-              }
-              case OpClass::Load: {
-                const auto addr = static_cast<std::uint64_t>(
-                    st.readReg(inst.rs1) + inst.imm);
-                auto it = mem_ready.find(addr);
-                if (it != mem_ready.end())
-                    start = std::max(start, it->second);
-                const std::int64_t value = st.readMem(addr);
-                st.writeReg(inst.rd, value);
-                if (inst.rd != kNoReg && inst.rd != kZeroReg)
-                    reg_ready[inst.rd] = start + 1;
-                break;
-              }
-              case OpClass::Store: {
-                const auto addr = static_cast<std::uint64_t>(
-                    st.readReg(inst.rs1) + inst.imm);
-                auto it = mem_ready.find(addr);
-                if (it != mem_ready.end())
-                    start = std::max(start, it->second);
-                st.writeMem(addr, st.readReg(inst.rs2));
-                mem_ready[addr] = start + 1;
-                break;
-              }
-              case OpClass::CondBranch: {
+            if (out.addrId >= mem_ready.size())
+                mem_ready.resize(mem.size(), 0);
+            start = std::max(start, mem_ready[out.addrId]);
+            if (inst.cls == OpClass::Store)
+                mem_ready[out.addrId] = start + 1;
+            reg_ready[inst.dst] = start + 1;
+
+            if (inst.cls == OpClass::CondBranch) {
                 const obs::hotspot::HotspotPhase hot_resolve(
                     hot, "levo", obs::hotspot::Phase::Resolve);
-                const bool taken = semantics::branchTaken(
-                    inst.op, st.readReg(inst.rs1), st.readReg(inst.rs2));
+                const bool taken = out.taken;
                 ++result.branches;
-                is_control_transfer = true;
 
                 BranchQuery q;
                 q.sid = sid;
@@ -303,7 +293,6 @@ LevoMachine::run(std::uint64_t max_instrs) const
                     profile.recordResolveLatency(sid, resolve_time - start);
 
                 if (taken) {
-                    next = inst.target;
                     if (inst.backward) {
                         ++result.backwardTakenBranches;
                         if (inst.target >= iq_base)
@@ -398,18 +387,6 @@ LevoMachine::run(std::uint64_t max_instrs) const
                             static_cast<std::int64_t>(sid));
                     }
                 }
-                break;
-              }
-              case OpClass::Jump:
-                next = inst.target;
-                is_control_transfer = true;
-                break;
-              case OpClass::Halt:
-                result.halted = true;
-                done = true;
-                break;
-              case OpClass::Nop:
-                break;
             }
 
             // Retire the PE/row for one cycle. The ledger's issue counts
@@ -430,8 +407,10 @@ LevoMachine::run(std::uint64_t max_instrs) const
                     std::max(last_control_complete, start + 1);
             }
 
-            if (done)
+            if (inst.op == Opcode::Halt) {
+                result.halted = true;
                 break;
+            }
 
             // Captured-loop iteration: a backward in-window transfer starts
             // a new instance column; wait for the column being recycled.
@@ -473,6 +452,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
         }
     }
 
+    publishState(regs, mem, result.finalState);
     result.cycles =
         static_cast<std::uint64_t>(std::max<std::int64_t>(max_complete, 1));
     result.ipc = static_cast<double>(result.instructions) /
@@ -484,12 +464,9 @@ LevoMachine::run(std::uint64_t max_instrs) const
         (static_cast<double>(n) * static_cast<double>(result.cycles));
 
     if (accounting) {
-        std::unordered_map<std::uint32_t, std::uint64_t> squash_by_site;
         result.account =
-            ledger.finalize(result.cycles, tracing ? &tracer : nullptr,
-                            profiling ? &squash_by_site : nullptr);
-        if (profiling)
-            profile.attributeSquash(squash_by_site);
+            closeLedger(ledger, result.cycles, tracing ? &tracer : nullptr,
+                        profiling ? &profile : nullptr);
     }
 
     if (profiling) {

@@ -30,8 +30,9 @@
  * linear-mode window refill with a refill penalty.
  *
  * The model is execution-driven: it steps the interpreter's decoded
- * program (decodeProgram()) functionally, matching the sequential
- * interpreter exactly (tests verify final architectural state), while
+ * program (decodeProgram()) through the interpreter's executor
+ * (executeStep()), matching the sequential interpreter exactly (tests
+ * verify final architectural state), while
  * timing each dynamic instruction under the machine's structural
  * constraints (per-row PE serialization, column reuse, window refills,
  * misprediction penalties).

@@ -20,7 +20,8 @@ declareFlags(Cli &cli)
 {
     cli.flag("jobs", "1",
              "worker threads for the sweep grid (0 = all hardware "
-             "threads, 1 = serial, at most 1024)");
+             "threads, 1 = serial, at most 1024); the merging thread "
+             "runs cells too, so N > 1 keeps up to N + 1 in flight");
 }
 
 SweepOptions

@@ -1,6 +1,7 @@
 #include "trace/prepared.hh"
 
 #include "cfg/cfg.hh"
+#include "common/address_ids.hh"
 #include "common/logging.hh"
 
 namespace dee
@@ -20,82 +21,6 @@ dstSlot(RegId r)
 {
     return (r == kNoReg || r == kZeroReg) ? kSinkSlot : r;
 }
-
-/** splitmix64 finalizer — full-avalanche address hashing. */
-inline std::uint64_t
-mixAddr(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/**
- * Dense address ids in first-touch order, from an open-addressing
- * linear-probe table (id 0 marks an empty slot) that doubles as it
- * hands out ids, keeping its load factor at most 1/2. Lives only while
- * a trace is being prepared.
- */
-class AddressIds
-{
-  public:
-    AddressIds() { rehash(16); }
-
-    std::uint32_t
-    idOf(std::uint64_t addr)
-    {
-        std::uint64_t h = slotOf(addr);
-        if (ids_[h] != 0)
-            return ids_[h];
-        dee_assert(next_ != 0, "more than 2^32 - 1 distinct addresses");
-        if (2 * std::uint64_t{next_} > mask_ + 1) {
-            rehash(2 * (mask_ + 1));
-            h = slotOf(addr);
-        }
-        keys_[h] = addr;
-        ids_[h] = next_;
-        return next_++;
-    }
-
-    /** Ids handed out so far plus the reserved id 0. */
-    std::uint32_t count() const { return next_; }
-
-  private:
-    /** The slot of @p addr: its own, or the empty one ending its probe
-     *  sequence. */
-    std::uint64_t
-    slotOf(std::uint64_t addr) const
-    {
-        std::uint64_t h = mixAddr(addr) & mask_;
-        while (ids_[h] != 0 && keys_[h] != addr)
-            h = (h + 1) & mask_;
-        return h;
-    }
-
-    /** Moves every id into a table of @p cap slots. */
-    void
-    rehash(std::uint64_t cap)
-    {
-        std::vector<std::uint64_t> keys(cap, 0);
-        std::vector<std::uint32_t> ids(cap, 0);
-        keys.swap(keys_);
-        ids.swap(ids_);
-        mask_ = cap - 1;
-        for (std::size_t s = 0; s < ids.size(); ++s) {
-            if (ids[s] != 0) {
-                const std::uint64_t h = slotOf(keys[s]);
-                keys_[h] = keys[s];
-                ids_[h] = ids[s];
-            }
-        }
-    }
-
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint32_t> ids_;
-    std::uint64_t mask_ = 0;
-    std::uint32_t next_ = 1;
-};
 
 } // namespace
 

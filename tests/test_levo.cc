@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 #include "exec/interp.hh"
+#include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "levo/levo.hh"
 #include "workloads/random_program.hh"
@@ -98,6 +100,23 @@ TEST(LevoFunctional, EmptyTargetBlockMatchesInterpreter)
     const Program p = pb.build();
     EXPECT_EQ(Interpreter(p).run().steps, 9u);
     expectStateMatch(p, LevoConfig{});
+}
+
+TEST(LevoFunctional, DivOverflowWrapsAsInTheInterpreter)
+{
+    // INT64_MIN / -1, which trapped (SIGFPE) before it wrapped.
+    const Program p = parseAssembly(R"(B0:
+    li r1, 1
+    shli r1, r1, 63
+    li r2, 0
+    addi r2, r2, -1
+    div r3, r1, r2
+    halt
+)");
+    expectStateMatch(p, LevoConfig{});
+    const LevoResult r = LevoMachine(p, Cfg(p), LevoConfig{}).run();
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.finalState.regs[3], std::numeric_limits<std::int64_t>::min());
 }
 
 class LevoWorkloads : public ::testing::TestWithParam<WorkloadId>
