@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <set>
 
 namespace dee::analysis::absint
@@ -646,533 +645,6 @@ findCountedLoops(const Program &program, const Cfg &cfg,
             counted.push_back(cl);
     }
     return counted;
-}
-
-// ---------------------------------------------------------------------
-// Value locality
-// ---------------------------------------------------------------------
-
-double
-LocalitySummary::predictableFraction() const
-{
-    if (defs == 0)
-        return 0.0;
-    return static_cast<double>(constants + strides + lastValues) /
-           static_cast<double>(defs);
-}
-
-LocalitySummary
-classifyValueLocality(const Program &program, const LoopForest &loops,
-                      const IntervalResult &fix)
-{
-    LocalitySummary sum;
-
-    // Per-loop def-register sets, for the last-value test.
-    const auto &forest = loops.loops();
-    std::vector<std::set<RegId>> loop_defs(forest.size());
-    std::map<BlockId, std::size_t> loop_of_header;
-    for (std::size_t li = 0; li < forest.size(); ++li) {
-        loop_of_header[forest[li].header] = li;
-        for (const BlockId b : forest[li].blocks) {
-            for (const Instruction &inst : program.block(b).instrs) {
-                if (inst.dest() != kNoReg)
-                    loop_defs[li].insert(inst.dest());
-            }
-        }
-    }
-
-    for (BlockId b = 0; b < program.numBlocks(); ++b) {
-        if (b >= fix.in.size() || !fix.in[b].reachable)
-            continue;
-        // Innermost enclosing loop, if any.
-        const std::vector<BlockId> headers = loops.enclosingHeaders(b);
-        const std::set<RegId> *inner_defs = nullptr;
-        if (!headers.empty())
-            inner_defs = &loop_defs[loop_of_header.at(headers.back())];
-
-        RegState state = fix.in[b];
-        for (const Instruction &inst : program.block(b).instrs) {
-            applyInstr(inst, &state);
-            const RegId rd = inst.dest();
-            if (rd == kNoReg || rd == kZeroReg)
-                continue;
-            ++sum.defs;
-            if (state.reachable && state.regs[rd].isConst()) {
-                ++sum.constants;
-            } else if (inst.op == Opcode::AddI && inst.rs1 == rd &&
-                       inst.imm != 0) {
-                ++sum.strides;
-            } else if (inner_defs != nullptr &&
-                       inst.op != Opcode::Load) {
-                bool invariant = true;
-                for (const RegId src : inst.sources()) {
-                    if (src != kZeroReg &&
-                        inner_defs->count(src) != 0) {
-                        invariant = false;
-                        break;
-                    }
-                }
-                if (invariant)
-                    ++sum.lastValues;
-                else
-                    ++sum.varying;
-            } else {
-                ++sum.varying;
-            }
-        }
-    }
-    return sum;
-}
-
-// ---------------------------------------------------------------------
-// Symbolic memory dependence
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-/** Affine form over the counted loops' counters:
- *  c0 + sum(coeff_i * counter_of_loop_i). */
-struct Affine
-{
-    enum class K : std::uint8_t
-    {
-        Bot, ///< join identity (unreached)
-        Val, ///< a concrete affine form
-        Unk, ///< absorbing top
-    };
-    K k = K::Bot;
-    std::int64_t c0 = 0;
-    /** Sorted sparse (counted-loop index, coefficient) terms. */
-    std::vector<std::pair<std::uint32_t, std::int64_t>> terms;
-
-    static Affine unknown() { return Affine{K::Unk, 0, {}}; }
-    static Affine constant(std::int64_t c) { return Affine{K::Val, c, {}}; }
-
-    static Affine
-    root(std::uint32_t idx)
-    {
-        return Affine{K::Val, 0, {{idx, 1}}};
-    }
-
-    bool
-    operator==(const Affine &o) const
-    {
-        if (k != o.k)
-            return false;
-        if (k != K::Val)
-            return true;
-        return c0 == o.c0 && terms == o.terms;
-    }
-
-    std::int64_t
-    coeff(std::uint32_t idx) const
-    {
-        for (const auto &[i, c] : terms) {
-            if (i == idx)
-                return c;
-        }
-        return 0;
-    }
-};
-
-Affine
-affJoin(const Affine &a, const Affine &b)
-{
-    if (a.k == Affine::K::Bot)
-        return b;
-    if (b.k == Affine::K::Bot)
-        return a;
-    if (a == b)
-        return a;
-    return Affine::unknown();
-}
-
-/** a + s*b with overflow checking (wrapping machine => unknown). */
-Affine
-affCombine(const Affine &a, const Affine &b, std::int64_t s)
-{
-    if (a.k != Affine::K::Val || b.k != Affine::K::Val)
-        return Affine::unknown();
-    Affine r;
-    r.k = Affine::K::Val;
-    std::int64_t scaled = 0;
-    if (!exactMul(b.c0, s, &scaled) || !exactAdd(a.c0, scaled, &r.c0))
-        return Affine::unknown();
-    std::map<std::uint32_t, std::int64_t> sum;
-    for (const auto &[i, c] : a.terms)
-        sum[i] = c;
-    for (const auto &[i, c] : b.terms) {
-        std::int64_t sc = 0;
-        std::int64_t tot = 0;
-        if (!exactMul(c, s, &sc) || !exactAdd(sum[i], sc, &tot))
-            return Affine::unknown();
-        sum[i] = tot;
-    }
-    for (const auto &[i, c] : sum) {
-        if (c != 0)
-            r.terms.push_back({i, c});
-    }
-    return r;
-}
-
-Affine
-affScale(const Affine &a, std::int64_t s)
-{
-    return affCombine(Affine::constant(0), a, s);
-}
-
-struct AffState
-{
-    bool reachable = false;
-    std::array<Affine, kNumRegs> regs{};
-
-    Affine
-    reg(RegId r) const
-    {
-        if (r == kZeroReg)
-            return Affine::constant(0);
-        if (r >= kNumRegs)
-            return Affine::unknown();
-        return regs[r];
-    }
-
-    void
-    join(const AffState &other)
-    {
-        if (!other.reachable)
-            return;
-        if (!reachable) {
-            *this = other;
-            return;
-        }
-        for (RegId r = 0; r < kNumRegs; ++r)
-            regs[r] = affJoin(regs[r], other.regs[r]);
-    }
-
-    bool
-    operator==(const AffState &o) const
-    {
-        if (reachable != o.reachable)
-            return false;
-        if (!reachable)
-            return true;
-        return regs == o.regs;
-    }
-};
-
-void
-affApply(const Instruction &inst, AffState *state)
-{
-    const RegId rd = inst.dest();
-    if (rd == kNoReg)
-        return;
-    Affine v = Affine::unknown();
-    const Affine a = state->reg(inst.rs1);
-    const bool imm_form = inst.rs2 == kNoReg;
-    const Affine b =
-        imm_form ? Affine::constant(inst.imm) : state->reg(inst.rs2);
-    switch (inst.op) {
-      case Opcode::LoadImm: v = Affine::constant(inst.imm); break;
-      case Opcode::Add:
-      case Opcode::AddI: v = affCombine(a, b, 1); break;
-      case Opcode::Sub: v = affCombine(a, b, -1); break;
-      case Opcode::Mul:
-        if (a.k == Affine::K::Val && a.terms.empty())
-            v = affScale(b, a.c0);
-        else if (b.k == Affine::K::Val && b.terms.empty())
-            v = affScale(a, b.c0);
-        break;
-      case Opcode::ShlI:
-        if (imm_form && (inst.imm & 63) <= 62)
-            v = affScale(a, std::int64_t{1} << (inst.imm & 63));
-        break;
-      default: break;
-    }
-    if (rd != kZeroReg)
-        state->regs[rd] = v;
-}
-
-/** One memory access inside a loop: its symbolic address. */
-struct Access
-{
-    bool isStore = false;
-    Affine addr;
-};
-
-std::int64_t
-floorDiv(std::int64_t a, std::int64_t b)
-{
-    std::int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0)))
-        --q;
-    return q;
-}
-
-std::int64_t
-ceilDiv(std::int64_t a, std::int64_t b)
-{
-    std::int64_t q = a / b;
-    if ((a % b != 0) && ((a < 0) == (b < 0)))
-        ++q;
-    return q;
-}
-
-/** Value range of a counted loop's counter at any in-loop point. */
-Interval
-counterRange(const CountedLoop &cl)
-{
-    std::int64_t hi = kPosInf;
-    // The counter overshoots the limit by less than one maximum step.
-    if (cl.limitAtEntry.boundedAbove()) {
-        std::int64_t t = 0;
-        if (exactAdd(cl.limitAtEntry.hi, cl.maxStep, &t))
-            hi = t;
-    }
-    const std::int64_t lo =
-        cl.init.boundedBelow() ? cl.init.lo : kNegInf;
-    return Interval::range(std::min(lo, hi), hi);
-}
-
-/**
- * Minimum carried distance at which accesses @p a (iteration j) and
- * @p b (iteration j+k) of loop @p li can touch the same address, or 0
- * when they provably never can. Returns false when the affine forms
- * leave the question undecidable.
- */
-bool
-conflictDistance(const Access &a, const Access &b,
-                 const CountedLoop &li, const NaturalLoop &loop,
-                 const Program &program,
-                 const std::vector<CountedLoop> &counted,
-                 std::int64_t *min_k)
-{
-    if (a.addr.k != Affine::K::Val || b.addr.k != Affine::K::Val)
-        return false;
-    const auto self = static_cast<std::uint32_t>(li.loopIndex);
-    const std::int64_t ca = a.addr.coeff(self);
-    const std::int64_t cb = b.addr.coeff(self);
-    if (ca != cb)
-        return false; // mismatched counter coefficients: undecidable
-
-    // D = (b.c0 - a.c0) + contributions of every *other* root.
-    std::int64_t dc = 0;
-    if (!exactSub(b.addr.c0, a.addr.c0, &dc))
-        return false;
-    Interval d = Interval::val(dc);
-    std::set<std::uint32_t> roots;
-    for (const auto &[i, c] : a.addr.terms)
-        roots.insert(i);
-    for (const auto &[i, c] : b.addr.terms)
-        roots.insert(i);
-    for (const std::uint32_t r : roots) {
-        if (r == self)
-            continue;
-        const std::int64_t ar = a.addr.coeff(r);
-        const std::int64_t br = b.addr.coeff(r);
-        const CountedLoop &rl = counted[r];
-        const bool varies =
-            !defsInLoop(program, loop, rl.counter).empty();
-        if (!varies && ar == br)
-            continue; // loop-invariant during this entry: cancels
-        const Interval range = counterRange(rl);
-        if (!range.boundedBelow() || !range.boundedAbove())
-            return false;
-        const Interval contrib = varies || ar != br
-                                     ? iSub(iMul(Interval::val(br), range),
-                                            iMul(Interval::val(ar), range))
-                                     : Interval::val(0);
-        if (!contrib.boundedBelow() || !contrib.boundedAbove())
-            return false;
-        d = iAdd(d, contrib);
-        if (!d.boundedBelow() || !d.boundedAbove())
-            return false;
-    }
-
-    // Conflict at distance k iff c*delta_k + D can be zero, where
-    // delta_k (the counter advance over k iterations) lies in
-    // [k*minStep, k*maxStep]. Target interval for c*delta_k:
-    const Interval t = Interval::range(-d.hi, -d.lo);
-    if (ca == 0) {
-        if (t.containsZero()) {
-            *min_k = 1;
-            return true;
-        }
-        *min_k = 0;
-        return true;
-    }
-    const std::int64_t k_cap =
-        li.maxTrip > 0 ? li.maxTrip - 1 : kPosInf;
-    if (k_cap <= 0) {
-        *min_k = 0; // at most one iteration: nothing carried
-        return true;
-    }
-    if (li.minStep == li.maxStep) {
-        // Exact arithmetic progression: c*s*k in t.
-        std::int64_t p = 0;
-        if (!exactMul(ca, li.minStep, &p) || p == 0)
-            return false;
-        std::int64_t klo = p > 0 ? ceilDiv(t.lo, p) : ceilDiv(t.hi, p);
-        std::int64_t khi =
-            p > 0 ? floorDiv(t.hi, p) : floorDiv(t.lo, p);
-        klo = std::max<std::int64_t>(klo, 1);
-        if (k_cap != kPosInf)
-            khi = std::min(khi, k_cap);
-        *min_k = klo <= khi ? klo : 0;
-        return true;
-    }
-    if (k_cap == kPosInf || k_cap > (1 << 20))
-        return false; // variable step and huge range: undecidable
-    for (std::int64_t k = 1; k <= k_cap; ++k) {
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (!exactMul(k, li.minStep, &lo) ||
-            !exactMul(k, li.maxStep, &hi))
-            return false;
-        const Interval delta = iMul(Interval::val(ca),
-                                    Interval::range(lo, hi));
-        if (!(meet(delta, t).isBottom())) {
-            *min_k = k;
-            return true;
-        }
-    }
-    *min_k = 0;
-    return true;
-}
-
-} // namespace
-
-std::vector<MemDep>
-analyzeLoopMemDeps(const Program &program, const Cfg &cfg,
-                   const LoopForest &loops,
-                   const std::vector<CountedLoop> &counted)
-{
-    const std::size_t n = cfg.numBlocks();
-    const auto &forest = loops.loops();
-    std::vector<MemDep> result(forest.size());
-
-    // Header -> counted-loop index, for root forcing.
-    std::map<BlockId, std::uint32_t> counted_of_header;
-    for (std::size_t i = 0; i < counted.size(); ++i)
-        counted_of_header[counted[i].header] =
-            static_cast<std::uint32_t>(i);
-
-    // Affine fixpoint (finite lattice per register: Bot < Val < Unk,
-    // so the worklist terminates without widening).
-    std::vector<AffState> in(n);
-    if (n == 0)
-        return result;
-    AffState entry;
-    entry.reachable = true;
-    entry.regs.fill(Affine::unknown());
-    entry.regs[kZeroReg] = Affine::constant(0);
-    in[0] = entry;
-
-    auto force_roots = [&](BlockId b, AffState *st) {
-        const auto it = counted_of_header.find(b);
-        if (it != counted_of_header.end()) {
-            const RegId ctr = counted[it->second].counter;
-            if (ctr != kZeroReg)
-                st->regs[ctr] = Affine::root(it->second);
-        }
-    };
-    force_roots(0, &in[0]);
-
-    std::set<BlockId> worklist{0};
-    std::uint64_t visits = 0;
-    const std::uint64_t cap = 512 * static_cast<std::uint64_t>(n + 1);
-    while (!worklist.empty() && visits++ < cap) {
-        const BlockId b = *worklist.begin();
-        worklist.erase(worklist.begin());
-        if (!in[b].reachable)
-            continue;
-        AffState out = in[b];
-        for (const Instruction &inst : program.block(b).instrs)
-            affApply(inst, &out);
-        for (const BlockId s : cfg.successors(b)) {
-            if (s >= n)
-                continue;
-            AffState merged = in[s];
-            merged.join(out);
-            force_roots(s, &merged);
-            if (!(merged == in[s])) {
-                in[s] = merged;
-                worklist.insert(s);
-            }
-        }
-    }
-
-    for (std::size_t li = 0; li < forest.size(); ++li) {
-        const NaturalLoop &loop = forest[li];
-        // Only counted loops have a root to phrase distances in.
-        const CountedLoop *cl = nullptr;
-        for (const CountedLoop &c : counted) {
-            if (c.loopIndex == li) {
-                cl = &c;
-                break;
-            }
-        }
-
-        std::vector<Access> accesses;
-        bool all_known = true;
-        bool any_store = false;
-        for (const BlockId b : loop.blocks) {
-            if (!in[b].reachable)
-                continue;
-            AffState st = in[b];
-            force_roots(b, &st);
-            for (const Instruction &inst : program.block(b).instrs) {
-                const OpClass cls = opClass(inst.op);
-                if (cls == OpClass::Load || cls == OpClass::Store) {
-                    Access acc;
-                    acc.isStore = cls == OpClass::Store;
-                    any_store |= acc.isStore;
-                    acc.addr = affCombine(st.reg(inst.rs1),
-                                          Affine::constant(inst.imm), 1);
-                    if (acc.addr.k != Affine::K::Val)
-                        all_known = false;
-                    accesses.push_back(acc);
-                }
-                affApply(inst, &st);
-            }
-        }
-
-        if (!any_store) {
-            result[li] = MemDep{MemDepKind::Independent, 0};
-            continue;
-        }
-        if (cl == nullptr || !all_known) {
-            result[li] = MemDep{MemDepKind::Unknown, 0};
-            continue;
-        }
-
-        std::int64_t best = 0;
-        bool carried = false;
-        bool unknown = false;
-        for (std::size_t i = 0; i < accesses.size() && !unknown; ++i) {
-            for (std::size_t j = 0; j < accesses.size(); ++j) {
-                if (!accesses[i].isStore && !accesses[j].isStore)
-                    continue;
-                std::int64_t k = 0;
-                if (!conflictDistance(accesses[i], accesses[j], *cl,
-                                      loop, program, counted, &k)) {
-                    unknown = true;
-                    break;
-                }
-                if (k > 0 && (!carried || k < best)) {
-                    carried = true;
-                    best = k;
-                }
-            }
-        }
-        if (unknown)
-            result[li] = MemDep{MemDepKind::Unknown, 0};
-        else if (carried)
-            result[li] = MemDep{MemDepKind::Carried, best};
-        else
-            result[li] = MemDep{MemDepKind::Independent, 0};
-    }
-    return result;
 }
 
 } // namespace dee::analysis::absint

@@ -10,19 +10,14 @@
  * edges refine both compared registers (e.g. the taken edge of
  * `blt r5, r6` tightens r5's upper and r6's lower bound).
  *
- * Three derived analyses ride the fixpoint:
- *
- *  - findCountedLoops(): loops whose every iteration provably advances
- *    one register by a bounded positive step toward a loop-invariant
- *    limit, with proven min/max trip counts. The counter's serial
- *    add chain is a critical-path *lower* bound no execution — and no
- *    speculation model, the paper's Oracle included — can beat.
- *  - classifyValueLocality(): per register-def predictability classes
- *    (constant / stride / last-value / varying), the static headroom
- *    measure value-prediction models need (ROADMAP item 4a).
- *  - analyzeLoopMemDeps(): symbolic affine addresses over the counted
- *    loops' counters, proving loops free of loop-carried memory
- *    dependences or bounding the minimum carried distance.
+ * One derived analysis rides the fixpoint: findCountedLoops() finds
+ * loops whose every iteration provably advances one register by a
+ * bounded positive step toward a loop-invariant limit, with proven
+ * min/max trip counts. The counter's serial add chain is a
+ * critical-path *lower* bound no execution — and no speculation
+ * model, the paper's Oracle included — can beat. bounds.hh condenses
+ * the counted loops into the bounds; its lint findings read the
+ * intervals directly.
  */
 
 #ifndef DEE_ANALYSIS_ABSINT_ABSINT_HH
@@ -120,60 +115,6 @@ std::vector<CountedLoop> findCountedLoops(const Program &program,
                                           const Cfg &cfg,
                                           const LoopForest &loops,
                                           const IntervalResult &fix);
-
-/** Static value-predictability class of one register def site. */
-enum class DefClass : std::uint8_t
-{
-    Constant,  ///< post-fixpoint result interval is a singleton
-    Stride,    ///< self-increment by a nonzero constant
-    LastValue, ///< loop-invariant sources: same value every iteration
-    Varying,   ///< anything else (loads, data-dependent arithmetic)
-};
-
-/** Def-site counts per DefClass over a whole program. */
-struct LocalitySummary
-{
-    std::uint64_t defs = 0;
-    std::uint64_t constants = 0;
-    std::uint64_t strides = 0;
-    std::uint64_t lastValues = 0;
-    std::uint64_t varying = 0;
-
-    /** Fraction of def sites a const/stride/last-value predictor could
-     *  cover (the Mitrevski & Gusev headroom measure), in [0, 1]. */
-    double predictableFraction() const;
-};
-
-/** Classifies every register-writing instruction (r0 writes are
- *  dropped by the machine and excluded). */
-LocalitySummary classifyValueLocality(const Program &program,
-                                      const LoopForest &loops,
-                                      const IntervalResult &fix);
-
-/** Loop-carried memory-dependence verdict for one loop. */
-enum class MemDepKind : std::uint8_t
-{
-    Independent, ///< proven: no loop-carried memory dependence
-    Carried,     ///< proven dependence; minimum distance known
-    Unknown,     ///< some address was not affine in the counters
-};
-
-struct MemDep
-{
-    MemDepKind kind = MemDepKind::Unknown;
-    /** Minimum carried distance in iterations (valid when Carried). */
-    std::int64_t distance = 0;
-};
-
-/**
- * Per-loop (parallel to LoopForest::loops()) carried-dependence
- * verdicts from a symbolic affine-address analysis over the counted
- * loops' counter registers.
- */
-std::vector<MemDep> analyzeLoopMemDeps(const Program &program,
-                                       const Cfg &cfg,
-                                       const LoopForest &loops,
-                                       const std::vector<CountedLoop> &counted);
 
 } // namespace dee::analysis::absint
 

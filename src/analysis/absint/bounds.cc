@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "analysis/dependence.hh"
 #include "analysis/lint.hh"
 #include "obs/manifest.hh"
 
@@ -23,17 +22,6 @@ branchClassName(BranchClass cls)
 
 namespace
 {
-
-const char *
-memDepName(MemDepKind kind)
-{
-    switch (kind) {
-      case MemDepKind::Independent: return "independent";
-      case MemDepKind::Carried: return "carried";
-      case MemDepKind::Unknown: return "unknown";
-    }
-    return "???";
-}
 
 std::string
 hexSid(StaticId sid)
@@ -157,19 +145,8 @@ StaticBounds::toJson() const
     j["blocks"] = static_cast<std::int64_t>(blocks);
     j["instrs"] = static_cast<std::int64_t>(instrs);
     j["cp_lower_bound"] = cpLowerBound;
-    j["max_block_ilp"] = maxBlockIlp;
-    j["serialized_ilp_bound"] = serializedIlpBound;
     j["spec_cp_max"] = specCpMax;
     j["converged"] = converged;
-
-    obs::Json vl = obs::Json::object();
-    vl["defs"] = static_cast<std::int64_t>(locality.defs);
-    vl["constants"] = static_cast<std::int64_t>(locality.constants);
-    vl["strides"] = static_cast<std::int64_t>(locality.strides);
-    vl["last_values"] = static_cast<std::int64_t>(locality.lastValues);
-    vl["varying"] = static_cast<std::int64_t>(locality.varying);
-    vl["predictable_fraction"] = locality.predictableFraction();
-    j["value_locality"] = std::move(vl);
 
     obs::Json ls = obs::Json::array();
     for (const LoopBound &lb : loops) {
@@ -184,9 +161,6 @@ StaticBounds::toJson() const
         l["min_trip"] = lb.minTrip;
         l["max_trip"] = lb.maxTrip;
         l["body_instrs"] = static_cast<std::int64_t>(lb.bodyInstrs);
-        l["ilp_bound"] = lb.ilpBound;
-        l["mem_dep"] = memDepName(lb.memDep);
-        l["mem_dep_distance"] = lb.memDepDistance;
         ls.push(std::move(l));
     }
     j["loops"] = std::move(ls);
@@ -220,13 +194,6 @@ analyzeProgram(const Program &program, const Cfg &cfg)
 
     const std::vector<CountedLoop> counted =
         findCountedLoops(program, cfg, loops, fix);
-    bounds.locality = classifyValueLocality(program, loops, fix);
-    const std::vector<MemDep> deps =
-        analyzeLoopMemDeps(program, cfg, loops, counted);
-
-    const DependenceSummary dep_summary = analyzeDependences(program);
-    bounds.maxBlockIlp = dep_summary.maxBlockIlp;
-    bounds.serializedIlpBound = dep_summary.serializedIlpBound;
 
     // Per-loop bounds, parallel to LoopForest::loops().
     const auto &forest = loops.loops();
@@ -238,11 +205,6 @@ analyzeProgram(const Program &program, const Cfg &cfg)
         lb.bodyInstrs = 0;
         for (const BlockId b : forest[li].blocks)
             lb.bodyInstrs += program.block(b).instrs.size();
-        lb.ilpBound = static_cast<double>(lb.bodyInstrs);
-        if (li < deps.size()) {
-            lb.memDep = deps[li].kind;
-            lb.memDepDistance = deps[li].distance;
-        }
     }
     for (const CountedLoop &cl : counted) {
         LoopBound &lb = bounds.loops[cl.loopIndex];

@@ -2,9 +2,10 @@
  * @file
  * Static bounds derived from the abstract-interpretation fixpoints.
  *
- * analyzeProgram() runs the interval solver plus the derived analyses
- * (absint.hh) and condenses them into one StaticBounds record per
- * program — the static side of the paper's optimality argument:
+ * analyzeProgram() runs the interval solver and the counted-loop
+ * recognizer (absint.hh) and condenses them into one StaticBounds
+ * record per program — the static side of the paper's optimality
+ * argument, which the xcheck (xcheck.hh) holds measured runs to:
  *
  *  - cpLowerBound: a critical-path *lower* bound on the cycles of any
  *    completed execution, from the serial counter chains of the
@@ -17,8 +18,6 @@
  *  - specCpMax: the cumulative-probability ceiling any spec-tree
  *    assignment can carry (models.cc clamps characteristic accuracy to
  *    0.995, and Theorem 1's cp = p^depth can never exceed p).
- *  - value-locality and memory-dependence summaries (ROADMAP item 4's
- *    inputs).
  *
  * staticBoundsSection() packages the bounds for every workload of a
  * run into the manifest's "static_bounds" section (since schema dee.run.v6);
@@ -80,12 +79,6 @@ struct LoopBound
     std::int64_t minTrip = 0;
     std::int64_t maxTrip = -1;
     std::uint64_t bodyInstrs = 0;
-    /** Instructions retirable per serial counter step: the loop's
-     *  dataflow ILP can never exceed its body size, because the
-     *  counter increment chain forces one cycle per iteration. */
-    double ilpBound = 0.0;
-    MemDepKind memDep = MemDepKind::Unknown;
-    std::int64_t memDepDistance = 0;
 };
 
 /** Whole-program static bounds. */
@@ -95,15 +88,10 @@ struct StaticBounds
     std::uint64_t instrs = 0;
     /** Cycles every completed run needs, at any speculation model. */
     std::int64_t cpLowerBound = 1;
-    /** Widest per-block dependence-DAG ILP (dependence.hh). */
-    double maxBlockIlp = 0.0;
-    /** Program ILP bound with per-block critical paths serialized. */
-    double serializedIlpBound = 0.0;
     /** Ceiling on any spec-tree assignment's cumulative probability. */
     double specCpMax = 0.995;
     /** False when the interval solver hit its iteration cap. */
     bool converged = true;
-    LocalitySummary locality;
     std::vector<LoopBound> loops;
     std::vector<BranchBound> branches;
 
@@ -119,8 +107,8 @@ struct AbsintResult
     std::vector<Finding> findings;
 };
 
-/** Runs the solver and every derived analysis on a structurally sound
- *  program (callers verify first, as lintProgram() does). */
+/** Runs the solver and the counted-loop recognizer on a structurally
+ *  sound program (callers verify first, as lintProgram() does). */
 AbsintResult analyzeProgram(const Program &program, const Cfg &cfg);
 
 /**

@@ -46,8 +46,6 @@ LintReport::renderText() const
     if (boundsComputed) {
         oss << "  bounds: cp_lower=" << bounds.cpLowerBound
             << " spec_cp_max=" << bounds.specCpMax
-            << " predictable_defs="
-            << bounds.locality.predictableFraction()
             << " converged=" << (bounds.converged ? 1 : 0) << "\n";
     }
     return oss.str();

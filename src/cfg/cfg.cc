@@ -12,8 +12,6 @@ Cfg::Cfg(const Program &program) : numBlocks_(program.numBlocks())
     dee_assert(numBlocks_ > 0, "Cfg over empty program");
     buildEdges(program);
     computePostdominators();
-    computeControlDependence(program);
-    computeTotalControlDependence(program);
 }
 
 void
@@ -168,69 +166,6 @@ Cfg::postdominates(BlockId a, BlockId b) const
     }
 }
 
-void
-Cfg::computeControlDependence(const Program &program)
-{
-    cdeps_.assign(numBlocks_ + 1, {});
-    for (BlockId a = 0; a < numBlocks_; ++a) {
-        const BasicBlock &blk = program.block(a);
-        if (blk.instrs.empty() || !isCondBranch(blk.instrs.back().op))
-            continue;
-        for (BlockId b : succs_[a]) {
-            // Ferrante et al.: nodes control dependent on edge (a, b) are
-            // b and its postdominator ancestors up to, not including,
-            // ipostdom(a).
-            const BlockId stop = ipdom_[a];
-            BlockId cur = b;
-            while (cur != stop && cur != exitNode() &&
-                   cur != kUnreachable) {
-                cdeps_[a].push_back(cur);
-                cur = ipdom_[cur];
-            }
-        }
-        auto &v = cdeps_[a];
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-    }
-}
-
-void
-Cfg::computeTotalControlDependence(const Program &program)
-{
-    totalCdeps_.assign(numBlocks_ + 1, {});
-    // For each branch block a, closure over "control dependent block also
-    // ends in a branch" chains. Breadth-first over the CD graph.
-    for (BlockId a = 0; a < numBlocks_; ++a) {
-        if (cdeps_[a].empty())
-            continue;
-        std::vector<bool> seen(numBlocks_ + 1, false);
-        std::vector<BlockId> frontier = cdeps_[a];
-        for (BlockId x : frontier)
-            seen[x] = true;
-        std::vector<BlockId> result = frontier;
-        while (!frontier.empty()) {
-            std::vector<BlockId> next;
-            for (BlockId x : frontier) {
-                const BasicBlock &blk = program.block(x);
-                if (blk.instrs.empty() ||
-                    !isCondBranch(blk.instrs.back().op)) {
-                    continue;
-                }
-                for (BlockId y : cdeps_[x]) {
-                    if (!seen[y]) {
-                        seen[y] = true;
-                        next.push_back(y);
-                        result.push_back(y);
-                    }
-                }
-            }
-            frontier = std::move(next);
-        }
-        std::sort(result.begin(), result.end());
-        totalCdeps_[a] = std::move(result);
-    }
-}
-
 const std::vector<BlockId> &
 Cfg::successors(BlockId b) const
 {
@@ -243,34 +178,6 @@ Cfg::predecessors(BlockId b) const
 {
     dee_assert(b <= numBlocks_, "predecessors of unknown node ", b);
     return preds_[b];
-}
-
-const std::vector<BlockId> &
-Cfg::controlDependents(BlockId a) const
-{
-    dee_assert(a <= numBlocks_, "controlDependents of unknown node ", a);
-    return cdeps_[a];
-}
-
-const std::vector<BlockId> &
-Cfg::totalControlDependents(BlockId a) const
-{
-    dee_assert(a <= numBlocks_, "totalControlDependents of unknown ", a);
-    return totalCdeps_[a];
-}
-
-bool
-Cfg::isControlDependent(BlockId x, BlockId a) const
-{
-    const auto &v = controlDependents(a);
-    return std::binary_search(v.begin(), v.end(), x);
-}
-
-bool
-Cfg::isTotalControlDependent(BlockId x, BlockId a) const
-{
-    const auto &v = totalControlDependents(a);
-    return std::binary_search(v.begin(), v.end(), x);
 }
 
 } // namespace dee

@@ -1,19 +1,21 @@
 /**
  * @file
- * Control-flow graph and control-dependence analysis.
+ * Control-flow graph and postdominators.
  *
  * The paper's CD and CD-MF models rest on *reduced* and *minimal* control
  * dependencies (its reference [2], Ferrante/Ottenstein/Warren; and [8],
- * Uht's minimal procedural dependencies). Because this repository
- * generates its own programs, we can compute exact control dependencies:
+ * Uht's minimal procedural dependencies). Block X is control dependent
+ * on the branch ending block A when X postdominates a successor of A but
+ * not A itself, so the dependence region of a branch ends at its
+ * immediate postdominator. The CD models (trace/prepared.hh's join
+ * points), the Lam-Wilson limits and Levo need only that join, taken
+ * per dynamic branch (see DESIGN.md "Simulator semantics"), so this
+ * class computes
  *
- *  - the block-level CFG (with a virtual exit node),
+ *  - the block-level CFG (with a virtual exit node) and
  *  - postdominators (iterative Cooper-Harvey-Kennedy on the reverse CFG),
- *  - the control-dependence relation "block X is control dependent on the
- *    branch terminating block A" (X postdominates a successor of A but
- *    not A itself), and
- *  - its transitive closure, matching Levo's "total control dependencies"
- *    (Section 4.3) through chains of control dependencies.
+ *
+ * and stores no control-dependence relation.
  */
 
 #ifndef DEE_CFG_CFG_HH
@@ -59,38 +61,15 @@ class Cfg
     /** True if a postdominates b (every path b->exit passes a). */
     bool postdominates(BlockId a, BlockId b) const;
 
-    /**
-     * Blocks directly control dependent on the branch ending block a
-     * (empty unless block a ends in a conditional branch). Sorted.
-     */
-    const std::vector<BlockId> &controlDependents(BlockId a) const;
-
-    /**
-     * Blocks transitively ("totally") control dependent on block a's
-     * branch: the closure of controlDependents over chains of control
-     * dependencies. Sorted; includes the direct dependents.
-     */
-    const std::vector<BlockId> &totalControlDependents(BlockId a) const;
-
-    /** True if block x is directly control dependent on block a. */
-    bool isControlDependent(BlockId x, BlockId a) const;
-
-    /** True if block x is transitively control dependent on block a. */
-    bool isTotalControlDependent(BlockId x, BlockId a) const;
-
   private:
     void buildEdges(const Program &program);
     void computePostdominators();
-    void computeControlDependence(const Program &program);
-    void computeTotalControlDependence(const Program &program);
 
     std::size_t numBlocks_;
     // Indexed by node id, including the exit node at numBlocks_.
     std::vector<std::vector<BlockId>> succs_;
     std::vector<std::vector<BlockId>> preds_;
     std::vector<BlockId> ipdom_;
-    std::vector<std::vector<BlockId>> cdeps_;
-    std::vector<std::vector<BlockId>> totalCdeps_;
 };
 
 } // namespace dee

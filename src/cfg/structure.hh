@@ -3,11 +3,12 @@
  * Forward structural analyses over the CFG: dominators and natural
  * loops.
  *
- * The postdominator machinery in cfg.hh serves the control-dependence
- * models; the *forward* direction serves the static-analysis pass
- * (src/analysis): the program verifier and the profile cross-checker
- * need to know which blocks are loop headers, how deeply loops nest,
- * and which code is structurally reachable. Same iterative
+ * The postdominators in cfg.hh give the CD models and Levo each
+ * branch's join; the *forward* direction serves the static-analysis
+ * pass (src/analysis): the program verifier, the profile
+ * cross-checker and the abstract interpreter need to know which
+ * blocks are loop headers, how deeply loops nest, and which code is
+ * structurally reachable. Same iterative
  * Cooper-Harvey-Kennedy scheme as computePostdominators(), run on the
  * forward CFG from block 0.
  *

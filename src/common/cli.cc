@@ -60,14 +60,7 @@ Cli::parse(int argc, const char *const *argv)
                 dee_fatal("flag --", name, " is missing a value");
             flag.value = argv[++i];
         }
-        flag.provided = true;
     }
-}
-
-bool
-Cli::provided(const std::string &name) const
-{
-    return lookup(name).provided;
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -45,9 +45,6 @@ class Cli
     double real(const std::string &name) const;
     bool boolean(const std::string &name) const;
 
-    /** True iff the flag was explicitly set on the command line. */
-    bool provided(const std::string &name) const;
-
     /** All (name, current value) pairs in declaration order — used by
      *  run manifests to record the effective configuration. */
     std::vector<std::pair<std::string, std::string>> values() const;
@@ -61,7 +58,6 @@ class Cli
         std::string value;
         std::string defaultValue;
         std::string help;
-        bool provided = false;
     };
 
     const Flag &lookup(const std::string &name) const;

@@ -25,25 +25,13 @@ levelFromEnv()
     return LogLevel::Info;
 }
 
-LogLevel &
-levelStorage()
-{
-    static LogLevel level = levelFromEnv();
-    return level;
-}
-
 } // namespace
 
 LogLevel
 logLevel()
 {
-    return levelStorage();
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    levelStorage() = level;
+    static const LogLevel level = levelFromEnv();
+    return level;
 }
 
 namespace detail

@@ -38,9 +38,6 @@ enum class LogLevel
 /** Current level (reads DEE_LOG_LEVEL once, on first use). */
 LogLevel logLevel();
 
-/** Overrides the environment-derived level (tests, embedding tools). */
-void setLogLevel(LogLevel level);
-
 namespace detail
 {
 

@@ -44,8 +44,8 @@ BenchmarkInstance makeInstance(WorkloadId id, int scale,
                                std::uint64_t max_instrs = 50'000'000,
                                std::uint64_t seed = 0);
 
-/** All five instances at the same scale (and the same seed — per-cell
- *  seeds are the sweep driver's job, see runner::cellSeed). */
+/** All five instances at the same scale and the same seed (the
+ *  randomized tests derive per-draw seeds with runner::cellSeed). */
 std::vector<BenchmarkInstance> makeSuite(int scale,
                                          std::uint64_t max_instrs =
                                              50'000'000,

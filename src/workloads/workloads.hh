@@ -34,9 +34,9 @@
  * Seed 0 is the calibrated template exactly as the committed baselines
  * expect; a nonzero seed re-derives the generators' data constants
  * (initial serial state, hash-mix salts) from its own SplitMix64
- * stream, so distinct cells of a randomized sweep get decorrelated
+ * stream, so distinct draws of a randomized test get decorrelated
  * programs instead of silently reusing one stream (see
- * runner::cellSeed for how sweeps derive per-cell seeds).
+ * runner::cellSeed for how those tests derive their seeds).
  */
 
 #ifndef DEE_WORKLOADS_WORKLOADS_HH

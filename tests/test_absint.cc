@@ -2,8 +2,8 @@
  * @file
  * Tests for the abstract-interpretation static-bounds engine
  * (analysis/absint): fixpoint termination, pinned critical-path
- * bounds, counted-loop / memory-dependence / value-locality facts,
- * finding emission on hand-built defect programs, finding
+ * bounds and counted-loop facts, the bound's soundness against the
+ * Oracle, finding emission on hand-built defect programs, finding
  * normalization, the manifest static_bounds section, and the
  * static<->dynamic cross-check gates (xcheck.hh) driven by hand-built
  * manifest documents.
@@ -45,7 +45,6 @@ using analysis::absint::AbsintResult;
 using analysis::absint::analyzeProgram;
 using analysis::absint::crossCheckManifest;
 using analysis::absint::LoopBound;
-using analysis::absint::MemDepKind;
 using analysis::absint::StaticBounds;
 using analysis::absint::staticBoundsSection;
 using analysis::absint::XcheckResult;
@@ -140,7 +139,7 @@ TEST(Absint, CriticalPathLowerBoundsPinned)
             EXPECT_TRUE(l.counted) << p.name << " B" << l.header;
             EXPECT_TRUE(l.mandatory) << p.name << " B" << l.header;
             EXPECT_GT(l.minTrip, 0) << p.name << " B" << l.header;
-            EXPECT_GT(l.ilpBound, 0.0) << p.name << " B" << l.header;
+            EXPECT_GT(l.bodyInstrs, 0u) << p.name << " B" << l.header;
         }
         const AbsintResult s16 = analyzeWorkload(id, 16);
         EXPECT_EQ(s16.bounds.cpLowerBound, p.cpScale16) << p.name;
@@ -162,67 +161,6 @@ TEST(Absint, CpLowerBoundIsSoundAgainstTheOracle)
                   static_cast<std::uint64_t>(bounds.cpLowerBound))
             << inst.name;
     }
-}
-
-TEST(Absint, MemoryDependenceVerdictsPinned)
-{
-    // Per-loop verdicts from the affine-address analysis, in loop
-    // order (outermost first, as LoopForest emits them).
-    struct Row
-    {
-        const char *name;
-        std::vector<std::pair<MemDepKind, std::int64_t>> deps;
-    };
-    const Row rows[] = {
-        {"cc1",
-         {{MemDepKind::Independent, 0}, {MemDepKind::Unknown, 0}}},
-        {"compress", {{MemDepKind::Unknown, 0}}},
-        {"eqntott",
-         {{MemDepKind::Carried, 1},
-          {MemDepKind::Independent, 0},
-          {MemDepKind::Carried, 1}}},
-        {"espresso",
-         {{MemDepKind::Carried, 1},
-          {MemDepKind::Independent, 0},
-          {MemDepKind::Independent, 0}}},
-        {"xlisp",
-         {{MemDepKind::Unknown, 0}, {MemDepKind::Unknown, 0}}},
-    };
-    for (const Row &row : rows) {
-        const AbsintResult r =
-            analyzeWorkload(workloadByName(row.name), 1);
-        ASSERT_EQ(r.bounds.loops.size(), row.deps.size()) << row.name;
-        for (std::size_t i = 0; i < row.deps.size(); ++i) {
-            EXPECT_EQ(r.bounds.loops[i].memDep, row.deps[i].first)
-                << row.name << " loop " << i;
-            if (row.deps[i].first == MemDepKind::Carried) {
-                EXPECT_EQ(r.bounds.loops[i].memDepDistance,
-                          row.deps[i].second)
-                    << row.name << " loop " << i;
-            }
-        }
-    }
-}
-
-TEST(Absint, ValueLocalityTotalsAreConsistent)
-{
-    for (WorkloadId id : allWorkloads()) {
-        const auto &loc = analyzeWorkload(id, 1).bounds.locality;
-        EXPECT_EQ(loc.defs, loc.constants + loc.strides +
-                                loc.lastValues + loc.varying)
-            << workloadName(id);
-        EXPECT_GT(loc.defs, 0u) << workloadName(id);
-        EXPECT_GE(loc.predictableFraction(), 0.0) << workloadName(id);
-        EXPECT_LE(loc.predictableFraction(), 1.0) << workloadName(id);
-    }
-    // One pinned sample so a classifier change is visible.
-    const auto &cc1 = analyzeWorkload(workloadByName("cc1"), 1)
-                          .bounds.locality;
-    EXPECT_EQ(cc1.defs, 53u);
-    EXPECT_EQ(cc1.constants, 6u);
-    EXPECT_EQ(cc1.strides, 6u);
-    EXPECT_EQ(cc1.lastValues, 0u);
-    EXPECT_EQ(cc1.varying, 41u);
 }
 
 /* ------------------------------------------------------------------ */

@@ -15,8 +15,8 @@
  *    *counter increments*, and unrolling moves increments between
  *    static sites without adding or removing any,
  *  - every counted loop survives, matched by counter register, with
- *    its trip bound intact and its per-iteration ILP bound no
- *    smaller (the replicated body can only widen it).
+ *    its trip bound intact and its body no smaller (the replicated
+ *    body can only widen it).
  */
 
 #include <gtest/gtest.h>
@@ -100,7 +100,7 @@ TEST(AbsintProperties, BoundsInvariantUnderUnrollOnPerturbedWorkloads)
                 << ctx << " counter r" << int(l.counter);
             // Replication can only add body instructions per serial
             // counter step.
-            EXPECT_GE(u.ilpBound, l.ilpBound)
+            EXPECT_GE(u.bodyInstrs, l.bodyInstrs)
                 << ctx << " counter r" << int(l.counter);
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/cfg: CFG edges, postdominators, control
- * dependence (direct and total) on diamonds, loops and nests.
+ * Unit tests for src/cfg: CFG edges and postdominators on diamonds,
+ * loops, jumps and branches whose arms coincide.
  */
 
 #include <gtest/gtest.h>
@@ -63,20 +63,6 @@ TEST(CfgDiamond, Postdominators)
     EXPECT_TRUE(cfg.postdominates(cfg.exitNode(), 0));
 }
 
-TEST(CfgDiamond, ControlDependence)
-{
-    Program p = diamond();
-    Cfg cfg(p);
-    // Only the then-block depends on the branch; the join does not.
-    const auto &deps = cfg.controlDependents(0);
-    ASSERT_EQ(deps.size(), 1u);
-    EXPECT_EQ(deps[0], 1u);
-    EXPECT_TRUE(cfg.isControlDependent(1, 0));
-    EXPECT_FALSE(cfg.isControlDependent(2, 0));
-    // Non-branch blocks control nothing.
-    EXPECT_TRUE(cfg.controlDependents(1).empty());
-}
-
 /**
  * Loop:
  *   B0: init, falls into B1
@@ -109,71 +95,6 @@ TEST(CfgLoop, PostdominatorsSkipLoop)
     EXPECT_EQ(cfg.ipostdom(0), 1u);
 }
 
-TEST(CfgLoop, LoopBodyDependsOnLatch)
-{
-    Program p = loop();
-    Cfg cfg(p);
-    // The body block is control dependent on its own latch branch.
-    EXPECT_TRUE(cfg.isControlDependent(1, 1));
-    // The exit block is not.
-    EXPECT_FALSE(cfg.isControlDependent(2, 1));
-}
-
-/**
- * Nested control dependence:
- *   B0: beq -> B4 (skip all), ft B1
- *   B1: beq -> B3 (skip inner), ft B2
- *   B2: inner work, ft B3
- *   B3: outer work, ft B4
- *   B4: halt
- */
-Program
-nested()
-{
-    ProgramBuilder pb;
-    std::vector<BlockId> b(5);
-    for (auto &x : b)
-        x = pb.newBlock();
-    pb.switchTo(b[0]);
-    pb.branch(Opcode::BranchEq, 1, 2, b[4]);
-    pb.switchTo(b[1]);
-    pb.branch(Opcode::BranchEq, 3, 4, b[3]);
-    pb.switchTo(b[2]);
-    pb.aluImm(Opcode::AddI, 5, 5, 1);
-    pb.switchTo(b[3]);
-    pb.aluImm(Opcode::AddI, 6, 6, 1);
-    pb.switchTo(b[4]);
-    pb.halt();
-    return pb.build();
-}
-
-TEST(CfgNested, DirectControlDependence)
-{
-    Program p = nested();
-    Cfg cfg(p);
-    // Outer branch controls B1, B2? B2 is controlled by inner branch
-    // directly; outer controls B1 and B3 (both avoidable via B4).
-    EXPECT_TRUE(cfg.isControlDependent(1, 0));
-    EXPECT_TRUE(cfg.isControlDependent(3, 0));
-    EXPECT_FALSE(cfg.isControlDependent(4, 0));
-    EXPECT_TRUE(cfg.isControlDependent(2, 1));
-    EXPECT_FALSE(cfg.isControlDependent(3, 1));
-}
-
-TEST(CfgNested, TotalControlDependenceIsTransitive)
-{
-    Program p = nested();
-    Cfg cfg(p);
-    // B2 is not directly dependent on B0, but transitively (through the
-    // inner branch in B1) it is — the paper's "total" dependencies.
-    EXPECT_FALSE(cfg.isControlDependent(2, 0));
-    EXPECT_TRUE(cfg.isTotalControlDependent(2, 0));
-    // Direct dependents are included in the closure.
-    EXPECT_TRUE(cfg.isTotalControlDependent(1, 0));
-    // The final join is independent even transitively.
-    EXPECT_FALSE(cfg.isTotalControlDependent(4, 0));
-}
-
 TEST(CfgJumpOnly, JumpHasSingleSuccessor)
 {
     ProgramBuilder pb;
@@ -190,9 +111,6 @@ TEST(CfgJumpOnly, JumpHasSingleSuccessor)
     Cfg cfg(p);
     ASSERT_EQ(cfg.successors(0).size(), 1u);
     EXPECT_EQ(cfg.successors(0)[0], 2u);
-    // No branch -> no control dependents anywhere.
-    for (BlockId b = 0; b < cfg.numBlocks(); ++b)
-        EXPECT_TRUE(cfg.controlDependents(b).empty());
 }
 
 TEST(CfgBranchToFallthrough, DeduplicatedEdge)
@@ -207,8 +125,6 @@ TEST(CfgBranchToFallthrough, DeduplicatedEdge)
     Program p = pb.build();
     Cfg cfg(p);
     EXPECT_EQ(cfg.successors(0).size(), 1u);
-    // A branch with equal arms controls nothing.
-    EXPECT_TRUE(cfg.controlDependents(0).empty());
 }
 
 } // namespace
