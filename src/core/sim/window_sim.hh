@@ -32,9 +32,13 @@
  * holds static code whose presence is invariant to branch directions, so
  * an instruction within the window's reach (maxDepth of the tree, in
  * branch paths, ahead of the root) may execute before its path is
- * covered by the tree — it must only wait, with the misprediction
- * penalty, for the resolution of mispredicted branches it is *totally
- * control dependent* on (exact transitive CDG from src/cfg). Join-point
+ * covered by the tree. It waits, with the misprediction penalty, for
+ * the resolution of a pending mispredicted branch when that branch is
+ * divergent (backward: the actual-path code was never fetched) or when
+ * the branch's dynamic join lies past the instruction. The join is the
+ * first later run of the branch block's immediate postdominator
+ * (Cfg::ipostdom, via PreparedTrace::joinIndex()). It does not wait
+ * when the root's bypass set holds the instruction's code. Join-point
  * code therefore flows past unpredictable branches, the paper's central
  * CD example. An instruction's execution time is the better of the two
  * routes.
@@ -253,8 +257,9 @@ struct SimResult
 /**
  * Windowed ILP simulator.
  *
- * @param cfg may be null for CdModel::Restrictive; required (and used
- *            for exact total control dependencies) for Reduced/Minimal.
+ * @param cfg may be null for CdModel::Restrictive; required for
+ *            Reduced/Minimal, whose route B reads each branch's dynamic
+ *            join from its immediate postdominators.
  */
 class WindowSim
 {

@@ -26,7 +26,8 @@ namespace dee::obs
 /**
  * One cell's private observability state. Construction is cheap: the
  * registry starts empty (with exact-merge sample logging on), the
- * tracer allocates its ring only if the process tracer is tracing.
+ * tracer reserves its ring only if the process tracer is tracing, and
+ * touches only as much of it as the cell records.
  */
 class CellSink
 {

@@ -59,8 +59,7 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 void
 Tracer::enable()
 {
-    if (ring_.size() != capacity_)
-        ring_.resize(capacity_);
+    ring_.reserve(capacity_);
     enabled_ = true;
 }
 
@@ -75,7 +74,9 @@ Tracer::setCapacity(std::size_t capacity)
 {
     dee_assert(capacity > 0, "Tracer needs a positive capacity");
     capacity_ = capacity;
-    ring_.assign(enabled_ ? capacity_ : 0, TraceEvent{});
+    ring_.clear();
+    if (enabled_)
+        ring_.reserve(capacity_);
     head_ = 0;
     count_ = 0;
 }

@@ -69,7 +69,7 @@ class Tracer
 
     explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-    /** Starts recording (allocates the ring on first use). */
+    /** Starts recording (reserves the ring; it is filled on use). */
     void enable();
     void disable();
     bool enabled() const { return enabled_; }
@@ -84,8 +84,10 @@ class Tracer
            const char *arg2_name = nullptr, std::int64_t arg2 = 0,
            std::uint32_t tid = 0, std::int64_t dur = 0)
     {
-        if (ring_.size() != capacity_)
-            ring_.resize(capacity_);
+        // The ring grows as it fills (enable() reserved its capacity),
+        // so a tracer that records little touches little memory.
+        if (head_ == ring_.size())
+            ring_.emplace_back();
         TraceEvent &e = ring_[head_];
         e.name = name;
         e.phase = phase;

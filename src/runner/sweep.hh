@@ -5,25 +5,25 @@
  * A sweep is a grid of independent cells (workload x model x scale, or
  * whatever shape a tool needs), each a closure over its cell index.
  * runCells() executes them either serially (--jobs 1: today's exact
- * code path, untouched observability) or on a work-stealing pool
- * (--jobs N): each cell then runs inside an obs::IsolationScope so all
- * of its registry/tracer/profile output lands in a private
- * obs::CellSink, and the main thread folds the sinks back into the
- * process-wide instances *in cell-index order* once each cell
- * finishes. Because every merge operation is exact (counter adds and
- * stat sample replay, the registry's only two kinds) and the merge
- * order is the grid order, the merged state is bit-identical to the
- * serial run regardless of thread count or scheduling; nothing is
- * re-derived after the merge.
+ * code path, untouched observability) or, at --jobs N, on N plain
+ * worker threads (fewer when the grid has fewer cells) plus the
+ * calling thread. A parallel cell runs inside an obs::IsolationScope,
+ * so all of its registry/tracer/profile output lands in a private
+ * obs::CellSink that exists from the moment a thread claims the cell
+ * until it is merged. The calling thread folds the sinks back into the
+ * process-wide instances *in cell-index order*, and runs cells itself
+ * while the next one to merge is still running. Because every merge
+ * operation is exact (counter adds and stat sample replay, the
+ * registry's only two kinds) and the merge order is the grid order,
+ * the merged state is bit-identical to the serial run regardless of
+ * thread count or scheduling; nothing is re-derived after the merge.
  *
  * Wall-clock observability (parallel path only, since it is
  * nondeterministic by nature), published once the sweep ends: the
- * runner.cells counter, the runner.wall_ms (one sample per sweep),
- * per-cell runner.cell_wall_ms and runner.merge_ms stats, and each
- * worker's runner.worker.<i>.{tasks, steals, idle_ms}. The worker
- * count is the manifest's config.jobs, or the number of
- * runner.worker.<i> subtrees. A sweep reports nothing while it runs;
- * progress is the tools' obs::Heartbeat line.
+ * runner.cells counter, the runner.wall_ms (one sample per sweep), and
+ * the per-cell runner.cell_wall_ms and runner.merge_ms stats. The
+ * worker count is the manifest's config.jobs. A sweep reports nothing
+ * while it runs; progress is the tools' obs::Heartbeat line.
  */
 
 #ifndef DEE_RUNNER_SWEEP_HH
@@ -47,25 +47,26 @@ struct SweepOptions
     int jobs = 1;
 };
 
-/** Declares --jobs on @p cli (default 0 = hardware concurrency). */
+/** Declares --jobs on @p cli (default 1, serial). */
 void declareFlags(Cli &cli);
 
 /** Reads the flags declared by declareFlags(); a --jobs outside
  *  [0, kMaxJobs] is a fatal user error. */
 SweepOptions fromCli(const Cli &cli);
 
-/** Resolves options.jobs: 0 becomes ThreadPool::hardwareConcurrency(),
- *  a value outside [0, kMaxJobs] is a fatal user error. */
+/** Resolves options.jobs: 0 becomes the hardware thread count (at
+ *  least 1), a value outside [0, kMaxJobs] is a fatal user error. */
 unsigned effectiveJobs(const SweepOptions &options);
 
 /**
  * Runs @p run(0) ... @p run(cells - 1), serially in index order when
- * effectiveJobs(options) == 1, else on a pool with per-cell
+ * effectiveJobs(options) == 1, else on worker threads with per-cell
  * observability isolation and deterministic in-order merging (see the
  * file comment). @p run must not touch shared mutable state other
  * than through the obs global() accessors; anything it publishes
- * there is merged for it. Exceptions thrown by a cell propagate to
- * the caller (first cell in index order wins).
+ * there is merged for it. An exception thrown by a cell propagates to
+ * the caller: the first failing cell in index order wins, and no
+ * worker is left running when it does.
  */
 void runCells(std::size_t cells, const SweepOptions &options,
               const std::function<void(std::size_t)> &run);

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "analysis/absint/bounds.hh"
 #include "bpred/bpred.hh"
@@ -120,6 +121,60 @@ TEST(Tracer, RingWraparoundKeepsNewestEvents)
     tracer.clear();
     EXPECT_EQ(tracer.size(), 0u);
     EXPECT_EQ(tracer.dropped(), 6u);
+}
+
+TEST(Tracer, ClearedRingRefillsPastItsOldSize)
+{
+    // The ring grows as it fills: after a clear() at two events, the
+    // third slot is added on use and the ring still wraps at four.
+    Tracer tracer(4);
+    tracer.enable();
+    tracer.record("before", 'i', 0);
+    tracer.record("before", 'i', 1);
+    tracer.clear();
+    for (int i = 0; i < 5; ++i)
+        tracer.record("after", 'i', 10 + i);
+    EXPECT_EQ(tracer.size(), 4u);
+    EXPECT_EQ(tracer.dropped(), 3u); // two cleared, one pushed out
+    for (std::size_t i = 0; i < tracer.size(); ++i)
+        EXPECT_EQ(tracer.event(i).ts, static_cast<std::int64_t>(11 + i));
+}
+
+TEST(Tracer, MergedRingEqualsOneSharedRing)
+{
+    // Rings grow as they fill. A cell ring filled part way, exactly,
+    // or past a wrap (3 of 7 events dropped) merges into a partly
+    // filled ring as one ring that saw both streams would hold them,
+    // before and after recording on.
+    for (int cell_events : {3, 4, 7}) {
+        Tracer shared(4);
+        Tracer merged(4);
+        Tracer cell(4);
+        for (Tracer *t : {&shared, &merged, &cell})
+            t->enable();
+        for (int i = 0; i < 3; ++i) {
+            shared.record("process", 'i', i);
+            merged.record("process", 'i', i);
+        }
+        for (int i = 0; i < cell_events; ++i) {
+            shared.record("cell", 'i', 100 + i);
+            cell.record("cell", 'i', 100 + i);
+        }
+        merged.mergeFrom(cell);
+        for (int after = 0; after < 2; ++after) {
+            SCOPED_TRACE(std::to_string(cell_events) + " cell events, " +
+                         std::to_string(after) + " after the merge");
+            EXPECT_EQ(merged.recorded(), shared.recorded());
+            EXPECT_EQ(merged.dropped(), shared.dropped());
+            ASSERT_EQ(merged.size(), shared.size());
+            for (std::size_t i = 0; i < shared.size(); ++i) {
+                EXPECT_EQ(merged.event(i).ts, shared.event(i).ts);
+                EXPECT_STREQ(merged.event(i).name, shared.event(i).name);
+            }
+            shared.record("next", 'i', 1000);
+            merged.record("next", 'i', 1000);
+        }
+    }
 }
 
 TEST(Tracer, MacroSkipsArgumentEvaluationWhenDisabled)

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the deterministic parallel run engine (src/runner):
- * ThreadPool semantics, per-cell seed derivation, exact observability
- * merging, and — the load-bearing property — differential determinism:
- * a Figure-5-style model sweep produces bit-identical registry,
- * profile-store and result-vector state whether it runs serially or
- * through runner::runCells at any thread count.
+ * runCells' failure and concurrency semantics, per-cell seed
+ * derivation, exact observability merging, and — the load-bearing
+ * property — differential determinism: a Figure-5-style model sweep
+ * produces bit-identical registry, profile-store and result-vector
+ * state whether it runs serially or through runner::runCells at any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,95 +26,12 @@
 #include "obs/obs.hh"
 #include "runner/seed.hh"
 #include "runner/sweep.hh"
-#include "runner/thread_pool.hh"
 #include "workloads/suite.hh"
 
 namespace dee
 {
 namespace
 {
-
-// ---------------------------------------------------------------- pool
-
-TEST(ThreadPool, ReportsRequestedThreadCount)
-{
-    runner::ThreadPool pool(3);
-    EXPECT_EQ(pool.threadCount(), 3u);
-    EXPECT_GE(runner::ThreadPool::hardwareConcurrency(), 1u);
-}
-
-TEST(ThreadPool, StressTenThousandTasks)
-{
-    std::atomic<int> count{0};
-    runner::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    futures.reserve(10'000);
-    for (int i = 0; i < 10'000; ++i)
-        futures.push_back(pool.submit([&count] {
-            count.fetch_add(1, std::memory_order_relaxed);
-        }));
-    for (auto &f : futures)
-        pool.wait(f);
-    EXPECT_EQ(count.load(), 10'000);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughWait)
-{
-    runner::ThreadPool pool(2);
-    auto bad = pool.submit(
-        [] { throw std::runtime_error("cell exploded"); });
-    EXPECT_THROW(pool.wait(bad), std::runtime_error);
-    // The pool survives a throwing task.
-    std::atomic<int> count{0};
-    auto good = pool.submit([&count] { ++count; });
-    pool.wait(good);
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock)
-{
-    // A task that submits subtasks and waits on them would deadlock a
-    // naive pool of fewer threads than nesting levels; wait() helps by
-    // running pending tasks instead of blocking.
-    runner::ThreadPool pool(2);
-    std::atomic<int> leaves{0};
-    std::vector<std::future<void>> outer;
-    for (int i = 0; i < 8; ++i)
-        outer.push_back(pool.submit([&pool, &leaves] {
-            std::vector<std::future<void>> inner;
-            for (int k = 0; k < 8; ++k)
-                inner.push_back(pool.submit([&leaves] {
-                    leaves.fetch_add(1, std::memory_order_relaxed);
-                }));
-            for (auto &f : inner)
-                pool.wait(f);
-        }));
-    for (auto &f : outer)
-        pool.wait(f);
-    EXPECT_EQ(leaves.load(), 64);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingWork)
-{
-    std::atomic<int> count{0};
-    std::vector<std::future<void>> futures;
-    {
-        runner::ThreadPool pool(2);
-        for (int i = 0; i < 200; ++i)
-            futures.push_back(pool.submit([&count] {
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(50));
-                count.fetch_add(1, std::memory_order_relaxed);
-            }));
-        // Destructor runs with most tasks still queued.
-    }
-    EXPECT_EQ(count.load(), 200);
-    for (auto &f : futures) {
-        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-                  std::future_status::ready);
-        f.get();
-    }
-}
 
 // ---------------------------------------------------------------- seed
 
@@ -267,6 +184,88 @@ TEST(RunCells, CellExceptionPropagates)
     obs::Registry::process().clear();
 }
 
+TEST(RunCells, FirstFailingCellInIndexOrderWins)
+{
+    obs::Registry::process().clear();
+    runner::SweepOptions par;
+    par.jobs = 4;
+    try {
+        runner::runCells(8, par, [](std::size_t i) {
+            ++obs::Registry::global().counter("test.merged");
+            if (i == 3) {
+                // Let cell 5 fail first in time; index order still wins.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("cell 3");
+            }
+            if (i == 5)
+                throw std::runtime_error("cell 5");
+        });
+        ADD_FAILURE() << "runCells returned";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "cell 3");
+    }
+    // Cells 0-2 merged; the failing cell and everything after it did
+    // not, whether or not it ran.
+    const auto *merged =
+        obs::Registry::process().findCounter("test.merged");
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(*merged, 3u);
+    obs::Registry::process().clear();
+}
+
+TEST(RunCells, JoinsEveryWorkerBeforeRethrowing)
+{
+    std::atomic<int> running{0};
+    runner::SweepOptions par;
+    par.jobs = 4;
+    EXPECT_THROW(runner::runCells(32, par,
+                                  [&running](std::size_t i) {
+                                      ++running;
+                                      std::this_thread::sleep_for(
+                                          std::chrono::milliseconds(2));
+                                      --running;
+                                      if (i == 1)
+                                          throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(running.load(), 0);
+    obs::Registry::process().clear();
+}
+
+TEST(RunCells, AtMostJobsPlusOneCellsInFlight)
+{
+    // Workers plus the merging thread: --jobs N never runs more than
+    // N + 1 cells at once, and every cell runs exactly once, with fewer
+    // cells than workers too. Only upper bounds are asserted, since
+    // how many cells overlap depends on the host.
+    for (int jobs : {2, 4, 8}) {
+        for (std::size_t cells : {3u, 8u, 64u}) {
+            std::vector<std::atomic<int>> hits(cells);
+            std::atomic<int> in_flight{0};
+            std::atomic<int> peak{0};
+            runner::SweepOptions par;
+            par.jobs = jobs;
+            runner::runCells(cells, par, [&](std::size_t i) {
+                const int now = ++in_flight;
+                int seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+                }
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                ++hits[i];
+                --in_flight;
+            });
+            for (std::size_t i = 0; i < cells; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "cell " << i << " of " << cells << " at --jobs "
+                    << jobs;
+            EXPECT_LE(peak.load(), jobs + 1)
+                << cells << " cells at --jobs " << jobs;
+            EXPECT_LE(peak.load(), static_cast<int>(cells));
+        }
+    }
+    obs::Registry::process().clear();
+}
+
 TEST(RunCellsDeathTest, NegativeJobsNamesTheValue)
 {
     runner::SweepOptions bad;
@@ -288,8 +287,8 @@ TEST(RunCellsDeathTest, TooManyJobsNamesTheValue)
 TEST(RunCellsDeathTest, JobsFlagOutsideItsRangeIsFatal)
 {
     // The flag path. 2^32 + 1 narrows to 1 as an int, and 10^11 would
-    // ask the pool for 1.2 billion workers: each value is rejected
-    // while the flag is read, before any pool exists.
+    // ask for 1.2 billion workers: each value is rejected while the
+    // flag is read, before any worker exists.
     for (const char *value : {"4294967297", "100000000000", "-1", "1025"}) {
         Cli cli("test");
         runner::declareFlags(cli);
