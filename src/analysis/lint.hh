@@ -75,7 +75,7 @@ void recordLintStats(const LintReport &report);
 
 /**
  * Re-ranks @p report's findings by speculation heat. @p profile_section
- * is the "profile" object of a dee.run.v3 manifest (scopes keyed
+ * is the "profile" object of a dee.run.v9 manifest (scopes keyed
  * "<workload>.<model>"); scopes whose "workload" matches the report's
  * subject's first token contribute their per-branch squashed slots,
  * summed by block. Findings anchored to hot blocks move to the front

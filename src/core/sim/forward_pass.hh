@@ -30,8 +30,8 @@
  *
  * runWindowWith() owns the shared prologue (the memo lookup, confidence
  * replay of the predictor outcomes) and epilogue (totals, issue stats,
- * starved-cycle marks, cycle accounting, loop roll-ups, registry
- * publishing). A
+ * starved-cycle marks, cycle accounting, profile loop headers,
+ * registry publishing). A
  * forward kernel owns the per-path forward loop: coverage walks,
  * instruction issue, branch resolution and tree movement, after which
  * it hands the path to PathRetirer::retire() for its per-path

@@ -152,7 +152,6 @@ sim_detail::runModelWith(ModelKind kind, const Trace &trace,
     config.gatherResolveStats = options.gatherResolveStats;
     config.gatherIssueStats = options.gatherIssueStats;
     config.gatherAccounting = options.gatherAccounting;
-    config.gatherProfile = options.gatherProfile;
     config.profileModel = modelName(kind);
     config.profileScope = scope;
     config.profileWorkload = options.profileWorkload;

@@ -64,11 +64,9 @@ struct ModelRunOptions
     bool gatherIssueStats = false;
     /** Fill SimResult::account (see SimConfig::gatherAccounting). */
     bool gatherAccounting = true;
-    /** Fill SimResult::profile (see SimConfig::gatherProfile); also
-     *  forced on by the Session --profile flag. */
-    bool gatherProfile = false;
     /**
-     * Workload label for profile scoping: the profile lands in
+     * Workload label for profile scoping: while profiling is requested
+     * (obs::profilingRequested()), the profile lands in
      * ProfileStore::global() under "<profileWorkload>.<model name>"
      * ("<model name>" alone when empty), so per-branch stats from
      * different workloads never conflate static ids.

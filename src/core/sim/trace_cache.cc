@@ -135,7 +135,7 @@ runKey(const SpecTree &tree, const SimConfig &config,
     // or ConfidenceDee stops this from compiling until the key takes
     // it. The profile names only label what a profiled run records.
     const auto &[cd, penalty, latency, resolve_stats, issue_stats,
-                 accounting, profile, profile_scope, profile_workload,
+                 accounting, profile_scope, profile_workload,
                  profile_model, pe_limit, reach_override, load_latencies,
                  confidence] = config;
     (void)profile_scope;
@@ -146,9 +146,9 @@ runKey(const SpecTree &tree, const SimConfig &config,
 
     std::string key;
     appendBytes(key, cd, penalty, int_alu, load, store, branch, other,
-                resolve_stats, issue_stats, accounting, profile,
-                pe_limit, reach_override, load_latencies, accuracy,
-                threshold, side_len, &join_idx);
+                resolve_stats, issue_stats, accounting, pe_limit,
+                reach_override, load_latencies, accuracy, threshold,
+                side_len, &join_idx);
     // A chain (predicted edges only, from the origin through every
     // node) is keyed by its length; a plain run without resolve stats
     // or confidence gating (whose walks cross mispredicts) on one

@@ -342,8 +342,7 @@ sim_detail::runWindowWith(const WindowSim &sim,
     const bool use_cd = config.cd != CdModel::Restrictive;
 
     // Profiling rides the accounting ledger, so it forces accounting on.
-    const bool profiling =
-        config.gatherProfile || obs::profilingRequested();
+    const bool profiling = obs::profilingRequested();
     const bool accounting = config.gatherAccounting || profiling;
 
     // --- Dynamic control-dependence scopes for route B -------------------
@@ -487,22 +486,19 @@ sim_detail::runWindowWith(const WindowSim &sim,
             profile.attributeSquash(squash_by_site);
     }
 
-    // --- Speculation profile: loops, identity -----------------------------
+    // --- Speculation profile: loop headers, identity ----------------------
     if (profiling) {
         if (cfg != nullptr) {
             const Dominators doms(*cfg);
             const LoopForest forest(*cfg, doms);
-            std::vector<obs::BlockLoopNest> nests(cfg->numBlocks());
-            for (std::size_t bk = 0; bk < nests.size(); ++bk) {
-                const auto block = static_cast<BlockId>(bk);
-                nests[bk].depth = forest.loopDepth(block);
-                for (const BlockId h : forest.enclosingHeaders(block))
-                    nests[bk].headers.push_back(
-                        static_cast<std::int64_t>(h));
+            std::vector<std::vector<std::int64_t>> headers(
+                cfg->numBlocks());
+            for (std::size_t bk = 0; bk < headers.size(); ++bk) {
+                for (const BlockId h :
+                     forest.enclosingHeaders(static_cast<BlockId>(bk)))
+                    headers[bk].push_back(static_cast<std::int64_t>(h));
             }
-            profile.rollUpLoops(nests);
-        } else {
-            profile.rollUpLoops({});
+            profile.setLoopHeaders(headers);
         }
 
         std::string why;

@@ -124,17 +124,15 @@ struct SimConfig
      */
     bool gatherAccounting = true;
     /**
-     * Collect the per-branch speculation profile (SimResult::profile;
-     * see obs/profile/profile.hh). Also honored — regardless of this
-     * flag — when obs::profilingRequested() is set, which is how the
-     * Session --profile flag reaches every tool. Profiling implies
-     * accounting (the ledger carries the squash attribution, 4 more
-     * bytes per cycle), and the identity sum(per-site squashed) ==
-     * squashed_spec is checked fatally at end-of-run.
+     * ProfileStore scope the per-branch speculation profile
+     * (SimResult::profile; see obs/profile/profile.hh) merges under
+     * while obs::profilingRequested() is set; empty -> "window".
+     * Convention: "<workload>.<model>" so runs never conflate.
+     * Profiling implies accounting (the ledger carries the squash
+     * attribution, 4 more bytes per cycle), and the identity
+     * sum(per-site squashed) == squashed_spec is checked fatally at
+     * end-of-run.
      */
-    bool gatherProfile = false;
-    /** ProfileStore scope the profile merges under; empty -> "window".
-     *  Convention: "<workload>.<model>" so runs never conflate. */
     std::string profileScope;
     /** Metadata recorded in the profile (manifest grouping keys). */
     std::string profileWorkload;

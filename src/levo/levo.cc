@@ -124,8 +124,7 @@ LevoMachine::run(std::uint64_t max_instrs) const
     // count is unknown until the walk ends, so the ledger grows.
     // Profiling rides the ledger's squash attribution, so it forces
     // accounting on and keeps the ledger's per-cycle mark sites.
-    const bool profiling =
-        config_.gatherProfile || obs::profilingRequested();
+    const bool profiling = obs::profilingRequested();
     const bool accounting = config_.gatherAccounting || profiling;
     obs::SpeculationProfile profile;
     obs::SlotLedger ledger(static_cast<std::uint64_t>(n), 0,
@@ -470,18 +469,16 @@ LevoMachine::run(std::uint64_t max_instrs) const
     }
 
     if (profiling) {
-        // Loop roll-ups from the machine's own CFG.
+        // Each site's loop headers from the machine's own CFG.
         const Dominators doms(cfg_);
         const LoopForest forest(cfg_, doms);
-        std::vector<obs::BlockLoopNest> nests(cfg_.numBlocks());
-        for (std::size_t bk = 0; bk < nests.size(); ++bk) {
-            const auto blk = static_cast<BlockId>(bk);
-            nests[bk].depth = forest.loopDepth(blk);
-            for (const BlockId h : forest.enclosingHeaders(blk))
-                nests[bk].headers.push_back(
-                    static_cast<std::int64_t>(h));
+        std::vector<std::vector<std::int64_t>> headers(cfg_.numBlocks());
+        for (std::size_t bk = 0; bk < headers.size(); ++bk) {
+            for (const BlockId h :
+                 forest.enclosingHeaders(static_cast<BlockId>(bk)))
+                headers[bk].push_back(static_cast<std::int64_t>(h));
         }
-        profile.rollUpLoops(nests);
+        profile.setLoopHeaders(headers);
 
         std::string why;
         dee_assert(

@@ -71,14 +71,10 @@ struct LevoConfig
      * and copy_back classes. O(cycles) extra work at end-of-run.
      */
     bool gatherAccounting = true;
-    /**
-     * Collect the per-branch speculation profile (LevoResult::profile,
-     * and the manifest's "profile" section under the scope below);
-     * also forced on by the Session --profile flag. Implies
-     * accounting.
-     */
-    bool gatherProfile = false;
-    /** ProfileStore scope for the profile; empty -> "levo". */
+    /** ProfileStore scope for the per-branch speculation profile
+     *  (LevoResult::profile), collected while
+     *  obs::profilingRequested() is set; empty -> "levo". Profiling
+     *  implies accounting. */
     std::string profileScope;
 
     /**

@@ -536,64 +536,14 @@ Report::toJson() const
         phase_obj[key] = std::move(entry);
     }
     root["phases"] = std::move(phase_obj);
-
-    Json stacks = Json::array();
-    for (const auto &[stack, count] : topStacks) {
-        Json entry = Json::object();
-        entry["stack"] = Json(stack);
-        entry["count"] = Json(count);
-        stacks.push(std::move(entry));
-    }
-    root["top_stacks"] = std::move(stacks);
     return root;
-}
-
-std::string
-Report::renderTable() const
-{
-    std::ostringstream out;
-    out << "host hotspot phases (" << totalSamples << " samples, "
-        << threads << " thread(s), ";
-    char pct[32];
-    std::snprintf(pct, sizeof pct, "%.1f%%", attributedPct());
-    out << pct << " attributed, " << dropped << " dropped)\n";
-    std::size_t width = std::strlen("unattributed");
-    for (const auto &[key, stat] : phases)
-        width = std::max(width, key.size());
-    /* heaviest self share first */
-    std::vector<std::pair<std::string, PhaseStat>> rows(
-        phases.begin(), phases.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second.self != b.second.self)
-                      return a.second.self > b.second.self;
-                  return a.first < b.first;
-              });
-    for (const auto &[key, stat] : rows) {
-        char line[128];
-        std::snprintf(line, sizeof line,
-                      "  %-*s  self %6.2f%%  total %6.2f%%  (%" PRIu64
-                      " samples)\n",
-                      static_cast<int>(width), key.c_str(),
-                      stat.selfPct, stat.pct, stat.self);
-        out << line;
-    }
-    if (totalSamples > attributed) {
-        char line[128];
-        std::snprintf(line, sizeof line,
-                      "  %-*s  self %6.2f%%\n",
-                      static_cast<int>(width), "unattributed",
-                      100.0 - attributedPct());
-        out << line;
-    }
-    return out.str();
 }
 
 std::string
 Report::foldedStacks() const
 {
     std::ostringstream out;
-    for (const auto &[stack, count] : topStacks)
+    for (const auto &[stack, count] : stacks)
         out << stack << " " << count << "\n";
     return out.str();
 }
@@ -601,7 +551,7 @@ Report::foldedStacks() const
 Report
 buildReport(const std::vector<RawSample> &samples,
             std::uint64_t dropped, std::uint64_t threads,
-            double intervalMs, bool symbolize, std::size_t maxStacks)
+            double intervalMs, bool symbolize)
 {
     Report report;
     report.totalSamples = samples.size();
@@ -667,15 +617,13 @@ buildReport(const std::vector<RawSample> &samples,
         stat.selfPct = 100.0 * static_cast<double>(stat.self) / total;
     }
 
-    report.topStacks.assign(folds.begin(), folds.end());
-    std::sort(report.topStacks.begin(), report.topStacks.end(),
+    report.stacks.assign(folds.begin(), folds.end());
+    std::sort(report.stacks.begin(), report.stacks.end(),
               [](const auto &a, const auto &b) {
                   if (a.second != b.second)
                       return a.second > b.second;
                   return a.first < b.first;
               });
-    if (report.topStacks.size() > maxStacks)
-        report.topStacks.resize(maxStacks);
     return report;
 }
 

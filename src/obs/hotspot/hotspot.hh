@@ -59,8 +59,8 @@
  * Exposure: the run manifest's "hotspots" section is the one home of
  * the per-phase counts and shares (the stats registry mirrors none of
  * them), and foldedStacks() emits "host;<scope>.<phase>;sym;..;sym
- * count" lines dee_prof renders as a host-CPU flamegraph next to the
- * speculation one. Both are read once the sampler has stopped: no
+ * count" lines, one per distinct stack, for any flamegraph renderer
+ * (--hotspot-out). Both are read once the sampler has stopped: no
  * count is kept while it runs beyond each thread's sample buffer.
  */
 
@@ -173,9 +173,9 @@ struct Report
     /** "scope.phase" -> shares; self obeys the sum identity. */
     std::map<std::string, PhaseStat> phases;
 
-    /** Folded host stacks ("host;scope.phase;sym;..;sym", count),
-     *  heaviest first, truncated to the builder's maxStacks. */
-    std::vector<std::pair<std::string, std::uint64_t>> topStacks;
+    /** Every folded host stack ("host;scope.phase;sym;..;sym",
+     *  count), heaviest first; the counts sum to totalSamples. */
+    std::vector<std::pair<std::string, std::uint64_t>> stacks;
 
     /** attributed / totalSamples * 100 (0 when no samples). */
     double attributedPct() const;
@@ -183,10 +183,7 @@ struct Report
     /** The manifest "hotspots" payload for this report. */
     Json toJson() const;
 
-    /** Aligned per-phase share table (stats dumps, perf_microbench). */
-    std::string renderTable() const;
-
-    /** The topStacks as flamegraph folded-stack lines. */
+    /** The stacks as flamegraph folded-stack lines. */
     std::string foldedStacks() const;
 };
 
@@ -199,8 +196,7 @@ struct Report
  */
 Report buildReport(const std::vector<RawSample> &samples,
                    std::uint64_t dropped, std::uint64_t threads,
-                   double intervalMs, bool symbolize,
-                   std::size_t maxStacks = 50);
+                   double intervalMs, bool symbolize);
 
 /** Sampler configuration (Session fills it from --hotspot* flags). */
 struct Options

@@ -20,8 +20,7 @@
  *                                  // the tool published none
  *       "hotspots": { "enabled": ..., "interval_ms": ...,
  *                     "samples": ..., "attributed": ...,
- *                     "attributed_pct": ..., "phases": { ... },
- *                     "top_stacks": [ ... ] },
+ *                     "attributed_pct": ..., "phases": { ... } },
  *       "stats": { ... },          // Registry::toJson(): counters and
  *                                  // running stats only; cycle
  *                                  // accounts under stats.acct, host
@@ -50,8 +49,12 @@
  * mcps); v9 drops the "telemetry" section with the sampler that wrote
  * it (every series it summarized is reported once elsewhere: cells in
  * stats.runner, instructions and peak RSS in stats.perf, phase shares
- * in "hotspots"). The reader (obs/manifest_diff.hh) accepts v9 only:
- * regenerate an older document by rerunning the tool that wrote it.
+ * in "hotspots"); later v9 writers dropped, without a bump, leaves
+ * only an HTML report read: each profile scope's "hot_paths", "loops"
+ * and "loop_depth", and the hotspots section's list of heaviest folded
+ * stacks (--hotspot-out's file holds them all). The reader
+ * (obs/manifest_diff.hh) accepts v9 only: regenerate an older document
+ * by rerunning the tool that wrote it.
  */
 
 #ifndef DEE_OBS_MANIFEST_HH

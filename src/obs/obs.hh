@@ -7,7 +7,6 @@
  *   accounting.hh    closed per-slot cycle accounting (acct.*)
  *   perf/perf.hh     host throughput meter, one per simulated run (perf.*)
  *   profile/profile.hh per-branch speculation profiler ("profile")
- *   profile/report.hh  self-contained HTML profile report (dee_prof)
  *   heartbeat.hh     rate/ETA progress lines for long bench runs
  *   isolate.hh       per-cell obs isolation for parallel sweeps
  *   manifest.hh      machine-readable run manifests
@@ -27,7 +26,6 @@
 #include "obs/manifest_diff.hh"
 #include "obs/perf/perf.hh"
 #include "obs/profile/profile.hh"
-#include "obs/profile/report.hh"
 #include "obs/registry.hh"
 #include "obs/session.hh"
 #include "obs/trace_event.hh"

@@ -97,16 +97,6 @@ BranchSiteProfile::merge(const BranchSiteProfile &other)
 }
 
 void
-LoopRollup::merge(const LoopRollup &other)
-{
-    depth = std::max(depth, other.depth);
-    sites += other.sites;
-    executions += other.executions;
-    mispredicts += other.mispredicts;
-    squashedSlots += other.squashedSlots;
-}
-
-void
 SpeculationProfile::recordExecution(std::uint32_t pc,
                                     std::int64_t block,
                                     bool mispredicted,
@@ -118,15 +108,9 @@ SpeculationProfile::recordExecution(std::uint32_t pc,
     if (site.block < 0)
         site.block = block;
     ++site.executions;
-
-    recent_.push_back(pc);
-    if (recent_.size() > kPathSuffixLen)
-        recent_.erase(recent_.begin());
-
     if (mispredicted) {
         ++site.mispredicts;
         ++site.mispredictsByConf[conf_bucket];
-        ++hotPaths_[recent_];
     }
 }
 
@@ -190,34 +174,16 @@ SpeculationProfile::attributionMatches(const CycleAccount &account,
 }
 
 void
-SpeculationProfile::rollUpLoops(const std::vector<BlockLoopNest> &nests)
+SpeculationProfile::setLoopHeaders(
+    const std::vector<std::vector<std::int64_t>> &by_block)
 {
-    loops_.clear();
-    depths_.clear();
     for (auto &[pc, site] : sites_) {
-        BlockLoopNest nest;
         if (site.block >= 0 &&
-            static_cast<std::size_t>(site.block) < nests.size())
-            nest = nests[static_cast<std::size_t>(site.block)];
-        site.loopHeaders = nest.headers;
-
-        LoopRollup &by_depth = depths_[nest.depth];
-        by_depth.depth = nest.depth;
-        ++by_depth.sites;
-        by_depth.executions += site.executions;
-        by_depth.mispredicts += site.mispredicts;
-        by_depth.squashedSlots += site.squashedSlots;
-
-        // A site inside a nest contributes to every enclosing loop,
-        // so inner-loop waste also shows up in the outer totals.
-        for (std::size_t i = 0; i < nest.headers.size(); ++i) {
-            LoopRollup &loop = loops_[nest.headers[i]];
-            loop.depth = std::max(loop.depth, static_cast<int>(i) + 1);
-            ++loop.sites;
-            loop.executions += site.executions;
-            loop.mispredicts += site.mispredicts;
-            loop.squashedSlots += site.squashedSlots;
-        }
+            static_cast<std::size_t>(site.block) < by_block.size())
+            site.loopHeaders =
+                by_block[static_cast<std::size_t>(site.block)];
+        else
+            site.loopHeaders.clear();
     }
 }
 
@@ -271,14 +237,6 @@ SpeculationProfile::merge(const SpeculationProfile &other)
         model_ = other.model_;
     for (const auto &[pc, site] : other.sites_)
         sites_[pc].merge(site);
-    for (const auto &[header, loop] : other.loops_)
-        loops_[header].merge(loop);
-    for (const auto &[depth, rollup] : other.depths_) {
-        depths_[depth].merge(rollup);
-        depths_[depth].depth = depth;
-    }
-    for (const auto &[path, count] : other.hotPaths_)
-        hotPaths_[path] += count;
     unattributedSquashedSlots_ += other.unattributedSquashedSlots_;
 }
 
@@ -387,59 +345,6 @@ SpeculationProfile::toJson() const
         other_latency[latencyBucketName(k)] = Json(other_lat[k]);
     other["resolve_latency"] = std::move(other_latency);
     out["branch_other"] = std::move(other);
-
-    Json loops = Json::object();
-    for (const auto &[header, loop] : loops_) {
-        Json l = Json::object();
-        l["header"] = Json(static_cast<std::int64_t>(header));
-        l["depth"] = Json(static_cast<std::int64_t>(loop.depth));
-        l["sites"] = Json(loop.sites);
-        l["executions"] = Json(loop.executions);
-        l["mispredicts"] = Json(loop.mispredicts);
-        l["squashed_slots"] = Json(loop.squashedSlots);
-        std::string tag = "B";
-        tag += std::to_string(header);
-        loops[tag] = std::move(l);
-    }
-    out["loops"] = std::move(loops);
-
-    Json by_depth = Json::object();
-    for (const auto &[depth, rollup] : depths_) {
-        Json d = Json::object();
-        d["sites"] = Json(rollup.sites);
-        d["executions"] = Json(rollup.executions);
-        d["mispredicts"] = Json(rollup.mispredicts);
-        d["squashed_slots"] = Json(rollup.squashedSlots);
-        std::string tag = "d";
-        tag += std::to_string(depth);
-        by_depth[tag] = std::move(d);
-    }
-    out["loop_depth"] = std::move(by_depth);
-
-    // Hot mispredicted path suffixes, heaviest first.
-    std::vector<std::pair<const std::vector<std::uint32_t> *,
-                          std::uint64_t>>
-        paths;
-    paths.reserve(hotPaths_.size());
-    for (const auto &[path, count] : hotPaths_)
-        paths.emplace_back(&path, count);
-    std::stable_sort(paths.begin(), paths.end(),
-                     [](const auto &a, const auto &b) {
-                         if (a.second != b.second)
-                             return a.second > b.second;
-                         return *a.first < *b.first;
-                     });
-    Json hot = Json::array();
-    for (std::size_t i = 0; i < paths.size() && i < kTopPaths; ++i) {
-        Json p = Json::object();
-        Json pcs = Json::array();
-        for (const std::uint32_t pc : *paths[i].first)
-            pcs.push(Json(hexPc(pc)));
-        p["pcs"] = std::move(pcs);
-        p["count"] = Json(paths[i].second);
-        hot.push(std::move(p));
-    }
-    out["hot_paths"] = std::move(hot);
     return out;
 }
 

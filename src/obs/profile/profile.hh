@@ -17,11 +17,9 @@
  *     path probability / resource-assignment rank its side paths had
  *     at assignment time.
  *
- * Sites roll up into per-loop and per-nesting-depth aggregates (loop
- * structure is computed by the caller from cfg/structure.hh and passed
- * in as plain data — dee_obs stays a leaf library), and the profiler
- * keeps a top-N table of mispredicted path suffixes (the last few
- * branch PCs leading into each mispredict).
+ * Each site also lists its enclosing loop headers (loop structure is
+ * computed by the caller from cfg/structure.hh and passed in as plain
+ * data — dee_obs stays a leaf library), which root its folded stack.
  *
  * The attribution identity mirrors PR 2's Sigma-classes identity:
  *
@@ -57,11 +55,30 @@ namespace dee::obs
 /**
  * Process-wide profiling request, set by Session when the user passes
  * --profile/--profile-out (same pattern as Tracer::global().enable()):
- * simulators collect a profile when their config asks for one OR this
- * switch is on, so every Session-wired tool profiles for free.
+ * every simulator collects a profile while it is on. It is a plain
+ * flag, so set it before any worker thread starts and clear it after
+ * they join.
  */
 bool profilingRequested();
 void requestProfiling(bool on);
+
+/** Holds the profiling request on for its lifetime, then restores the
+ *  previous state. */
+class ScopedProfilingRequest
+{
+  public:
+    ScopedProfilingRequest() : previous_(profilingRequested())
+    {
+        requestProfiling(true);
+    }
+    ~ScopedProfilingRequest() { requestProfiling(previous_); }
+    ScopedProfilingRequest(const ScopedProfilingRequest &) = delete;
+    ScopedProfilingRequest &
+    operator=(const ScopedProfilingRequest &) = delete;
+
+  private:
+    bool previous_;
+};
 
 /** Resolution-latency buckets: <=1, <=2, <=4, ... <=64, >64 cycles. */
 constexpr std::size_t kNumLatencyBuckets = 8;
@@ -89,7 +106,7 @@ struct BranchSiteProfile
     double cpSum = 0.0;
     std::uint64_t rankSum = 0;
     std::uint64_t assignments = 0;
-    /** Enclosing loop headers, outermost first (from rollUpLoops). */
+    /** Enclosing loop headers, outermost first (from setLoopHeaders). */
     std::vector<std::int64_t> loopHeaders;
 
     double cpMean() const;
@@ -97,41 +114,16 @@ struct BranchSiteProfile
     void merge(const BranchSiteProfile &other);
 };
 
-/** Loop nest of one CFG block, as plain data (no cfg dependency). */
-struct BlockLoopNest
-{
-    int depth = 0;
-    /** Headers outermost first; empty when not in a loop. */
-    std::vector<std::int64_t> headers;
-};
-
-/** Aggregate over every site inside one loop (or one nesting depth). */
-struct LoopRollup
-{
-    int depth = 0;
-    std::uint64_t sites = 0;
-    std::uint64_t executions = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t squashedSlots = 0;
-
-    void merge(const LoopRollup &other);
-};
-
 /** One scope's (machine model x workload) speculation profile. */
 class SpeculationProfile
 {
   public:
-    /** Longest mispredicted path suffix tracked (in branch sites). */
-    static constexpr std::size_t kPathSuffixLen = 4;
-    /** Hot-path table size retained in toJson(). */
-    static constexpr std::size_t kTopPaths = 16;
     /** Branch sites serialized per scope; the rest aggregate into
      *  "branch_other" (counts and resolve latency) so manifests stay
      *  bounded. */
     static constexpr std::size_t kTopSites = 64;
 
-    /** Records one dynamic execution of the branch at @p pc, feeding
-     *  the mispredicted-path-suffix ring; call in dynamic order. */
+    /** Records one dynamic execution of the branch at @p pc. */
     void recordExecution(std::uint32_t pc, std::int64_t block,
                          bool mispredicted, std::size_t conf_bucket);
 
@@ -162,10 +154,11 @@ class SpeculationProfile
     bool attributionMatches(const CycleAccount &account,
                             std::string *why = nullptr) const;
 
-    /** Folds sites into per-loop / per-depth aggregates; @p nests is
-     *  indexed by CFG block id (sites with unknown or out-of-range
-     *  blocks stay depth 0). */
-    void rollUpLoops(const std::vector<BlockLoopNest> &nests);
+    /** Sets each site's loopHeaders from @p by_block, the enclosing
+     *  headers (outermost first) indexed by CFG block id; sites with
+     *  unknown or out-of-range blocks get none. */
+    void setLoopHeaders(
+        const std::vector<std::vector<std::int64_t>> &by_block);
 
     void setMeta(const std::string &workload, const std::string &model);
     const std::string &workload() const { return workload_; }
@@ -176,11 +169,6 @@ class SpeculationProfile
     {
         return sites_;
     }
-    const std::map<std::int64_t, LoopRollup> &loops() const
-    {
-        return loops_;
-    }
-    const std::map<int, LoopRollup> &depths() const { return depths_; }
     std::uint64_t unattributedSquashedSlots() const
     {
         return unattributedSquashedSlots_;
@@ -203,13 +191,7 @@ class SpeculationProfile
 
   private:
     std::map<std::uint32_t, BranchSiteProfile> sites_;
-    std::map<std::int64_t, LoopRollup> loops_;
-    std::map<int, LoopRollup> depths_;
-    /** Mispredicted path suffixes -> occurrence count. */
-    std::map<std::vector<std::uint32_t>, std::uint64_t> hotPaths_;
     std::uint64_t unattributedSquashedSlots_ = 0;
-    /** Ring of the last kPathSuffixLen executed branch PCs. */
-    std::vector<std::uint32_t> recent_;
     std::string workload_;
     std::string model_;
 };

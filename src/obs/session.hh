@@ -32,8 +32,8 @@
  *                     "hotspots" section; see obs/hotspot/hotspot.hh)
  *   --hotspot-out PATH  write the host samples as folded stacks
  *                     ("host;scope.phase;sym;..;sym count" lines,
- *                     flamegraph.pl / dee_prof compatible) to PATH;
- *                     implies --hotspots
+ *                     flamegraph.pl compatible, every sample) to
+ *                     PATH; implies --hotspots
  *   --hotspot-interval MS  per-thread CPU-time sampling period (a
  *                     finite number > 0 when hotspots are on)
  */

@@ -175,17 +175,15 @@ snapshotRegistry(const obs::Registry &reg)
 
 SimResult
 runCell(const Kernels &kernels, ModelKind kind,
-        const BenchmarkInstance &inst, int e_t, bool profile = false,
+        const BenchmarkInstance &inst, int e_t,
         const std::vector<int> *load_latencies = nullptr)
 {
     TwoBitPredictor pred(inst.trace.numStatic);
     ModelRunOptions options;
     options.gatherResolveStats = true;
     options.gatherIssueStats = true;
-    options.gatherProfile = profile;
     options.loadLatencies = load_latencies;
-    if (profile)
-        options.profileWorkload = inst.name;
+    options.profileWorkload = inst.name;
     return sim_detail::runModelWith(kind, inst.trace, &inst.cfg, pred,
                                     e_t, options, kernels);
 }
@@ -226,8 +224,11 @@ TEST_P(EngineGrid, RegistryOutputBitExactAcrossEngines)
     const auto grid_snapshot = [&inst](const Kernels &kernels) {
         obs::Registry::process().clear();
         obs::ProfileStore::process().clear();
-        for (ModelKind kind : allModels())
-            runCell(kernels, kind, inst, 32, /*profile=*/true);
+        {
+            const obs::ScopedProfilingRequest profiling;
+            for (ModelKind kind : allModels())
+                runCell(kernels, kind, inst, 32);
+        }
         std::string snap =
             snapshotRegistry(obs::Registry::process()) + "--\n" +
             obs::ProfileStore::process().toJson().dump();
@@ -450,16 +451,18 @@ TEST(EngineDifferential, ProfilingSurfaceBitExact)
          {ModelKind::SP, ModelKind::EE, ModelKind::DEE_CD_MF}) {
         SimConfig config;
         config.cd = cdModelOf(kind);
-        config.gatherProfile = true;
         config.gatherAccounting = true;
         config.profileScope = std::string(inst.name) + ".diff." +
                               modelName(kind);
         config.profileWorkload = inst.name;
         config.profileModel = modelName(kind);
         obs::ProfileStore::process().clear();
-        expectEnginesAgree(inst, config, treeForModel(kind, p, 32),
-                           std::string("profiling ") +
-                               modelName(kind));
+        {
+            const obs::ScopedProfilingRequest profiling;
+            expectEnginesAgree(inst, config, treeForModel(kind, p, 32),
+                               std::string("profiling ") +
+                                   modelName(kind));
+        }
         obs::ProfileStore::process().clear();
     }
 }
@@ -504,11 +507,9 @@ TEST(EngineDifferential, LedgerLimitFallbackBitExact)
     for (ModelKind kind : allModels()) {
         const std::string ctx = modelName(kind);
         const std::uint64_t skipped = reg.counter("acct.skipped_runs");
-        const SimResult fast = runCell(kFast, kind, inst, 32,
-                                       /*profile=*/false, &load_lat);
+        const SimResult fast = runCell(kFast, kind, inst, 32, &load_lat);
         EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped + 1) << ctx;
-        const SimResult ref = runCell(kReference, kind, inst, 32,
-                                      /*profile=*/false, &load_lat);
+        const SimResult ref = runCell(kReference, kind, inst, 32, &load_lat);
         EXPECT_EQ(reg.counter("acct.skipped_runs"), skipped + 2) << ctx;
         expectSameResult(fast, ref, ctx);
         EXPECT_GT(fast.cycles, obs::SlotLedger::kMaxCycles) << ctx;
@@ -1185,11 +1186,17 @@ runManifestGrid(const Kernels &kernels, int jobs)
     const std::size_t cells = insts->size() * kinds.size();
     runner::SweepOptions options;
     options.jobs = jobs;
-    runner::runCells(cells, options, [&kinds, &kernels](std::size_t c) {
-        const BenchmarkInstance &inst = (*insts)[c / kinds.size()];
-        runCell(kernels, kinds[c % kinds.size()], inst, 32,
-                /*profile=*/true);
-    });
+    {
+        // Set before any worker starts, cleared after they all join.
+        const obs::ScopedProfilingRequest profiling;
+        runner::runCells(cells, options,
+                         [&kinds, &kernels](std::size_t c) {
+                             const BenchmarkInstance &inst =
+                                 (*insts)[c / kinds.size()];
+                             runCell(kernels, kinds[c % kinds.size()],
+                                     inst, 32);
+                         });
+    }
     GridOutput out;
     out.manifest =
         obs::withoutHostMeasured(obs::Manifest("engine_differential")

@@ -2,9 +2,9 @@
  * @file
  * Tests for the host hot-path sampling profiler (obs/hotspot): the
  * pure buildReport() fold (per-phase self/total shares, attribution
- * identity, folded-stack golden), phase nesting invariants, the
- * manifest's hotspots section, the regression gate's advisory
- * per-phase share check (self-diff passes; an injected 2x phase-share
+ * identity, folded-stack golden, every fold kept), phase nesting
+ * invariants, the manifest's hotspots section, the regression gate's
+ * advisory per-phase share check (self-diff passes; an injected 2x phase-share
  * skew warns naming the phase and never fails), live sampling during a
  * --jobs 4 parallel sweep (the ASan/TSan signal-safety smoke), ring
  * overflow drop accounting, and the determinism gate: manifests stay
@@ -29,6 +29,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,11 +170,57 @@ TEST(HotspotReport, SyntheticThreePhaseGolden)
         << folded;
     EXPECT_NE(folded.find("host;unattributed 1"), std::string::npos)
         << folded;
+}
 
-    // The share table names every phase.
-    const std::string table = report.renderTable();
-    EXPECT_NE(table.find("tw.fetch"), std::string::npos) << table;
-    EXPECT_NE(table.find("tw.issue"), std::string::npos) << table;
+TEST(HotspotReport, FoldedStacksKeepEverySample)
+{
+    // 8 scopes x 7 phases, each fold with its own count, plus one
+    // unattributed sample: 57 distinct folds, more than any cap on
+    // the folded file would keep.
+    constexpr std::size_t kScopes = 8;
+    static const char *const kNames[kScopes] = {
+        "fold0", "fold1", "fold2", "fold3",
+        "fold4", "fold5", "fold6", "fold7",
+    };
+    std::vector<RawSample> samples;
+    std::set<std::string> folds = {"host;unattributed"};
+    for (std::size_t sc = 0; sc < kScopes; ++sc) {
+        const std::uint8_t idx = internScope(kNames[sc]);
+        ASSERT_STREQ(scopeName(idx), kNames[sc]) << "scope table full";
+        for (std::size_t ph = 0; ph < kNumPhases; ++ph) {
+            const auto phase = static_cast<Phase>(ph);
+            RawSample s;
+            s.depth = 1;
+            s.phaseStack[0] = packEntry(idx, phase);
+            samples.insert(samples.end(), 1 + (sc + ph) % 3, s);
+            folds.insert(std::string("host;") + kNames[sc] + "." +
+                         phaseName(phase));
+        }
+    }
+    samples.emplace_back();
+    ASSERT_EQ(folds.size(), kScopes * kNumPhases + 1);
+
+    const Report report =
+        buildReport(samples, 0, 1, 2.0, /*symbolize=*/false);
+    ASSERT_EQ(report.stacks.size(), folds.size());
+    std::uint64_t sum = 0;
+    for (const auto &[stack, count] : report.stacks) {
+        EXPECT_EQ(folds.count(stack), 1u) << stack;
+        sum += count;
+    }
+    EXPECT_EQ(sum, report.totalSamples);
+
+    // The folded file is the same stacks, one line each.
+    std::istringstream lines(report.foldedStacks());
+    std::string line;
+    std::size_t num_lines = 0;
+    std::uint64_t line_sum = 0;
+    while (std::getline(lines, line)) {
+        ++num_lines;
+        line_sum += std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+    EXPECT_EQ(num_lines, folds.size());
+    EXPECT_EQ(line_sum, samples.size());
 }
 
 TEST(HotspotReport, AttributionAndNestingIdentities)
@@ -386,8 +434,7 @@ TEST(HotspotSampler, ParallelSweepSignalSafetySmoke)
     // promise a sample yield from ~400ms of spinning at 0.5ms.
     EXPECT_GT(report.totalSamples, 0u);
     EXPECT_TRUE(report.phases.count("testsweep.issue") == 1 ||
-                report.phases.count("testsweep.other") == 1)
-        << report.renderTable();
+                report.phases.count("testsweep.other") == 1);
 #endif
     // The attribution identity holds at any yield, TSan included.
     std::uint64_t self_sum = 0;

@@ -584,13 +584,12 @@ TEST(LevoGolden, EveryFieldMatchesParent)
     // Profiling changes no timing, so the run matches its unprofiled
     // pin (compress, 3 one-column DEE paths).
     ASSERT_EQ(ids[1], WorkloadId::Compress);
-    LevoConfig profiled = points[1];
-    profiled.gatherProfile = true;
+    const obs::ScopedProfilingRequest profiling;
     const LevoResult r =
-        expectGolden(makeWorkload(WorkloadId::Compress, 1), profiled,
+        expectGolden(makeWorkload(WorkloadId::Compress, 1), points[1],
                      kRuns[1][1], "compress profiled");
     EXPECT_FALSE(r.profile.empty());
-    EXPECT_EQ(fnv1a(r.profile.toJson().dump()), 3679797326643712614ull);
+    EXPECT_EQ(fnv1a(r.profile.toJson().dump()), 8927159656390875214ull);
 }
 
 } // namespace

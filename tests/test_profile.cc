@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the speculation profiler (src/obs/profile/): the per-branch
- * attribution identity on every ILP model and on Levo, loop roll-ups on
+ * attribution identity on every ILP model and on Levo, loop headers on
  * a handcrafted nested-loop program, folded-stack output, the bounded
  * branch table, dee.run.v9 manifest round-trips, per-branch squashed
  * slots under the regression gate, lint profile annotation, and the
@@ -21,7 +21,6 @@
 #include "obs/manifest.hh"
 #include "obs/manifest_diff.hh"
 #include "obs/profile/profile.hh"
-#include "obs/profile/report.hh"
 #include "obs/registry.hh"
 #include "workloads/suite.hh"
 
@@ -30,7 +29,6 @@ namespace dee
 namespace
 {
 
-using obs::BlockLoopNest;
 using obs::checkManifest;
 using obs::GateItem;
 using obs::Json;
@@ -61,9 +59,9 @@ TEST_P(ModelProfile, SquashAttributionMatchesTheAccount)
     const auto &inst = instance();
     ProfileStore::global().clear();
 
+    const obs::ScopedProfilingRequest profiling;
     TwoBitPredictor pred(inst.trace.numStatic);
     ModelRunOptions options;
-    options.gatherProfile = true;
     options.profileWorkload = "compress";
     const SimResult r =
         runModel(kind, inst.trace, &inst.cfg, pred, 16, options);
@@ -148,7 +146,7 @@ TEST(LevoProfile, SquashAttributionMatchesTheAccount)
 
     LevoConfig config;
     config.iqRows = 4; // forces refills alongside mispredicts
-    config.gatherProfile = true;
+    const obs::ScopedProfilingRequest profiling;
     const LevoResult r = LevoMachine(p, cfg, config).run();
 
     ASSERT_TRUE(r.account.valid());
@@ -167,8 +165,8 @@ TEST(LevoProfile, CoveredMispredictsCountDeeSlotCycles)
     const Program p = sumLoop(100);
     Cfg cfg(p);
     ProfileStore::global().clear();
-    LevoConfig config; // default 32x8, 3 DEE paths
-    config.gatherProfile = true;
+    const LevoConfig config; // default 32x8, 3 DEE paths
+    const obs::ScopedProfilingRequest profiling;
     const LevoResult r = LevoMachine(p, cfg, config).run();
     ASSERT_GT(r.deeCovered, 0u);
     std::uint64_t dee_cycles = 0;
@@ -178,7 +176,7 @@ TEST(LevoProfile, CoveredMispredictsCountDeeSlotCycles)
     ProfileStore::global().clear();
 }
 
-// --- Loop roll-ups on a handcrafted nested loop -------------------------
+// --- Loop headers on a handcrafted nested loop -------------------------
 
 /** Two nested counted loops: inner branch at depth 2, outer at 1. */
 Program
@@ -209,7 +207,7 @@ nestedLoops(std::int64_t outer_n, std::int64_t inner_n)
     return pb.build();
 }
 
-TEST(LoopRollup, NestedLoopBranchesLandAtTheirDepths)
+TEST(LoopHeaders, NestedLoopBranchesListTheirEnclosingHeaders)
 {
     const Program p = nestedLoops(8, 12);
     const Cfg cfg(p);
@@ -217,9 +215,9 @@ TEST(LoopRollup, NestedLoopBranchesLandAtTheirDepths)
     ASSERT_TRUE(exec.halted);
     ProfileStore::global().clear();
 
+    const obs::ScopedProfilingRequest profiling;
     TwoBitPredictor pred(exec.trace.numStatic);
     ModelRunOptions options;
-    options.gatherProfile = true;
     options.profileWorkload = "nested";
     const SimResult r = runModel(ModelKind::DEE_CD_MF, exec.trace, &cfg,
                                  pred, 16, options);
@@ -245,18 +243,6 @@ TEST(LoopRollup, NestedLoopBranchesLandAtTheirDepths)
     // Outer latch branch: only inside the outer loop.
     ASSERT_EQ(outer_site->loopHeaders.size(), 1u);
     EXPECT_EQ(outer_site->loopHeaders[0], 1);
-
-    // Roll-ups: the outer loop (B1) aggregates both sites; the inner
-    // loop (B2) only the inner one; depth table has both depths.
-    ASSERT_NE(r.profile.loops().count(1), 0u);
-    ASSERT_NE(r.profile.loops().count(2), 0u);
-    EXPECT_GE(r.profile.loops().at(1).sites, 2u);
-    EXPECT_GE(r.profile.loops().at(2).sites, 1u);
-    EXPECT_GE(r.profile.loops().at(1).executions,
-              r.profile.loops().at(2).executions);
-    ASSERT_NE(r.profile.depths().count(1), 0u);
-    ASSERT_NE(r.profile.depths().count(2), 0u);
-    EXPECT_EQ(r.profile.depths().at(2).depth, 2);
 }
 
 // --- Folded stacks (flamegraph input) -----------------------------------
@@ -266,10 +252,7 @@ TEST(FoldedStacks, GoldenOutput)
     SpeculationProfile prof;
     prof.recordExecution(3, 2, /*mispredicted=*/true, 0);
     prof.attributeSquash({{3u, 10u}, {kNoSite, 2u}});
-    std::vector<BlockLoopNest> nests(3);
-    nests[2].depth = 2;
-    nests[2].headers = {1, 2};
-    prof.rollUpLoops(nests);
+    prof.setLoopHeaders({{}, {}, {1, 2}});
 
     std::string out;
     prof.appendFoldedStacks("compress.DEE", &out);
@@ -464,27 +447,6 @@ TEST(ProfileDiff, NewHotSiteFails)
             << item.metric;
         EXPECT_NE(item.detail.find("baseline missing"), std::string::npos);
     }
-}
-
-// --- HTML report --------------------------------------------------------
-
-TEST(ProfileHtml, RendersSelfContainedPageFromManifests)
-{
-    Json doc;
-    std::string err;
-    ASSERT_TRUE(
-        Json::parse(profileManifestText(100, true), &doc, &err))
-        << err;
-    const std::string html =
-        obs::renderProfileHtml({doc}, {"run.json"});
-    EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
-    EXPECT_NE(html.find("</html>"), std::string::npos);
-    EXPECT_NE(html.find("0x7"), std::string::npos);
-    EXPECT_NE(html.find("compress.DEE"), std::string::npos);
-    // Self-contained: no scripts, no external fetches.
-    EXPECT_EQ(html.find("<script"), std::string::npos);
-    EXPECT_EQ(html.find("http://"), std::string::npos);
-    EXPECT_EQ(html.find("https://"), std::string::npos);
 }
 
 // --- Lint profile annotation --------------------------------------------

@@ -400,6 +400,8 @@ class Determinism : public ::testing::Test
     {
         obs::Registry::process().clear();
         obs::ProfileStore::process().clear();
+        // Set before any worker starts, cleared after they all join.
+        const obs::ScopedProfilingRequest profiling;
         const std::size_t stride = cells_->size();
         std::vector<double> results(insts_->size() * stride, 0.0);
         const auto body = [&results, stride](std::size_t c) {
@@ -407,7 +409,6 @@ class Determinism : public ::testing::Test
             const Cell &cell = (*cells_)[c % stride];
             TwoBitPredictor pred(inst.trace.numStatic);
             ModelRunOptions options;
-            options.gatherProfile = true;
             options.profileWorkload = inst.name;
             results[c] = runModel(cell.kind, inst.trace, &inst.cfg,
                                   pred, cell.et, options)

@@ -84,7 +84,7 @@ TEST(RunKey, EveryFieldButTheProfileNamesSeparatesRuns)
     const std::vector<int> latencies(4, 2);
 
     // One change per field: each must move the key.
-    std::vector<SimConfig> changed(17, base);
+    std::vector<SimConfig> changed(16, base);
     changed[0].cd = CdModel::Minimal;
     changed[1].mispredictPenalty = 2;
     changed[2].latency.intAlu = 2;
@@ -95,13 +95,12 @@ TEST(RunKey, EveryFieldButTheProfileNamesSeparatesRuns)
     changed[7].gatherResolveStats = true;
     changed[8].gatherIssueStats = true;
     changed[9].gatherAccounting = false;
-    changed[10].gatherProfile = true;
-    changed[11].peLimit = 4;
-    changed[12].windowReachOverride = 3;
-    changed[13].loadLatencies = &latencies;
-    changed[14].confidence.accuracy = &accuracy;
-    changed[15].confidence.threshold = 0.75;
-    changed[16].confidence.sideLen = 2;
+    changed[10].peLimit = 4;
+    changed[11].windowReachOverride = 3;
+    changed[12].loadLatencies = &latencies;
+    changed[13].confidence.accuracy = &accuracy;
+    changed[14].confidence.threshold = 0.75;
+    changed[15].confidence.sideLen = 2;
     for (std::size_t i = 0; i < changed.size(); ++i)
         EXPECT_NE(runKey(tree, changed[i], joins, kLongWalks), key)
             << "field " << i;

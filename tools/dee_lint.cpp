@@ -10,7 +10,7 @@
  * is present, so CI can gate on it.
  *
  * With --profile-annotate MANIFEST.json, findings anchored to blocks
- * that a speculation profile (dee.run.v3 "profile" section) shows as
+ * that a speculation profile (dee.run.v9 "profile" section) shows as
  * hot are ranked first and annotated with their squashed-slot counts,
  * so the warnings most worth fixing lead the report.
  *
@@ -202,7 +202,7 @@ main(int argc, char **argv)
     cli.flag("stats", "false", "dump the lint.* stats registry");
     cli.flag("profile-annotate", "",
              "rank findings by speculation heat using the \"profile\" "
-             "section of this dee.run.v3 manifest");
+             "section of this dee.run.v9 manifest");
     cli.flag("seed", "0", "workload generator seed");
     cli.flag("xcheck", "",
              "cross-check this run manifest's measured values against "
